@@ -10,21 +10,18 @@ from pathlib import Path
 
 from . import metrics
 from .engine import Simulation
-from .reorder import REORDER_KINDS
+from .reorder import RECEIVERS
 from .scenario import (ScenarioConfig, ScenarioError, canned_scenario_names,
                        load_canned, load_scenario)
-from .scheduler import SCHEDULER_DOCS, SCHEDULER_KINDS
+from .scheduler import SCHEDULERS
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
-REORDER_DOCS = {
-    "adaptive": "resequencing with a threshold recomputed from measured RTTs; params: adaptive_k, max_hold_us",
-    "delay_equalize": "per-flow delay lines equalizing end-to-end latency, late packets discarded; params: adaptive_k, max_hold_us",
-    "none": "no receiver processing, packets delivered on arrival; no params",
-    "static": "resequencing with a fixed threshold; params: static_threshold_us (defaults to the configured RTT gap), max_hold_us",
-}
+# Each plugin registry with its type and heading in list-plugins.
+PLUGIN_TABLES = (("scheduler", "schedulers:", SCHEDULERS),
+                 ("reorder", "reorder kinds:", RECEIVERS))
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: Path) -> dict:
@@ -65,22 +62,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list_plugins(args) -> int:
-    entries = [
-        {"type": "scheduler", "name": name, "doc": SCHEDULER_DOCS[name]}
-        for name in sorted(SCHEDULER_KINDS)
-    ] + [
-        {"type": "reorder", "name": name, "doc": REORDER_DOCS[name]}
-        for name in sorted(REORDER_KINDS)
-    ]
     if args.json:
+        entries = [{"type": kind, "name": name, "doc": plugin.describe()}
+                   for kind, _, table in PLUGIN_TABLES
+                   for name, plugin in sorted(table.items())]
         print(json.dumps(entries, indent=2, sort_keys=True))
         return EXIT_OK
-    print("schedulers:")
-    for name in sorted(SCHEDULER_KINDS):
-        print(f"  {name:<20} {SCHEDULER_DOCS[name]}")
-    print("reorder kinds:")
-    for name in sorted(REORDER_KINDS):
-        print(f"  {name:<20} {REORDER_DOCS[name]}")
+    for _, heading, table in PLUGIN_TABLES:
+        print(heading)
+        for name, plugin in sorted(table.items()):
+            print(f"  {name:<20} {plugin.describe()}")
     return EXIT_OK
 
 
@@ -127,7 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as exc:  # a fault no command anticipates: one line, exit 2
+        print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -7,10 +7,9 @@ without sharing anything.
 
 from . import metrics
 from .flow import SEQ48_MASK, Flow, TunnelPacket
-from .reorder import (EqualizingReceiver, PassthroughReceiver,
-                      ResequencingReceiver, static_threshold)
+from .reorder import RECEIVERS
 from .scenario import ScenarioConfig, ScenarioError
-from .scheduler import Otias, PathView, make_scheduler
+from .scheduler import SCHEDULERS, PathView
 from .simcore import EventQueue, PathState, US_PER_SECOND
 
 # Slack past the configured duration for queues, acks and holds to drain.
@@ -36,9 +35,10 @@ class Simulation:
             self.flows.append(
                 Flow(pid, prior, lambda pkt, now, i=pid: self._transmit(i, pkt, now))
             )
-        self.scheduler = make_scheduler(cfg.scheduler)
+        self.scheduler = SCHEDULERS[cfg.scheduler.kind].factory(cfg.scheduler)
         self._costs = cfg.effective_costs()
-        self.receiver = self._build_receiver()
+        self.receiver = RECEIVERS[cfg.reorder.kind].factory(
+            cfg, self._deliver, self.queue.schedule, self._discard)
 
         self._next_seq = 0
         self._timer_gen = [0] * len(self.flows)
@@ -47,24 +47,6 @@ class Simulation:
             cfg.duration_us,
             cfg.traffic.stop_us if cfg.traffic.stop_us is not None else cfg.duration_us,
         )
-
-    def _build_receiver(self):
-        rc = self.cfg.reorder
-        if rc.kind == "none":
-            return PassthroughReceiver(self._deliver, self.queue.schedule)
-        if rc.kind == "static":
-            threshold = rc.static_threshold_us
-            if threshold is None:
-                rtts = [2 * p.one_way_latency_us for p in self.cfg.paths]
-                threshold = static_threshold(max(rtts), min(rtts))
-            return ResequencingReceiver(self._deliver, self.queue.schedule, rc,
-                                        fixed_threshold_us=float(threshold))
-        if rc.kind == "adaptive":
-            return ResequencingReceiver(self._deliver, self.queue.schedule, rc)
-        if rc.kind == "delay_equalize":
-            return EqualizingReceiver(self._deliver, self.queue.schedule, rc,
-                                      self._discard)
-        raise ScenarioError([f"reorder: unknown kind {rc.kind!r}"])
 
     # -- event handlers ------------------------------------------------------
 
@@ -84,9 +66,9 @@ class Simulation:
         self._next_seq += 1
         self.log.ingress_count += 1
         picked = self.scheduler.pick(self._views(), now)
-        etas = self.scheduler.last_etas if isinstance(self.scheduler, Otias) else None
         self.log.decisions.append(
-            metrics.Decision(now, pkt.overall_seq, picked, etas)
+            metrics.Decision(now, pkt.overall_seq, picked,
+                             getattr(self.scheduler, "last_etas", None))
         )
         self.flows[picked].enqueue(pkt, now)
         self._sample_flow(picked, now)

@@ -49,15 +49,6 @@ class TunnelPacket:
 
 
 @dataclass(frozen=True)
-class AckRecord:
-    """Acknowledgment of one flow_seq, carrying both timestamps of the sample."""
-
-    flow_seq: int
-    send_time: int
-    ack_time: int
-
-
-@dataclass(frozen=True)
 class HeaderFields:
     version: int
     path_id: int
@@ -137,10 +128,6 @@ class Flow:
     def rttvar(self) -> float:
         return self._rttvar if self._rttvar is not None else 0.0
 
-    @property
-    def has_rtt_sample(self) -> bool:
-        return self._srtt is not None
-
     def update_rtt(self, sample_us: float) -> None:
         """Feed one round-trip sample into the smoothed estimators."""
         if sample_us <= 0:
@@ -182,27 +169,18 @@ class Flow:
 
     # -- ack / loss handling -------------------------------------------------
 
-    def ack_received(self, flow_seq: int, now: int) -> Optional[AckRecord]:
-        """Build the ack record for a flow_seq and apply it; None if unknown."""
-        entry = self._outstanding.get(flow_seq)
-        if entry is None:
-            return None
-        ack = AckRecord(flow_seq, entry[0], now)
-        self.on_ack(ack, now)
-        return ack
-
-    def on_ack(self, ack: AckRecord, now: int) -> None:
+    def ack_received(self, flow_seq: int, now: int) -> None:
         """Apply one acknowledgment: release window, sample RTT, grow cwnd.
 
         Duplicate or unknown acks are ignored. Window growth is slow start
         (one packet per ack) below ssthresh, else congestion avoidance via
         fractional accumulation of 1/cwnd per ack.
         """
-        if ack.flow_seq not in self._outstanding:
+        sent = self._outstanding.pop(flow_seq, None)
+        if sent is None:
             return
-        del self._outstanding[ack.flow_seq]
         self.in_flight -= 1
-        self.update_rtt(ack.ack_time - ack.send_time)
+        self.update_rtt(now - sent[0])
 
         if self.cwnd < self.ssthresh:
             self.cwnd += 1.0
@@ -218,7 +196,7 @@ class Flow:
         # acknowledged successors is declared lost.
         lost = []
         for seq, entry in self._outstanding.items():
-            if seq < ack.flow_seq:
+            if seq < flow_seq:
                 entry[1] += 1
                 if entry[1] >= DUP_ACK_THRESHOLD:
                     lost.append(seq)

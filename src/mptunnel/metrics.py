@@ -11,7 +11,10 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
+from .flow import TunnelPacket, encode_header
+
 SCHEMA_VERSION = 1
+THROUGHPUT_BIN_US = 100_000
 
 
 class Delivery(NamedTuple):
@@ -257,74 +260,84 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _deliveries(log: MetricsLog, pdv) -> tuple[list[str], list]:
+    # One row per packet the receiver disposed of, discards included, merged
+    # in time order.
+    header = ["delivery_time_us", "overall_seq", "path_id",
+              "buffer_residency_us", "disposition"]
+    return header, sorted(
+        [(d.time_us, d.overall_seq, d.path_id, d.residency_us, d.disposition)
+         for d in log.deliveries]
+        + [(d.time_us, d.overall_seq, d.path_id, 0, "discarded")
+           for d in log.discards]
+    )
+
+
+def _decisions(log: MetricsLog, pdv) -> tuple[list[str], list]:
+    n_paths = max((len(d.etas_us) for d in log.decisions if d.etas_us), default=0)
+    header = ["time_us", "overall_seq", "path_id"] + [
+        f"eta_{i}_us" for i in range(n_paths)
+    ]
+    return header, [
+        (d.time_us, d.overall_seq, d.path_id)
+        + tuple(d.etas_us if d.etas_us else [""] * n_paths)
+        for d in log.decisions
+    ]
+
+
+def _headers(log: MetricsLog, pdv) -> tuple[list[str], list]:
+    # Bit-exact encapsulation headers of every transmitted packet.
+    return ["time_us", "header_hex"], [
+        (s.time_us,
+         encode_header(TunnelPacket(s.overall_seq, s.size_bytes, 0,
+                                    path_id=s.path_id, flow_seq=s.flow_seq,
+                                    sender_rtt_report=s.rtt_report_us)).hex())
+        for s in log.sends
+    ]
+
+
+_EVENT_COLUMNS = ["time_us", "path_id", "overall_seq"]
+
+# Every exportable metric: fn(log, pdv) -> (header, rows), where pdv() returns
+# the run's delay-variation samples. A fn returning a dict instead names a
+# metric written as that JSON document whatever the requested format.
+METRICS = {
+    "arrivals": lambda log, pdv: (
+        ["arrival_time_us", "overall_seq", "path_id", "ingress_time_us"],
+        log.arrivals),
+    "decisions": _decisions,
+    "deliveries": _deliveries,
+    "discards": lambda log, pdv: (_EVENT_COLUMNS, log.discards),
+    "drops": lambda log, pdv: (_EVENT_COLUMNS, log.drops),
+    "flows": lambda log, pdv: (
+        ["time_us", "path_id", "srtt_us", "cwnd", "in_flight", "queue_len"],
+        log.flow_samples),
+    "headers": _headers,
+    "pdv": lambda log, pdv: (["overall_seq", "pdv_us"], pdv()),
+    "pdv_histogram": lambda log, pdv: pdv_histogram(pdv()),
+    "scatter": lambda log, pdv: (["arrival_index", "overall_seq"],
+                                 arrival_order_scatter(log)),
+    "srtt": lambda log, pdv: (
+        ["time_us", "path_id", "srtt_us"],
+        [(s.time_us, s.path_id, s.srtt_us) for s in log.flow_samples]),
+    "throughput": lambda log, pdv: (
+        ["bin_start_us", "path_id", "throughput_bps"],
+        throughput_series(log, THROUGHPUT_BIN_US)),
+}
+
+
 def export_metric(log: MetricsLog, metric: str, fmt: str, path,
-                  nominal_interval_us: float, bin_us: int = 100_000,
+                  nominal_interval_us: float,
                   pdv_stream: str = "deliveries") -> None:
     """Write one named metric to path in the requested format."""
-    if metric == "deliveries":
-        # One row per packet the receiver disposed of, discards included,
-        # merged in time order.
-        header = ["delivery_time_us", "overall_seq", "path_id",
-                  "buffer_residency_us", "disposition"]
-        rows = sorted(
-            [(d.time_us, d.overall_seq, d.path_id, d.residency_us, d.disposition)
-             for d in log.deliveries]
-            + [(d.time_us, d.overall_seq, d.path_id, 0, "discarded")
-               for d in log.discards]
-        )
-    elif metric == "arrivals":
-        header = ["arrival_time_us", "overall_seq", "path_id", "ingress_time_us"]
-        rows = log.arrivals
-    elif metric == "drops":
-        header = ["time_us", "path_id", "overall_seq"]
-        rows = log.drops
-    elif metric == "discards":
-        header = ["time_us", "path_id", "overall_seq"]
-        rows = log.discards
-    elif metric == "srtt":
-        header = ["time_us", "path_id", "srtt_us"]
-        rows = [(s.time_us, s.path_id, s.srtt_us) for s in log.flow_samples]
-    elif metric == "flows":
-        header = ["time_us", "path_id", "srtt_us", "cwnd", "in_flight", "queue_len"]
-        rows = log.flow_samples
-    elif metric == "decisions":
-        n_paths = max((len(d.etas_us) for d in log.decisions if d.etas_us), default=0)
-        header = ["time_us", "overall_seq", "path_id"] + [
-            f"eta_{i}_us" for i in range(n_paths)
-        ]
-        rows = [
-            (d.time_us, d.overall_seq, d.path_id)
-            + tuple(d.etas_us if d.etas_us else [""] * n_paths)
-            for d in log.decisions
-        ]
-    elif metric == "throughput":
-        header = ["bin_start_us", "path_id", "throughput_bps"]
-        rows = throughput_series(log, bin_us)
-    elif metric == "pdv":
-        header = ["overall_seq", "pdv_us"]
-        rows = compute_pdv(log, nominal_interval_us, pdv_stream).samples
-    elif metric == "pdv_histogram":
-        payload = pdv_histogram(
-            compute_pdv(log, nominal_interval_us, pdv_stream).samples)
-        write_json(path, payload)
-        return
-    elif metric == "scatter":
-        header = ["arrival_index", "overall_seq"]
-        rows = arrival_order_scatter(log)
-    elif metric == "headers":
-        # Bit-exact encapsulation headers of every transmitted packet.
-        from .flow import TunnelPacket, encode_header
-        header = ["time_us", "header_hex"]
-        rows = [
-            (s.time_us,
-             encode_header(TunnelPacket(s.overall_seq, s.size_bytes, 0,
-                                        path_id=s.path_id, flow_seq=s.flow_seq,
-                                        sender_rtt_report=s.rtt_report_us)).hex())
-            for s in log.sends
-        ]
-    else:
+    if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-
+    table = METRICS[metric](
+        log, lambda: compute_pdv(log, nominal_interval_us, pdv_stream).samples)
+    if isinstance(table, dict):
+        write_json(path, table)
+        return
+    header, rows = table
     if fmt == "csv":
         write_csv(path, header, rows)
     elif fmt == "json":
@@ -332,9 +345,3 @@ def export_metric(log: MetricsLog, metric: str, fmt: str, path,
                           for row in rows])
     else:
         raise ValueError(f"unknown format {fmt!r}")
-
-
-EXPORTABLE_METRICS = (
-    "arrivals", "decisions", "deliveries", "discards", "drops", "flows",
-    "headers", "pdv", "pdv_histogram", "scatter", "srtt", "throughput",
-)

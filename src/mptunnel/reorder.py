@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .flow import SRTT_GAIN, RTTVAR_GAIN, TunnelPacket
-
-REORDER_KINDS = ("adaptive", "delay_equalize", "none", "static")
+from .simcore import Plugin
 
 DEFAULT_ADAPTIVE_K = 4.0
 DEFAULT_MAX_HOLD_US = 500_000
@@ -29,18 +28,6 @@ class ReorderConfig:
     adaptive_k: float = DEFAULT_ADAPTIVE_K
     max_hold_us: int = DEFAULT_MAX_HOLD_US
 
-    def validate(self) -> list[str]:
-        problems = []
-        if self.kind not in REORDER_KINDS:
-            problems.append(f"reorder: unknown kind {self.kind!r}")
-        if self.static_threshold_us is not None and self.static_threshold_us < 0:
-            problems.append("reorder: static_threshold_us must be >= 0")
-        if self.adaptive_k <= 0:
-            problems.append("reorder: adaptive_k must be > 0")
-        if self.max_hold_us < 0:
-            problems.append("reorder: max_hold_us must be >= 0")
-        return problems
-
 
 class PathStats:
     """Receiver-side per-path RTT knowledge from the header RTT option.
@@ -51,10 +38,9 @@ class PathStats:
     """
 
     class _Stat:
-        __slots__ = ("last_report_us", "srtt_us", "rttvar_us", "samples")
+        __slots__ = ("srtt_us", "rttvar_us", "samples")
 
         def __init__(self):
-            self.last_report_us = 0.0
             self.srtt_us = 0.0
             self.rttvar_us = 0.0
             self.samples = 0
@@ -67,7 +53,6 @@ class PathStats:
         if stat is None:
             stat = self._Stat()
             self._stats[path_id] = stat
-        stat.last_report_us = report_us
         if stat.samples == 0:
             stat.srtt_us = float(report_us)
             stat.rttvar_us = report_us / 2.0
@@ -191,8 +176,6 @@ class EqualizerLines:
         self.k = k
         self.max_hold_us = max_hold_us
         self._last_release: dict[int, int] = {}
-        self.discard_count = 0
-        self.release_count = 0
 
     def target_delay_us(self, stats: PathStats) -> float:
         paths = stats.sampled_path_ids()
@@ -204,7 +187,6 @@ class EqualizerLines:
         """Return the scheduled release time, or EqualizerLines.DISCARD."""
         target = self.target_delay_us(stats)
         if now - pkt.ingress_time > target + self.max_hold_us:
-            self.discard_count += 1
             return self.DISCARD
         added = target - stats.srtt(pkt.path_id) / 2.0
         added = min(max(added, 0.0), float(self.max_hold_us))
@@ -213,26 +195,31 @@ class EqualizerLines:
         if floor is not None and release < floor:
             release = floor
         self._last_release[pkt.path_id] = release
-        self.release_count += 1
         return release
 
 
 class BaseReceiver:
-    """Common receiver plumbing: path stats and the delivery sink.
+    """Common receiver plumbing: path stats, the delivery sinks, and the
+    late-packet and given-up-gap counts (zero unless the kind resequences).
 
-    deliver is callback(pkt, time_us, residency_us, disposition); schedule is
-    callback(at_us, fn) on the run's event queue (deadline expiry is an
-    event, never a timer thread).
+    Every receiver kind is built as cls(cfg, deliver, schedule, discard) from
+    the run's ScenarioConfig. deliver is callback(pkt, time_us, residency_us,
+    disposition); discard is callback(pkt, time_us) for packets dropped at the
+    receiver; schedule is callback(at_us, fn) on the run's event queue
+    (deadline expiry is an event, never a timer thread).
     """
 
-    def __init__(self, deliver: Callable[[TunnelPacket, int, int, str], None],
-                 schedule: Callable[[int, Callable[[int], None]], int]):
+    late_count = 0
+    gap_count = 0
+
+    def __init__(self, cfg, deliver: Callable[[TunnelPacket, int, int, str], None],
+                 schedule: Callable[[int, Callable[[int], None]], None],
+                 discard: Callable[[TunnelPacket, int], None]):
+        self.config: ReorderConfig = cfg.reorder
         self.stats = PathStats()
         self._deliver = deliver
         self._schedule = schedule
-        self.late_count = 0
-        self.gap_count = 0
-        self.discard_count = 0
+        self._discard = discard
 
     def on_packet(self, pkt: TunnelPacket, now: int) -> None:
         raise NotImplementedError
@@ -247,18 +234,13 @@ class PassthroughReceiver(BaseReceiver):
 
 
 class ResequencingReceiver(BaseReceiver):
-    """Static or adaptive timing-threshold reordering."""
+    """Timing-threshold reordering with the adaptive threshold."""
 
-    def __init__(self, deliver, schedule, config: ReorderConfig,
-                 fixed_threshold_us: Optional[float] = None):
-        super().__init__(deliver, schedule)
-        self.config = config
+    def __init__(self, cfg, deliver, schedule, discard):
+        super().__init__(cfg, deliver, schedule, discard)
         self.buffer = ReorderBuffer()
-        self._fixed_threshold_us = fixed_threshold_us
 
     def threshold_us(self) -> float:
-        if self._fixed_threshold_us is not None:
-            return min(self._fixed_threshold_us, float(self.config.max_hold_us))
         return adaptive_threshold(self.stats, self.config.adaptive_k,
                                   self.config.max_hold_us)
 
@@ -278,30 +260,66 @@ class ResequencingReceiver(BaseReceiver):
 
     def _emit(self, out, now: int) -> None:
         for pkt, residency, disposition in out:
-            if disposition == DISPOSITION_LATE:
-                self.late_count += 1
             self._deliver(pkt, now, residency, disposition)
-        self.gap_count = self.buffer.gap_count
+
+    @property
+    def late_count(self) -> int:
+        return self.buffer.late_count
+
+    @property
+    def gap_count(self) -> int:
+        return self.buffer.gap_count
+
+
+class StaticResequencingReceiver(ResequencingReceiver):
+    """Timing-threshold reordering with a fixed threshold, by default the gap
+    between the slowest and fastest configured path RTT."""
+
+    def __init__(self, cfg, deliver, schedule, discard):
+        super().__init__(cfg, deliver, schedule, discard)
+        threshold = self.config.static_threshold_us
+        if threshold is None:
+            rtts = [2 * p.one_way_latency_us for p in cfg.paths]
+            threshold = static_threshold(max(rtts), min(rtts))
+        self._threshold_us = min(float(threshold), float(self.config.max_hold_us))
+
+    def threshold_us(self) -> float:
+        return self._threshold_us
 
 
 class EqualizingReceiver(BaseReceiver):
     """Per-flow delay equalization with late-packet discard."""
 
-    def __init__(self, deliver, schedule, config: ReorderConfig,
-                 on_discard: Callable[[TunnelPacket, int], None]):
-        super().__init__(deliver, schedule)
-        self.lines = EqualizerLines(config.adaptive_k, config.max_hold_us)
-        self._on_discard = on_discard
+    def __init__(self, cfg, deliver, schedule, discard):
+        super().__init__(cfg, deliver, schedule, discard)
+        self.lines = EqualizerLines(self.config.adaptive_k, self.config.max_hold_us)
 
     def on_packet(self, pkt: TunnelPacket, now: int) -> None:
         self.stats.update(pkt.path_id, pkt.sender_rtt_report)
         release = self.lines.on_arrival(pkt, now, self.stats)
         if release == EqualizerLines.DISCARD:
-            self.discard_count += 1
-            self._on_discard(pkt, now)
+            self._discard(pkt, now)
             return
         residency = release - now
         self._schedule(
             release,
             lambda t, p=pkt, r=residency: self._deliver(p, t, r, DISPOSITION_INORDER),
         )
+
+
+# Every reorder kind, by the receiver class that implements it.
+RECEIVERS = {
+    "adaptive": Plugin(
+        ResequencingReceiver, "adaptive_k, max_hold_us",
+        "resequencing with a threshold recomputed from measured RTTs"),
+    "delay_equalize": Plugin(
+        EqualizingReceiver, "adaptive_k, max_hold_us",
+        "per-flow delay lines equalizing end-to-end latency, late packets discarded"),
+    "none": Plugin(
+        PassthroughReceiver, "",
+        "no receiver processing, packets delivered on arrival"),
+    "static": Plugin(
+        StaticResequencingReceiver,
+        "static_threshold_us (defaults to the configured RTT gap), max_hold_us",
+        "resequencing with a fixed threshold"),
+}

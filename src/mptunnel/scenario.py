@@ -1,14 +1,16 @@
-"""Scenario configuration: strict JSON schema with full error collection, and
-the canned scenario suite shipped with the package."""
+"""Scenario configuration: a strict JSON schema declared as one field table
+(SCHEMA) with full error collection, and the canned scenario suite shipped
+with the package."""
 
 import json
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Optional
+from typing import Callable, Collection, NamedTuple, Optional
 
-from .metrics import EXPORTABLE_METRICS
-from .reorder import ReorderConfig
-from .scheduler import SchedulerConfig
+from .metrics import METRICS
+from .reorder import RECEIVERS, ReorderConfig
+from .scheduler import SCHEDULERS, SchedulerConfig
 from .simcore import LatencyStep, PathModel, TrafficSource, US_PER_SECOND
 
 
@@ -25,16 +27,6 @@ class OutputSpec:
     metric: str
     format: str
     path: str
-
-    def validate(self) -> list[str]:
-        problems = []
-        if self.metric not in EXPORTABLE_METRICS:
-            problems.append(f"outputs: unknown metric {self.metric!r}")
-        if self.format not in ("csv", "json"):
-            problems.append(f"outputs: unknown format {self.format!r}")
-        if not self.path or "/" in self.path or self.path.startswith("."):
-            problems.append(f"outputs: path must be a bare file name, got {self.path!r}")
-        return problems
 
 
 @dataclass
@@ -66,196 +58,254 @@ class ScenarioConfig:
         return costs
 
     def validate(self) -> list[str]:
-        problems = []
-        if self.duration_s <= 0:
-            problems.append("duration_s must be > 0")
-        if not self.paths:
-            problems.append("paths must list at least one path")
-        seen = set()
-        for p in self.paths:
-            if p.path_id in seen:
-                problems.append(f"duplicate path_id {p.path_id}")
-            seen.add(p.path_id)
-            problems.extend(p.validate())
-        if self.paths and sorted(seen) != list(range(len(self.paths))):
-            problems.append("path_id values must be 0..n-1")
-        problems.extend(self.traffic.validate())
-        problems.extend(self.scheduler.validate(len(self.paths)))
-        problems.extend(self.reorder.validate())
-        if self.scheduler.costs:
-            unknown = [p for p in self.scheduler.costs if p not in seen]
-            if unknown:
-                problems.append(f"scheduler: costs reference unknown paths {unknown}")
-        for out in self.outputs:
-            problems.extend(out.validate())
-        if self.pdv_stream not in ("deliveries", "arrivals"):
-            problems.append(f"pdv_stream must be 'deliveries' or 'arrivals'")
-        return problems
+        """Every problem with this config, checked against SCHEMA."""
+        return problems(self)
 
 
-# -- strict JSON parsing -------------------------------------------------------
+# -- schema ------------------------------------------------------------------
 
-def _check_keys(obj: dict, where: str, required: dict, optional: dict,
-                errors: list[str]) -> bool:
-    ok = True
-    for key in obj:
-        if key not in required and key not in optional:
-            errors.append(f"{where}: unknown key {key!r}")
-            ok = False
-    for key in required:
-        if key not in obj:
-            errors.append(f"{where}: missing required key {key!r}")
-            ok = False
-    return ok
+class Field(NamedTuple):
+    """One key of a schema section.
 
+    type is integer, number (finite), string, array, map (keyed by path_id)
+    or the name of another section for a nested object; of is the item type
+    of an array or map. The range (gt, ge, le) and choices apply to the value,
+    or to each item of an array or map. An absent optional key takes the
+    default of the dataclass field of the same name; a nullable key also
+    accepts null for that default.
+    """
 
-def _typed(obj: dict, where: str, key: str, types, errors: list[str], default=None):
-    if key not in obj:
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, types):
-        errors.append(f"{where}: key {key!r} has wrong type")
-        return default
-    return value
+    key: str
+    type: str
+    required: bool = False
+    nullable: bool = False
+    of: Optional[str] = None
+    gt: Optional[float] = None
+    ge: Optional[float] = None
+    le: Optional[float] = None
+    choices: Optional[Collection[str]] = None
 
 
-def parse_scenario(data: dict, errors: Optional[list[str]] = None) -> ScenarioConfig:
+class Section(NamedTuple):
+    """The dataclass a JSON object builds, its keys, and the rules that relate
+    several keys: rules(instance, where) -> problems, or None."""
+
+    cls: type
+    fields: tuple[Field, ...]
+    rules: Optional[Callable[[object, str], list[str]]]
+
+
+def _scenario_rules(cfg: ScenarioConfig, where: str) -> list[str]:
+    found = []
+    ids = [p.path_id for p in cfg.paths]
+    if not ids:
+        found.append("paths must list at least one path")
+    seen = set()
+    for pid in ids:
+        if pid in seen:
+            found.append(f"duplicate path_id {pid}")
+        seen.add(pid)
+    if ids and sorted(seen) != list(range(len(ids))):
+        found.append("path_id values must be 0..n-1")
+    sched = cfg.scheduler
+    if sched.kind == "fixed_ratio" and sched.weights and len(sched.weights) != len(ids):
+        found.append(f"scheduler.weights must list one entry per path ({len(ids)})")
+    if sched.costs:
+        unknown = [p for p in sched.costs if p not in seen]
+        if unknown:
+            found.append(f"scheduler.costs reference unknown paths {unknown}")
+    if sched.kind == "cheapest_pipe_first" and sched.costs is not None:
+        missing = [p for p in range(len(ids)) if p not in sched.costs]
+        if missing:
+            found.append(f"scheduler.costs missing for paths {missing}")
+    return found
+
+
+def _path_rules(path: PathModel, where: str) -> list[str]:
+    at = [step.at_us for step in path.latency_steps]
+    if any(later <= earlier for earlier, later in zip(at, at[1:])):
+        return [f"{where}.latency_steps must be strictly increasing in time"]
+    return []
+
+
+def _traffic_rules(traffic: TrafficSource, where: str) -> list[str]:
+    found = []
+    if traffic.kind == "cbr" and traffic.rate_bps <= 0:
+        found.append(f"{where}: cbr requires rate_bps > 0")
+    if traffic.stop_us is not None and traffic.stop_us <= traffic.start_us:
+        found.append(f"{where}.stop_us must be > start_us")
+    return found
+
+
+def _scheduler_rules(sched: SchedulerConfig, where: str) -> list[str]:
+    if sched.kind == "fixed_ratio" and not sched.weights:
+        return [f"{where}: fixed_ratio requires weights"]
+    if sched.kind == "fixed_ratio" and not any(sched.weights):
+        return [f"{where}.weights must not be all zero"]
+    return []
+
+
+def _output_rules(out: OutputSpec, where: str) -> list[str]:
+    if not out.path or "/" in out.path or out.path.startswith("."):
+        return [f"{where}.path must be a bare file name, got {out.path!r}"]
+    return []
+
+
+SCHEMA = {
+    "scenario": Section(ScenarioConfig, (
+        Field("duration_s", "number", required=True, gt=0),
+        Field("seed", "integer", required=True),
+        Field("paths", "array", required=True, of="path"),
+        Field("traffic", "traffic", required=True),
+        Field("scheduler", "scheduler", required=True),
+        Field("reorder", "reorder"),
+        Field("outputs", "array", of="output"),
+        Field("name", "string"),
+        Field("pdv_stream", "string", choices=("arrivals", "deliveries")),
+    ), _scenario_rules),
+    "path": Section(PathModel, (
+        Field("path_id", "integer", required=True, ge=0, le=255),
+        Field("one_way_latency_us", "integer", required=True, ge=0),
+        Field("bandwidth_bps", "integer", required=True, gt=0),
+        Field("loss_rate", "number", ge=0, le=1),
+        Field("cost", "number", ge=0),
+        Field("latency_steps", "array", of="latency_step"),
+    ), _path_rules),
+    "latency_step": Section(LatencyStep, (
+        Field("at_us", "integer", required=True, ge=0),
+        Field("latency_us", "integer", required=True, ge=0),
+    ), None),
+    "traffic": Section(TrafficSource, (
+        Field("kind", "string", required=True, choices=("cbr", "greedy")),
+        Field("packet_size_bytes", "integer", required=True, gt=0),
+        Field("rate_bps", "integer"),
+        Field("start_us", "integer", ge=0),
+        Field("stop_us", "integer", nullable=True),
+    ), _traffic_rules),
+    "scheduler": Section(SchedulerConfig, (
+        Field("kind", "string", required=True, choices=SCHEDULERS),
+        Field("weights", "array", nullable=True, of="integer", ge=0),
+        Field("costs", "map", nullable=True, of="number"),
+    ), _scheduler_rules),
+    "reorder": Section(ReorderConfig, (
+        Field("kind", "string", required=True, choices=RECEIVERS),
+        Field("static_threshold_us", "integer", nullable=True, ge=0),
+        Field("adaptive_k", "number", gt=0),
+        Field("max_hold_us", "integer", ge=0),
+    ), None),
+    "output": Section(OutputSpec, (
+        Field("metric", "string", required=True, choices=METRICS),
+        Field("format", "string", required=True, choices=("csv", "json")),
+        Field("path", "string", required=True),
+    ), _output_rules),
+}
+
+_SECTION_OF = {section.cls: name for name, section in SCHEMA.items()}
+
+
+def _is_number(value) -> bool:
+    # Finite and representable as a float: rejects NaN, infinities, huge ints.
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+_SCALARS = {
+    "integer": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "number": ("a finite number", _is_number),
+    "string": ("a string", lambda v: isinstance(v, str)),
+}
+
+_BAD = object()  # stands in for a value of the wrong type or shape
+
+
+def _value(f: Field, kind: str, value, name: str, errors: list[str]):
+    """Check one value of key f, of type kind (f.type, or f.of for an item);
+    return it converted, or _BAD when its type or shape is wrong.
+
+    A value out of range or choices is reported but still returned, so the
+    rules of its section run on a well-typed object.
+    """
+    if kind in SCHEMA:
+        return _section(kind, value, name, errors)
+    if kind == "array":
+        if not isinstance(value, list):
+            errors.append(f"{name} must be an array")
+            return _BAD
+        out = [_value(f, f.of, v, f"{name}[{i}]", errors) for i, v in enumerate(value)]
+        return _BAD if any(v is _BAD for v in out) else out
+    if kind == "map":
+        if not isinstance(value, dict) or not all(str(k).isdigit() for k in value):
+            errors.append(f"{name} must map path_id to {f.of}")
+            return _BAD
+        out = {int(k): _value(f, f.of, v, f"{name}[{k!r}]", errors)
+               for k, v in value.items()}
+        return _BAD if any(v is _BAD for v in out.values()) else out
+    what, ok = _SCALARS[kind]
+    if not ok(value):
+        errors.append(f"{name} must be {what}")
+        return _BAD
+    if f.gt is not None and not value > f.gt:
+        errors.append(f"{name} must be > {f.gt}")
+    if f.ge is not None and not value >= f.ge:
+        errors.append(f"{name} must be >= {f.ge}")
+    if f.le is not None and not value <= f.le:
+        errors.append(f"{name} must be <= {f.le}")
+    if f.choices is not None and value not in f.choices:
+        errors.append(f"{name} must be one of {', '.join(sorted(f.choices))}; "
+                      f"got {value!r}")
+    return float(value) if kind == "number" else value
+
+
+def _section(section: str, obj, where: str, errors: list[str]):
+    """Check obj against SCHEMA[section], then against the section's rules.
+
+    obj is parsed JSON (a dict, built into the section's dataclass) or an
+    instance of that dataclass, checked key by key as the JSON it maps to.
+    Returns the instance, or _BAD when a key is missing or has the wrong type.
+    """
+    cls, fields, rules = SCHEMA[section]
+    label = where or "scenario"
+    raw = isinstance(obj, dict)
+    if not raw and not isinstance(obj, cls):
+        errors.append(f"{label} must be an object")
+        return _BAD
+    if raw:
+        known = [f.key for f in fields]
+        errors.extend(f"{label}: unknown key {key!r}" for key in obj if key not in known)
+    values = {}
+    for f in fields:
+        if raw and f.key not in obj:
+            if f.required:
+                errors.append(f"{label}: missing required key {f.key!r}")
+                values[f.key] = _BAD
+            continue
+        value = obj[f.key] if raw else getattr(obj, f.key)
+        if value is not None or not f.nullable:
+            name = f"{where}.{f.key}" if where else f.key
+            values[f.key] = _value(f, f.type, value, name, errors)
+    if any(v is _BAD for v in values.values()):
+        return _BAD
+    if raw:
+        obj = cls(**values)
+    if rules:
+        errors.extend(rules(obj, where))
+    return obj
+
+
+def problems(obj) -> list[str]:
+    """Every schema problem of a config built in code: a ScenarioConfig or one
+    of the dataclasses a SCHEMA section builds."""
+    section = _SECTION_OF[type(obj)]
+    errors: list[str] = []
+    _section(section, obj, "" if section == "scenario" else section, errors)
+    return errors
+
+
+def parse_scenario(data) -> ScenarioConfig:
     """Build a ScenarioConfig from parsed JSON, raising ScenarioError with the
     complete list of schema and semantic problems."""
-    errors = [] if errors is None else errors
-    if not isinstance(data, dict):
-        raise ScenarioError(["scenario must be a JSON object"])
-
-    _check_keys(
-        data, "scenario",
-        required={"duration_s": 0, "seed": 0, "paths": 0, "traffic": 0, "scheduler": 0},
-        optional={"name": 0, "reorder": 0, "outputs": 0, "pdv_stream": 0},
-        errors=errors,
-    )
-
-    paths = []
-    for i, p in enumerate(data.get("paths", [])):
-        where = f"paths[{i}]"
-        if not isinstance(p, dict):
-            errors.append(f"{where}: must be an object")
-            continue
-        _check_keys(
-            p, where,
-            required={"path_id": 0, "one_way_latency_us": 0, "bandwidth_bps": 0},
-            optional={"loss_rate": 0, "cost": 0, "latency_steps": 0},
-            errors=errors,
-        )
-        steps = []
-        for j, s in enumerate(p.get("latency_steps", [])):
-            sw = f"{where}.latency_steps[{j}]"
-            if not isinstance(s, dict):
-                errors.append(f"{sw}: must be an object")
-                continue
-            _check_keys(s, sw, required={"at_us": 0, "latency_us": 0},
-                        optional={}, errors=errors)
-            steps.append(LatencyStep(
-                at_us=int(_typed(s, sw, "at_us", (int,), errors, 0)),
-                latency_us=int(_typed(s, sw, "latency_us", (int,), errors, 0)),
-            ))
-        paths.append(PathModel(
-            path_id=int(_typed(p, where, "path_id", (int,), errors, i)),
-            one_way_latency_us=int(_typed(p, where, "one_way_latency_us", (int,), errors, 0)),
-            bandwidth_bps=int(_typed(p, where, "bandwidth_bps", (int,), errors, 1)),
-            loss_rate=float(_typed(p, where, "loss_rate", (int, float), errors, 0.0)),
-            cost=float(_typed(p, where, "cost", (int, float), errors, 0.0)),
-            latency_steps=steps,
-        ))
-
-    traffic_obj = data.get("traffic", {})
-    if not isinstance(traffic_obj, dict):
-        errors.append("traffic: must be an object")
-        traffic_obj = {}
-    _check_keys(
-        traffic_obj, "traffic",
-        required={"kind": 0, "packet_size_bytes": 0},
-        optional={"rate_bps": 0, "start_us": 0, "stop_us": 0},
-        errors=errors,
-    )
-    traffic = TrafficSource(
-        kind=str(traffic_obj.get("kind", "cbr")),
-        packet_size_bytes=int(_typed(traffic_obj, "traffic", "packet_size_bytes",
-                                     (int,), errors, 1)),
-        rate_bps=int(_typed(traffic_obj, "traffic", "rate_bps", (int,), errors, 0)),
-        start_us=int(_typed(traffic_obj, "traffic", "start_us", (int,), errors, 0)),
-        stop_us=traffic_obj.get("stop_us"),
-    )
-
-    sched_obj = data.get("scheduler", {})
-    if not isinstance(sched_obj, dict):
-        errors.append("scheduler: must be an object")
-        sched_obj = {}
-    _check_keys(sched_obj, "scheduler", required={"kind": 0},
-                optional={"weights": 0, "costs": 0}, errors=errors)
-    costs = None
-    if "costs" in sched_obj:
-        raw = sched_obj["costs"]
-        if not isinstance(raw, dict):
-            errors.append("scheduler: costs must map path_id to cost")
-        else:
-            try:
-                costs = {int(k): float(v) for k, v in raw.items()}
-            except (TypeError, ValueError):
-                errors.append("scheduler: costs must map path_id to cost")
-    weights = sched_obj.get("weights")
-    if weights is not None and (
-        not isinstance(weights, list) or any(
-            isinstance(w, bool) or not isinstance(w, int) for w in weights)
-    ):
-        errors.append("scheduler: weights must be a list of integers")
-        weights = None
-    scheduler = SchedulerConfig(
-        kind=str(sched_obj.get("kind", "")), weights=weights, costs=costs,
-    )
-
-    reorder_obj = data.get("reorder", {"kind": "none"})
-    if not isinstance(reorder_obj, dict):
-        errors.append("reorder: must be an object")
-        reorder_obj = {"kind": "none"}
-    _check_keys(
-        reorder_obj, "reorder", required={"kind": 0},
-        optional={"static_threshold_us": 0, "adaptive_k": 0, "max_hold_us": 0},
-        errors=errors,
-    )
-    reorder = ReorderConfig(
-        kind=str(reorder_obj.get("kind", "none")),
-        static_threshold_us=reorder_obj.get("static_threshold_us"),
-        adaptive_k=float(_typed(reorder_obj, "reorder", "adaptive_k",
-                                (int, float), errors, 4.0)),
-        max_hold_us=int(_typed(reorder_obj, "reorder", "max_hold_us",
-                               (int,), errors, 500_000)),
-    )
-
-    outputs = []
-    for i, o in enumerate(data.get("outputs", [])):
-        where = f"outputs[{i}]"
-        if not isinstance(o, dict):
-            errors.append(f"{where}: must be an object")
-            continue
-        _check_keys(o, where, required={"metric": 0, "format": 0, "path": 0},
-                    optional={}, errors=errors)
-        outputs.append(OutputSpec(
-            metric=str(o.get("metric", "")),
-            format=str(o.get("format", "")),
-            path=str(o.get("path", "")),
-        ))
-
-    cfg = ScenarioConfig(
-        duration_s=float(_typed(data, "scenario", "duration_s", (int, float), errors, 1.0)),
-        seed=int(_typed(data, "scenario", "seed", (int,), errors, 0)),
-        paths=paths,
-        traffic=traffic,
-        scheduler=scheduler,
-        reorder=reorder,
-        outputs=outputs,
-        name=str(data.get("name", "scenario")),
-        pdv_stream=str(data.get("pdv_stream", "deliveries")),
-    )
-    errors.extend(cfg.validate())
+    errors: list[str] = []
+    cfg = _section("scenario", data, "", errors)
     if errors:
         raise ScenarioError(errors)
     return cfg

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-SCHEDULER_KINDS = ("cheapest_pipe_first", "fixed_ratio", "otias", "round_robin", "srtt")
+from .simcore import Plugin
 
 
 @dataclass(frozen=True)
@@ -36,28 +36,6 @@ class SchedulerConfig:
     weights: Optional[list[int]] = None
     costs: Optional[dict[int, float]] = None
 
-    def validate(self, n_paths: int) -> list[str]:
-        problems = []
-        if self.kind not in SCHEDULER_KINDS:
-            problems.append(f"scheduler: unknown kind {self.kind!r}")
-            return problems
-        if self.kind == "fixed_ratio":
-            if not self.weights:
-                problems.append("scheduler: fixed_ratio requires weights")
-            elif len(self.weights) != n_paths:
-                problems.append(
-                    f"scheduler: weights must list one entry per path ({n_paths})"
-                )
-            elif any(w < 0 for w in self.weights):
-                problems.append("scheduler: weights must be non-negative")
-            elif not any(self.weights):
-                problems.append("scheduler: weights must not be all zero")
-        if self.kind == "cheapest_pipe_first" and self.costs is not None:
-            missing = [p for p in range(n_paths) if p not in self.costs]
-            if missing:
-                problems.append(f"scheduler: costs missing for paths {missing}")
-        return problems
-
 
 def otias_eta(view: PathView) -> float:
     """Estimated arrival offset of a packet appended to this flow now.
@@ -72,7 +50,7 @@ def otias_eta(view: PathView) -> float:
 
 
 class RoundRobin:
-    name = "round_robin"
+    """Cycle through paths in path_id order."""
 
     def __init__(self):
         self._last = -1
@@ -90,8 +68,6 @@ class FixedRatio:
     picks each path is chosen exactly its weight's worth, and every prefix
     stays within one packet of the configured ratio.
     """
-
-    name = "fixed_ratio"
 
     def __init__(self, weights: Sequence[int]):
         if not weights or any(w < 0 for w in weights) or not any(weights):
@@ -115,8 +91,6 @@ class CheapestPipeFirst:
     send queue rather than dropping it at ingress.
     """
 
-    name = "cheapest_pipe_first"
-
     def pick(self, views: Sequence[PathView], now: int) -> int:
         available = [v for v in views if v.has_window_room]
         pool = available if available else views
@@ -125,8 +99,6 @@ class CheapestPipeFirst:
 
 class MinSrtt:
     """Lowest smoothed RTT among paths with window room (srtt)."""
-
-    name = "srtt"
 
     def pick(self, views: Sequence[PathView], now: int) -> int:
         available = [v for v in views if v.has_window_room]
@@ -141,8 +113,6 @@ class Otias:
     the fast path is the mechanism that lines packets up to arrive in order.
     """
 
-    name = "otias"
-
     def __init__(self):
         self.last_etas: tuple[float, ...] = ()
 
@@ -153,24 +123,24 @@ class Otias:
         return views[best].path_id
 
 
-def make_scheduler(config: SchedulerConfig):
-    if config.kind == "round_robin":
-        return RoundRobin()
-    if config.kind == "fixed_ratio":
-        return FixedRatio(config.weights or [])
-    if config.kind == "cheapest_pipe_first":
-        return CheapestPipeFirst()
-    if config.kind == "srtt":
-        return MinSrtt()
-    if config.kind == "otias":
-        return Otias()
-    raise ValueError(f"unknown scheduler kind {config.kind!r}")
-
-
-SCHEDULER_DOCS = {
-    "cheapest_pipe_first": "prefer the lowest-cost path while its window has room; params: costs (per path, optional when path costs are set)",
-    "fixed_ratio": "deterministic weighted round robin; params: weights (one non-negative integer per path, not all zero)",
-    "otias": "earliest estimated arrival using queue backlog and smoothed RTT; no params",
-    "round_robin": "cycle through paths in path_id order; no params",
-    "srtt": "lowest smoothed RTT among paths with window room; no params",
+# Every scheduler kind, built from its SchedulerConfig. A scheduler that sets
+# last_etas has those per-path estimates recorded with each decision.
+SCHEDULERS = {
+    "cheapest_pipe_first": Plugin(
+        lambda config: CheapestPipeFirst(),
+        "costs (per path, optional when path costs are set)",
+        "prefer the lowest-cost path while its window has room"),
+    "fixed_ratio": Plugin(
+        lambda config: FixedRatio(config.weights),
+        "weights (one non-negative integer per path, not all zero)",
+        "deterministic weighted round robin"),
+    "otias": Plugin(
+        lambda config: Otias(), "",
+        "earliest estimated arrival using queue backlog and smoothed RTT"),
+    "round_robin": Plugin(
+        lambda config: RoundRobin(), "",
+        "cycle through paths in path_id order"),
+    "srtt": Plugin(
+        lambda config: MinSrtt(), "",
+        "lowest smoothed RTT among paths with window room"),
 }

@@ -10,7 +10,7 @@ are bit-reproducible for a fixed (scenario, seed).
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 US_PER_SECOND = 1_000_000
 
@@ -23,6 +23,18 @@ class SimulationError(Exception):
 
 class PastEventError(SimulationError):
     """Scheduling an event before the current clock is a programming error."""
+
+
+class Plugin(NamedTuple):
+    """One entry of a plugin registry: how to build it, what it reads, what it does."""
+
+    factory: Callable
+    params: str  # scenario keys the plugin reads, "" for none
+    doc: str
+
+    def describe(self) -> str:
+        params = f"params: {self.params}" if self.params else "no params"
+        return f"{self.doc}; {params}"
 
 
 def serialization_us(size_bytes: int, bandwidth_bps: int) -> int:
@@ -50,31 +62,6 @@ class PathModel:
     cost: float = 0.0
     latency_steps: list[LatencyStep] = field(default_factory=list)
 
-    def validate(self) -> list[str]:
-        problems = []
-        if not 0 <= self.path_id <= 255:
-            problems.append(f"path {self.path_id}: path_id must fit in one byte")
-        if self.one_way_latency_us < 0:
-            problems.append(f"path {self.path_id}: one_way_latency_us must be >= 0")
-        if self.bandwidth_bps <= 0:
-            problems.append(f"path {self.path_id}: bandwidth_bps must be > 0")
-        if not 0.0 <= self.loss_rate <= 1.0:
-            problems.append(f"path {self.path_id}: loss_rate must be in [0, 1]")
-        if self.cost < 0:
-            problems.append(f"path {self.path_id}: cost must be >= 0")
-        last = -1
-        for step in self.latency_steps:
-            if step.at_us <= last:
-                problems.append(
-                    f"path {self.path_id}: latency_steps must be strictly increasing in time"
-                )
-                break
-            if step.latency_us < 0:
-                problems.append(f"path {self.path_id}: stepped latency must be >= 0")
-                break
-            last = step.at_us
-        return problems
-
 
 @dataclass
 class TrafficSource:
@@ -86,20 +73,6 @@ class TrafficSource:
     start_us: int = 0
     stop_us: Optional[int] = None
 
-    def validate(self) -> list[str]:
-        problems = []
-        if self.kind not in ("cbr", "greedy"):
-            problems.append(f"traffic: unknown kind {self.kind!r}")
-        if self.packet_size_bytes <= 0:
-            problems.append("traffic: packet_size_bytes must be > 0")
-        if self.kind == "cbr" and self.rate_bps <= 0:
-            problems.append("traffic: cbr requires rate_bps > 0")
-        if self.start_us < 0:
-            problems.append("traffic: start_us must be >= 0")
-        if self.stop_us is not None and self.stop_us <= self.start_us:
-            problems.append("traffic: stop_us must be > start_us")
-        return problems
-
     def emission_time_us(self, k: int) -> int:
         """Ingress time of the k-th CBR packet, drift-free integer schedule."""
         bits = self.packet_size_bytes * 8
@@ -107,49 +80,34 @@ class TrafficSource:
 
 
 class EventQueue:
-    """Time-ordered event queue with FIFO tie-break and cancellation.
+    """Time-ordered event queue with FIFO tie-break.
 
     Pop order is (time, insertion order), which makes simultaneous events
     deterministic. Scheduling before the current clock raises PastEventError.
     """
 
     def __init__(self):
-        self._heap: list[list] = []
+        self._heap: list[tuple] = []
         self._next_id = 0
-        self._cancelled: set[int] = set()
         self.now = 0
 
     def __len__(self) -> int:
-        return len(self._heap) - len(self._cancelled)
+        return len(self._heap)
 
-    def schedule(self, at_us: int, fn: EventFn) -> int:
+    def schedule(self, at_us: int, fn: EventFn) -> None:
         if at_us < self.now:
             raise PastEventError(
                 f"cannot schedule event at {at_us} us, clock is at {self.now} us"
             )
-        event_id = self._next_id
+        heapq.heappush(self._heap, (at_us, self._next_id, fn))
         self._next_id += 1
-        heapq.heappush(self._heap, [at_us, event_id, fn])
-        return event_id
-
-    def cancel(self, event_id: int) -> None:
-        self._cancelled.add(event_id)
 
     def pop(self) -> Optional[tuple[int, EventFn]]:
-        while self._heap:
-            at_us, event_id, fn = heapq.heappop(self._heap)
-            if event_id in self._cancelled:
-                self._cancelled.discard(event_id)
-                continue
-            self.now = at_us
-            return at_us, fn
-        return None
-
-    def peek_time(self) -> Optional[int]:
-        while self._heap and self._heap[0][1] in self._cancelled:
-            _, event_id, _ = heapq.heappop(self._heap)
-            self._cancelled.discard(event_id)
-        return self._heap[0][0] if self._heap else None
+        if not self._heap:
+            return None
+        at_us, _, fn = heapq.heappop(self._heap)
+        self.now = at_us
+        return at_us, fn
 
 
 class PathState:

@@ -5,9 +5,11 @@ their stated parameters and assert the stated tolerances.
 """
 
 import bisect
+import hashlib
 import itertools
 import json
 import statistics
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,10 @@ from mptunnel.metrics import compute_pdv, reordering_extent
 from mptunnel.scenario import load_canned
 
 from test_reorder import drive_buffer, reference_reorder
+
+# sha256 of every file of the default-seed paper-suite tree; any change to
+# the simulator's outputs must regenerate it and say why.
+GOLDEN = Path(__file__).parent / "golden" / "paper-suite.sha256"
 
 
 @pytest.fixture(scope="module")
@@ -296,12 +302,20 @@ def test_criterion_9_determinism(tmp_path):
         tree = {}
         for f in sorted(out.rglob("*")):
             if f.is_file():
-                tree[str(f.relative_to(out))] = f.read_bytes()
+                tree[f.relative_to(out).as_posix()] = f.read_bytes()
         trees.append(tree)
     identical = trees[0] == trees[1]
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in trees[0].items()}
+    golden = {}
+    for line in GOLDEN.read_text().splitlines():
+        digest, name = line.split()
+        golden[name] = digest
+    changed = sorted(n for n in golden.keys() | digests.keys()
+                     if golden.get(n) != digests.get(n))
     ok = report(
-        9, identical,
+        9, identical and not changed,
         f"paper-suite run twice: {len(trees[0])} files, "
-        f"byte-identical: {identical}",
+        f"byte-identical: {identical}, differing from {GOLDEN.name}: {changed}",
     )
     assert ok

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from mptunnel.cli import main
+from mptunnel.engine import Simulation
 
 SCENARIO = {
     "name": "cli-smoke",
@@ -48,6 +51,41 @@ def test_run_validation_failure_exit_code(tmp_path, capsys):
     rc = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "weights" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("traffic", "stop_us", "5"),
+    ("reorder", "static_threshold_us", "5"),
+    (None, "paths", 5),
+    (None, "outputs", 5),
+    ("paths", "latency_steps", 3),
+    (None, "duration_s", float("nan")),
+    (None, "duration_s", float("inf")),
+])
+def test_malformed_scenario_is_validation_error(tmp_path, capsys, section, key, value):
+    bad = json.loads(json.dumps(SCENARIO))
+    if section is None:
+        bad[key] = value
+    elif section == "paths":
+        bad["paths"][0][key] = value
+    else:
+        bad[section][key] = value
+    scenario = write_scenario(tmp_path, bad)   # NaN and Infinity as JSON literals
+    rc = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert key in capsys.readouterr().err
+
+
+def test_unexpected_exception_is_runtime_error(tmp_path, capsys, monkeypatch):
+    def explode(self):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(Simulation, "run", explode)
+    scenario = write_scenario(tmp_path, SCENARIO)
+    rc = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "engine fault" in capsys.readouterr().err
+    assert main(["paper-suite", "--out", str(tmp_path / "suite")]) == 2
 
 
 def test_run_missing_file_is_runtime_error(tmp_path):

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from mptunnel.flow import (AckRecord, Flow, HEADER_LEN, SEQ48_MASK,
-                           TunnelPacket, decode_header, encode_header)
+from mptunnel.flow import (Flow, HEADER_LEN, SEQ48_MASK, TunnelPacket,
+                           decode_header, encode_header)
 
 
 def make_flow(prior_rtt_us=20_000.0):
@@ -191,7 +191,7 @@ def test_duplicate_and_unknown_acks_ignored():
     flow.ack_received(0, 20_000)
     cwnd = flow.cwnd
     flow.ack_received(0, 21_000)      # duplicate
-    flow.on_ack(AckRecord(99, 0, 22_000), 22_000)  # unknown
+    flow.ack_received(99, 22_000)     # unknown
     assert flow.cwnd == cwnd
     assert flow.in_flight == 1
 

@@ -3,9 +3,12 @@ import random
 
 import pytest
 
-from mptunnel.scheduler import (CheapestPipeFirst, FixedRatio, MinSrtt, Otias,
-                                PathView, RoundRobin, SchedulerConfig,
-                                make_scheduler, otias_eta)
+from mptunnel.engine import Simulation
+from mptunnel.reorder import RECEIVERS
+from mptunnel.scenario import parse_scenario, problems
+from mptunnel.scheduler import (SCHEDULERS, CheapestPipeFirst, FixedRatio,
+                                MinSrtt, Otias, PathView, RoundRobin,
+                                SchedulerConfig, otias_eta)
 
 
 def view(path_id=0, srtt=20_000.0, rttvar=0.0, cwnd=10.0, in_flight=0,
@@ -83,8 +86,8 @@ def test_fixed_ratio_rejects_all_zero():
 
 
 def test_fixed_ratio_config_validation_names_weights():
-    problems = SchedulerConfig("fixed_ratio", weights=[0, 0]).validate(2)
-    assert any("weights" in p for p in problems)
+    found = problems(SchedulerConfig("fixed_ratio", weights=[0, 0]))
+    assert any("weights" in p for p in found)
 
 
 # -- cheapest pipe first ---------------------------------------------------------
@@ -231,14 +234,28 @@ def test_otias_pick_is_argmin_over_random_snapshots():
 # -- registry and determinism -----------------------------------------------------
 
 
-def test_make_scheduler_covers_all_kinds():
-    assert isinstance(make_scheduler(SchedulerConfig("round_robin")), RoundRobin)
-    assert isinstance(make_scheduler(SchedulerConfig("fixed_ratio", weights=[1, 2])),
-                      FixedRatio)
-    assert isinstance(make_scheduler(SchedulerConfig("cheapest_pipe_first")),
-                      CheapestPipeFirst)
-    assert isinstance(make_scheduler(SchedulerConfig("srtt")), MinSrtt)
-    assert isinstance(make_scheduler(SchedulerConfig("otias")), Otias)
+def test_every_registered_plugin_runs():
+    base = {
+        "duration_s": 1,
+        "seed": 2,
+        "paths": [
+            {"path_id": 0, "one_way_latency_us": 10_000, "bandwidth_bps": 10_000_000},
+            {"path_id": 1, "one_way_latency_us": 30_000, "bandwidth_bps": 10_000_000},
+        ],
+        "traffic": {"kind": "cbr", "rate_bps": 1_000_000, "packet_size_bytes": 1000},
+        "scheduler": {"kind": "round_robin"},
+        "reorder": {"kind": "none"},
+    }
+    kinds = [("scheduler", k) for k in SCHEDULERS] + [("reorder", k) for k in RECEIVERS]
+    for table, kind in kinds:
+        data = dict(base, **{table: {"kind": kind}})
+        if kind == "fixed_ratio":
+            data[table]["weights"] = [2, 1]
+        log = Simulation(parse_scenario(data)).run()
+        assert log.ingress_count == 125, kind
+        assert log.ingress_count == (len(log.deliveries) + len(log.drops)
+                                     + len(log.discards)), kind
+        assert log.drained, kind
 
 
 def test_schedulers_are_deterministic_given_same_state():

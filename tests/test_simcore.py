@@ -1,5 +1,6 @@
 import pytest
 
+from mptunnel.scenario import problems
 from mptunnel.simcore import (EventQueue, LatencyStep, PastEventError,
                               PathModel, PathState, TrafficSource,
                               serialization_us)
@@ -40,17 +41,6 @@ def test_queue_rejects_past_events():
     assert q.now == 4
     with pytest.raises(PastEventError):
         q.schedule(3, lambda t: None)
-
-
-def test_queue_cancel():
-    q = EventQueue()
-    fired = []
-    eid = q.schedule(1, lambda t: fired.append("a"))
-    q.schedule(2, lambda t: fired.append("b"))
-    q.cancel(eid)
-    while (item := q.pop()) is not None:
-        item[1](item[0])
-    assert fired == ["b"]
 
 
 def test_path_transmit_delivery_time():
@@ -110,14 +100,13 @@ def test_cbr_emission_schedule_is_exact():
 
 
 def test_traffic_validation():
-    assert TrafficSource("cbr", 1000, rate_bps=0).validate()
-    assert TrafficSource("warp", 1000).validate()
-    assert not TrafficSource("greedy", 1000).validate()
+    assert problems(TrafficSource("cbr", 1000, rate_bps=0))
+    assert problems(TrafficSource("warp", 1000))
+    assert not problems(TrafficSource("greedy", 1000))
 
 
 def test_path_model_validation():
     bad = PathModel(0, -1, 0, loss_rate=2.0,
                     latency_steps=[LatencyStep(5, 1), LatencyStep(5, 2)])
-    problems = bad.validate()
-    assert len(problems) == 4
-    assert not PathModel(0, 10_000, 1_000_000).validate()
+    assert len(problems(bad)) == 4
+    assert not problems(PathModel(0, 10_000, 1_000_000))
