@@ -9,7 +9,7 @@ from . import metrics
 from .flow import SEQ48_MASK, Flow, TunnelPacket
 from .reorder import RECEIVERS
 from .scenario import ScenarioConfig, ScenarioError
-from .scheduler import SCHEDULERS, PathView
+from .scheduler import SCHEDULERS
 from .simcore import EventQueue, PathState, US_PER_SECOND
 
 # Slack past the configured duration for queues, acks and holds to drain.
@@ -28,15 +28,14 @@ class Simulation:
         self.log = metrics.MetricsLog()
 
         self.paths = [PathState(m, cfg.seed) for m in cfg.paths]
-        self.flows = []
-        for state in self.paths:
-            prior = 2.0 * state.model.one_way_latency_us
-            pid = state.model.path_id
-            self.flows.append(
-                Flow(pid, prior, lambda pkt, now, i=pid: self._transmit(i, pkt, now))
-            )
+        costs = cfg.effective_costs()
+        # The flows double as the scheduler's views of their paths.
+        self.flows = [
+            Flow(m.path_id, 2.0 * m.one_way_latency_us, self._transmit,
+                 costs[m.path_id])
+            for m in cfg.paths
+        ]
         self.scheduler = SCHEDULERS[cfg.scheduler.kind].factory(cfg.scheduler)
-        self._costs = cfg.effective_costs()
         self.receiver = RECEIVERS[cfg.reorder.kind].factory(
             cfg, self._deliver, self.queue.schedule, self._discard)
 
@@ -50,22 +49,12 @@ class Simulation:
 
     # -- event handlers ------------------------------------------------------
 
-    def _views(self) -> list[PathView]:
-        return [
-            PathView(f.path_id, f.srtt, f.rttvar, f.cwnd, f.in_flight,
-                     len(f.send_queue), self._costs[f.path_id])
-            for f in self.flows
-        ]
-
     def _ingress(self, now: int) -> None:
-        pkt = TunnelPacket(
-            overall_seq=self._next_seq & SEQ48_MASK,
-            payload_len=self.cfg.traffic.packet_size_bytes,
-            ingress_time=now,
-        )
+        pkt = TunnelPacket(self._next_seq & SEQ48_MASK,
+                           self.cfg.traffic.packet_size_bytes, now)
         self._next_seq += 1
         self.log.ingress_count += 1
-        picked = self.scheduler.pick(self._views(), now)
+        picked = self.scheduler.pick(self.flows, now)
         self.log.decisions.append(
             metrics.Decision(now, pkt.overall_seq, picked,
                              getattr(self.scheduler, "last_etas", None))
@@ -73,7 +62,15 @@ class Simulation:
         self.flows[picked].enqueue(pkt, now)
         self._sample_flow(picked, now)
 
-    def _transmit(self, path_id: int, pkt: TunnelPacket, now: int) -> None:
+    def _transmit(self, pkt: TunnelPacket, now: int) -> None:
+        path_id = pkt.path_id
+        flow = self.flows[path_id]
+        # Window discipline at the transmit boundary, counted rather than
+        # asserted so whole runs can be checked after the fact: a send may
+        # start only while in_flight < cwnd, and the flow has already
+        # counted this packet in flight.
+        if flow.in_flight - 1 >= flow.cwnd:
+            self.log.window_violations += 1
         self.log.sends.append(
             metrics.Send(now, path_id, pkt.overall_seq, pkt.flow_seq,
                          pkt.payload_len, pkt.sender_rtt_report)
@@ -82,24 +79,28 @@ class Simulation:
         if delivery is None:
             self.log.drops.append(metrics.Drop(now, path_id, pkt.overall_seq))
         else:
-            self.queue.schedule(delivery, lambda t, p=pkt: self._arrive(p, t))
-        self._ensure_timer(path_id, now)
+            self.queue.schedule(delivery, self._arrive, pkt)
+        if not self._timer_pending[path_id] and flow.in_flight:
+            self._timer_gen[path_id] += 1
+            self._schedule_timer(path_id, now)
 
     def _arrive(self, pkt: TunnelPacket, now: int) -> None:
         self.log.arrivals.append(
             metrics.Arrival(now, pkt.overall_seq, pkt.path_id, pkt.ingress_time)
         )
         ack_at = now + self.paths[pkt.path_id].ack_delay_us()
-        self.queue.schedule(
-            ack_at,
-            lambda t, pid=pkt.path_id, fs=pkt.flow_seq: self._ack(pid, fs, t),
-        )
+        self.queue.schedule(ack_at, self._ack, pkt)
         self.receiver.on_packet(pkt, now)
 
-    def _ack(self, path_id: int, flow_seq: int, now: int) -> None:
+    def _ack(self, pkt: TunnelPacket, now: int) -> None:
+        path_id = pkt.path_id
         flow = self.flows[path_id]
-        flow.ack_received(flow_seq, now)
-        self._restart_timer(path_id, now)
+        flow.ack_received(pkt.flow_seq, now)
+        self._timer_gen[path_id] += 1
+        if flow.in_flight:
+            self._schedule_timer(path_id, now)
+        else:
+            self._timer_pending[path_id] = False
         self._sample_flow(path_id, now)
         self._pump_greedy(now)
 
@@ -118,37 +119,27 @@ class Simulation:
     def _sample_flow(self, path_id: int, now: int) -> None:
         f = self.flows[path_id]
         self.log.flow_samples.append(
-            metrics.FlowSample(now, path_id, f.srtt, f.cwnd, f.in_flight,
+            metrics.FlowSample(now, path_id, f.srtt_us, f.cwnd, f.in_flight,
                                len(f.send_queue))
         )
 
     # -- ack-silence timers ----------------------------------------------------
 
+    # Each flow has at most one live timer: _transmit arms it if none is
+    # pending, _ack restarts it (or clears it once nothing is in flight), and
+    # bumping the flow's generation turns superseded timer events into no-ops.
+
     def _schedule_timer(self, i: int, now: int) -> None:
-        gen = self._timer_gen[i]
         self._timer_pending[i] = True
-        self.queue.schedule(
-            self.flows[i].timeout_deadline_us(now),
-            lambda t, i=i, g=gen: self._timer_fire(i, g, t),
-        )
+        self.queue.schedule(self.flows[i].timeout_deadline_us(now),
+                            self._timer_fire, (i, self._timer_gen[i]))
 
-    def _ensure_timer(self, i: int, now: int) -> None:
-        if not self._timer_pending[i] and self.flows[i].outstanding_seqs():
-            self._timer_gen[i] += 1
-            self._schedule_timer(i, now)
-
-    def _restart_timer(self, i: int, now: int) -> None:
-        self._timer_gen[i] += 1
-        if self.flows[i].outstanding_seqs():
-            self._schedule_timer(i, now)
-        else:
-            self._timer_pending[i] = False
-
-    def _timer_fire(self, i: int, gen: int, now: int) -> None:
+    def _timer_fire(self, timer: tuple[int, int], now: int) -> None:
+        i, gen = timer
         if gen != self._timer_gen[i]:
             return
         self._timer_pending[i] = False
-        if self.flows[i].outstanding_seqs():
+        if self.flows[i].in_flight:
             self.flows[i].on_timeout(now)
             self._sample_flow(i, now)
             self._pump_greedy(now)
@@ -161,7 +152,14 @@ class Simulation:
         self._ingress(now)
         next_at = self.cfg.traffic.emission_time_us(k + 1)
         if next_at < self._traffic_stop_us:
-            self.queue.schedule(next_at, lambda t: self._emit_cbr(k + 1, t))
+            self.queue.schedule(next_at, self._emit_cbr, k + 1)
+
+    def _start_greedy(self, _, now: int) -> None:
+        self._pump_greedy(now)
+
+    def _apply_latency_step(self, step: tuple[PathState, int], now: int) -> None:
+        state, latency_us = step
+        state.apply_latency_step(latency_us)
 
     def _pump_greedy(self, now: int) -> None:
         """Work-conserving greedy source.
@@ -176,7 +174,13 @@ class Simulation:
             return
         if not self.cfg.traffic.start_us <= now < self._traffic_stop_us:
             return
-        while any(f.in_flight < f.cwnd and not f.send_queue for f in self.flows):
+        flows = self.flows
+        while True:
+            for f in flows:
+                if f.in_flight < f.cwnd and not f.send_queue:
+                    break
+            else:
+                return
             self._ingress(now)
 
     # -- main loop ----------------------------------------------------------------
@@ -185,29 +189,27 @@ class Simulation:
         cfg = self.cfg
         for state in self.paths:
             for step in state.model.latency_steps:
-                self.queue.schedule(
-                    step.at_us,
-                    lambda t, s=state, l=step.latency_us: s.apply_latency_step(l),
-                )
+                self.queue.schedule(step.at_us, self._apply_latency_step,
+                                    (state, step.latency_us))
         if cfg.traffic.kind == "cbr":
             first = cfg.traffic.emission_time_us(0)
             if first < self._traffic_stop_us:
-                self.queue.schedule(first, lambda t: self._emit_cbr(0, t))
+                self.queue.schedule(first, self._emit_cbr, 0)
         else:
-            self.queue.schedule(cfg.traffic.start_us, lambda t: self._pump_greedy(t))
+            self.queue.schedule(cfg.traffic.start_us, self._start_greedy)
 
         hard_stop = cfg.duration_us + cfg.reorder.max_hold_us + DRAIN_SLACK_US
+        pop = self.queue.pop
         while True:
-            item = self.queue.pop()
+            item = pop()
             if item is None:
                 break
-            at, fn = item
+            at, _, fn, arg = item
             if at > hard_stop:
                 self.log.drained = False
                 break
-            fn(at)
+            fn(arg, at)
 
-        self.log.window_violations = sum(f.window_violations for f in self.flows)
         self.log.timeout_gaps = self.receiver.gap_count
         self.log.late_count = self.receiver.late_count
         return self.log

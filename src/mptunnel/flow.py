@@ -10,9 +10,10 @@ three or from an ack-silence timeout; there are no retransmissions, the
 tunnel carries unreliable traffic.
 """
 
-from collections import OrderedDict, deque
+import heapq
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 SEQ48_MASK = (1 << 48) - 1
 RTT_REPORT_MAX = (1 << 32) - 1
@@ -32,7 +33,7 @@ TIMEOUT_RTT_MULTIPLE = 4
 MIN_TIMEOUT_US = 200_000
 
 
-@dataclass
+@dataclass(slots=True)
 class TunnelPacket:
     """One ingress datagram wrapped with the multipath encapsulation header.
 
@@ -90,15 +91,24 @@ class Flow:
 
     transmit is a callback(packet, now) that hands the packet to the path;
     the flow has already counted it in flight when the callback runs. Before
-    the first RTT sample ever arrives, srtt reads as a prior of twice the
+    the first RTT sample ever arrives, srtt_us reads as a prior of twice the
     configured one-way latency (used for header stamping and scheduler views,
     never refreshed once real samples exist).
+
+    A flow is also the scheduler's view of its path: path_id, srtt_us,
+    rttvar_us, cwnd, in_flight, queue_len, cost and has_window_room are read
+    live at decision time.
     """
 
+    __slots__ = ("path_id", "cost", "_transmit", "cwnd", "ssthresh", "in_flight",
+                 "send_queue", "next_flow_seq", "srtt_us", "rttvar_us",
+                 "_rtt_sampled", "_outstanding", "_send_order", "_top_acks", "_recover_seq",
+                 "_ca_credit", "packets_lost")
+
     def __init__(self, path_id: int, prior_rtt_us: float,
-                 transmit: Callable[[TunnelPacket, int], None]):
+                 transmit: Callable[[TunnelPacket, int], None], cost: float = 0.0):
         self.path_id = path_id
-        self.prior_rtt_us = float(prior_rtt_us)
+        self.cost = cost
         self._transmit = transmit
 
         self.cwnd = INITIAL_CWND
@@ -107,39 +117,49 @@ class Flow:
         self.send_queue: deque[TunnelPacket] = deque()
         self.next_flow_seq = 0
 
-        self._srtt: Optional[float] = None
-        self._rttvar: Optional[float] = None
+        self.srtt_us = float(prior_rtt_us)
+        self.rttvar_us = 0.0
+        self._rtt_sampled = False
 
-        # flow_seq -> [send_time, acks_seen_above]
-        self._outstanding: "OrderedDict[int, list]" = OrderedDict()
+        # flow_seq -> send_time of every packet in flight
+        self._outstanding: dict[int, int] = {}
+        # flow_seqs in send order (which is flow_seq order); entries no
+        # longer outstanding are dropped when they reach the front.
+        self._send_order: deque[int] = deque()
+        # Min-heap of the DUP_ACK_THRESHOLD highest flow_seqs acked while
+        # outstanding; every outstanding packet below its smallest entry has
+        # that many acknowledged successors and is lost.
+        self._top_acks = [-1] * DUP_ACK_THRESHOLD
         self._recover_seq = 0
         self._ca_credit = 0.0
 
         self.packets_lost = 0
-        self.window_violations = 0
+
+    # -- scheduler view -----------------------------------------------------
+
+    @property
+    def queue_len(self) -> int:
+        return len(self.send_queue)
+
+    @property
+    def has_window_room(self) -> bool:
+        return self.in_flight + len(self.send_queue) < self.cwnd
 
     # -- RTT estimation ----------------------------------------------------
-
-    @property
-    def srtt(self) -> float:
-        return self._srtt if self._srtt is not None else self.prior_rtt_us
-
-    @property
-    def rttvar(self) -> float:
-        return self._rttvar if self._rttvar is not None else 0.0
 
     def update_rtt(self, sample_us: float) -> None:
         """Feed one round-trip sample into the smoothed estimators."""
         if sample_us <= 0:
             raise ValueError(f"RTT sample must be positive, got {sample_us}")
-        if self._srtt is None:
-            self._srtt = float(sample_us)
-            self._rttvar = sample_us / 2.0
+        if not self._rtt_sampled:
+            self._rtt_sampled = True
+            self.srtt_us = float(sample_us)
+            self.rttvar_us = sample_us / 2.0
         else:
-            self._rttvar = (1 - RTTVAR_GAIN) * self._rttvar + RTTVAR_GAIN * abs(
-                self._srtt - sample_us
+            self.rttvar_us = (1 - RTTVAR_GAIN) * self.rttvar_us + RTTVAR_GAIN * abs(
+                self.srtt_us - sample_us
             )
-            self._srtt = (1 - SRTT_GAIN) * self._srtt + SRTT_GAIN * sample_us
+            self.srtt_us = (1 - SRTT_GAIN) * self.srtt_us + SRTT_GAIN * sample_us
 
     # -- send path ----------------------------------------------------------
 
@@ -147,21 +167,19 @@ class Flow:
         """Accept a packet from the scheduler; transmit now if the window allows."""
         pkt.path_id = self.path_id
         pkt.flow_seq = self.next_flow_seq
-        pkt.sender_rtt_report = min(int(round(self.srtt)), RTT_REPORT_MAX)
+        pkt.sender_rtt_report = min(int(round(self.srtt_us)), RTT_REPORT_MAX)
         self.next_flow_seq = (self.next_flow_seq + 1) & SEQ48_MASK
         self.send_queue.append(pkt)
         self.pump(now)
 
     def pump(self, now: int) -> None:
         """Transmit from the send queue while the window has room."""
-        while self.send_queue and self.in_flight < self.cwnd:
-            # Window discipline at initiation, counted rather than asserted
-            # so whole runs can be checked for violations after the fact.
-            if self.in_flight > self.cwnd:
-                self.window_violations += 1
-            pkt = self.send_queue.popleft()
+        queue = self.send_queue
+        while queue and self.in_flight < self.cwnd:
+            pkt = queue.popleft()
             self.in_flight += 1
-            self._outstanding[pkt.flow_seq] = [now, 0]
+            self._outstanding[pkt.flow_seq] = now
+            self._send_order.append(pkt.flow_seq)
             self._transmit(pkt, now)
 
     def outstanding_seqs(self) -> list[int]:
@@ -180,7 +198,7 @@ class Flow:
         if sent is None:
             return
         self.in_flight -= 1
-        self.update_rtt(now - sent[0])
+        self.update_rtt(now - sent)
 
         if self.cwnd < self.ssthresh:
             self.cwnd += 1.0
@@ -193,22 +211,29 @@ class Flow:
                 self.cwnd += 1.0
 
         # Dup-ack-equivalent gap detection: an outstanding packet with three
-        # acknowledged successors is declared lost.
-        lost = []
-        for seq, entry in self._outstanding.items():
-            if seq < flow_seq:
-                entry[1] += 1
-                if entry[1] >= DUP_ACK_THRESHOLD:
-                    lost.append(seq)
-        for seq in lost:
-            self.declare_lost(seq)
+        # acknowledged successors is declared lost. Packets go out in
+        # flow_seq order, so that is every outstanding packet below the third
+        # highest acked flow_seq, and the lost ones lead the send order.
+        # Each flow_seq leaves the send order once, so this is O(1) per
+        # packet whatever the window.
+        top = self._top_acks
+        if flow_seq > top[0]:
+            heapq.heapreplace(top, flow_seq)
+            outstanding = self._outstanding
+            order = self._send_order
+            while order:
+                seq = order[0]
+                if seq in outstanding:
+                    if seq >= top[0]:
+                        break
+                    self.declare_lost(seq)
+                order.popleft()
         self.pump(now)
 
     def declare_lost(self, flow_seq: int) -> None:
         """Give up on an unacknowledged packet and react to the loss."""
-        if flow_seq not in self._outstanding:
+        if self._outstanding.pop(flow_seq, None) is None:
             return
-        del self._outstanding[flow_seq]
         self.in_flight -= 1
         self.packets_lost += 1
         self.on_loss(flow_seq)
@@ -227,12 +252,13 @@ class Flow:
         self._recover_seq = self.next_flow_seq
 
     def timeout_deadline_us(self, now: int) -> int:
-        return now + max(int(round(TIMEOUT_RTT_MULTIPLE * self.srtt)), MIN_TIMEOUT_US)
+        return now + max(int(round(TIMEOUT_RTT_MULTIPLE * self.srtt_us)), MIN_TIMEOUT_US)
 
     def on_timeout(self, now: int) -> int:
         """Ack-silence timeout: everything outstanding is presumed lost."""
         stale = list(self._outstanding)
         for seq in stale:
             self.declare_lost(seq)
+        self._send_order.clear()
         self.pump(now)
         return len(stale)

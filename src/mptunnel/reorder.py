@@ -7,8 +7,9 @@ paths present the same end-to-end latency, never consulting the overall
 sequencing, and discards packets that show up hopelessly late.
 """
 
+import heapq
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from .flow import SRTT_GAIN, RTTVAR_GAIN, TunnelPacket
 from .simcore import Plugin
@@ -94,7 +95,7 @@ def adaptive_threshold(stats: PathStats, k: float, max_hold_us: int) -> float:
     return min(spread + guard, float(max_hold_us))
 
 
-@dataclass
+@dataclass(slots=True)
 class _Held:
     pkt: TunnelPacket
     arrival_us: int
@@ -108,11 +109,17 @@ class ReorderBuffer:
     in strictly increasing overall_seq order per call. A packet below
     expected_next (its gap was already given up) is delivered immediately out
     of band and flagged late.
+
+    Deadlines sit in a (deadline, seq) min-heap next to the held map. An
+    entry whose packet was released early stays in the heap until its
+    deadline comes up and is then skipped, so deadline work is proportional
+    to what expires and what is released.
     """
 
     def __init__(self, expected_next: int = 0):
         self.expected_next = expected_next
         self.held: dict[int, _Held] = {}
+        self._expiry: list[tuple[int, int]] = []
         self.late_count = 0
         self.gap_count = 0
 
@@ -125,32 +132,47 @@ class ReorderBuffer:
             out.extend(self._flush_consecutive(now, DISPOSITION_INORDER))
             return out
         if seq > self.expected_next:
-            self.held[seq] = _Held(pkt, now, now + int(round(threshold_us)))
+            deadline = now + int(round(threshold_us))
+            self.held[seq] = _Held(pkt, now, deadline)
+            heapq.heappush(self._expiry, (deadline, seq))
             return []
         self.late_count += 1
         return [(pkt, 0, DISPOSITION_LATE)]
 
     def on_deadline(self, now: int) -> list[tuple[TunnelPacket, int, str]]:
         """Release every expired hold plus anything stuck behind a given-up gap."""
-        expired = [seq for seq, h in self.held.items() if h.deadline_us <= now]
-        if not expired:
+        # Every held seq is above expected_next, so an expired hold always
+        # moves give_up_below, and the walk below finds every held seq under
+        # it, in order; the seqs it misses are the gaps.
+        expiry = self._expiry
+        give_up_below = self.expected_next
+        while expiry and expiry[0][0] <= now:
+            deadline, seq = heapq.heappop(expiry)
+            if seq >= give_up_below and self._is_live(deadline, seq):
+                give_up_below = seq + 1
+        if give_up_below == self.expected_next:
             return []
-        give_up_below = max(expired) + 1
-        release = sorted(seq for seq in self.held if seq < give_up_below)
-        missing = give_up_below - self.expected_next - len(release)
-        self.gap_count += missing
         out = []
-        for seq in release:
-            held = self.held.pop(seq)
-            out.append((held.pkt, now - held.arrival_us, DISPOSITION_TIMEOUT))
+        for seq in range(self.expected_next, give_up_below):
+            held = self.held.pop(seq, None)
+            if held is None:
+                self.gap_count += 1
+            else:
+                out.append((held.pkt, now - held.arrival_us, DISPOSITION_TIMEOUT))
         self.expected_next = give_up_below
         out.extend(self._flush_consecutive(now, DISPOSITION_TIMEOUT))
         return out
 
     def next_deadline(self) -> Optional[int]:
-        if not self.held:
-            return None
-        return min(h.deadline_us for h in self.held.values())
+        expiry = self._expiry
+        while expiry and not self._is_live(*expiry[0]):
+            heapq.heappop(expiry)
+        return expiry[0][0] if expiry else None
+
+    def _is_live(self, deadline: int, seq: int) -> bool:
+        """Whether a heap entry is still the deadline of a held packet."""
+        held = self.held.get(seq)
+        return held is not None and held.deadline_us == deadline
 
     def _flush_consecutive(self, now: int, disposition: str):
         out = []
@@ -205,15 +227,16 @@ class BaseReceiver:
     Every receiver kind is built as cls(cfg, deliver, schedule, discard) from
     the run's ScenarioConfig. deliver is callback(pkt, time_us, residency_us,
     disposition); discard is callback(pkt, time_us) for packets dropped at the
-    receiver; schedule is callback(at_us, fn) on the run's event queue
-    (deadline expiry is an event, never a timer thread).
+    receiver; schedule is callback(at_us, fn, arg) on the run's event queue,
+    which later calls fn(arg, at_us) (deadline expiry is an event, never a
+    timer thread).
     """
 
     late_count = 0
     gap_count = 0
 
     def __init__(self, cfg, deliver: Callable[[TunnelPacket, int, int, str], None],
-                 schedule: Callable[[int, Callable[[int], None]], None],
+                 schedule: Callable[[int, Callable[[Any, int], None], Any], None],
                  discard: Callable[[TunnelPacket, int], None]):
         self.config: ReorderConfig = cfg.reorder
         self.stats = PathStats()
@@ -253,9 +276,9 @@ class ResequencingReceiver(BaseReceiver):
             # Packet was held; arm its expiry. Events for holds that get
             # released early fire as no-ops.
             deadline = self.buffer.held[pkt.overall_seq].deadline_us
-            self._schedule(deadline, self._on_deadline)
+            self._schedule(deadline, self._on_deadline, None)
 
-    def _on_deadline(self, now: int) -> None:
+    def _on_deadline(self, _, now: int) -> None:
         self._emit(self.buffer.on_deadline(now), now)
 
     def _emit(self, out, now: int) -> None:
@@ -300,11 +323,11 @@ class EqualizingReceiver(BaseReceiver):
         if release == EqualizerLines.DISCARD:
             self._discard(pkt, now)
             return
-        residency = release - now
-        self._schedule(
-            release,
-            lambda t, p=pkt, r=residency: self._deliver(p, t, r, DISPOSITION_INORDER),
-        )
+        self._schedule(release, self._release, (pkt, release - now))
+
+    def _release(self, item: tuple[TunnelPacket, int], now: int) -> None:
+        pkt, residency = item
+        self._deliver(pkt, now, residency, DISPOSITION_INORDER)
 
 
 # Every reorder kind, by the receiver class that implements it.

@@ -14,6 +14,12 @@ from .scheduler import SCHEDULERS, SchedulerConfig
 from .simcore import LatencyStep, PathModel, TrafficSource, US_PER_SECOND
 
 
+# Upper bound on duration_s (about 31.7 years of simulated time). It keeps
+# duration_us an exact integer (below 2**53 us) and far from float overflow,
+# so the run's hard stop is always a finite int.
+MAX_DURATION_S = 1_000_000_000
+
+
 class ScenarioError(Exception):
     """Carries every validation problem found, not just the first."""
 
@@ -153,7 +159,7 @@ def _output_rules(out: OutputSpec, where: str) -> list[str]:
 
 SCHEMA = {
     "scenario": Section(ScenarioConfig, (
-        Field("duration_s", "number", required=True, gt=0),
+        Field("duration_s", "number", required=True, gt=0, le=MAX_DURATION_S),
         Field("seed", "integer", required=True),
         Field("paths", "array", required=True, of="path"),
         Field("traffic", "traffic", required=True),

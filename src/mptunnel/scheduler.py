@@ -1,9 +1,11 @@
 """Sender-side packet schedulers: round robin, fixed ratio, cheapest pipe
 first, lowest smoothed RTT, and queue-aware earliest-arrival (otias).
 
-Every scheduler is a pure function of its internal counters and the PathView
-snapshot handed to it, ties always break toward the lower path_id, so the
-decision sequence is deterministic for a fixed scenario.
+Every scheduler is a pure function of its internal counters and the path
+views handed to it, ties always break toward the lower path_id, so the
+decision sequence is deterministic for a fixed scenario. In a run the views
+are the engine's flows themselves (mptunnel.flow.Flow), read live at decision
+time; PathView is a frozen stand-in with the same fields.
 """
 
 import math
@@ -15,7 +17,7 @@ from .simcore import Plugin
 
 @dataclass(frozen=True)
 class PathView:
-    """Read-only per-flow snapshot taken at decision time."""
+    """Read-only per-flow snapshot with the fields a scheduler reads."""
 
     path_id: int
     srtt_us: float
@@ -44,9 +46,11 @@ def otias_eta(view: PathView) -> float:
     waits ceil(max(0, queue + in_flight + 1 - cwnd) / cwnd) full round trips
     before transmission, then half a round trip to reach the receiver.
     """
+    srtt = view.srtt_us
     backlog = view.queue_len + view.in_flight + 1 - view.cwnd
-    rounds = math.ceil(max(0.0, backlog) / view.cwnd)
-    return rounds * view.srtt_us + view.srtt_us / 2.0
+    if backlog <= 0:
+        return srtt / 2.0
+    return math.ceil(backlog / view.cwnd) * srtt + srtt / 2.0
 
 
 class RoundRobin:
@@ -117,10 +121,10 @@ class Otias:
         self.last_etas: tuple[float, ...] = ()
 
     def pick(self, views: Sequence[PathView], now: int) -> int:
-        etas = tuple(otias_eta(v) for v in views)
+        etas = tuple(map(otias_eta, views))
         self.last_etas = etas
-        best = min(range(len(views)), key=lambda i: (etas[i], views[i].path_id))
-        return views[best].path_id
+        earliest = min(etas)
+        return min(v.path_id for v, eta in zip(views, etas) if eta == earliest)
 
 
 # Every scheduler kind, built from its SchedulerConfig. A scheduler that sets

@@ -10,11 +10,13 @@ are bit-reproducible for a fixed (scenario, seed).
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 US_PER_SECOND = 1_000_000
 
-EventFn = Callable[[int], None]
+# An event handler is called as fn(arg, now): a bound method plus one
+# argument, so scheduling allocates no closure.
+EventFn = Callable[[Any, int], None]
 
 
 class SimulationError(Exception):
@@ -82,6 +84,7 @@ class TrafficSource:
 class EventQueue:
     """Time-ordered event queue with FIFO tie-break.
 
+    Entries are (time, id, fn, arg) tuples and an event runs as fn(arg, time).
     Pop order is (time, insertion order), which makes simultaneous events
     deterministic. Scheduling before the current clock raises PastEventError.
     """
@@ -94,20 +97,21 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, at_us: int, fn: EventFn) -> None:
+    def schedule(self, at_us: int, fn: EventFn, arg: Any = None) -> None:
         if at_us < self.now:
             raise PastEventError(
                 f"cannot schedule event at {at_us} us, clock is at {self.now} us"
             )
-        heapq.heappush(self._heap, (at_us, self._next_id, fn))
+        heapq.heappush(self._heap, (at_us, self._next_id, fn, arg))
         self._next_id += 1
 
-    def pop(self) -> Optional[tuple[int, EventFn]]:
+    def pop(self) -> Optional[tuple[int, int, EventFn, Any]]:
+        """Remove and return the earliest (time, id, fn, arg) entry, or None."""
         if not self._heap:
             return None
-        at_us, _, fn = heapq.heappop(self._heap)
-        self.now = at_us
-        return at_us, fn
+        entry = heapq.heappop(self._heap)
+        self.now = entry[0]
+        return entry
 
 
 class PathState:
@@ -119,6 +123,8 @@ class PathState:
     per transmitted packet from the path's own generator; a lost packet still
     occupies the link (it is dropped downstream).
     """
+
+    __slots__ = ("model", "current_latency_us", "busy_until_us", "_rng")
 
     def __init__(self, model: PathModel, seed: int):
         self.model = model

@@ -61,6 +61,7 @@ def test_run_validation_failure_exit_code(tmp_path, capsys):
     ("paths", "latency_steps", 3),
     (None, "duration_s", float("nan")),
     (None, "duration_s", float("inf")),
+    (None, "duration_s", 1e303),
 ])
 def test_malformed_scenario_is_validation_error(tmp_path, capsys, section, key, value):
     bad = json.loads(json.dumps(SCENARIO))

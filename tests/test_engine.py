@@ -1,6 +1,8 @@
 import pytest
 
+from mptunnel import engine, metrics
 from mptunnel.engine import Simulation
+from mptunnel.flow import Flow
 from mptunnel.scenario import ScenarioError, parse_scenario
 from mptunnel.simcore import LatencyStep
 
@@ -144,6 +146,36 @@ def test_greedy_source_respects_windows_and_drains():
     assert log.ingress_count > 1000
     assert log.ingress_count == len(log.deliveries) + len(log.drops)
     assert log.window_violations == 0
+
+
+class WindowIgnoringFlow(Flow):
+    """Faulty flow that transmits its whole queue regardless of cwnd."""
+
+    __slots__ = ()
+
+    def pump(self, now):
+        while self.send_queue:
+            pkt = self.send_queue.popleft()
+            self.in_flight += 1
+            self._outstanding[pkt.flow_seq] = now
+            self._transmit(pkt, now)
+
+
+def test_window_violations_counted_for_a_faulty_flow(monkeypatch):
+    # 4 Mbps of CBR over two 100 ms paths keeps ~50 packets in flight, far
+    # above the initial window, so a flow that ignores cwnd must be caught.
+    data = {"traffic": {"kind": "cbr", "rate_bps": 4_000_000, "packet_size_bytes": 1000},
+            "paths": [
+                {"path_id": i, "one_way_latency_us": 100_000,
+                 "bandwidth_bps": 10_000_000} for i in (0, 1)]}
+    cfg = scenario(duration_s=2, **data)
+    honest = metrics.summarize(Simulation(cfg).run(), cfg.nominal_interval_us())
+    monkeypatch.setattr(engine, "Flow", WindowIgnoringFlow)
+    cfg = scenario(duration_s=2, **data)
+    faulty = metrics.summarize(Simulation(cfg).run(), cfg.nominal_interval_us())
+    assert honest["window_violations"] == 0
+    assert faulty["window_violations"] > 0
+    assert faulty["sent"] == honest["sent"]
 
 
 def test_greedy_respects_stop_time():

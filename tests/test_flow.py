@@ -69,23 +69,23 @@ def test_header_rejects_short_buffer():
 def test_rtt_first_sample_initializes():
     flow, _ = make_flow()
     flow.update_rtt(20_000)
-    assert flow.srtt == 20_000
-    assert flow.rttvar == 10_000
+    assert flow.srtt_us == 20_000
+    assert flow.rttvar_us == 10_000
 
 
 def test_rtt_ewma_step():
     flow, _ = make_flow()
     flow.update_rtt(80_000)
     flow.update_rtt(160_000)
-    assert flow.srtt == pytest.approx(90_000)
+    assert flow.srtt_us == pytest.approx(90_000)
 
 
 def test_rtt_fixed_point_and_var_decay():
     flow, _ = make_flow()
     for _ in range(60):
         flow.update_rtt(50_000)
-    assert flow.srtt == pytest.approx(50_000)
-    assert flow.rttvar < 1.0
+    assert flow.srtt_us == pytest.approx(50_000)
+    assert flow.rttvar_us < 1.0
 
 
 def test_rtt_rejects_non_positive():
@@ -102,14 +102,14 @@ def test_srtt_converges_within_one_percent_in_50_samples():
     true_rtt = 30_000
     for _ in range(50):
         flow.update_rtt(true_rtt)
-    assert abs(flow.srtt - true_rtt) < 0.01 * true_rtt
+    assert abs(flow.srtt_us - true_rtt) < 0.01 * true_rtt
 
 
 def test_prior_rtt_used_until_first_sample():
     flow, _ = make_flow(prior_rtt_us=44_000)
-    assert flow.srtt == 44_000
+    assert flow.srtt_us == 44_000
     flow.update_rtt(10_000)
-    assert flow.srtt == 10_000
+    assert flow.srtt_us == 10_000
 
 
 # -- window discipline --------------------------------------------------------
@@ -255,7 +255,15 @@ def test_timeout_declares_all_outstanding_lost():
 
 
 def test_window_never_exceeded_at_transmission():
-    flow, sent = make_flow()
+    # A send may start only while in_flight < cwnd; the flow has already
+    # counted the packet in flight when the transmit callback runs.
+    violations = []
+
+    def transmit(pkt, now):
+        if flow.in_flight - 1 >= flow.cwnd:
+            violations.append(pkt.flow_seq)
+
+    flow = Flow(0, 20_000.0, transmit)
     flow.cwnd = 3.0
     rng = random.Random(7)
     now = 0
@@ -265,9 +273,10 @@ def test_window_never_exceeded_at_transmission():
         if rng.random() < 0.6:
             flow.enqueue(TunnelPacket(seq, 1000, now), now)
             seq += 1
-        elif flow.outstanding_seqs():
+        elif flow.in_flight:
             flow.ack_received(flow.outstanding_seqs()[0], now)
-    assert flow.window_violations == 0
+    assert seq > 200
+    assert violations == []
 
 
 def test_aimd_trajectory_matches_scripted_oracle():

@@ -175,11 +175,20 @@ def test_never_delivers_a_seq_twice_in_order():
 # -- exhaustive equivalence against a reference reorderer --------------------------
 
 
+def per_arrival(arrivals, threshold):
+    """(time, seq, threshold) triples; threshold is one number for every
+    arrival or a list with one per arrival."""
+    if not isinstance(threshold, list):
+        threshold = [threshold] * len(arrivals)
+    return [(t, s, th) for (t, s), th in zip(arrivals, threshold)]
+
+
 def reference_reorder(arrivals, threshold):
     """Brute-force reference: chronological scan with full recomputation.
 
-    arrivals is a list of (time, seq); returns (time, seq, disposition)
-    tuples. Deadlines strictly before or at an arrival fire first.
+    arrivals is a list of (time, seq); threshold is a number or a list with
+    one per arrival. Returns (time, seq, disposition) tuples. Deadlines
+    strictly before or at an arrival fire first.
     """
     held = {}
     expected = 0
@@ -202,7 +211,7 @@ def reference_reorder(arrivals, threshold):
                 out.append((fire_at, expected, "timeout"))
                 expected += 1
 
-    for t, s in arrivals:
+    for t, s, th in per_arrival(arrivals, threshold):
         fire_deadlines(t)
         if s < expected:
             out.append((t, s, "late"))
@@ -214,13 +223,15 @@ def reference_reorder(arrivals, threshold):
                 out.append((t, expected, "inorder"))
                 expected += 1
         else:
-            held[s] = (t, t + threshold)
+            held[s] = (t, t + th)
     fire_deadlines(float("inf"))
     return out
 
 
-def drive_buffer(arrivals, threshold):
-    buf = ReorderBuffer()
+def drive_buffer(arrivals, threshold, buf=None):
+    """Feed arrivals to a ReorderBuffer, firing its deadlines in time order;
+    same arguments and result shape as reference_reorder."""
+    buf = ReorderBuffer() if buf is None else buf
     out = []
 
     def fire(up_to):
@@ -231,9 +242,9 @@ def drive_buffer(arrivals, threshold):
             for p, _, d in buf.on_deadline(nd):
                 out.append((nd, p.overall_seq, d))
 
-    for t, s in arrivals:
+    for t, s, th in per_arrival(arrivals, threshold):
         fire(t)
-        for p, _, d in buf.on_arrival(pkt(s), t, threshold):
+        for p, _, d in buf.on_arrival(pkt(s), t, th):
             out.append((t, p.overall_seq, d))
     fire(10 ** 12)
     return out

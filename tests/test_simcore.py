@@ -15,32 +15,36 @@ def test_serialization_exact_values():
 def test_queue_single_element_pops():
     q = EventQueue()
     fired = []
-    q.schedule(0, lambda t: fired.append(("x", t)))
-    at, fn = q.pop()
-    fn(at)
+    q.schedule(0, lambda arg, t: fired.append((arg, t)), "x")
+    at, _, fn, arg = q.pop()
+    fn(arg, at)
     assert fired == [("x", 0)]
+    assert q.pop() is None
 
 
 def test_queue_fifo_tie_break():
     q = EventQueue()
     fired = []
-    q.schedule(5, lambda t: fired.append("a"))
-    q.schedule(5, lambda t: fired.append("b"))
+    record = lambda arg, t: fired.append(arg)  # noqa: E731
+    q.schedule(5, record, "a")
+    q.schedule(5, record, "b")
+    q.schedule(4, record, "c")
     while True:
         item = q.pop()
         if item is None:
             break
-        item[1](item[0])
-    assert fired == ["a", "b"]
+        at, _, fn, arg = item
+        fn(arg, at)
+    assert fired == ["c", "a", "b"]
 
 
 def test_queue_rejects_past_events():
     q = EventQueue()
-    q.schedule(4, lambda t: None)
+    q.schedule(4, print)
     q.pop()
     assert q.now == 4
     with pytest.raises(PastEventError):
-        q.schedule(3, lambda t: None)
+        q.schedule(3, print)
 
 
 def test_path_transmit_delivery_time():
