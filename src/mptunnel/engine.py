@@ -17,7 +17,14 @@ DRAIN_SLACK_US = 60 * US_PER_SECOND
 
 
 class Simulation:
-    """One deterministic run of a scenario."""
+    """One deterministic run of a scenario.
+
+    run() hands its MetricsLog to the caller and keeps no reference to it, so
+    a finished run's log is freed as soon as the caller drops it, even though
+    the simulation itself is a reference cycle (its flows and receiver call
+    back into it). A Simulation therefore runs once; its flows stay readable
+    afterwards.
+    """
 
     def __init__(self, cfg: ScenarioConfig):
         errors = cfg.validate()
@@ -49,6 +56,12 @@ class Simulation:
 
     # -- event handlers ------------------------------------------------------
 
+    # Event records are exact tuples in the field order of the metrics
+    # NamedTuple of the same name (Send, Arrival, ...): CPython's cyclic
+    # collector stops tracking an exact tuple of untracked values, never a
+    # NamedTuple, so the run's history is not rescanned by every collection
+    # of an older generation. Flow samples stay FlowSample.
+
     def _ingress(self, now: int) -> None:
         pkt = TunnelPacket(self._next_seq & SEQ48_MASK,
                            self.cfg.traffic.packet_size_bytes, now)
@@ -56,9 +69,8 @@ class Simulation:
         self.log.ingress_count += 1
         picked = self.scheduler.pick(self.flows, now)
         self.log.decisions.append(
-            metrics.Decision(now, pkt.overall_seq, picked,
-                             getattr(self.scheduler, "last_etas", None))
-        )
+            (now, pkt.overall_seq, picked,
+             getattr(self.scheduler, "last_etas", None)))
         self.flows[picked].enqueue(pkt, now)
         self._sample_flow(picked, now)
 
@@ -72,12 +84,11 @@ class Simulation:
         if flow.in_flight - 1 >= flow.cwnd:
             self.log.window_violations += 1
         self.log.sends.append(
-            metrics.Send(now, path_id, pkt.overall_seq, pkt.flow_seq,
-                         pkt.payload_len, pkt.sender_rtt_report)
-        )
+            (now, path_id, pkt.overall_seq, pkt.flow_seq, pkt.payload_len,
+             pkt.sender_rtt_report))
         delivery = self.paths[path_id].transmit(pkt.payload_len, now)
         if delivery is None:
-            self.log.drops.append(metrics.Drop(now, path_id, pkt.overall_seq))
+            self.log.drops.append((now, path_id, pkt.overall_seq))
         else:
             self.queue.schedule(delivery, self._arrive, pkt)
         if not self._timer_pending[path_id] and flow.in_flight:
@@ -86,8 +97,7 @@ class Simulation:
 
     def _arrive(self, pkt: TunnelPacket, now: int) -> None:
         self.log.arrivals.append(
-            metrics.Arrival(now, pkt.overall_seq, pkt.path_id, pkt.ingress_time)
-        )
+            (now, pkt.overall_seq, pkt.path_id, pkt.ingress_time))
         ack_at = now + self.paths[pkt.path_id].ack_delay_us()
         self.queue.schedule(ack_at, self._ack, pkt)
         self.receiver.on_packet(pkt, now)
@@ -107,14 +117,11 @@ class Simulation:
     def _deliver(self, pkt: TunnelPacket, now: int, residency_us: int,
                  disposition: str) -> None:
         self.log.deliveries.append(
-            metrics.Delivery(now, pkt.overall_seq, pkt.path_id, pkt.ingress_time,
-                             residency_us, disposition)
-        )
+            (now, pkt.overall_seq, pkt.path_id, pkt.ingress_time, residency_us,
+             disposition))
 
     def _discard(self, pkt: TunnelPacket, now: int) -> None:
-        self.log.discards.append(
-            metrics.Discard(now, pkt.path_id, pkt.overall_seq)
-        )
+        self.log.discards.append((now, pkt.path_id, pkt.overall_seq))
 
     def _sample_flow(self, path_id: int, now: int) -> None:
         f = self.flows[path_id]
@@ -186,6 +193,8 @@ class Simulation:
     # -- main loop ----------------------------------------------------------------
 
     def run(self) -> metrics.MetricsLog:
+        if self.log is None:
+            raise RuntimeError("a Simulation runs once; build a new one to run again")
         cfg = self.cfg
         for state in self.paths:
             for step in state.model.latency_steps:
@@ -210,9 +219,10 @@ class Simulation:
                 break
             fn(arg, at)
 
-        self.log.timeout_gaps = self.receiver.gap_count
-        self.log.late_count = self.receiver.late_count
-        return self.log
+        log, self.log = self.log, None
+        log.timeout_gaps = self.receiver.gap_count
+        log.late_count = self.receiver.late_count
+        return log
 
 
 def run_simulation(cfg: ScenarioConfig) -> metrics.MetricsLog:

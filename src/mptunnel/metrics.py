@@ -2,6 +2,11 @@
 them (per-path throughput, arrival-order scatter, reordering extent, packet
 delay variation) and deterministic CSV/JSON export.
 
+The NamedTuples below document each record's field order. The engine records
+the event streams as plain tuples in those orders, and compute_pdv returns
+plain (overall_seq, pdv_us) pairs; flow samples are FlowSample instances.
+Every reader here indexes or unpacks, so it accepts either form.
+
 Export schema version 1. Column layouts are fixed; see the README for the
 full schema reference.
 """
@@ -77,20 +82,24 @@ class PdvSample(NamedTuple):
 
 @dataclass
 class PdvResult:
-    samples: list[PdvSample]
+    samples: list[tuple[int, float]]  # in PdvSample field order
     skipped: int
 
 
 @dataclass
 class MetricsLog:
-    """Everything a run records; all lists are append-only and time-ordered."""
+    """Everything a run records; all lists are append-only and time-ordered.
 
-    deliveries: list[Delivery] = field(default_factory=list)
-    arrivals: list[Arrival] = field(default_factory=list)
-    sends: list[Send] = field(default_factory=list)
-    drops: list[Drop] = field(default_factory=list)
-    discards: list[Discard] = field(default_factory=list)
-    decisions: list[Decision] = field(default_factory=list)
+    Each event stream holds tuples in the field order of the NamedTuple of
+    the same name (deliveries: Delivery, ...).
+    """
+
+    deliveries: list[tuple] = field(default_factory=list)
+    arrivals: list[tuple] = field(default_factory=list)
+    sends: list[tuple] = field(default_factory=list)
+    drops: list[tuple] = field(default_factory=list)
+    discards: list[tuple] = field(default_factory=list)
+    decisions: list[tuple] = field(default_factory=list)
     flow_samples: list[FlowSample] = field(default_factory=list)
     ingress_count: int = 0
     timeout_gaps: int = 0
@@ -101,10 +110,11 @@ class MetricsLog:
 
 def _stream(log: MetricsLog, stream: str):
     """(time, seq, path) tuples of the chosen record stream."""
+    # Both Delivery and Arrival lead with time_us, overall_seq, path_id.
     if stream == "deliveries":
-        return [(d.time_us, d.overall_seq, d.path_id) for d in log.deliveries]
+        return [d[:3] for d in log.deliveries]
     if stream == "arrivals":
-        return [(a.time_us, a.overall_seq, a.path_id) for a in log.arrivals]
+        return [a[:3] for a in log.arrivals]
     raise ValueError(f"unknown stream {stream!r}")
 
 
@@ -128,7 +138,7 @@ def compute_pdv(log: MetricsLog, nominal_interval_us: float,
         if prev is None:
             skipped += 1
             continue
-        samples.append(PdvSample(seq, (times[seq] - prev) - nominal_interval_us))
+        samples.append((seq, (times[seq] - prev) - nominal_interval_us))
     return PdvResult(samples, skipped)
 
 
@@ -175,13 +185,13 @@ def throughput_series(log: MetricsLog, bin_us: int,
         raise ValueError("bin_us must be > 0")
     if not log.deliveries:
         return []
-    size_by_seq = {s.overall_seq: s.size_bytes for s in log.sends}
-    last_bin = max(d.time_us for d in log.deliveries) // bin_us
-    paths = sorted({d.path_id for d in log.deliveries}) if per_path else [-1]
+    size_by_seq = {seq: size for _, _, seq, _, size, _ in log.sends}
+    last_bin = max(d[0] for d in log.deliveries) // bin_us
+    paths = sorted({d[2] for d in log.deliveries}) if per_path else [-1]
     bits: dict[tuple[int, int], int] = {}
-    for d in log.deliveries:
-        key = (d.time_us // bin_us, d.path_id if per_path else -1)
-        bits[key] = bits.get(key, 0) + size_by_seq.get(d.overall_seq, 0) * 8
+    for time_us, seq, path_id, _, _, _ in log.deliveries:
+        key = (time_us // bin_us, path_id if per_path else -1)
+        bits[key] = bits.get(key, 0) + size_by_seq.get(seq, 0) * 8
     rows = []
     for b in range(last_bin + 1):
         for p in paths:
@@ -197,11 +207,12 @@ def percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[max(0, min(len(sorted_values) - 1, rank - 1))]
 
 
-def pdv_histogram(samples: list[PdvSample], bin_width_us: float = 1000.0) -> dict:
+def pdv_histogram(samples: list[tuple[int, float]],
+                  bin_width_us: float = 1000.0) -> dict:
     """Histogram of pdv values as bin edges plus counts."""
     if not samples:
         return {"bin_edges_us": [], "counts": []}
-    values = sorted(s.pdv_us for s in samples)
+    values = sorted(v for _, v in samples)
     lo = float(values[0] // bin_width_us * bin_width_us)
     n_bins = int((values[-1] - lo) // bin_width_us) + 1
     counts = [0] * n_bins
@@ -215,7 +226,7 @@ def summarize(log: MetricsLog, nominal_interval_us: float,
               pdv_stream: str = "deliveries") -> dict:
     """Run totals plus the delay-variation distribution summary."""
     pdv = compute_pdv(log, nominal_interval_us, pdv_stream)
-    values = sorted(s.pdv_us for s in pdv.samples)
+    values = sorted(v for _, v in pdv.samples)
     mean = sum(values) / len(values) if values else 0.0
     return {
         "schema_version": SCHEMA_VERSION,
@@ -266,33 +277,32 @@ def _deliveries(log: MetricsLog, pdv) -> tuple[list[str], list]:
     header = ["delivery_time_us", "overall_seq", "path_id",
               "buffer_residency_us", "disposition"]
     return header, sorted(
-        [(d.time_us, d.overall_seq, d.path_id, d.residency_us, d.disposition)
-         for d in log.deliveries]
-        + [(d.time_us, d.overall_seq, d.path_id, 0, "discarded")
-           for d in log.discards]
+        [(t, seq, path_id, residency_us, disposition)
+         for t, seq, path_id, _, residency_us, disposition in log.deliveries]
+        + [(t, seq, path_id, 0, "discarded") for t, path_id, seq in log.discards]
     )
 
 
 def _decisions(log: MetricsLog, pdv) -> tuple[list[str], list]:
-    n_paths = max((len(d.etas_us) for d in log.decisions if d.etas_us), default=0)
+    n_paths = max((len(d[3]) for d in log.decisions if d[3]), default=0)
     header = ["time_us", "overall_seq", "path_id"] + [
         f"eta_{i}_us" for i in range(n_paths)
     ]
+    blank = [""] * n_paths
     return header, [
-        (d.time_us, d.overall_seq, d.path_id)
-        + tuple(d.etas_us if d.etas_us else [""] * n_paths)
-        for d in log.decisions
+        (t, seq, path_id) + tuple(etas_us or blank)
+        for t, seq, path_id, etas_us in log.decisions
     ]
 
 
 def _headers(log: MetricsLog, pdv) -> tuple[list[str], list]:
     # Bit-exact encapsulation headers of every transmitted packet.
     return ["time_us", "header_hex"], [
-        (s.time_us,
-         encode_header(TunnelPacket(s.overall_seq, s.size_bytes, 0,
-                                    path_id=s.path_id, flow_seq=s.flow_seq,
-                                    sender_rtt_report=s.rtt_report_us)).hex())
-        for s in log.sends
+        (t,
+         encode_header(TunnelPacket(seq, size_bytes, 0, path_id=path_id,
+                                    flow_seq=flow_seq,
+                                    sender_rtt_report=rtt_report_us)).hex())
+        for t, path_id, seq, flow_seq, size_bytes, rtt_report_us in log.sends
     ]
 
 
@@ -319,7 +329,7 @@ METRICS = {
                                  arrival_order_scatter(log)),
     "srtt": lambda log, pdv: (
         ["time_us", "path_id", "srtt_us"],
-        [(s.time_us, s.path_id, s.srtt_us) for s in log.flow_samples]),
+        [s[:3] for s in log.flow_samples]),
     "throughput": lambda log, pdv: (
         ["bin_start_us", "path_id", "throughput_bps"],
         throughput_series(log, THROUGHPUT_BIN_US)),

@@ -36,42 +36,35 @@ class PathStats:
     Each arrival's sender report is re-smoothed with the same gains the
     sender uses, which also yields a variation estimate the sender does not
     transmit.
+
+    srtts and rttvars hold the estimates (µs) of every path that has
+    reported, in path-id order, so the thresholds read them on each arrival
+    without rebuilding anything.
     """
 
-    class _Stat:
-        __slots__ = ("srtt_us", "rttvar_us", "samples")
-
-        def __init__(self):
-            self.srtt_us = 0.0
-            self.rttvar_us = 0.0
-            self.samples = 0
-
     def __init__(self):
-        self._stats: dict[int, PathStats._Stat] = {}
+        self._index: dict[int, int] = {}  # path_id -> position in the lists
+        self.srtts: list[float] = []
+        self.rttvars: list[float] = []
 
     def update(self, path_id: int, report_us: float) -> None:
-        stat = self._stats.get(path_id)
-        if stat is None:
-            stat = self._Stat()
-            self._stats[path_id] = stat
-        if stat.samples == 0:
-            stat.srtt_us = float(report_us)
-            stat.rttvar_us = report_us / 2.0
-        else:
-            stat.rttvar_us = (1 - RTTVAR_GAIN) * stat.rttvar_us + RTTVAR_GAIN * abs(
-                stat.srtt_us - report_us
-            )
-            stat.srtt_us = (1 - SRTT_GAIN) * stat.srtt_us + SRTT_GAIN * report_us
-        stat.samples += 1
-
-    def sampled_path_ids(self) -> list[int]:
-        return sorted(self._stats)
+        i = self._index.get(path_id)
+        if i is None:
+            # First report of this path: slot it in at its path-id rank.
+            ids = sorted([*self._index, path_id])
+            i = ids.index(path_id)
+            self._index = {p: j for j, p in enumerate(ids)}
+            self.srtts.insert(i, float(report_us))
+            self.rttvars.insert(i, report_us / 2.0)
+            return
+        srtt = self.srtts[i]
+        self.rttvars[i] = (1 - RTTVAR_GAIN) * self.rttvars[i] + RTTVAR_GAIN * abs(
+            srtt - report_us
+        )
+        self.srtts[i] = (1 - SRTT_GAIN) * srtt + SRTT_GAIN * report_us
 
     def srtt(self, path_id: int) -> float:
-        return self._stats[path_id].srtt_us
-
-    def rttvar(self, path_id: int) -> float:
-        return self._stats[path_id].rttvar_us
+        return self.srtts[self._index[path_id]]
 
 
 def static_threshold(rtt_slower_us: float, rtt_faster_us: float) -> float:
@@ -86,12 +79,11 @@ def adaptive_threshold(stats: PathStats, k: float, max_hold_us: int) -> float:
     variation, capped at max_hold_us. Until two paths have reported, the cap
     itself is used so nothing is given up on while cold.
     """
-    paths = stats.sampled_path_ids()
-    if len(paths) < 2:
+    srtts = stats.srtts
+    if len(srtts) < 2:
         return float(max_hold_us)
-    srtts = [stats.srtt(p) for p in paths]
     spread = (max(srtts) - min(srtts)) / 2.0
-    guard = k * max(stats.rttvar(p) for p in paths)
+    guard = k * max(stats.rttvars)
     return min(spread + guard, float(max_hold_us))
 
 
@@ -200,10 +192,8 @@ class EqualizerLines:
         self._last_release: dict[int, int] = {}
 
     def target_delay_us(self, stats: PathStats) -> float:
-        paths = stats.sampled_path_ids()
-        srtts = [stats.srtt(p) for p in paths]
-        guard = self.k * max(stats.rttvar(p) for p in paths)
-        return max(srtts) / 2.0 + guard
+        guard = self.k * max(stats.rttvars)
+        return max(stats.srtts) / 2.0 + guard
 
     def on_arrival(self, pkt: TunnelPacket, now: int, stats: PathStats) -> int:
         """Return the scheduled release time, or EqualizerLines.DISCARD."""

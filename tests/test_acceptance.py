@@ -18,7 +18,7 @@ import pytest
 from mptunnel.cli import main as cli_main
 from mptunnel.engine import Simulation
 from mptunnel.flow import Flow, TunnelPacket
-from mptunnel.metrics import compute_pdv, reordering_extent
+from mptunnel.metrics import Delivery, compute_pdv, reordering_extent
 from mptunnel.reorder import DISPOSITION_LATE
 from mptunnel.scenario import load_canned
 
@@ -50,12 +50,12 @@ def report(criterion, ok, detail):
 def decision_runs(log):
     """Maximal constant-path runs of the scheduler decision sequence."""
     out = []
-    for d in log.decisions:
-        if out and out[-1][0] == d.path_id:
+    for time_us, _, path_id, _ in log.decisions:
+        if out and out[-1][0] == path_id:
             out[-1][1] += 1
-            out[-1][3] = d.time_us
+            out[-1][3] = time_us
         else:
-            out.append([d.path_id, 1, d.time_us, d.time_us])
+            out.append([path_id, 1, time_us, time_us])
     return out
 
 
@@ -74,14 +74,14 @@ def test_criterion_1_srtt_handover(runs):
     cfg, log = runs("srtt-handover")
     event_us = 15_000_000
 
-    pre = [d for d in log.decisions if 5_000_000 <= d.time_us < event_us]
-    share_pre = sum(1 for d in pre if d.path_id == 0) / len(pre)
+    pre = [p for t, _, p, _ in log.decisions if 5_000_000 <= t < event_us]
+    share_pre = sum(1 for p in pre if p == 0) / len(pre)
 
-    post = [d for d in log.decisions if d.time_us >= event_us + 2_000_000]
-    share_post = sum(1 for d in post if d.path_id == 1) / len(post)
+    post = [p for t, _, p, _ in log.decisions if t >= event_us + 2_000_000]
+    share_post = sum(1 for p in post if p == 1) / len(post)
 
-    switch_us = next(d.time_us for d in log.decisions
-                     if d.time_us >= event_us and d.path_id == 1)
+    switch_us = next(t for t, _, p, _ in log.decisions
+                     if t >= event_us and p == 1)
 
     # the idle path keeps its last estimate: every recorded srtt for path 1
     # between warmup and the event equals the value it froze at
@@ -165,10 +165,10 @@ def test_criterion_3_otias_vs_rr_scrambling(runs):
 def test_criterion_4_adaptive_reordering_delay_jump(runs):
     cfg, log = runs("adaptive-jump")
     step_us = 20_000_000
-    seqs = [d.overall_seq for d in log.deliveries]
+    seqs = [seq for _, seq, *_ in log.deliveries]
     ooo = out_of_order_positions(seqs)
-    first_post = next(i for i, d in enumerate(log.deliveries)
-                      if d.time_us >= step_us)
+    first_post = next(i for i, (t, *_) in enumerate(log.deliveries)
+                      if t >= step_us)
     before = [p for p in ooo if p < first_post]
     inside = [p for p in ooo if first_post <= p <= first_post + 100]
     after = [p for p in ooo if p > first_post + 100]
@@ -184,7 +184,7 @@ def test_criterion_4_adaptive_reordering_delay_jump(runs):
 
 
 def pdv_stats(cfg, log):
-    values = [s.pdv_us for s in compute_pdv(log, cfg.nominal_interval_us()).samples]
+    values = [v for _, v in compute_pdv(log, cfg.nominal_interval_us()).samples]
     outside5 = sum(1 for v in values if abs(v) > 5000) / len(values)
     within2 = sum(1 for v in values if abs(v) <= 2000) / len(values)
     pos = any(v > 5000 for v in values)
@@ -201,8 +201,8 @@ def unflagged_reversals(log):
     order (the log is time-ordered) shows a reversal.
     """
     return len(out_of_order_positions(
-        [d.overall_seq for d in log.deliveries
-         if d.disposition != DISPOSITION_LATE]))
+        [seq for _, seq, _, _, _, disposition in log.deliveries
+         if disposition != DISPOSITION_LATE]))
 
 
 def test_criterion_5_pdv_concentration(runs):
@@ -251,7 +251,7 @@ def test_criterion_5_pdv_concentration(runs):
 
 def test_criterion_6_delay_equalization(runs):
     cfg, log = runs("delay-equalize")
-    warm = [d for d in log.deliveries if d.time_us >= 5_000_000]
+    warm = [Delivery._make(d) for d in log.deliveries if d[0] >= 5_000_000]
     times = sorted(d.time_us for d in warm)
     gaps = [b - a for a, b in zip(times, times[1:])]
     interval = cfg.nominal_interval_us()

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from mptunnel import engine, metrics
@@ -66,16 +69,16 @@ def test_causality_no_early_delivery():
     log = Simulation(cfg).run()
     latency = {0: 10_000, 1: 20_000}
     ser = 800   # 1000 bytes at 10 Mbps
-    for a in log.arrivals:
-        assert a.time_us >= a.ingress_time_us + latency[a.path_id] + ser
+    for time_us, _, path_id, ingress_time_us in log.arrivals:
+        assert time_us >= ingress_time_us + latency[path_id] + ser
 
 
 def test_per_path_fifo_preserved():
     cfg = scenario(duration_s=5)
     log = Simulation(cfg).run()
     for pid in (0, 1):
-        times = [a.time_us for a in log.arrivals if a.path_id == pid]
-        seqs = [a.overall_seq for a in log.arrivals if a.path_id == pid]
+        times = [t for t, _, path_id, _ in log.arrivals if path_id == pid]
+        seqs = [seq for _, seq, path_id, _ in log.arrivals if path_id == pid]
         assert times == sorted(times)
         assert seqs == sorted(seqs)
 
@@ -83,7 +86,7 @@ def test_per_path_fifo_preserved():
 def test_overall_seq_stamped_densely_in_ingress_order():
     cfg = scenario(duration_s=4)
     log = Simulation(cfg).run()
-    assert [d.overall_seq for d in log.decisions] == list(range(log.ingress_count))
+    assert [seq for _, seq, _, _ in log.decisions] == list(range(log.ingress_count))
 
 
 def test_identical_runs_are_bit_identical():
@@ -100,7 +103,8 @@ def test_adding_a_path_does_not_perturb_existing_loss_sequence():
     base = scenario(duration_s=4, scheduler={"kind": "fixed_ratio", "weights": [1, 1]})
     for p in base.paths:
         p.loss_rate = 0.25
-    drops_two = {d.overall_seq for d in Simulation(base).run().drops if d.path_id == 0}
+    drops_two = {seq for _, path_id, seq in Simulation(base).run().drops
+                 if path_id == 0}
 
     three = scenario(duration_s=4,
                      scheduler={"kind": "fixed_ratio", "weights": [1, 1, 0]},
@@ -112,30 +116,31 @@ def test_adding_a_path_does_not_perturb_existing_loss_sequence():
                          {"path_id": 2, "one_way_latency_us": 30_000,
                           "bandwidth_bps": 10_000_000, "loss_rate": 0.25},
                      ])
-    drops_three = {d.overall_seq for d in Simulation(three).run().drops if d.path_id == 0}
+    drops_three = {seq for _, path_id, seq in Simulation(three).run().drops
+                   if path_id == 0}
     assert drops_two == drops_three
 
 
 def test_passthrough_delivers_at_arrival_times():
     cfg = scenario(duration_s=3)
     log = Simulation(cfg).run()
-    arr = {a.overall_seq: a.time_us for a in log.arrivals}
-    for d in log.deliveries:
-        assert d.time_us == arr[d.overall_seq]
-        assert d.residency_us == 0
+    arr = {seq: t for t, seq, _, _ in log.arrivals}
+    for t, seq, _, _, residency_us, _ in log.deliveries:
+        assert t == arr[seq]
+        assert residency_us == 0
 
 
 def test_latency_step_applies_to_later_packets_only():
     cfg = scenario(duration_s=3)
     cfg.paths[0].latency_steps = [LatencyStep(at_us=1_500_000, latency_us=100_000)]
     log = Simulation(cfg).run()
-    for a in log.arrivals:
-        if a.path_id != 0:
+    for time_us, _, path_id, ingress_time_us in log.arrivals:
+        if path_id != 0:
             continue
-        if a.ingress_time_us < 1_400_000:
-            assert a.time_us - a.ingress_time_us < 50_000
-        if a.ingress_time_us >= 1_500_000:
-            assert a.time_us - a.ingress_time_us > 100_000
+        if ingress_time_us < 1_400_000:
+            assert time_us - ingress_time_us < 50_000
+        if ingress_time_us >= 1_500_000:
+            assert time_us - ingress_time_us > 100_000
 
 
 def test_greedy_source_respects_windows_and_drains():
@@ -183,13 +188,13 @@ def test_greedy_respects_stop_time():
                    traffic={"kind": "greedy", "packet_size_bytes": 1000,
                             "stop_us": 1_000_000})
     log = Simulation(cfg).run()
-    assert max(d.time_us for d in log.decisions) < 1_000_000
+    assert max(t for t, _, _, _ in log.decisions) < 1_000_000
 
 
 def test_resequencer_rebuilds_order_under_rr():
     cfg = scenario(duration_s=5, reorder={"kind": "adaptive"})
     log = Simulation(cfg).run()
-    seqs = [d.overall_seq for d in log.deliveries]
+    seqs = [seq for _, seq, *_ in log.deliveries]
     assert seqs == sorted(seqs)
     assert len(seqs) == log.ingress_count
 
@@ -200,7 +205,7 @@ def test_static_threshold_derived_from_path_latencies():
     # RTT gap of the configured paths: 2*(20ms - 10ms)
     assert sim.receiver.threshold_us() == 20_000
     log = sim.run()
-    seqs = [d.overall_seq for d in log.deliveries]
+    seqs = [seq for _, seq, *_ in log.deliveries]
     assert seqs == sorted(seqs)
 
 
@@ -222,13 +227,12 @@ def test_otias_decision_log_is_eta_consistent():
     assert len(log.decisions) > 500
     switches = 0
     prev = None
-    for d in log.decisions:
-        etas = d.etas_us
+    for _, _, path_id, etas in log.decisions:
         best = min(range(len(etas)), key=lambda i: (etas[i], i))
-        assert d.path_id == best
-        if prev is not None and d.path_id != prev:
+        assert path_id == best
+        if prev is not None and path_id != prev:
             switches += 1
-        prev = d.path_id
+        prev = path_id
     assert switches >= 10
 
 
@@ -244,7 +248,7 @@ def test_rr_displacement_tracks_latency_gap():
         ],
     )
     log = Simulation(cfg).run()
-    seqs = [a.overall_seq for a in log.arrivals if a.time_us >= 3_000_000]
+    seqs = [seq for t, seq, _, _ in log.arrivals if t >= 3_000_000]
     rank = {s: i for i, s in enumerate(sorted(seqs))}
     displacement = max(i - rank[s] for i, s in enumerate(seqs))
     assert seqs != sorted(seqs)
@@ -291,3 +295,75 @@ def test_otias_scrambles_strictly_less_than_rr_when_saturated():
         )
         counts[kind] = reordering_extent(Simulation(cfg).run())["out_of_order_count"]
     assert counts["otias"] < counts["round_robin"]
+
+
+# -- record form and log lifetime ----------------------------------------------
+
+EVENT_STREAMS = ("sends", "arrivals", "deliveries", "drops", "discards", "decisions")
+
+
+@pytest.fixture(scope="module")
+def guard_logs():
+    """Two lossy runs that fill all six event streams between them: round
+    robin into delay equalization across a latency jump (discards), and otias
+    (decisions carrying ETA tuples)."""
+    equalized = scenario(duration_s=3,
+                         reorder={"kind": "delay_equalize", "max_hold_us": 10_000})
+    equalized.paths[1].latency_steps = [LatencyStep(at_us=1_500_000,
+                                                    latency_us=200_000)]
+    otias = scenario(duration_s=3, scheduler={"kind": "otias"})
+    logs = []
+    for cfg in (equalized, otias):
+        for p in cfg.paths:
+            p.loss_rate = 0.05
+        logs.append((cfg, Simulation(cfg).run()))
+    return logs
+
+
+def test_event_records_are_exact_tuples(guard_logs):
+    for name in EVENT_STREAMS:
+        records = [r for _, log in guard_logs for r in getattr(log, name)]
+        assert records, name
+        assert {type(r) for r in records} == {tuple}, name
+    assert any(etas for _, log in guard_logs for *_, etas in log.decisions)
+    for cfg, log in guard_logs:
+        samples = metrics.compute_pdv(log, cfg.nominal_interval_us()).samples
+        assert samples and {type(s) for s in samples} == {tuple}
+
+
+def test_event_records_untracked_after_collection(guard_logs):
+    # A record holding a tuple (a decision's ETAs) can be untracked only
+    # once its inner tuple is, which may take a second pass.
+    gc.collect()
+    gc.collect()
+    for name in EVENT_STREAMS:
+        for _, log in guard_logs:
+            records = getattr(log, name)
+            sample = records[::max(1, len(records) // 50)]
+            assert not any(gc.is_tracked(r) for r in sample), name
+
+
+def test_finished_log_is_freed_by_reference_counting():
+    cfg = scenario(duration_s=2)
+    was_enabled = gc.isenabled()
+    gc.disable()  # only reference counting may free the log
+    try:
+        log = Simulation(cfg).run()
+        ref = weakref.ref(log)
+        del log
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_simulation_runs_once_and_keeps_its_flows():
+    cfg = scenario(duration_s=2)
+    for p in cfg.paths:
+        p.loss_rate = 0.1
+    sim = Simulation(cfg)
+    log = sim.run()
+    with pytest.raises(RuntimeError) as exc:
+        sim.run()
+    assert "\n" not in str(exc.value)
+    assert log.drops and sum(f.packets_lost for f in sim.flows) > 0

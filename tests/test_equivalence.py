@@ -1,6 +1,7 @@
-"""Property tests: the O(1) loss detection and the expiry-ordered
-resequencer against reference models, plus a guard that runs hand the
-schedulers the flows themselves rather than building snapshots."""
+"""Property tests: the O(1) loss detection, the expiry-ordered resequencer
+and the receiver's thresholds against reference models, plus a guard that
+runs hand the schedulers the flows themselves rather than building
+snapshots."""
 
 import heapq
 from collections import OrderedDict, deque
@@ -9,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mptunnel.engine import Simulation
-from mptunnel.flow import DUP_ACK_THRESHOLD, MIN_SSTHRESH, Flow, TunnelPacket
-from mptunnel.reorder import ReorderBuffer
+from mptunnel.flow import (DUP_ACK_THRESHOLD, MIN_SSTHRESH, RTTVAR_GAIN, SRTT_GAIN,
+                           Flow, TunnelPacket)
+from mptunnel.reorder import (EqualizerLines, PathStats, ReorderBuffer,
+                              adaptive_threshold)
 from mptunnel.scenario import parse_scenario
 from mptunnel.scheduler import SCHEDULERS, PathView
 from test_reorder import drive_buffer, per_arrival, pkt, reference_reorder
@@ -170,6 +173,60 @@ def test_heap_resequencer_matches_reference_with_per_arrival_thresholds(data):
         released = {s for _, s, d in got if d != "late"}
         assert buf.gap_count == buf.expected_next - len(released)
         assert buf.late_count == sum(1 for _, _, d in got if d == "late")
+
+
+class PathStatsOracle:
+    """Receiver path stats by the direct rule: a record per path id, read
+    through sorted path ids into fresh lists for every threshold."""
+
+    def __init__(self):
+        self.stats = {}  # path_id -> [srtt_us, rttvar_us]
+
+    def update(self, path_id, report_us):
+        stat = self.stats.get(path_id)
+        if stat is None:
+            self.stats[path_id] = [float(report_us), report_us / 2.0]
+            return
+        stat[1] = (1 - RTTVAR_GAIN) * stat[1] + RTTVAR_GAIN * abs(stat[0] - report_us)
+        stat[0] = (1 - SRTT_GAIN) * stat[0] + SRTT_GAIN * report_us
+
+    def adaptive_threshold(self, k, max_hold_us):
+        paths = sorted(self.stats)
+        if len(paths) < 2:
+            return float(max_hold_us)
+        srtts = [self.stats[p][0] for p in paths]
+        spread = (max(srtts) - min(srtts)) / 2.0
+        guard = k * max(self.stats[p][1] for p in paths)
+        return min(spread + guard, float(max_hold_us))
+
+    def target_delay_us(self, k):
+        paths = sorted(self.stats)
+        srtts = [self.stats[p][0] for p in paths]
+        guard = k * max(self.stats[p][1] for p in paths)
+        return max(srtts) / 2.0 + guard
+
+
+REPORT = st.tuples(st.integers(0, 7),
+                   st.one_of(st.integers(0, 4_000_000),
+                             st.floats(0.0, 4e6, allow_nan=False)))
+
+
+@PROPERTY
+@given(reports=st.lists(REPORT, min_size=1, max_size=80),
+       k=st.sampled_from([0.0, 1.0, 2.5, 4.0]),
+       max_hold_us=st.integers(0, 1_000_000))
+def test_thresholds_match_rebuilding_oracle(reports, k, max_hold_us):
+    # Bit-identical floats after every report, paths first seen in any order.
+    stats, oracle = PathStats(), PathStatsOracle()
+    lines = EqualizerLines(k, max_hold_us)
+    for path_id, report_us in reports:
+        stats.update(path_id, report_us)
+        oracle.update(path_id, report_us)
+        assert (adaptive_threshold(stats, k, max_hold_us).hex()
+                == oracle.adaptive_threshold(k, max_hold_us).hex())
+        assert lines.target_delay_us(stats).hex() == oracle.target_delay_us(k).hex()
+        for p, (srtt, _) in oracle.stats.items():
+            assert stats.srtt(p).hex() == srtt.hex()
 
 
 def test_runs_build_no_path_view(monkeypatch):

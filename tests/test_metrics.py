@@ -20,7 +20,7 @@ def test_pdv_perfect_cbr_stream_is_zero():
     log = log_with_deliveries([(10_000 + 8_000 * k, k) for k in range(50)])
     result = compute_pdv(log, 8_000)
     assert result.skipped == 0
-    assert all(s.pdv_us == 0 for s in result.samples)
+    assert all(pdv_us == 0 for _, pdv_us in result.samples)
     assert len(result.samples) == 49
 
 
@@ -35,7 +35,7 @@ def test_pdv_missing_predecessor_skipped_and_counted():
     log = log_with_deliveries([(0, 0), (8_000, 1), (30_000, 3), (38_000, 4)])
     result = compute_pdv(log, 8_000)
     assert result.skipped == 1           # seq 3 has no delivered seq 2
-    assert [s.overall_seq for s in result.samples] == [1, 4]
+    assert [seq for seq, _ in result.samples] == [1, 4]
 
 
 def test_pdv_is_permutation_insensitive():
@@ -139,7 +139,8 @@ def test_header_trace_export_is_bit_exact(tmp_path):
     export_metric(log, "headers", "csv", out, 0.0)
     lines = out.read_text().splitlines()
     assert lines[0] == "time_us,header_hex"
-    for line, send in zip(lines[1:], log.sends):
+    for line, row in zip(lines[1:], log.sends):
+        send = Send._make(row)
         fields = decode_header(bytes.fromhex(line.split(",")[1]))
         assert fields.version == 1
         assert fields.path_id == send.path_id

@@ -43,8 +43,7 @@ def test_adaptive_threshold_formula():
     stats.update(0, 20_000)
     stats.update(1, 60_000)
     # force rttvar to 1 ms on both paths, srtt stays at the report values
-    for s, var in ((stats._stats[0], 1000.0), (stats._stats[1], 1000.0)):
-        s.rttvar_us = var
+    stats.rttvars[:] = [1000.0, 1000.0]
     assert adaptive_threshold(stats, 4.0, MAX_HOLD) == pytest.approx(24_000)
 
 
