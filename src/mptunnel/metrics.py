@@ -14,6 +14,7 @@ full schema reference.
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .flow import TunnelPacket, encode_header
@@ -108,13 +109,13 @@ class MetricsLog:
     drained: bool = True
 
 
-def _stream(log: MetricsLog, stream: str):
-    """(time, seq, path) tuples of the chosen record stream."""
-    # Both Delivery and Arrival lead with time_us, overall_seq, path_id.
+def _stream(log: MetricsLog, stream: str) -> list:
+    """The chosen record stream itself, not a copy; its rows lead with
+    time_us, overall_seq, path_id (Delivery and Arrival both do)."""
     if stream == "deliveries":
-        return [d[:3] for d in log.deliveries]
+        return log.deliveries
     if stream == "arrivals":
-        return [a[:3] for a in log.arrivals]
+        return log.arrivals
     raise ValueError(f"unknown stream {stream!r}")
 
 
@@ -125,27 +126,21 @@ def compute_pdv(log: MetricsLog, nominal_interval_us: float,
     pdv(n) = (t(n) - t(n-1)) - nominal interval, using application-visible
     times of the chosen stream; negative when a packet landed before the one
     preceding it in sequence. Sequence numbers whose predecessor never landed
-    are skipped and counted. Pure function of the (seq, time) pairs, so log
-    record order does not matter.
+    are skipped and counted; sequence numbers start at 0, which has no
+    predecessor and is neither sampled nor counted. Pure function of the
+    (seq, time) pairs, so log record order does not matter; a sequence
+    number recorded twice keeps its last time.
     """
-    times = {seq: t for t, seq, _ in _stream(log, stream)}
-    samples = []
-    skipped = 0
-    for seq in sorted(times):
-        if seq == 0:
-            continue
-        prev = times.get(seq - 1)
-        if prev is None:
-            skipped += 1
-            continue
-        samples.append((seq, (times[seq] - prev) - nominal_interval_us))
-    return PdvResult(samples, skipped)
+    times = {r[1]: r[0] for r in _stream(log, stream)}
+    samples = [(s, (times[s] - times[s - 1]) - nominal_interval_us)
+               for s in sorted(times) if s - 1 in times]
+    return PdvResult(samples, len(times) - len(samples) - (0 in times))
 
 
 def arrival_order_scatter(log: MetricsLog,
                           stream: str = "arrivals") -> list[tuple[int, int]]:
     """Sequence numbers in order of arrival; monotone iff nothing reordered."""
-    return [(i, seq) for i, (_, seq, _) in enumerate(_stream(log, stream))]
+    return list(enumerate(map(itemgetter(1), _stream(log, stream))))
 
 
 def reordering_extent(log: MetricsLog, stream: str = "arrivals") -> dict:
@@ -155,7 +150,7 @@ def reordering_extent(log: MetricsLog, stream: str = "arrivals") -> dict:
     sequence number was already seen; max_displacement the worst gap between
     a packet's arrival position and its in-sequence position.
     """
-    seqs = [seq for _, seq, _ in _stream(log, stream)]
+    seqs = [r[1] for r in _stream(log, stream)]
     rank = {seq: i for i, seq in enumerate(sorted(seqs))}
     out_of_order = 0
     max_disp = 0
@@ -258,17 +253,45 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, header: list[str], rows) -> None:
+def _template(rows) -> Optional[str]:
+    """One %-format line for every row of a table, or None when some row
+    needs the per-value _fmt: a row that is not a tuple, rows of unequal
+    length, or a column mixing floats with other types. "%.3f" % x equals
+    _fmt(x) for a float x and "%s" % v equals _fmt(v) for any other v."""
+    if not all(issubclass(t, tuple) for t in set(map(type, rows))):
+        return None
+    widths = set(map(len, rows))
+    if len(widths) != 1:
+        return None
+    specs = []
+    for i in range(widths.pop()):
+        types = set(map(type, map(itemgetter(i), rows)))
+        if types == {float}:
+            specs.append("%.3f")
+        elif any(issubclass(t, float) for t in types):
+            return None
+        else:
+            specs.append("%s")
+    return ",".join(specs) + "\n"
+
+
+def write_csv(path, header: list[str], rows: list) -> None:
+    # rows is scanned for its column types before it is written, so it must
+    # be a sequence, not an iterator.
+    template = _template(rows)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        if template is None:
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        else:
+            for row in rows:
+                fh.write(template % row)
 
 
 def write_json(path, payload) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _deliveries(log: MetricsLog, pdv) -> tuple[list[str], list]:
