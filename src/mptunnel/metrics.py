@@ -13,6 +13,7 @@ full schema reference.
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple, Optional
@@ -253,40 +254,39 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _template(rows) -> Optional[str]:
-    """One %-format line for every row of a table, or None when some row
-    needs the per-value _fmt: a row that is not a tuple, rows of unequal
-    length, or a column mixing floats with other types. "%.3f" % x equals
-    _fmt(x) for a float x and "%s" % v equals _fmt(v) for any other v."""
+def _template(rows) -> str:
+    """The one %-format line every row of a table is written with: "%.3f"
+    for a column of floats and "%s" for a column with no float, since
+    "%.3f" % x equals _fmt(x) for a float x and "%s" % v equals _fmt(v) for
+    any other v. A table no single line can write raises: rows that are not
+    a sequence (an iterator would be used up by this scan), a row that is not
+    a tuple, rows of unequal length, or a column mixing floats with other
+    types."""
+    if not isinstance(rows, Sequence):
+        raise TypeError(f"table rows must be a sequence, not {type(rows).__name__}")
     if not all(issubclass(t, tuple) for t in set(map(type, rows))):
-        return None
-    widths = set(map(len, rows))
+        raise ValueError("every table row must be a tuple")
+    widths = set(map(len, rows)) or {0}
     if len(widths) != 1:
-        return None
+        raise ValueError(f"table rows have unequal lengths {sorted(widths)}")
     specs = []
     for i in range(widths.pop()):
         types = set(map(type, map(itemgetter(i), rows)))
         if types == {float}:
             specs.append("%.3f")
         elif any(issubclass(t, float) for t in types):
-            return None
+            raise ValueError(f"table column {i} mixes floats with other types")
         else:
             specs.append("%s")
     return ",".join(specs) + "\n"
 
 
-def write_csv(path, header: list[str], rows: list) -> None:
-    # rows is scanned for its column types before it is written, so it must
-    # be a sequence, not an iterator.
+def write_csv(path, header: list[str], rows: Sequence[tuple]) -> None:
     template = _template(rows)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        if template is None:
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-        else:
-            for row in rows:
-                fh.write(template % row)
+        for row in rows:
+            fh.write(template % row)
 
 
 def write_json(path, payload) -> None:

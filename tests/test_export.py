@@ -1,7 +1,7 @@
 """Export against reference models: write_csv's per-table %-templates and
 compute_pdv's single comprehension must give exactly what the per-value
 writer and the per-sequence loop they replaced gave, which are kept here as
-the references."""
+the references, and write_csv must refuse a table no template can write."""
 
 import json
 import math
@@ -90,33 +90,53 @@ COLUMNS = {
     "str": st.text(alphabet="ab,%s.'\" 0", max_size=5),
     "bool": st.booleans(),
     "none": st.none(),
-    "int_or_float": st.one_of(st.integers(), FLOATS),
 }
 NAMED_ROWS = [namedtuple(f"Row{n}", [f"c{i}" for i in range(n)]) for n in range(12)]
 ROW_TYPES = {
     "tuple": tuple,
-    "list": list,
     "named": lambda values: NAMED_ROWS[len(values)](*values),
 }
 
 
 @st.composite
-def tables(draw):
-    """(header, rows): typed columns, rows of one container type or a mix,
-    and now and then a row cut short or run long."""
-    kinds = draw(st.lists(st.sampled_from(sorted(COLUMNS)), max_size=5))
+def tables(draw, min_columns=0, min_rows=0):
+    """(header, rows) that one template can write: columns of one type each,
+    rows of one width that are tuples, namedtuples or a mix of both."""
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMNS)),
+                          min_size=min_columns, max_size=5))
     container = draw(st.sampled_from(sorted(ROW_TYPES) + ["mixed"]))
     rows = []
-    for _ in range(draw(st.integers(0, 8))):
-        values = [draw(COLUMNS[kind]) for kind in kinds]
-        if draw(st.integers(0, 9)) == 0:
-            values = (values[:draw(st.integers(0, len(values)))]
-                      + draw(st.lists(st.integers(), max_size=2)))
+    for _ in range(draw(st.integers(min_rows, 8))):
         kind = container
         if kind == "mixed":
             kind = draw(st.sampled_from(sorted(ROW_TYPES)))
-        rows.append(ROW_TYPES[kind](values))
+        rows.append(ROW_TYPES[kind]([draw(COLUMNS[kind]) for kind in kinds]))
     return [f"c{i}" for i in range(len(kinds))], rows
+
+
+def list_row(rows, i, j):
+    return rows[:i] + [list(rows[i])] + rows[i + 1:]
+
+
+def ragged_row(rows, i, j):
+    return rows + [tuple(rows[i]) + (0,)]
+
+
+def mixed_column(rows, i, j):
+    # A float in a column with none, or an int in a column of floats.
+    row = list(rows[i])
+    row[j] = 1 if isinstance(row[j], float) else 1.5
+    return rows + [tuple(row)]
+
+
+@st.composite
+def untemplatable_tables(draw):
+    """A table that one template can write, broken in one place."""
+    header, rows = draw(tables(min_columns=1, min_rows=1))
+    fault = draw(st.sampled_from([list_row, ragged_row, mixed_column]))
+    i = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.integers(0, len(header) - 1))
+    return header, fault(rows, i, j)
 
 
 def written_bytes(writer, *args) -> bytes:
@@ -128,15 +148,35 @@ def written_bytes(writer, *args) -> bytes:
 
 @PROPERTY
 @given(tables())
-@example((["a", "b"], [(1, 2.5), (3, 4)]))        # a column mixing float and int
-@example((["a", "b"], [(1.0, "a"), [2.0, "b"]]))  # a list row
-@example((["a", "b"], [(1, 2), (3,)]))            # ragged rows
 @example((["a"] * 6, [(True, None, "", -0.0, math.nan, math.inf)]))
 @example((["a"], []))
+@example(([], [(), ()]))
 def test_write_csv_matches_per_value_writer(table):
     header, rows = table
     assert (written_bytes(write_csv, header, rows)
             == written_bytes(reference_write_csv, header, rows))
+
+
+@PROPERTY
+@given(untemplatable_tables())
+@example((["a", "b"], [(1, 2.5), (3, 4)]))        # a column mixing float and int
+@example((["a", "b"], [(1.0, ""), (2.0, 3.5)]))   # a column mixing float and str
+@example((["a", "b"], [(1.0, "a"), [2.0, "b"]]))  # a list row
+@example((["a", "b"], [(1, 2), (3,)]))            # ragged rows
+def test_write_csv_refuses_a_table_no_template_fits(table):
+    header, rows = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out"
+        with pytest.raises(ValueError):
+            write_csv(path, header, rows)
+        assert not path.exists()
+
+
+def test_write_csv_refuses_an_iterator(tmp_path):
+    path = tmp_path / "out"
+    with pytest.raises(TypeError):
+        write_csv(path, ["a", "b"], (row for row in [(1, 2.5), (3, 4.5)]))
+    assert not path.exists()
 
 
 # -- compute_pdv -------------------------------------------------------------
