@@ -2,7 +2,7 @@
 window-based tunnel flows, pluggable packet schedulers and receiver-side
 reordering or delay equalization."""
 
-from .engine import Simulation, run_simulation
+from .engine import Simulation
 from .scenario import (ScenarioConfig, ScenarioError, canned_scenario_names,
                        load_canned, load_scenario)
 
@@ -15,6 +15,5 @@ __all__ = [
     "canned_scenario_names",
     "load_canned",
     "load_scenario",
-    "run_simulation",
     "__version__",
 ]

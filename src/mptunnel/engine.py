@@ -8,7 +8,7 @@ without sharing anything.
 from . import metrics
 from .flow import SEQ48_MASK, Flow, TunnelPacket
 from .reorder import RECEIVERS
-from .scenario import ScenarioConfig, ScenarioError
+from .scenario import ScenarioConfig, ScenarioError, problems
 from .scheduler import SCHEDULERS
 from .simcore import EventQueue, PathState, US_PER_SECOND
 
@@ -27,7 +27,7 @@ class Simulation:
     """
 
     def __init__(self, cfg: ScenarioConfig):
-        errors = cfg.validate()
+        errors = problems(cfg)
         if errors:
             raise ScenarioError(errors)
         self.cfg = cfg
@@ -35,11 +35,9 @@ class Simulation:
         self.log = metrics.MetricsLog()
 
         self.paths = [PathState(m, cfg.seed) for m in cfg.paths]
-        costs = cfg.effective_costs()
         # The flows double as the scheduler's views of their paths.
         self.flows = [
-            Flow(m.path_id, 2.0 * m.one_way_latency_us, self._transmit,
-                 costs[m.path_id])
+            Flow(m.path_id, 2.0 * m.one_way_latency_us, self._transmit, m.cost)
             for m in cfg.paths
         ]
         self.scheduler = SCHEDULERS[cfg.scheduler.kind].factory(cfg.scheduler)
@@ -98,7 +96,8 @@ class Simulation:
     def _arrive(self, pkt: TunnelPacket, now: int) -> None:
         self.log.arrivals.append(
             (now, pkt.overall_seq, pkt.path_id, pkt.ingress_time))
-        ack_at = now + self.paths[pkt.path_id].ack_delay_us()
+        # The ack returns over the same path, not bandwidth-limited.
+        ack_at = now + self.paths[pkt.path_id].current_latency_us
         self.queue.schedule(ack_at, self._ack, pkt)
         self.receiver.on_packet(pkt, now)
 
@@ -166,7 +165,7 @@ class Simulation:
 
     def _apply_latency_step(self, step: tuple[PathState, int], now: int) -> None:
         state, latency_us = step
-        state.apply_latency_step(latency_us)
+        state.current_latency_us = latency_us
 
     def _pump_greedy(self, now: int) -> None:
         """Work-conserving greedy source.
@@ -184,6 +183,8 @@ class Simulation:
         flows = self.flows
         while True:
             for f in flows:
+                # Flow.has_window_room, inlined: a flow with a send queue is
+                # always window-full after a pump, so the two tests agree.
                 if f.in_flight < f.cwnd and not f.send_queue:
                     break
             else:
@@ -223,8 +224,3 @@ class Simulation:
         log.timeout_gaps = self.receiver.gap_count
         log.late_count = self.receiver.late_count
         return log
-
-
-def run_simulation(cfg: ScenarioConfig) -> metrics.MetricsLog:
-    """Validate and execute a scenario, returning its complete metrics log."""
-    return Simulation(cfg).run()

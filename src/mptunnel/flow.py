@@ -96,8 +96,8 @@ class Flow:
     never refreshed once real samples exist).
 
     A flow is also the scheduler's view of its path: path_id, srtt_us,
-    rttvar_us, cwnd, in_flight, queue_len, cost and has_window_room are read
-    live at decision time.
+    rttvar_us, cwnd, in_flight, send_queue, cost and has_window_room are
+    read live at decision time.
     """
 
     __slots__ = ("path_id", "cost", "_transmit", "cwnd", "ssthresh", "in_flight",
@@ -136,10 +136,6 @@ class Flow:
         self.packets_lost = 0
 
     # -- scheduler view -----------------------------------------------------
-
-    @property
-    def queue_len(self) -> int:
-        return len(self.send_queue)
 
     @property
     def has_window_room(self) -> bool:
@@ -181,9 +177,6 @@ class Flow:
             self._outstanding[pkt.flow_seq] = now
             self._send_order.append(pkt.flow_seq)
             self._transmit(pkt, now)
-
-    def outstanding_seqs(self) -> list[int]:
-        return list(self._outstanding)
 
     # -- ack / loss handling -------------------------------------------------
 

@@ -138,20 +138,19 @@ def compute_pdv(log: MetricsLog, nominal_interval_us: float,
     return PdvResult(samples, len(times) - len(samples) - (0 in times))
 
 
-def arrival_order_scatter(log: MetricsLog,
-                          stream: str = "arrivals") -> list[tuple[int, int]]:
+def arrival_order_scatter(log: MetricsLog) -> list[tuple[int, int]]:
     """Sequence numbers in order of arrival; monotone iff nothing reordered."""
-    return list(enumerate(map(itemgetter(1), _stream(log, stream))))
+    return list(enumerate(map(itemgetter(1), log.arrivals)))
 
 
-def reordering_extent(log: MetricsLog, stream: str = "arrivals") -> dict:
-    """Scrambling summary of a record stream.
+def reordering_extent(log: MetricsLog) -> dict:
+    """Scrambling summary of the arrivals.
 
     out_of_order_count is the number of packets arriving after a higher
     sequence number was already seen; max_displacement the worst gap between
     a packet's arrival position and its in-sequence position.
     """
-    seqs = [r[1] for r in _stream(log, stream)]
+    seqs = [r[1] for r in log.arrivals]
     rank = {seq: i for i, seq in enumerate(sorted(seqs))}
     out_of_order = 0
     max_disp = 0
@@ -169,13 +168,11 @@ def reordering_extent(log: MetricsLog, stream: str = "arrivals") -> dict:
     }
 
 
-def throughput_series(log: MetricsLog, bin_us: int,
-                      per_path: bool = True) -> list[tuple[int, int, float]]:
-    """Delivered payload throughput per time bin.
+def throughput_series(log: MetricsLog, bin_us: int) -> list[tuple[int, int, float]]:
+    """Delivered payload throughput per time bin and path.
 
-    Rows of (bin_start_us, path_id, bits_per_second); path_id is -1 for the
-    aggregate series when per_path is false. Bins with no traffic emit zero
-    rows so series align across paths.
+    Rows of (bin_start_us, path_id, bits_per_second). Bins with no traffic
+    emit zero rows so series align across paths.
     """
     if bin_us <= 0:
         raise ValueError("bin_us must be > 0")
@@ -183,10 +180,10 @@ def throughput_series(log: MetricsLog, bin_us: int,
         return []
     size_by_seq = {seq: size for _, _, seq, _, size, _ in log.sends}
     last_bin = max(d[0] for d in log.deliveries) // bin_us
-    paths = sorted({d[2] for d in log.deliveries}) if per_path else [-1]
+    paths = sorted({d[2] for d in log.deliveries})
     bits: dict[tuple[int, int], int] = {}
     for time_us, seq, path_id, _, _, _ in log.deliveries:
-        key = (time_us // bin_us, path_id if per_path else -1)
+        key = (time_us // bin_us, path_id)
         bits[key] = bits.get(key, 0) + size_by_seq.get(seq, 0) * 8
     rows = []
     for b in range(last_bin + 1):

@@ -242,7 +242,6 @@ class PassthroughReceiver(BaseReceiver):
     """No reordering: every packet goes straight to the application."""
 
     def on_packet(self, pkt: TunnelPacket, now: int) -> None:
-        self.stats.update(pkt.path_id, pkt.sender_rtt_report)
         self._deliver(pkt, now, 0, DISPOSITION_INORDER)
 
 

@@ -57,28 +57,17 @@ class ScenarioConfig:
             return 0.0
         return self.traffic.packet_size_bytes * 8 * US_PER_SECOND / self.traffic.rate_bps
 
-    def effective_costs(self) -> dict[int, float]:
-        costs = {p.path_id: p.cost for p in self.paths}
-        if self.scheduler.costs:
-            costs.update(self.scheduler.costs)
-        return costs
-
-    def validate(self) -> list[str]:
-        """Every problem with this config, checked against SCHEMA."""
-        return problems(self)
-
 
 # -- schema ------------------------------------------------------------------
 
 class Field(NamedTuple):
     """One key of a schema section.
 
-    type is integer, number (finite), string, array, map (keyed by path_id)
-    or the name of another section for a nested object; of is the item type
-    of an array or map. The range (gt, ge, le) and choices apply to the value,
-    or to each item of an array or map. An absent optional key takes the
-    default of the dataclass field of the same name; a nullable key also
-    accepts null for that default.
+    type is integer, number (finite), string, array or the name of another
+    section for a nested object; of is the item type of an array. The range
+    (gt, ge, le) and choices apply to the value, or to each item of an array.
+    An absent optional key takes the default of the dataclass field of the
+    same name; a nullable key also accepts null for that default.
     """
 
     key: str
@@ -116,14 +105,11 @@ def _scenario_rules(cfg: ScenarioConfig, where: str) -> list[str]:
     sched = cfg.scheduler
     if sched.kind == "fixed_ratio" and sched.weights and len(sched.weights) != len(ids):
         found.append(f"scheduler.weights must list one entry per path ({len(ids)})")
-    if sched.costs:
-        unknown = [p for p in sched.costs if p not in seen]
-        if unknown:
-            found.append(f"scheduler.costs reference unknown paths {unknown}")
-    if sched.kind == "cheapest_pipe_first" and sched.costs is not None:
-        missing = [p for p in range(len(ids)) if p not in sched.costs]
-        if missing:
-            found.append(f"scheduler.costs missing for paths {missing}")
+    names = [out.path for out in cfg.outputs] + ["summary.json"]
+    clashes = sorted({name for name in names if names.count(name) > 1})
+    if clashes:
+        found.append(f"outputs[].path must be distinct and not summary.json; "
+                     f"clashing: {', '.join(clashes)}")
     return found
 
 
@@ -191,7 +177,6 @@ SCHEMA = {
     "scheduler": Section(SchedulerConfig, (
         Field("kind", "string", required=True, choices=SCHEDULERS),
         Field("weights", "array", nullable=True, of="integer", ge=0),
-        Field("costs", "map", nullable=True, of="number"),
     ), _scheduler_rules),
     "reorder": Section(ReorderConfig, (
         Field("kind", "string", required=True, choices=RECEIVERS),
@@ -239,13 +224,6 @@ def _value(f: Field, kind: str, value, name: str, errors: list[str]):
             return _BAD
         out = [_value(f, f.of, v, f"{name}[{i}]", errors) for i, v in enumerate(value)]
         return _BAD if any(v is _BAD for v in out) else out
-    if kind == "map":
-        if not isinstance(value, dict) or not all(str(k).isdigit() for k in value):
-            errors.append(f"{name} must map path_id to {f.of}")
-            return _BAD
-        out = {int(k): _value(f, f.of, v, f"{name}[{k!r}]", errors)
-               for k, v in value.items()}
-        return _BAD if any(v is _BAD for v in out.values()) else out
     what, ok = _SCALARS[kind]
     if not ok(value):
         errors.append(f"{name} must be {what}")
@@ -265,34 +243,33 @@ def _value(f: Field, kind: str, value, name: str, errors: list[str]):
 def _section(section: str, obj, where: str, errors: list[str]):
     """Check obj against SCHEMA[section], then against the section's rules.
 
-    obj is parsed JSON (a dict, built into the section's dataclass) or an
-    instance of that dataclass, checked key by key as the JSON it maps to.
-    Returns the instance, or _BAD when a key is missing or has the wrong type.
+    obj is parsed JSON, built into the section's dataclass, or an instance of
+    that dataclass, checked as the JSON object of its fields. Returns the
+    instance, or _BAD when a key is missing or has the wrong type.
     """
     cls, fields, rules = SCHEMA[section]
     label = where or "scenario"
-    raw = isinstance(obj, dict)
-    if not raw and not isinstance(obj, cls):
+    if isinstance(obj, cls):
+        obj = vars(obj)
+    if not isinstance(obj, dict):
         errors.append(f"{label} must be an object")
         return _BAD
-    if raw:
-        known = [f.key for f in fields]
-        errors.extend(f"{label}: unknown key {key!r}" for key in obj if key not in known)
+    known = [f.key for f in fields]
+    errors.extend(f"{label}: unknown key {key!r}" for key in obj if key not in known)
     values = {}
     for f in fields:
-        if raw and f.key not in obj:
+        if f.key not in obj:
             if f.required:
                 errors.append(f"{label}: missing required key {f.key!r}")
                 values[f.key] = _BAD
             continue
-        value = obj[f.key] if raw else getattr(obj, f.key)
+        value = obj[f.key]
         if value is not None or not f.nullable:
             name = f"{where}.{f.key}" if where else f.key
             values[f.key] = _value(f, f.type, value, name, errors)
     if any(v is _BAD for v in values.values()):
         return _BAD
-    if raw:
-        obj = cls(**values)
+    obj = cls(**values)
     if rules:
         errors.extend(rules(obj, where))
     return obj
@@ -319,10 +296,10 @@ def parse_scenario(data) -> ScenarioConfig:
 
 def load_scenario(path) -> ScenarioConfig:
     """Load and validate a scenario file; ScenarioError lists every problem."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8 or an over-long integer
             raise ScenarioError([f"not valid JSON: {exc}"]) from exc
     return parse_scenario(data)
 
@@ -341,7 +318,7 @@ def canned_scenario_names() -> list[str]:
 def load_canned(name: str) -> ScenarioConfig:
     ref = resources.files(__package__).joinpath("scenarios", f"{name}.json")
     try:
-        text = ref.read_text()
+        text = ref.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ScenarioError(
             [f"no canned scenario {name!r}; known: {', '.join(canned_scenario_names())}"]

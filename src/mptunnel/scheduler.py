@@ -3,43 +3,25 @@ first, lowest smoothed RTT, and queue-aware earliest-arrival (otias).
 
 Every scheduler is a pure function of its internal counters and the path
 views handed to it, ties always break toward the lower path_id, so the
-decision sequence is deterministic for a fixed scenario. In a run the views
-are the engine's flows themselves (mptunnel.flow.Flow), read live at decision
-time; PathView is a frozen stand-in with the same fields.
+decision sequence is deterministic for a fixed scenario. The views are the
+engine's flows themselves (mptunnel.flow.Flow), read live at decision time.
 """
 
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .flow import Flow
 from .simcore import Plugin
-
-
-@dataclass(frozen=True)
-class PathView:
-    """Read-only per-flow snapshot with the fields a scheduler reads."""
-
-    path_id: int
-    srtt_us: float
-    rttvar_us: float
-    cwnd: float
-    in_flight: int
-    queue_len: int
-    cost: float
-
-    @property
-    def has_window_room(self) -> bool:
-        return self.in_flight + self.queue_len < self.cwnd
 
 
 @dataclass
 class SchedulerConfig:
     kind: str
     weights: Optional[list[int]] = None
-    costs: Optional[dict[int, float]] = None
 
 
-def otias_eta(view: PathView) -> float:
+def otias_eta(view: Flow) -> float:
     """Estimated arrival offset of a packet appended to this flow now.
 
     The send queue drains one congestion window per round trip, so the packet
@@ -47,7 +29,7 @@ def otias_eta(view: PathView) -> float:
     before transmission, then half a round trip to reach the receiver.
     """
     srtt = view.srtt_us
-    backlog = view.queue_len + view.in_flight + 1 - view.cwnd
+    backlog = len(view.send_queue) + view.in_flight + 1 - view.cwnd
     if backlog <= 0:
         return srtt / 2.0
     return math.ceil(backlog / view.cwnd) * srtt + srtt / 2.0
@@ -59,7 +41,7 @@ class RoundRobin:
     def __init__(self):
         self._last = -1
 
-    def pick(self, views: Sequence[PathView], now: int) -> int:
+    def pick(self, views: Sequence[Flow], now: int) -> int:
         self._last = (self._last + 1) % len(views)
         return views[self._last].path_id
 
@@ -80,7 +62,7 @@ class FixedRatio:
         self._credits = [0] * len(weights)
         self._total = sum(weights)
 
-    def pick(self, views: Sequence[PathView], now: int) -> int:
+    def pick(self, views: Sequence[Flow], now: int) -> int:
         for i, w in enumerate(self._weights):
             self._credits[i] += w
         best = max(range(len(self._credits)), key=lambda i: (self._credits[i], -i))
@@ -95,7 +77,7 @@ class CheapestPipeFirst:
     send queue rather than dropping it at ingress.
     """
 
-    def pick(self, views: Sequence[PathView], now: int) -> int:
+    def pick(self, views: Sequence[Flow], now: int) -> int:
         available = [v for v in views if v.has_window_room]
         pool = available if available else views
         return min(pool, key=lambda v: (v.cost, v.path_id)).path_id
@@ -104,7 +86,7 @@ class CheapestPipeFirst:
 class MinSrtt:
     """Lowest smoothed RTT among paths with window room (srtt)."""
 
-    def pick(self, views: Sequence[PathView], now: int) -> int:
+    def pick(self, views: Sequence[Flow], now: int) -> int:
         available = [v for v in views if v.has_window_room]
         pool = available if available else views
         return min(pool, key=lambda v: (v.srtt_us, v.path_id)).path_id
@@ -120,7 +102,7 @@ class Otias:
     def __init__(self):
         self.last_etas: tuple[float, ...] = ()
 
-    def pick(self, views: Sequence[PathView], now: int) -> int:
+    def pick(self, views: Sequence[Flow], now: int) -> int:
         etas = tuple(map(otias_eta, views))
         self.last_etas = etas
         earliest = min(etas)
@@ -132,7 +114,7 @@ class Otias:
 SCHEDULERS = {
     "cheapest_pipe_first": Plugin(
         lambda config: CheapestPipeFirst(),
-        "costs (per path, optional when path costs are set)",
+        "cost (per path, default 0)",
         "prefer the lowest-cost path while its window has room"),
     "fixed_ratio": Plugin(
         lambda config: FixedRatio(config.weights),

@@ -19,11 +19,7 @@ US_PER_SECOND = 1_000_000
 EventFn = Callable[[Any, int], None]
 
 
-class SimulationError(Exception):
-    """Raised for malformed configuration or engine misuse."""
-
-
-class PastEventError(SimulationError):
+class PastEventError(Exception):
     """Scheduling an event before the current clock is a programming error."""
 
 
@@ -132,9 +128,6 @@ class PathState:
         self.busy_until_us = 0
         self._rng = random.Random(f"{seed}/{model.path_id}")
 
-    def apply_latency_step(self, latency_us: int) -> None:
-        self.current_latency_us = latency_us
-
     def transmit(self, size_bytes: int, now: int) -> Optional[int]:
         """Accept a packet for transmission, returning its delivery time.
 
@@ -146,7 +139,3 @@ class PathState:
         if self.model.loss_rate > 0.0 and self._rng.random() < self.model.loss_rate:
             return None
         return start + tx + self.current_latency_us
-
-    def ack_delay_us(self) -> int:
-        """One-way return delay for an acknowledgment (not bandwidth-limited)."""
-        return self.current_latency_us

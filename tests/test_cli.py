@@ -95,6 +95,18 @@ def test_run_missing_file_is_runtime_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("raw", [
+    b"\xff\xfe{}",                        # not UTF-8
+    b'{"seed": 1' + b"0" * 5000 + b"}",     # integer longer than int() accepts
+], ids=["not-utf8", "long-integer"])
+def test_undecodable_scenario_is_validation_error(tmp_path, capsys, raw):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_bytes(raw)
+    rc = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 def test_seed_override_changes_loss_pattern(tmp_path):
     lossy = json.loads(json.dumps(SCENARIO))
     for p in lossy["paths"]:

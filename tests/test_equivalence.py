@@ -1,7 +1,5 @@
 """Property tests: the O(1) loss detection, the expiry-ordered resequencer
-and the receiver's thresholds against reference models, plus a guard that
-runs hand the schedulers the flows themselves rather than building
-snapshots."""
+and the receiver's thresholds against reference models."""
 
 import heapq
 from collections import OrderedDict, deque
@@ -9,13 +7,10 @@ from collections import OrderedDict, deque
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mptunnel.engine import Simulation
 from mptunnel.flow import (DUP_ACK_THRESHOLD, MIN_SSTHRESH, RTTVAR_GAIN, SRTT_GAIN,
                            Flow, TunnelPacket)
 from mptunnel.reorder import (EqualizerLines, PathStats, ReorderBuffer,
                               adaptive_threshold)
-from mptunnel.scenario import parse_scenario
-from mptunnel.scheduler import SCHEDULERS, PathView
 from test_reorder import drive_buffer, per_arrival, pkt, reference_reorder
 
 # Deterministic example generation and no example database on disk, so the
@@ -83,7 +78,7 @@ class CountingLossOracle:
 
 def state(flow):
     return (flow.cwnd, flow.ssthresh, flow.in_flight, flow.packets_lost,
-            flow.outstanding_seqs())
+            list(flow._outstanding))
 
 
 def oracle_state(oracle):
@@ -227,31 +222,3 @@ def test_thresholds_match_rebuilding_oracle(reports, k, max_hold_us):
         assert lines.target_delay_us(stats).hex() == oracle.target_delay_us(k).hex()
         for p, (srtt, _) in oracle.stats.items():
             assert stats.srtt(p).hex() == srtt.hex()
-
-
-def test_runs_build_no_path_view(monkeypatch):
-    built = []
-    original = PathView.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(PathView, "__init__", counting_init)
-    PathView(0, 1.0, 0.0, 2.0, 0, 0, 0.0)
-    assert len(built) == 1  # the guard sees a construction
-    built.clear()
-    for kind in sorted(SCHEDULERS):
-        scheduler = {"kind": kind}
-        if kind == "fixed_ratio":
-            scheduler["weights"] = [2, 1, 1]
-        log = Simulation(parse_scenario({
-            "duration_s": 1, "seed": 1,
-            "paths": [{"path_id": i, "one_way_latency_us": 5_000 * (i + 1),
-                       "bandwidth_bps": 10_000_000, "loss_rate": 0.01}
-                      for i in range(3)],
-            "traffic": {"kind": "greedy", "packet_size_bytes": 1000},
-            "scheduler": scheduler,
-        })).run()
-        assert log.ingress_count > 100
-    assert built == []

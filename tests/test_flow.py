@@ -225,7 +225,7 @@ def test_two_losses_in_one_round_trip_halve_once():
     flow.ack_received(0, 20_000)
     flow.ack_received(1, 21_000)
     feed(flow, 2)                    # flow_seq 10, 11 go straight out
-    assert 10 in flow.outstanding_seqs()
+    assert 10 in flow._outstanding
     flow.declare_lost(10)
     assert flow.cwnd == 4.0
 
@@ -241,7 +241,7 @@ def test_gap_of_three_acks_declares_loss():
     flow.ack_received(3, 23_000)   # third ack above seq 0
     assert flow.packets_lost == 1
     assert flow.cwnd < before
-    assert 0 not in flow.outstanding_seqs()
+    assert 0 not in flow._outstanding
 
 
 def test_timeout_declares_all_outstanding_lost():
@@ -274,7 +274,7 @@ def test_window_never_exceeded_at_transmission():
             flow.enqueue(TunnelPacket(seq, 1000, now), now)
             seq += 1
         elif flow.in_flight:
-            flow.ack_received(flow.outstanding_seqs()[0], now)
+            flow.ack_received(list(flow._outstanding)[0], now)
     assert seq > 200
     assert violations == []
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mptunnel import scenario
 from mptunnel.scenario import (ScenarioError, canned_scenario_names,
                                load_canned, load_scenario, parse_scenario)
 
@@ -92,10 +93,29 @@ def test_unknown_output_metric_rejected():
     assert any("vibes" in p for p in problems)
 
 
-def test_costs_must_reference_existing_paths():
-    data = variant(scheduler={"kind": "cheapest_pipe_first", "costs": {"5": 1.0}})
+def test_scheduler_costs_is_unknown_key():
+    # Path costs are set per path; the scheduler section has no costs key.
+    data = variant(scheduler={"kind": "cheapest_pipe_first", "costs": {"0": 1.0}})
+    assert errors_of(data) == ["scheduler: unknown key 'costs'"]
+
+
+def test_output_path_used_twice_rejected():
+    data = variant(outputs=[
+        {"metric": "drops", "format": "csv", "path": "d.csv"},
+        {"metric": "arrivals", "format": "csv", "path": "d.csv"},
+        {"metric": "pdv", "format": "csv", "path": "p.csv"},
+        {"metric": "scatter", "format": "csv", "path": "p.csv"},
+    ])
     problems = errors_of(data)
-    assert any("unknown paths" in p for p in problems)
+    assert len(problems) == 1
+    assert "d.csv" in problems[0] and "p.csv" in problems[0]
+
+
+def test_output_named_summary_json_rejected():
+    data = variant(outputs=[
+        {"metric": "deliveries", "format": "json", "path": "summary.json"}])
+    problems = errors_of(data)
+    assert len(problems) == 1 and "summary.json" in problems[0]
 
 
 def test_reorder_params_validated():
@@ -111,8 +131,7 @@ def test_canned_suite_ships_and_loads():
                      "pdv-adaptive", "pdv-otias", "pdv-srtt", "delay-equalize"):
         assert expected in names
     for name in names:
-        cfg = load_canned(name)
-        assert not cfg.validate()
+        assert not scenario.problems(load_canned(name))
 
 
 def test_unknown_canned_name_lists_alternatives():

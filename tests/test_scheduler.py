@@ -4,16 +4,23 @@ import random
 import pytest
 
 from mptunnel.engine import Simulation
+from mptunnel.flow import Flow, TunnelPacket
 from mptunnel.reorder import RECEIVERS
 from mptunnel.scenario import parse_scenario, problems
 from mptunnel.scheduler import (SCHEDULERS, CheapestPipeFirst, FixedRatio,
-                                MinSrtt, Otias, PathView, RoundRobin,
-                                SchedulerConfig, otias_eta)
+                                MinSrtt, Otias, RoundRobin, SchedulerConfig,
+                                otias_eta)
 
 
 def view(path_id=0, srtt=20_000.0, rttvar=0.0, cwnd=10.0, in_flight=0,
          queue=0, cost=0.0):
-    return PathView(path_id, srtt, rttvar, cwnd, in_flight, queue, cost)
+    """A flow in the given state, as the scheduler reads it in a run."""
+    flow = Flow(path_id, srtt, None, cost)
+    flow.rttvar_us = rttvar
+    flow.cwnd = cwnd
+    flow.in_flight = in_flight
+    flow.send_queue.extend(TunnelPacket(i, 1000, 0) for i in range(queue))
+    return flow
 
 
 def picks(sched, views, n):
@@ -142,7 +149,7 @@ def test_srtt_argmin_over_random_snapshots():
                    queue=rng.randrange(0, 4))
               for i in range(rng.randrange(1, 5))]
         got = sched.pick(vs, 0)
-        available = [v for v in vs if v.in_flight + v.queue_len < v.cwnd]
+        available = [v for v in vs if v.in_flight + len(v.send_queue) < v.cwnd]
         pool = available if available else vs
         best = min(pool, key=lambda v: (v.srtt_us, v.path_id))
         assert got == best.path_id

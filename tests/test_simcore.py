@@ -70,7 +70,7 @@ def test_path_back_to_back_serialization_spacing():
 def test_path_latency_step_spares_in_flight():
     p = PathState(PathModel(0, 0, 10_000_000), seed=1)
     in_flight = p.transmit(1500, 0)
-    p.apply_latency_step(40_000)
+    p.current_latency_us = 40_000
     later = p.transmit(1500, 2000)
     assert in_flight == 1200          # kept its old zero-latency delivery
     assert later == 2000 + 1200 + 40_000
@@ -79,7 +79,7 @@ def test_path_latency_step_spares_in_flight():
 def test_path_latency_step_to_same_value_is_identity():
     p = PathState(PathModel(0, 10_000, 10_000_000), seed=1)
     before = p.transmit(1000, 0)
-    p.apply_latency_step(10_000)
+    p.current_latency_us = 10_000
     after = p.transmit(1000, 100_000)
     assert after - 100_000 == before  # identical delay profile
 
