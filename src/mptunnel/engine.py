@@ -34,19 +34,21 @@ class Simulation:
         self.queue = EventQueue()
         self.log = metrics.MetricsLog()
 
-        self.paths = [PathState(m, cfg.seed) for m in cfg.paths]
-        # The flows double as the scheduler's views of their paths.
+        # Every per-path list is indexed by path_id, whatever order the
+        # scenario lists its paths in. The flows double as the scheduler's
+        # views of their paths.
+        models = sorted(cfg.paths, key=lambda m: m.path_id)
+        self.paths = [PathState(m, cfg.seed) for m in models]
         self.flows = [
             Flow(m.path_id, 2.0 * m.one_way_latency_us, self._transmit, m.cost)
-            for m in cfg.paths
+            for m in models
         ]
         self.scheduler = SCHEDULERS[cfg.scheduler.kind].factory(cfg.scheduler)
         self.receiver = RECEIVERS[cfg.reorder.kind].factory(
             cfg, self._deliver, self.queue.schedule, self._discard)
 
         self._next_seq = 0
-        self._timer_gen = [0] * len(self.flows)
-        self._timer_pending = [False] * len(self.flows)
+        self._timers = [None] * len(self.flows)
         self._traffic_stop_us = min(
             cfg.duration_us,
             cfg.traffic.stop_us if cfg.traffic.stop_us is not None else cfg.duration_us,
@@ -89,9 +91,8 @@ class Simulation:
             self.log.drops.append((now, path_id, pkt.overall_seq))
         else:
             self.queue.schedule(delivery, self._arrive, pkt)
-        if not self._timer_pending[path_id] and flow.in_flight:
-            self._timer_gen[path_id] += 1
-            self._schedule_timer(path_id, now)
+        if self._timers[path_id] is None and flow.in_flight:
+            self._arm_timer(path_id, now)
 
     def _arrive(self, pkt: TunnelPacket, now: int) -> None:
         self.log.arrivals.append(
@@ -105,11 +106,10 @@ class Simulation:
         path_id = pkt.path_id
         flow = self.flows[path_id]
         flow.ack_received(pkt.flow_seq, now)
-        self._timer_gen[path_id] += 1
         if flow.in_flight:
-            self._schedule_timer(path_id, now)
+            self._arm_timer(path_id, now)
         else:
-            self._timer_pending[path_id] = False
+            self._timers[path_id] = None
         self._sample_flow(path_id, now)
         self._pump_greedy(now)
 
@@ -131,20 +131,21 @@ class Simulation:
 
     # -- ack-silence timers ----------------------------------------------------
 
-    # Each flow has at most one live timer: _transmit arms it if none is
-    # pending, _ack restarts it (or clears it once nothing is in flight), and
-    # bumping the flow's generation turns superseded timer events into no-ops.
+    # Each flow has at most one live timer, the arg of its latest timer event,
+    # kept in _timers: _transmit arms it if none is live, _ack re-arms it (or
+    # clears it once nothing is in flight). A timer event whose arg is not
+    # the live one was superseded and fires as a no-op.
 
-    def _schedule_timer(self, i: int, now: int) -> None:
-        self._timer_pending[i] = True
+    def _arm_timer(self, i: int, now: int) -> None:
+        timer = self._timers[i] = (i, now)
         self.queue.schedule(self.flows[i].timeout_deadline_us(now),
-                            self._timer_fire, (i, self._timer_gen[i]))
+                            self._timer_fire, timer)
 
     def _timer_fire(self, timer: tuple[int, int], now: int) -> None:
-        i, gen = timer
-        if gen != self._timer_gen[i]:
+        i = timer[0]
+        if timer is not self._timers[i]:
             return
-        self._timer_pending[i] = False
+        self._timers[i] = None
         if self.flows[i].in_flight:
             self.flows[i].on_timeout(now)
             self._sample_flow(i, now)

@@ -33,6 +33,12 @@ TIMEOUT_RTT_MULTIPLE = 4
 MIN_TIMEOUT_US = 200_000
 
 
+def smooth_rtt(srtt: float, rttvar: float, sample: float) -> tuple[float, float]:
+    """One RFC 6298 update of (srtt, rttvar) by a round-trip sample."""
+    rttvar = (1 - RTTVAR_GAIN) * rttvar + RTTVAR_GAIN * abs(srtt - sample)
+    return (1 - SRTT_GAIN) * srtt + SRTT_GAIN * sample, rttvar
+
+
 @dataclass(slots=True)
 class TunnelPacket:
     """One ingress datagram wrapped with the multipath encapsulation header.
@@ -87,7 +93,7 @@ def decode_header(buf: bytes) -> HeaderFields:
 
 
 class Flow:
-    """FlowState plus its operations for one path.
+    """Sequencing, send queue and congestion control of the flow on one path.
 
     transmit is a callback(packet, now) that hands the packet to the path;
     the flow has already counted it in flight when the callback runs. Before
@@ -152,10 +158,8 @@ class Flow:
             self.srtt_us = float(sample_us)
             self.rttvar_us = sample_us / 2.0
         else:
-            self.rttvar_us = (1 - RTTVAR_GAIN) * self.rttvar_us + RTTVAR_GAIN * abs(
-                self.srtt_us - sample_us
-            )
-            self.srtt_us = (1 - SRTT_GAIN) * self.srtt_us + SRTT_GAIN * sample_us
+            self.srtt_us, self.rttvar_us = smooth_rtt(self.srtt_us, self.rttvar_us,
+                                                      sample_us)
 
     # -- send path ----------------------------------------------------------
 

@@ -7,11 +7,10 @@ paths present the same end-to-end latency, never consulting the overall
 sequencing, and discards packets that show up hopelessly late.
 """
 
-import heapq
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .flow import SRTT_GAIN, RTTVAR_GAIN, TunnelPacket
+from .flow import TunnelPacket, smooth_rtt
 from .simcore import Plugin
 
 DEFAULT_ADAPTIVE_K = 4.0
@@ -33,38 +32,27 @@ class ReorderConfig:
 class PathStats:
     """Receiver-side per-path RTT knowledge from the header RTT option.
 
-    Each arrival's sender report is re-smoothed with the same gains the
-    sender uses, which also yields a variation estimate the sender does not
-    transmit.
+    Each arrival's sender report is re-smoothed with the sender's own update
+    (flow.smooth_rtt), which also yields a variation estimate the sender
+    does not transmit.
 
-    srtts and rttvars hold the estimates (µs) of every path that has
-    reported, in path-id order, so the thresholds read them on each arrival
-    without rebuilding anything.
+    srtts and rttvars map the path_id of every path that has reported to its
+    estimates (µs). The thresholds take only their max and min, which do not
+    depend on the order paths first reported in.
     """
 
     def __init__(self):
-        self._index: dict[int, int] = {}  # path_id -> position in the lists
-        self.srtts: list[float] = []
-        self.rttvars: list[float] = []
+        self.srtts: dict[int, float] = {}
+        self.rttvars: dict[int, float] = {}
 
     def update(self, path_id: int, report_us: float) -> None:
-        i = self._index.get(path_id)
-        if i is None:
-            # First report of this path: slot it in at its path-id rank.
-            ids = sorted([*self._index, path_id])
-            i = ids.index(path_id)
-            self._index = {p: j for j, p in enumerate(ids)}
-            self.srtts.insert(i, float(report_us))
-            self.rttvars.insert(i, report_us / 2.0)
-            return
-        srtt = self.srtts[i]
-        self.rttvars[i] = (1 - RTTVAR_GAIN) * self.rttvars[i] + RTTVAR_GAIN * abs(
-            srtt - report_us
-        )
-        self.srtts[i] = (1 - SRTT_GAIN) * srtt + SRTT_GAIN * report_us
-
-    def srtt(self, path_id: int) -> float:
-        return self.srtts[self._index[path_id]]
+        srtt = self.srtts.get(path_id)
+        if srtt is None:
+            self.srtts[path_id] = float(report_us)
+            self.rttvars[path_id] = report_us / 2.0
+        else:
+            self.srtts[path_id], self.rttvars[path_id] = smooth_rtt(
+                srtt, self.rttvars[path_id], report_us)
 
 
 def static_threshold(rtt_slower_us: float, rtt_faster_us: float) -> float:
@@ -79,11 +67,11 @@ def adaptive_threshold(stats: PathStats, k: float, max_hold_us: int) -> float:
     variation, capped at max_hold_us. Until two paths have reported, the cap
     itself is used so nothing is given up on while cold.
     """
-    srtts = stats.srtts
+    srtts = stats.srtts.values()
     if len(srtts) < 2:
         return float(max_hold_us)
     spread = (max(srtts) - min(srtts)) / 2.0
-    guard = k * max(stats.rttvars)
+    guard = k * max(stats.rttvars.values())
     return min(spread + guard, float(max_hold_us))
 
 
@@ -102,16 +90,15 @@ class ReorderBuffer:
     expected_next (its gap was already given up) is delivered immediately out
     of band and flagged late.
 
-    Deadlines sit in a (deadline, seq) min-heap next to the held map. An
-    entry whose packet was released early stays in the heap until its
-    deadline comes up and is then skipped, so deadline work is proportional
-    to what expires and what is released.
+    The buffer keeps no deadline order of its own: for every hold the caller
+    arms one deadline, at held[seq].deadline_us, and calls on_deadline(seq,
+    now) when it comes up. Deadlines of holds released early, or re-held by
+    a duplicate, come up as no-ops.
     """
 
     def __init__(self, expected_next: int = 0):
         self.expected_next = expected_next
         self.held: dict[int, _Held] = {}
-        self._expiry: list[tuple[int, int]] = []
         self.late_count = 0
         self.gap_count = 0
 
@@ -124,47 +111,31 @@ class ReorderBuffer:
             out.extend(self._flush_consecutive(now, DISPOSITION_INORDER))
             return out
         if seq > self.expected_next:
-            deadline = now + int(round(threshold_us))
-            self.held[seq] = _Held(pkt, now, deadline)
-            heapq.heappush(self._expiry, (deadline, seq))
+            self.held[seq] = _Held(pkt, now, now + int(round(threshold_us)))
             return []
         self.late_count += 1
         return [(pkt, 0, DISPOSITION_LATE)]
 
-    def on_deadline(self, now: int) -> list[tuple[TunnelPacket, int, str]]:
-        """Release every expired hold plus anything stuck behind a given-up gap."""
-        # Every held seq is above expected_next, so an expired hold always
-        # moves give_up_below, and the walk below finds every held seq under
-        # it, in order; the seqs it misses are the gaps.
-        expiry = self._expiry
-        give_up_below = self.expected_next
-        while expiry and expiry[0][0] <= now:
-            deadline, seq = heapq.heappop(expiry)
-            if seq >= give_up_below and self._is_live(deadline, seq):
-                give_up_below = seq + 1
-        if give_up_below == self.expected_next:
+    def on_deadline(self, seq: int, now: int) -> list[tuple[TunnelPacket, int, str]]:
+        """Give up every gap below seq + 1 if the hold of seq has expired:
+        release the holds below it, then anything stuck behind the gaps.
+
+        A no-op if seq was already released or its hold's deadline is later
+        (a duplicate re-held it).
+        """
+        # Every held seq is above expected_next, so seq below it is released.
+        if seq < self.expected_next or self.held[seq].deadline_us > now:
             return []
         out = []
-        for seq in range(self.expected_next, give_up_below):
-            held = self.held.pop(seq, None)
+        for s in range(self.expected_next, seq + 1):
+            held = self.held.pop(s, None)
             if held is None:
                 self.gap_count += 1
             else:
                 out.append((held.pkt, now - held.arrival_us, DISPOSITION_TIMEOUT))
-        self.expected_next = give_up_below
+        self.expected_next = seq + 1
         out.extend(self._flush_consecutive(now, DISPOSITION_TIMEOUT))
         return out
-
-    def next_deadline(self) -> Optional[int]:
-        expiry = self._expiry
-        while expiry and not self._is_live(*expiry[0]):
-            heapq.heappop(expiry)
-        return expiry[0][0] if expiry else None
-
-    def _is_live(self, deadline: int, seq: int) -> bool:
-        """Whether a heap entry is still the deadline of a held packet."""
-        held = self.held.get(seq)
-        return held is not None and held.deadline_us == deadline
 
     def _flush_consecutive(self, now: int, disposition: str):
         out = []
@@ -192,15 +163,15 @@ class EqualizerLines:
         self._last_release: dict[int, int] = {}
 
     def target_delay_us(self, stats: PathStats) -> float:
-        guard = self.k * max(stats.rttvars)
-        return max(stats.srtts) / 2.0 + guard
+        guard = self.k * max(stats.rttvars.values())
+        return max(stats.srtts.values()) / 2.0 + guard
 
     def on_arrival(self, pkt: TunnelPacket, now: int, stats: PathStats) -> int:
         """Return the scheduled release time, or EqualizerLines.DISCARD."""
         target = self.target_delay_us(stats)
         if now - pkt.ingress_time > target + self.max_hold_us:
             return self.DISCARD
-        added = target - stats.srtt(pkt.path_id) / 2.0
+        added = target - stats.srtts[pkt.path_id] / 2.0
         added = min(max(added, 0.0), float(self.max_hold_us))
         release = now + int(round(added))
         floor = self._last_release.get(pkt.path_id)
@@ -264,11 +235,11 @@ class ResequencingReceiver(BaseReceiver):
         else:
             # Packet was held; arm its expiry. Events for holds that get
             # released early fire as no-ops.
-            deadline = self.buffer.held[pkt.overall_seq].deadline_us
-            self._schedule(deadline, self._on_deadline, None)
+            seq = pkt.overall_seq
+            self._schedule(self.buffer.held[seq].deadline_us, self._on_deadline, seq)
 
-    def _on_deadline(self, _, now: int) -> None:
-        self._emit(self.buffer.on_deadline(now), now)
+    def _on_deadline(self, seq: int, now: int) -> None:
+        self._emit(self.buffer.on_deadline(seq, now), now)
 
     def _emit(self, out, now: int) -> None:
         for pkt, residency, disposition in out:

@@ -83,14 +83,16 @@ class Field(NamedTuple):
 
 class Section(NamedTuple):
     """The dataclass a JSON object builds, its keys, and the rules that relate
-    several keys: rules(instance, where) -> problems, or None."""
+    several keys, each under the keys it reads: check(instance, where) ->
+    problems. A rule runs whenever every key it reads is well typed, so one
+    mistyped key hides no problem among the others."""
 
     cls: type
     fields: tuple[Field, ...]
-    rules: Optional[Callable[[object, str], list[str]]]
+    rules: dict[tuple[str, ...], Callable[[object, str], list[str]]]
 
 
-def _scenario_rules(cfg: ScenarioConfig, where: str) -> list[str]:
+def _path_id_rules(cfg: ScenarioConfig, where: str) -> list[str]:
     found = []
     ids = [p.path_id for p in cfg.paths]
     if not ids:
@@ -102,15 +104,23 @@ def _scenario_rules(cfg: ScenarioConfig, where: str) -> list[str]:
         seen.add(pid)
     if ids and sorted(seen) != list(range(len(ids))):
         found.append("path_id values must be 0..n-1")
-    sched = cfg.scheduler
-    if sched.kind == "fixed_ratio" and sched.weights and len(sched.weights) != len(ids):
-        found.append(f"scheduler.weights must list one entry per path ({len(ids)})")
+    return found
+
+
+def _weights_rules(cfg: ScenarioConfig, where: str) -> list[str]:
+    sched, n = cfg.scheduler, len(cfg.paths)
+    if sched.kind == "fixed_ratio" and sched.weights and len(sched.weights) != n:
+        return [f"scheduler.weights must list one entry per path ({n})"]
+    return []
+
+
+def _output_name_rules(cfg: ScenarioConfig, where: str) -> list[str]:
     names = [out.path for out in cfg.outputs] + ["summary.json"]
     clashes = sorted({name for name in names if names.count(name) > 1})
     if clashes:
-        found.append(f"outputs[].path must be distinct and not summary.json; "
-                     f"clashing: {', '.join(clashes)}")
-    return found
+        return [f"outputs[].path must be distinct and not summary.json; "
+                f"clashing: {', '.join(clashes)}"]
+    return []
 
 
 def _path_rules(path: PathModel, where: str) -> list[str]:
@@ -120,13 +130,16 @@ def _path_rules(path: PathModel, where: str) -> list[str]:
     return []
 
 
-def _traffic_rules(traffic: TrafficSource, where: str) -> list[str]:
-    found = []
+def _rate_rules(traffic: TrafficSource, where: str) -> list[str]:
     if traffic.kind == "cbr" and traffic.rate_bps <= 0:
-        found.append(f"{where}: cbr requires rate_bps > 0")
+        return [f"{where}: cbr requires rate_bps > 0"]
+    return []
+
+
+def _stop_rules(traffic: TrafficSource, where: str) -> list[str]:
     if traffic.stop_us is not None and traffic.stop_us <= traffic.start_us:
-        found.append(f"{where}.stop_us must be > start_us")
-    return found
+        return [f"{where}.stop_us must be > start_us"]
+    return []
 
 
 def _scheduler_rules(sched: SchedulerConfig, where: str) -> list[str]:
@@ -154,7 +167,8 @@ SCHEMA = {
         Field("outputs", "array", of="output"),
         Field("name", "string"),
         Field("pdv_stream", "string", choices=("arrivals", "deliveries")),
-    ), _scenario_rules),
+    ), {("paths",): _path_id_rules, ("paths", "scheduler"): _weights_rules,
+        ("outputs",): _output_name_rules}),
     "path": Section(PathModel, (
         Field("path_id", "integer", required=True, ge=0, le=255),
         Field("one_way_latency_us", "integer", required=True, ge=0),
@@ -162,33 +176,33 @@ SCHEMA = {
         Field("loss_rate", "number", ge=0, le=1),
         Field("cost", "number", ge=0),
         Field("latency_steps", "array", of="latency_step"),
-    ), _path_rules),
+    ), {("latency_steps",): _path_rules}),
     "latency_step": Section(LatencyStep, (
         Field("at_us", "integer", required=True, ge=0),
         Field("latency_us", "integer", required=True, ge=0),
-    ), None),
+    ), {}),
     "traffic": Section(TrafficSource, (
         Field("kind", "string", required=True, choices=("cbr", "greedy")),
         Field("packet_size_bytes", "integer", required=True, gt=0),
         Field("rate_bps", "integer"),
         Field("start_us", "integer", ge=0),
         Field("stop_us", "integer", nullable=True),
-    ), _traffic_rules),
+    ), {("kind", "rate_bps"): _rate_rules, ("start_us", "stop_us"): _stop_rules}),
     "scheduler": Section(SchedulerConfig, (
         Field("kind", "string", required=True, choices=SCHEDULERS),
         Field("weights", "array", nullable=True, of="integer", ge=0),
-    ), _scheduler_rules),
+    ), {("kind", "weights"): _scheduler_rules}),
     "reorder": Section(ReorderConfig, (
         Field("kind", "string", required=True, choices=RECEIVERS),
         Field("static_threshold_us", "integer", nullable=True, ge=0),
         Field("adaptive_k", "number", gt=0),
         Field("max_hold_us", "integer", ge=0),
-    ), None),
+    ), {}),
     "output": Section(OutputSpec, (
         Field("metric", "string", required=True, choices=METRICS),
         Field("format", "string", required=True, choices=("csv", "json")),
         Field("path", "string", required=True),
-    ), _output_rules),
+    ), {("path",): _output_rules}),
 }
 
 _SECTION_OF = {section.cls: name for name, section in SCHEMA.items()}
@@ -214,7 +228,7 @@ def _value(f: Field, kind: str, value, name: str, errors: list[str]):
     return it converted, or _BAD when its type or shape is wrong.
 
     A value out of range or choices is reported but still returned, so the
-    rules of its section run on a well-typed object.
+    rules that read it still run.
     """
     if kind in SCHEMA:
         return _section(kind, value, name, errors)
@@ -241,7 +255,8 @@ def _value(f: Field, kind: str, value, name: str, errors: list[str]):
 
 
 def _section(section: str, obj, where: str, errors: list[str]):
-    """Check obj against SCHEMA[section], then against the section's rules.
+    """Check obj against SCHEMA[section], then against each of the section's
+    rules whose keys are well typed.
 
     obj is parsed JSON, built into the section's dataclass, or an instance of
     that dataclass, checked as the JSON object of its fields. Returns the
@@ -267,12 +282,11 @@ def _section(section: str, obj, where: str, errors: list[str]):
         if value is not None or not f.nullable:
             name = f"{where}.{f.key}" if where else f.key
             values[f.key] = _value(f, f.type, value, name, errors)
-    if any(v is _BAD for v in values.values()):
-        return _BAD
     obj = cls(**values)
-    if rules:
-        errors.extend(rules(obj, where))
-    return obj
+    for reads, check in rules.items():
+        if all(values.get(key) is not _BAD for key in reads):
+            errors.extend(check(obj, where))
+    return _BAD if any(v is _BAD for v in values.values()) else obj
 
 
 def problems(obj) -> list[str]:

@@ -4,7 +4,8 @@ first, lowest smoothed RTT, and queue-aware earliest-arrival (otias).
 Every scheduler is a pure function of its internal counters and the path
 views handed to it, ties always break toward the lower path_id, so the
 decision sequence is deterministic for a fixed scenario. The views are the
-engine's flows themselves (mptunnel.flow.Flow), read live at decision time.
+engine's flows themselves (mptunnel.flow.Flow), read live at decision time,
+in path_id order: a view's index is its path_id.
 """
 
 import math
@@ -43,7 +44,7 @@ class RoundRobin:
 
     def pick(self, views: Sequence[Flow], now: int) -> int:
         self._last = (self._last + 1) % len(views)
-        return views[self._last].path_id
+        return self._last
 
 
 class FixedRatio:
@@ -67,7 +68,7 @@ class FixedRatio:
             self._credits[i] += w
         best = max(range(len(self._credits)), key=lambda i: (self._credits[i], -i))
         self._credits[best] -= self._total
-        return views[best].path_id
+        return best
 
 
 class CheapestPipeFirst:
@@ -103,10 +104,8 @@ class Otias:
         self.last_etas: tuple[float, ...] = ()
 
     def pick(self, views: Sequence[Flow], now: int) -> int:
-        etas = tuple(map(otias_eta, views))
-        self.last_etas = etas
-        earliest = min(etas)
-        return min(v.path_id for v, eta in zip(views, etas) if eta == earliest)
+        etas = self.last_etas = tuple(map(otias_eta, views))
+        return etas.index(min(etas))
 
 
 # Every scheduler kind, built from its SchedulerConfig. A scheduler that sets
@@ -118,7 +117,7 @@ SCHEDULERS = {
         "prefer the lowest-cost path while its window has room"),
     "fixed_ratio": Plugin(
         lambda config: FixedRatio(config.weights),
-        "weights (one non-negative integer per path, not all zero)",
+        "weights (one non-negative integer per path, by path_id, not all zero)",
         "deterministic weighted round robin"),
     "otias": Plugin(
         lambda config: Otias(), "",

@@ -1,12 +1,20 @@
 import gc
+import json
+import tempfile
 import weakref
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mptunnel import engine, metrics
+from mptunnel.cli import run_scenario
 from mptunnel.engine import Simulation
 from mptunnel.flow import Flow
+from mptunnel.reorder import RECEIVERS
 from mptunnel.scenario import ScenarioError, parse_scenario
+from mptunnel.scheduler import SCHEDULERS
 from mptunnel.simcore import LatencyStep
 
 
@@ -369,3 +377,95 @@ def test_simulation_runs_once_and_keeps_its_flows():
         sim.run()
     assert "\n" not in str(exc.value)
     assert log.drops and sum(f.packets_lost for f in sim.flows) > 0
+
+
+# -- path order ------------------------------------------------------------------
+
+# Every metric, in CSV where it is a table; pdv_histogram is a JSON document.
+ALL_OUTPUTS = [{"metric": m, "format": "json" if m == "pdv_histogram" else "csv",
+                "path": f"{m}.out"} for m in metrics.METRICS]
+
+
+def outputs_of(data):
+    """Run a scenario dict with every output; return the written files'
+    bytes by name, summary.json included, and the summary."""
+    with tempfile.TemporaryDirectory() as out:
+        summary = run_scenario(parse_scenario(data), Path(out))
+        return {p.name: p.read_bytes() for p in Path(out).iterdir()}, summary
+
+
+def listed_in_order(data, order):
+    """data with its paths listed in the given order of path_id."""
+    shuffled = json.loads(json.dumps(data))
+    shuffled["paths"] = [data["paths"][i] for i in order]
+    return shuffled
+
+
+PATH = st.fixed_dictionaries({
+    "one_way_latency_us": st.integers(0, 80_000),
+    "bandwidth_bps": st.sampled_from([1_000_000, 4_000_000, 20_000_000]),
+    "loss_rate": st.sampled_from([0.0, 0.0, 0.03]),
+    "cost": st.sampled_from([0.0, 1.0, 2.0]),
+    "latency_steps": st.lists(st.fixed_dictionaries({
+        "at_us": st.integers(0, 1_000_000),
+        "latency_us": st.integers(0, 80_000)}), max_size=1),
+})
+
+
+@st.composite
+def cbr_scenarios(draw):
+    """A small bounded CBR scenario (at most 2 s of at most 3 Mbps) with its
+    paths in path_id order, and a permutation of those path_ids."""
+    paths = draw(st.lists(PATH, min_size=2, max_size=4))
+    for i, path in enumerate(paths):
+        path["path_id"] = i
+    kind = draw(st.sampled_from(sorted(SCHEDULERS)))
+    sched = {"kind": kind}
+    if kind == "fixed_ratio":
+        sched["weights"] = draw(st.lists(st.integers(0, 3), min_size=len(paths),
+                                         max_size=len(paths)).filter(any))
+    data = {
+        "name": "path-order", "duration_s": draw(st.sampled_from([0.5, 1, 2])),
+        "seed": draw(st.integers(0, 9)), "paths": paths,
+        "traffic": {"kind": "cbr", "rate_bps": draw(st.integers(200_000, 3_000_000)),
+                    "packet_size_bytes": draw(st.sampled_from([500, 1000]))},
+        "scheduler": sched,
+        "reorder": {"kind": draw(st.sampled_from(sorted(RECEIVERS))),
+                    "max_hold_us": draw(st.sampled_from([50_000, 500_000]))},
+        "outputs": ALL_OUTPUTS,
+    }
+    return data, draw(st.permutations(range(len(paths))))
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(cbr_scenarios())
+def test_paths_listed_in_any_order_give_the_same_bytes(case):
+    data, order = case
+    expected, _ = outputs_of(data)
+    got, summary = outputs_of(listed_in_order(data, order))
+    assert got == expected
+    assert summary["window_violations"] == 0
+    if summary["drained"]:
+        assert (summary["delivered"] + summary["dropped"] + summary["discarded"]
+                == summary["transmitted"] == summary["sent"])
+
+
+def test_greedy_paths_listed_in_reverse_give_the_same_bytes():
+    data = {
+        "name": "path-order-greedy", "duration_s": 2, "seed": 4,
+        "paths": [
+            {"path_id": 0, "one_way_latency_us": 10_000, "bandwidth_bps": 4_000_000},
+            {"path_id": 1, "one_way_latency_us": 40_000, "bandwidth_bps": 2_000_000,
+             "loss_rate": 0.01},
+        ],
+        "traffic": {"kind": "greedy", "packet_size_bytes": 1000},
+        "scheduler": {"kind": "srtt"},
+        "reorder": {"kind": "adaptive"},
+        "outputs": ALL_OUTPUTS,
+    }
+    expected, _ = outputs_of(data)
+    got, summary = outputs_of(listed_in_order(data, [1, 0]))
+    assert got == expected
+    assert summary["drained"] and summary["window_violations"] == 0
+    assert (summary["delivered"] + summary["dropped"] + summary["discarded"]
+            == summary["transmitted"] == summary["sent"])

@@ -1,7 +1,7 @@
-"""Property tests: the O(1) loss detection, the expiry-ordered resequencer
-and the receiver's thresholds against reference models."""
+"""Property tests: the O(1) loss detection, the resequencer driven by one
+deadline event per hold, and the receiver's thresholds against reference
+models."""
 
-import heapq
 from collections import OrderedDict, deque
 
 from hypothesis import given, settings
@@ -126,28 +126,6 @@ def test_loss_detection_matches_counting_oracle(cwnd, ssthresh, steps):
         assert state(flow) == oracle_state(oracle)
 
 
-def drive_like_engine(arrivals, thresholds, buf):
-    """Feed arrivals as the engine does: one deadline event per hold, fired
-    at that hold's deadline whether or not the packet is still held."""
-    out = []
-    events = []  # (deadline, hold number)
-
-    def fire(up_to):
-        while events and events[0][0] <= up_to:
-            at, _ = heapq.heappop(events)
-            out.extend((at, p.overall_seq, d) for p, _, d in buf.on_deadline(at))
-
-    for i, (t, s, th) in enumerate(per_arrival(arrivals, thresholds)):
-        fire(t)
-        released = buf.on_arrival(pkt(s), t, th)
-        if released:
-            out.extend((t, p.overall_seq, d) for p, _, d in released)
-        else:
-            heapq.heappush(events, (buf.held[s].deadline_us, i))
-    fire(float("inf"))
-    return out
-
-
 @PROPERTY
 @given(st.data())
 def test_heap_resequencer_matches_reference_with_per_arrival_thresholds(data):
@@ -160,14 +138,13 @@ def test_heap_resequencer_matches_reference_with_per_arrival_thresholds(data):
     times = [sum(gaps[:i + 1]) for i in range(len(seqs))]
     arrivals = list(zip(times, seqs))
     expected = reference_reorder(arrivals, thresholds)
-    for drive in (drive_buffer, drive_like_engine):
-        buf = ReorderBuffer()
-        got = drive(arrivals, thresholds, buf)
-        assert got == expected
-        assert not buf.held and buf.next_deadline() is None
-        released = {s for _, s, d in got if d != "late"}
-        assert buf.gap_count == buf.expected_next - len(released)
-        assert buf.late_count == sum(1 for _, _, d in got if d == "late")
+    buf = ReorderBuffer()
+    got = drive_buffer(arrivals, thresholds, buf)
+    assert got == expected
+    assert not buf.held
+    released = {s for _, s, d in got if d != "late"}
+    assert buf.gap_count == buf.expected_next - len(released)
+    assert buf.late_count == sum(1 for _, _, d in got if d == "late")
 
 
 class PathStatsOracle:
@@ -220,5 +197,6 @@ def test_thresholds_match_rebuilding_oracle(reports, k, max_hold_us):
         assert (adaptive_threshold(stats, k, max_hold_us).hex()
                 == oracle.adaptive_threshold(k, max_hold_us).hex())
         assert lines.target_delay_us(stats).hex() == oracle.target_delay_us(k).hex()
-        for p, (srtt, _) in oracle.stats.items():
-            assert stats.srtt(p).hex() == srtt.hex()
+        for p, (srtt, rttvar) in oracle.stats.items():
+            assert stats.srtts[p].hex() == srtt.hex()
+            assert stats.rttvars[p].hex() == rttvar.hex()

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 
 import pytest
@@ -43,7 +44,7 @@ def test_adaptive_threshold_formula():
     stats.update(0, 20_000)
     stats.update(1, 60_000)
     # force rttvar to 1 ms on both paths, srtt stays at the report values
-    stats.rttvars[:] = [1000.0, 1000.0]
+    stats.rttvars.update({0: 1000.0, 1: 1000.0})
     assert adaptive_threshold(stats, 4.0, MAX_HOLD) == pytest.approx(24_000)
 
 
@@ -110,8 +111,8 @@ def test_timeout_gives_up_gap():
     buf = ReorderBuffer(expected_next=5)
     buf.on_arrival(pkt(6), 100, 10_000)
     buf.on_arrival(pkt(7), 200, 10_000)
-    assert buf.next_deadline() == 10_100
-    out = buf.on_deadline(10_100)
+    assert buf.held[6].deadline_us == 10_100
+    out = buf.on_deadline(6, 10_100)
     assert seqs(out) == [6, 7]
     assert all(d == "timeout" for _, _, d in out)
     assert buf.expected_next == 8
@@ -122,12 +123,13 @@ def test_deadline_releases_only_expired_and_below():
     buf = ReorderBuffer(expected_next=6)
     buf.on_arrival(pkt(7), 100, 5_000)     # deadline 5100
     buf.on_arrival(pkt(9), 4000, 50_000)   # deadline 54000
-    out = buf.on_deadline(5_100)
+    out = buf.on_deadline(7, 5_100)
     assert seqs(out) == [7]
     assert buf.expected_next == 8
     assert 9 in buf.held
-    assert buf.on_deadline(5_200) == []
-    out2 = buf.on_deadline(54_000)
+    assert buf.on_deadline(9, 5_200) == []   # 9 is held until 54000
+    assert buf.on_deadline(7, 5_200) == []   # 7 was already released
+    out2 = buf.on_deadline(9, 54_000)
     assert seqs(out2) == [9]
 
 
@@ -136,7 +138,7 @@ def test_deadline_flushes_consecutive_above_gap():
     buf.on_arrival(pkt(6), 100, 3_000)      # deadline 3100
     buf.on_arrival(pkt(7), 200, 50_000)
     buf.on_arrival(pkt(9), 300, 50_000)
-    out = buf.on_deadline(3_100)
+    out = buf.on_deadline(6, 3_100)
     # 6 expired; 7 is consecutive behind it, 9 still waits for 8
     assert seqs(out) == [6, 7]
     assert buf.expected_next == 8
@@ -146,7 +148,7 @@ def test_deadline_flushes_consecutive_above_gap():
 def test_late_packet_delivered_out_of_band():
     buf = ReorderBuffer(expected_next=5)
     buf.on_arrival(pkt(6), 100, 1_000)
-    buf.on_deadline(1_100)
+    buf.on_deadline(6, 1_100)
     out = buf.on_arrival(pkt(5), 2_000, 1_000)
     assert [(s, d) for s, d in zip(seqs(out), [o[2] for o in out])] == [(5, "late")]
     assert buf.late_count == 1
@@ -156,7 +158,15 @@ def test_late_packet_delivered_out_of_band():
 def test_no_expired_deadline_returns_empty():
     buf = ReorderBuffer(expected_next=0)
     buf.on_arrival(pkt(1), 100, 10_000)
-    assert buf.on_deadline(5_000) == []
+    assert buf.on_deadline(1, 5_000) == []
+
+
+def test_deadline_of_a_re_held_duplicate_is_a_no_op():
+    buf = ReorderBuffer(expected_next=0)
+    buf.on_arrival(pkt(2), 100, 1_000)     # deadline 1100
+    buf.on_arrival(pkt(2), 600, 1_000)     # the duplicate re-holds it until 1600
+    assert buf.on_deadline(2, 1_100) == []
+    assert seqs(buf.on_deadline(2, 1_600)) == [2]
 
 
 def test_never_delivers_a_seq_twice_in_order():
@@ -228,24 +238,27 @@ def reference_reorder(arrivals, threshold):
 
 
 def drive_buffer(arrivals, threshold, buf=None):
-    """Feed arrivals to a ReorderBuffer, firing its deadlines in time order;
-    same arguments and result shape as reference_reorder."""
+    """Feed arrivals to a ReorderBuffer as the engine does: arm one deadline
+    per hold on an event heap of (deadline, arm order, seq), and fire each at
+    its time, whether or not the packet is still held, before any arrival at
+    that time. Same arguments and result shape as reference_reorder."""
     buf = ReorderBuffer() if buf is None else buf
     out = []
+    events = []
 
     def fire(up_to):
-        while True:
-            nd = buf.next_deadline()
-            if nd is None or nd > up_to:
-                return
-            for p, _, d in buf.on_deadline(nd):
-                out.append((nd, p.overall_seq, d))
+        while events and events[0][0] <= up_to:
+            at, _, seq = heapq.heappop(events)
+            out.extend((at, p.overall_seq, d) for p, _, d in buf.on_deadline(seq, at))
 
-    for t, s, th in per_arrival(arrivals, threshold):
+    for i, (t, s, th) in enumerate(per_arrival(arrivals, threshold)):
         fire(t)
-        for p, _, d in buf.on_arrival(pkt(s), t, th):
-            out.append((t, p.overall_seq, d))
-    fire(10 ** 12)
+        released = buf.on_arrival(pkt(s), t, th)
+        if released:
+            out.extend((t, p.overall_seq, d) for p, _, d in released)
+        else:
+            heapq.heappush(events, (buf.held[s].deadline_us, i, s))
+    fire(float("inf"))
     return out
 
 
@@ -278,18 +291,9 @@ def test_bounded_holding_never_exceeds_threshold():
         rng.shuffle(present)
         threshold = rng.choice([5, 40, 200])
         arrivals = [(i * 9, s) for i, s in enumerate(present)]
-        buf = ReorderBuffer()
-        residencies = []
-
-        def fire(up_to):
-            while (nd := buf.next_deadline()) is not None and nd <= up_to:
-                residencies.extend(r for _, r, _ in buf.on_deadline(nd))
-
-        for t, s in arrivals:
-            fire(t)
-            residencies.extend(r for _, r, _ in buf.on_arrival(pkt(s), t, threshold))
-        fire(10 ** 9)
-        assert all(r <= threshold for r in residencies)
+        arrived = {s: t for t, s in arrivals}
+        out = drive_buffer(arrivals, threshold)
+        assert all(t - arrived[s] <= threshold for t, s, _ in out)
 
 
 # -- delay equalization ------------------------------------------------------------

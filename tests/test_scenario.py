@@ -72,6 +72,30 @@ def test_all_errors_collected_not_just_first():
     assert len(problems) >= 3
 
 
+def test_mistyped_key_hides_no_cross_field_problem():
+    # Each rule runs when the keys it reads are well typed, whatever the
+    # type of the others, in the scenario and in a nested section.
+    data = variant(duration_s="x", paths=[MINIMAL["paths"][0]] * 2, outputs=[
+        {"metric": "drops", "format": "csv", "path": "summary.json"}])
+    data["traffic"].update(packet_size_bytes="big", start_us=5, stop_us=5)
+    assert errors_of(data) == [
+        "duration_s must be a finite number",
+        "traffic.packet_size_bytes must be an integer",
+        "traffic.stop_us must be > start_us",
+        "duplicate path_id 0",
+        "path_id values must be 0..n-1",
+        "outputs[].path must be distinct and not summary.json; "
+        "clashing: summary.json",
+    ]
+
+
+def test_rule_skipped_only_when_a_key_it_reads_is_mistyped():
+    data = variant(traffic={"kind": "cbr", "rate_bps": "fast",
+                            "packet_size_bytes": 1000, "start_us": 9, "stop_us": 1})
+    assert errors_of(data) == ["traffic.rate_bps must be an integer",
+                               "traffic.stop_us must be > start_us"]
+
+
 def test_non_contiguous_path_ids_rejected():
     data = variant(paths=[{"path_id": 3, "one_way_latency_us": 0,
                            "bandwidth_bps": 1_000_000}])
