@@ -56,11 +56,11 @@ class Simulation:
 
     # -- event handlers ------------------------------------------------------
 
-    # Event records are exact tuples in the field order of the metrics
-    # NamedTuple of the same name (Send, Arrival, ...): CPython's cyclic
-    # collector stops tracking an exact tuple of untracked values, never a
-    # NamedTuple, so the run's history is not rescanned by every collection
-    # of an older generation. Flow samples stay FlowSample.
+    # Records, flow samples included, are exact tuples in the field order of
+    # the metrics NamedTuple of the same name (Send, Arrival, ..., FlowSample):
+    # CPython's cyclic collector stops tracking an exact tuple of untracked
+    # values, never a NamedTuple, so the run's history is not rescanned by
+    # every collection of an older generation.
 
     def _ingress(self, now: int) -> None:
         pkt = TunnelPacket(self._next_seq & SEQ48_MASK,
@@ -124,10 +124,8 @@ class Simulation:
 
     def _sample_flow(self, path_id: int, now: int) -> None:
         f = self.flows[path_id]
-        self.log.flow_samples.append(
-            metrics.FlowSample(now, path_id, f.srtt_us, f.cwnd, f.in_flight,
-                               len(f.send_queue))
-        )
+        self.log.flow_rows.append(
+            (now, path_id, f.srtt_us, f.cwnd, f.in_flight, len(f.send_queue)))
 
     # -- ack-silence timers ----------------------------------------------------
 

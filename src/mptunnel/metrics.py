@@ -3,9 +3,9 @@ them (per-path throughput, arrival-order scatter, reordering extent, packet
 delay variation) and deterministic CSV/JSON export.
 
 The NamedTuples below document each record's field order. The engine records
-the event streams as plain tuples in those orders, and compute_pdv returns
-plain (overall_seq, pdv_us) pairs; flow samples are FlowSample instances.
-Every reader here indexes or unpacks, so it accepts either form.
+every stream, flow samples included, as plain tuples in those orders, and
+compute_pdv returns plain (overall_seq, pdv_us) pairs. Every reader here
+indexes or unpacks, so it accepts either form.
 
 Export schema version 1. Column layouts are fixed; see the README for the
 full schema reference.
@@ -92,8 +92,10 @@ class PdvResult:
 class MetricsLog:
     """Everything a run records; all lists are append-only and time-ordered.
 
-    Each event stream holds tuples in the field order of the NamedTuple of
-    the same name (deliveries: Delivery, ...).
+    Each stream holds plain tuples in the field order of the NamedTuple of
+    the same name (deliveries: Delivery, ..., flow_rows: FlowSample).
+    flow_samples is a read-only view of flow_rows as FlowSample instances,
+    built anew on each read. compute_pdv keeps its last result here.
     """
 
     deliveries: list[tuple] = field(default_factory=list)
@@ -102,12 +104,19 @@ class MetricsLog:
     drops: list[tuple] = field(default_factory=list)
     discards: list[tuple] = field(default_factory=list)
     decisions: list[tuple] = field(default_factory=list)
-    flow_samples: list[FlowSample] = field(default_factory=list)
+    flow_rows: list[tuple] = field(default_factory=list)
     ingress_count: int = 0
     timeout_gaps: int = 0
     late_count: int = 0
     window_violations: int = 0
     drained: bool = True
+    # compute_pdv's last (key, PdvResult)
+    _pdv: Optional[tuple] = field(default=None, init=False, compare=False,
+                                  repr=False)
+
+    @property
+    def flow_samples(self) -> tuple[FlowSample, ...]:
+        return tuple(map(FlowSample._make, self.flow_rows))
 
 
 def _stream(log: MetricsLog, stream: str) -> list:
@@ -131,11 +140,22 @@ def compute_pdv(log: MetricsLog, nominal_interval_us: float,
     predecessor and is neither sampled nor counted. Pure function of the
     (seq, time) pairs, so log record order does not matter; a sequence
     number recorded twice keeps its last time.
+
+    The result is kept on the log and returned again, the same object, until
+    the stream grows or another stream or interval is asked for.
     """
-    times = {r[1]: r[0] for r in _stream(log, stream)}
+    rows = _stream(log, stream)
+    # The interval's type is part of the key: 8000 == 8000.0, but the
+    # samples' type, and so their export format, follows the interval's.
+    key = (stream, type(nominal_interval_us), nominal_interval_us, len(rows))
+    if log._pdv is not None and log._pdv[0] == key:
+        return log._pdv[1]
+    times = {r[1]: r[0] for r in rows}
     samples = [(s, (times[s] - times[s - 1]) - nominal_interval_us)
                for s in sorted(times) if s - 1 in times]
-    return PdvResult(samples, len(times) - len(samples) - (0 in times))
+    result = PdvResult(samples, len(times) - len(samples) - (0 in times))
+    log._pdv = (key, result)
+    return result
 
 
 def arrival_order_scatter(log: MetricsLog) -> list[tuple[int, int]]:
@@ -341,7 +361,7 @@ METRICS = {
     "drops": lambda log, pdv: (_EVENT_COLUMNS, log.drops),
     "flows": lambda log, pdv: (
         ["time_us", "path_id", "srtt_us", "cwnd", "in_flight", "queue_len"],
-        log.flow_samples),
+        log.flow_rows),
     "headers": _headers,
     "pdv": lambda log, pdv: (["overall_seq", "pdv_us"], pdv()),
     "pdv_histogram": lambda log, pdv: pdv_histogram(pdv()),
@@ -349,7 +369,7 @@ METRICS = {
                                  arrival_order_scatter(log)),
     "srtt": lambda log, pdv: (
         ["time_us", "path_id", "srtt_us"],
-        [s[:3] for s in log.flow_samples]),
+        [s[:3] for s in log.flow_rows]),
     "throughput": lambda log, pdv: (
         ["bin_start_us", "path_id", "throughput_bps"],
         throughput_series(log, THROUGHPUT_BIN_US)),

@@ -1,6 +1,8 @@
 """The benchmark's tracer contract: perfbench/spans.py wraps simulator entry
 points by name and reads attributes of their arguments, so renaming or
 deleting one of them must fail here, not only in a traced benchmark run.
+Its child counts a run's recorded rows as the lists in vars(log), and its
+sweep reads flow samples by field name; both are checked here too.
 
 The tracer patches classes for the rest of the process, so the traced runs
 happen in a subprocess that prints its findings as one JSON line.
@@ -25,6 +27,7 @@ tracer = spans.Tracer()
 spans.install(tracer)
 packets = 0
 in_flight = []
+counted_rows = []
 entry_points = set()
 # Five runs, one per scheduler, cycle through the four reorder kinds.
 receivers = sorted(reorder.RECEIVERS)
@@ -44,10 +47,17 @@ for i, kind in enumerate(sorted(scheduler.SCHEDULERS)):
     log = sim.run()
     packets += log.ingress_count
     in_flight += [s.in_flight for s in log.flow_samples]
+    # child.py's rows_recorded counts the lists in vars(log); every stream
+    # must be one of them.
+    counted_rows.append((
+        sum(len(v) for v in vars(log).values() if isinstance(v, list)),
+        sum(map(len, (log.sends, log.arrivals, log.deliveries, log.drops,
+                      log.discards, log.decisions, log.flow_rows)))))
 calls = {name: t["calls"] for name, t in tracer.span_totals().items()}
 print(json.dumps({"layers": spans.layer_metrics(tracer, packets),
                   "uncalled": sorted(e for e in entry_points if not calls.get(e)),
                   "peak_in_flight_sample": max(in_flight),
+                  "counted_rows": counted_rows,
                   "peak_held": tracer.peak_held, "queue_peak": tracer.queue_peak}))
 """
 
@@ -66,3 +76,5 @@ def test_tracer_sees_every_layer_entry_point():
     assert found["peak_held"] > 0
     assert found["queue_peak"] > 0
     assert found["peak_in_flight_sample"] > 0
+    for counted, streams in found["counted_rows"]:
+        assert counted == streams > 0

@@ -309,12 +309,13 @@ def test_otias_scrambles_strictly_less_than_rr_when_saturated():
 
 # -- record form and log lifetime ----------------------------------------------
 
-EVENT_STREAMS = ("sends", "arrivals", "deliveries", "drops", "discards", "decisions")
+EVENT_STREAMS = ("sends", "arrivals", "deliveries", "drops", "discards", "decisions",
+                 "flow_rows")
 
 
 @pytest.fixture(scope="module")
 def guard_logs():
-    """Two lossy runs that fill all six event streams between them: round
+    """Two lossy runs that fill all seven record streams between them: round
     robin into delay equalization across a latency jump (discards), and otias
     (decisions carrying ETA tuples)."""
     equalized = scenario(duration_s=3,
@@ -351,6 +352,24 @@ def test_event_records_untracked_after_collection(guard_logs):
             records = getattr(log, name)
             sample = records[::max(1, len(records) // 50)]
             assert not any(gc.is_tracked(r) for r in sample), name
+
+
+def test_flow_samples_view_matches_flow_rows(guard_logs):
+    for _, log in guard_logs:
+        view = log.flow_samples
+        assert {type(s) for s in view} == {metrics.FlowSample}
+        assert view == tuple(metrics.FlowSample._make(r) for r in log.flow_rows)
+    log = metrics.MetricsLog()
+    log.flow_rows.append((5, 1, 20_000.0, 2.0, 1, 0))
+    assert log.flow_samples == (metrics.FlowSample(5, 1, 20_000.0, 2.0, 1, 0),)
+
+
+def test_flow_samples_view_is_read_only(guard_logs):
+    _, log = guard_logs[0]
+    with pytest.raises(AttributeError):
+        log.flow_samples.append(log.flow_samples[0])
+    with pytest.raises(AttributeError):
+        log.flow_samples = []
 
 
 def test_finished_log_is_freed_by_reference_counting():

@@ -47,6 +47,25 @@ def test_pdv_is_permutation_insensitive():
     assert a == b
 
 
+def test_pdv_second_call_returns_the_kept_result():
+    log = log_with_deliveries([(10_000 + 8_000 * k, k) for k in range(10)])
+    first = compute_pdv(log, 8_000)
+    assert compute_pdv(log, 8_000) is first
+    # An equal interval of another type gives samples of another type.
+    floats = compute_pdv(log, 8_000.0)
+    assert floats is not first
+    assert {type(v) for _, v in floats.samples} == {float}
+
+
+def test_pdv_after_a_row_is_appended_is_computed_again():
+    log = log_with_deliveries([(10_000 + 8_000 * k, k) for k in range(10)])
+    first = compute_pdv(log, 8_000)
+    log.deliveries.append(Delivery(95_000, 10, 0, 0, 0, "inorder"))
+    again = compute_pdv(log, 8_000)
+    assert again is not first
+    assert again.samples == first.samples + [(10, 5_000)]
+
+
 def test_scatter_identity_for_in_order_run():
     log = MetricsLog()
     for k in range(20):
