@@ -47,6 +47,11 @@ class Simulation:
         self.receiver = RECEIVERS[cfg.reorder.kind].factory(
             cfg, self._deliver, self.queue.schedule, self._discard)
 
+        # Each event handler is bound once, here: every event of a kind
+        # schedules this one object, so an event allocates no method object.
+        self._arrive, self._ack = self._arrive, self._ack
+        self._timer_fire, self._emit_cbr = self._timer_fire, self._emit_cbr
+
         self._next_seq = 0
         self._timers = [None] * len(self.flows)
         self._traffic_stop_us = min(

@@ -222,6 +222,7 @@ class ResequencingReceiver(BaseReceiver):
     def __init__(self, cfg, deliver, schedule, discard):
         super().__init__(cfg, deliver, schedule, discard)
         self.buffer = ReorderBuffer()
+        self._on_deadline = self._on_deadline  # bound once, scheduled per hold
 
     def threshold_us(self) -> float:
         return adaptive_threshold(self.stats, self.config.adaptive_k,
@@ -276,6 +277,7 @@ class EqualizingReceiver(BaseReceiver):
     def __init__(self, cfg, deliver, schedule, discard):
         super().__init__(cfg, deliver, schedule, discard)
         self.lines = EqualizerLines(self.config.adaptive_k, self.config.max_hold_us)
+        self._release = self._release  # bound once, scheduled per packet
 
     def on_packet(self, pkt: TunnelPacket, now: int) -> None:
         self.stats.update(pkt.path_id, pkt.sender_rtt_report)

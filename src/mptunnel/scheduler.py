@@ -1,11 +1,13 @@
 """Sender-side packet schedulers: round robin, fixed ratio, cheapest pipe
 first, lowest smoothed RTT, and queue-aware earliest-arrival (otias).
 
-Every scheduler is a pure function of its internal counters and the path
-views handed to it, ties always break toward the lower path_id, so the
-decision sequence is deterministic for a fixed scenario. The views are the
-engine's flows themselves (mptunnel.flow.Flow), read live at decision time,
-in path_id order: a view's index is its path_id.
+Every scheduler is a pure function of its internal counters and the values
+of the path views handed to it, ties always break toward the lower path_id,
+so the decision sequence is deterministic for a fixed scenario. The views are
+the engine's flows themselves (mptunnel.flow.Flow), read live at decision
+time, in path_id order: a view's index is its path_id. otias caches its
+per-path function of those values, keyed by the values themselves, so the
+cache never changes a decision.
 """
 
 import math
@@ -98,13 +100,29 @@ class Otias:
 
     The chosen flow's send queue may exceed its congestion window; queueing on
     the fast path is the mechanism that lines packets up to arrive in order.
+
+    Each path's ETA is kept, as the same float object, until one of the
+    values otias_eta reads changes: srtt_us, cwnd or the backlog
+    len(send_queue) + in_flight. The key holds the values only, never the
+    view's identity, so views mutated in place or replaced are both seen.
     """
 
     def __init__(self):
         self.last_etas: tuple[float, ...] = ()
+        self._keys: list = []  # per path_id: the inputs its ETA was computed from
+        self._etas: list[float] = []
 
     def pick(self, views: Sequence[Flow], now: int) -> int:
-        etas = self.last_etas = tuple(map(otias_eta, views))
+        keys, etas = self._keys, self._etas
+        if len(keys) != len(views):
+            keys[:] = [None] * len(views)
+            etas[:] = keys
+        for i, v in enumerate(views):
+            key = (v.srtt_us, v.cwnd, len(v.send_queue) + v.in_flight)
+            if key != keys[i]:
+                keys[i] = key
+                etas[i] = otias_eta(v)
+        etas = self.last_etas = tuple(etas)
         return etas.index(min(etas))
 
 

@@ -1,9 +1,16 @@
+import contextlib
+import copy
+import io
 import json
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mptunnel.cli import main
 from mptunnel.engine import Simulation
+from mptunnel.scenario import ScenarioError, canned_scenario_names, parse_scenario
 
 SCENARIO = {
     "name": "cli-smoke",
@@ -87,6 +94,73 @@ def test_unexpected_exception_is_runtime_error(tmp_path, capsys, monkeypatch):
     assert rc == 2
     assert "engine fault" in capsys.readouterr().err
     assert main(["paper-suite", "--out", str(tmp_path / "suite")]) == 2
+
+
+CANNED = {name: json.loads(resources.files("mptunnel").joinpath(
+    "scenarios", f"{name}.json").read_text(encoding="utf-8"))
+    for name in canned_scenario_names()}
+
+# Values of the wrong type, out of range, not finite or not representable,
+# and nested junk.
+JUNK = [None, True, False, 0, -1, 1.5, -0.0, "", "x", "otias", [], {}, [None],
+        [1, "2"], {"kind": [{}]}, [[[]]], float("nan"), float("inf"),
+        float("-inf"), 1e308, -1e308, 10**400, -(10**30), 2**63]
+
+
+def nodes(value, at=()):
+    """Every (location, value) inside a parsed JSON document, root first."""
+    yield at, value
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from nodes(child, at + (key,))
+
+
+@st.composite
+def malformed_scenarios(draw):
+    """A canned scenario with one to four keys or items dropped or replaced
+    by junk, or with an unknown key or a junk item added."""
+    data = json.loads(json.dumps(CANNED[draw(st.sampled_from(sorted(CANNED)))]))
+    for _ in range(draw(st.integers(1, 4))):
+        at, _ = draw(st.sampled_from(list(nodes(data))[1:]))
+        parent = data
+        for key in at[:-1]:
+            parent = parent[key]
+        op = draw(st.sampled_from(["drop", "junk", "junk", "add"]))
+        junk = copy.deepcopy(draw(st.sampled_from(JUNK)))
+        if op == "drop":
+            del parent[at[-1]]
+        elif op == "junk":
+            parent[at[-1]] = junk
+        elif isinstance(parent, dict):
+            parent["extra"] = junk
+        else:
+            parent.append(junk)
+        if not data:
+            break
+    return data
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(malformed_scenarios())
+def test_malformed_scenario_never_crashes(tmp_path_factory, mutant):
+    # Each mutant parses or raises ScenarioError; a rejected one exits 1
+    # through the CLI with every problem listed. Valid mutants are not run.
+    try:
+        parse_scenario(mutant)
+        return
+    except ScenarioError as exc:
+        errors = exc.errors
+    assert errors
+    scenario = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    scenario.write_text(json.dumps(mutant))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        rc = main(["run", "--scenario", str(scenario), "--out", str(scenario.parent)])
+    assert rc == 1, stderr.getvalue()
+    assert "runtime error" not in stderr.getvalue()
+    for problem in errors:
+        assert f"  - {problem}" in stderr.getvalue()
 
 
 def test_run_missing_file_is_runtime_error(tmp_path):

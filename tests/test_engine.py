@@ -398,6 +398,32 @@ def test_simulation_runs_once_and_keeps_its_flows():
     assert log.drops and sum(f.packets_lost for f in sim.flows) > 0
 
 
+@pytest.mark.parametrize("traffic", [
+    {"kind": "cbr", "rate_bps": 1_000_000, "packet_size_bytes": 1000},
+    {"kind": "greedy", "packet_size_bytes": 1000}], ids=["cbr", "greedy"])
+@pytest.mark.parametrize("kind", sorted(RECEIVERS))
+def test_event_handlers_are_bound_once_per_run(monkeypatch, kind, traffic):
+    # Every scheduled fn is kept alive, so a handler bound anew per event
+    # shows up as one more distinct object rather than a recycled id.
+    scheduled = []
+    schedule = engine.EventQueue.schedule
+
+    def recording(queue, at_us, fn, arg=None):
+        scheduled.append(fn)
+        schedule(queue, at_us, fn, arg)
+
+    monkeypatch.setattr(engine.EventQueue, "schedule", recording)
+    cfg = scenario(duration_s=2, traffic=traffic, scheduler={"kind": "otias"},
+                   reorder={"kind": kind, "max_hold_us": 50_000})
+    cfg.paths[1].latency_steps = [LatencyStep(at_us=1_000_000, latency_us=60_000)]
+    for p in cfg.paths:
+        p.loss_rate = 0.05
+    Simulation(cfg).run()
+    assert len(scheduled) > 500
+    assert {"_arrive", "_ack", "_timer_fire"} <= {fn.__name__ for fn in scheduled}
+    assert len({id(fn) for fn in scheduled}) <= 8
+
+
 # -- path order ------------------------------------------------------------------
 
 # Every metric, in CSV where it is a table; pdv_histogram is a JSON document.

@@ -1,6 +1,6 @@
 """Property tests: the O(1) loss detection, the resequencer driven by one
-deadline event per hold, and the receiver's thresholds against reference
-models."""
+deadline event per hold, the receiver's thresholds and otias's per-path ETA
+cache against reference models."""
 
 from collections import OrderedDict, deque
 
@@ -11,6 +11,7 @@ from mptunnel.flow import (DUP_ACK_THRESHOLD, MIN_SSTHRESH, RTTVAR_GAIN, SRTT_GA
                            Flow, TunnelPacket)
 from mptunnel.reorder import (EqualizerLines, PathStats, ReorderBuffer,
                               adaptive_threshold)
+from mptunnel.scheduler import Otias, otias_eta
 from test_reorder import drive_buffer, per_arrival, pkt, reference_reorder
 
 # Deterministic example generation and no example database on disk, so the
@@ -200,3 +201,48 @@ def test_thresholds_match_rebuilding_oracle(reports, k, max_hold_us):
         for p, (srtt, rttvar) in oracle.stats.items():
             assert stats.srtts[p].hex() == srtt.hex()
             assert stats.rttvars[p].hex() == rttvar.hex()
+
+
+# Values a step may set directly, ints next to equal floats: the cache must
+# treat them as one key, the ETA being a float either way.
+OTIAS_SETS = {"srtt_us": [1, 2.0, 20_000, 20_000.0, 31_250.5],
+              "cwnd": [1, 2, 2.0, 3.5, 7, 7.0],
+              "in_flight": [0, 1, 3, 7]}
+
+# One step on the same long-lived flows, then a pick over the first n of
+# them: (kind, flow index, choice, n).
+OTIAS_STEP = st.tuples(
+    st.sampled_from(["enqueue", "enqueue", "ack", "timeout", "none", *OTIAS_SETS]),
+    st.integers(0, 4), st.integers(0, 1 << 16), st.integers(1, 5))
+
+
+@PROPERTY
+@given(steps=st.lists(OTIAS_STEP, min_size=1, max_size=120))
+def test_otias_cache_matches_recomputed_etas(steps):
+    flows = [Flow(i, 10_000.0 * (i + 1), lambda pkt, now: None) for i in range(5)]
+    otias = Otias()
+    now = seq = 0
+    for kind, i, choice, n in steps:
+        now += 1_000
+        flow = flows[i]
+        if kind == "enqueue":
+            flow.enqueue(TunnelPacket(seq, 1000, now), now)
+            seq += 1
+        elif kind == "ack":
+            flow.ack_received(choice % max(1, flow.next_flow_seq), now)
+        elif kind == "timeout":
+            flow.on_timeout(now)
+        elif kind in OTIAS_SETS:
+            values = OTIAS_SETS[kind]
+            setattr(flow, kind, values[choice % len(values)])
+        views = flows[:n]
+        picked = otias.pick(views, now)
+        expected = tuple(map(otias_eta, views))
+        assert len(otias.last_etas) == len(expected)
+        for got, want in zip(otias.last_etas, expected):
+            assert type(got) is type(want) and got.hex() == want.hex()
+        assert picked == expected.index(min(expected))
+        # Unchanged inputs give back the very same float objects.
+        before = otias.last_etas
+        assert otias.pick(views, now) == picked
+        assert all(a is b for a, b in zip(otias.last_etas, before))
