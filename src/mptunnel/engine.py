@@ -6,7 +6,7 @@ without sharing anything.
 """
 
 from . import metrics
-from .flow import SEQ48_MASK, Flow, TunnelPacket
+from .flow import Flow, TunnelPacket
 from .reorder import RECEIVERS
 from .scenario import ScenarioConfig, ScenarioError, problems
 from .scheduler import SCHEDULERS
@@ -68,8 +68,7 @@ class Simulation:
     # every collection of an older generation.
 
     def _ingress(self, now: int) -> None:
-        pkt = TunnelPacket(self._next_seq & SEQ48_MASK,
-                           self.cfg.traffic.packet_size_bytes, now)
+        pkt = TunnelPacket(self._next_seq, self.cfg.traffic.packet_size_bytes, now)
         self._next_seq += 1
         self.log.ingress_count += 1
         picked = self.scheduler.pick(self.flows, now)

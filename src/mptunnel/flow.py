@@ -13,9 +13,8 @@ tunnel carries unreliable traffic.
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
-SEQ48_MASK = (1 << 48) - 1
 RTT_REPORT_MAX = (1 << 32) - 1
 HEADER_LEN = 16
 HEADER_VERSION = 1
@@ -33,8 +32,12 @@ TIMEOUT_RTT_MULTIPLE = 4
 MIN_TIMEOUT_US = 200_000
 
 
-def smooth_rtt(srtt: float, rttvar: float, sample: float) -> tuple[float, float]:
-    """One RFC 6298 update of (srtt, rttvar) by a round-trip sample."""
+def smooth_rtt(srtt: Optional[float], rttvar: float,
+               sample: float) -> tuple[float, float]:
+    """One RFC 6298 update of (srtt, rttvar) by a round-trip sample; srtt
+    None marks the first sample, which gives (sample, sample / 2)."""
+    if srtt is None:
+        return float(sample), sample / 2.0
     rttvar = (1 - RTTVAR_GAIN) * rttvar + RTTVAR_GAIN * abs(srtt - sample)
     return (1 - SRTT_GAIN) * srtt + SRTT_GAIN * sample, rttvar
 
@@ -45,6 +48,8 @@ class TunnelPacket:
 
     overall_seq is the tunnel-wide sequence stamped at ingress; flow_seq,
     path_id and sender_rtt_report are stamped by the flow that carries it.
+    Both sequence numbers are unbounded ints; only encode_header cuts them
+    to their wire widths.
     """
 
     overall_seq: int
@@ -74,7 +79,7 @@ def encode_header(pkt: TunnelPacket) -> bytes:
     report = min(int(pkt.sender_rtt_report), RTT_REPORT_MAX)
     return (
         bytes((HEADER_VERSION, pkt.path_id & 0xFF))
-        + (pkt.overall_seq & SEQ48_MASK).to_bytes(6, "big")
+        + (pkt.overall_seq & ((1 << 48) - 1)).to_bytes(6, "big")
         + report.to_bytes(4, "big")
         + (pkt.flow_seq & 0xFFFFFFFF).to_bytes(4, "big")
     )
@@ -153,13 +158,9 @@ class Flow:
         """Feed one round-trip sample into the smoothed estimators."""
         if sample_us <= 0:
             raise ValueError(f"RTT sample must be positive, got {sample_us}")
-        if not self._rtt_sampled:
-            self._rtt_sampled = True
-            self.srtt_us = float(sample_us)
-            self.rttvar_us = sample_us / 2.0
-        else:
-            self.srtt_us, self.rttvar_us = smooth_rtt(self.srtt_us, self.rttvar_us,
-                                                      sample_us)
+        self.srtt_us, self.rttvar_us = smooth_rtt(
+            self.srtt_us if self._rtt_sampled else None, self.rttvar_us, sample_us)
+        self._rtt_sampled = True
 
     # -- send path ----------------------------------------------------------
 
@@ -168,7 +169,7 @@ class Flow:
         pkt.path_id = self.path_id
         pkt.flow_seq = self.next_flow_seq
         pkt.sender_rtt_report = min(int(round(self.srtt_us)), RTT_REPORT_MAX)
-        self.next_flow_seq = (self.next_flow_seq + 1) & SEQ48_MASK
+        self.next_flow_seq += 1
         self.send_queue.append(pkt)
         self.pump(now)
 

@@ -265,20 +265,13 @@ def summarize(log: MetricsLog, nominal_interval_us: float,
 
 # -- file export -------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.3f}"
-    return str(value)
-
-
-def _template(rows) -> str:
-    """The one %-format line every row of a table is written with: "%.3f"
-    for a column of floats and "%s" for a column with no float, since
-    "%.3f" % x equals _fmt(x) for a float x and "%s" % v equals _fmt(v) for
-    any other v. A table no single line can write raises: rows that are not
-    a sequence (an iterator would be used up by this scan), a row that is not
-    a tuple, rows of unequal length, or a column mixing floats with other
-    types."""
+def _template(rows) -> list[str]:
+    """The one %-format spec per column that every row of a table is
+    written with, in CSV and JSON alike: "%.3f" for a column of floats and
+    "%s" for a column with no float. A table no single spec per column can
+    write raises: rows that are not a sequence (an iterator would be used up
+    by this scan), a row that is not a tuple, rows of unequal length, or a
+    column mixing floats with other types."""
     if not isinstance(rows, Sequence):
         raise TypeError(f"table rows must be a sequence, not {type(rows).__name__}")
     if not all(issubclass(t, tuple) for t in set(map(type, rows))):
@@ -295,11 +288,11 @@ def _template(rows) -> str:
             raise ValueError(f"table column {i} mixes floats with other types")
         else:
             specs.append("%s")
-    return ",".join(specs) + "\n"
+    return specs
 
 
 def write_csv(path, header: list[str], rows: Sequence[tuple]) -> None:
-    template = _template(rows)
+    template = ",".join(_template(rows)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -391,7 +384,8 @@ def export_metric(log: MetricsLog, metric: str, fmt: str, path,
     if fmt == "csv":
         write_csv(path, header, rows)
     elif fmt == "json":
-        write_json(path, [dict(zip(header, [_fmt(v) for v in row]))
+        specs = _template(rows)
+        write_json(path, [{key: spec % (v,) for key, spec, v in zip(header, specs, row)}
                           for row in rows])
     else:
         raise ValueError(f"unknown format {fmt!r}")

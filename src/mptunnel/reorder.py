@@ -33,8 +33,8 @@ class PathStats:
     """Receiver-side per-path RTT knowledge from the header RTT option.
 
     Each arrival's sender report is re-smoothed with the sender's own update
-    (flow.smooth_rtt), which also yields a variation estimate the sender
-    does not transmit.
+    (flow.smooth_rtt), which also seeds a path's first report and yields a
+    variation estimate the sender does not transmit.
 
     srtts and rttvars map the path_id of every path that has reported to its
     estimates (µs). The thresholds take only their max and min, which do not
@@ -46,13 +46,8 @@ class PathStats:
         self.rttvars: dict[int, float] = {}
 
     def update(self, path_id: int, report_us: float) -> None:
-        srtt = self.srtts.get(path_id)
-        if srtt is None:
-            self.srtts[path_id] = float(report_us)
-            self.rttvars[path_id] = report_us / 2.0
-        else:
-            self.srtts[path_id], self.rttvars[path_id] = smooth_rtt(
-                srtt, self.rttvars[path_id], report_us)
+        self.srtts[path_id], self.rttvars[path_id] = smooth_rtt(
+            self.srtts.get(path_id), self.rttvars.get(path_id, 0.0), report_us)
 
 
 def static_threshold(rtt_slower_us: float, rtt_faster_us: float) -> float:

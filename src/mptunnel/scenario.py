@@ -16,7 +16,8 @@ from .simcore import LatencyStep, PathModel, TrafficSource, US_PER_SECOND
 
 # Upper bound on duration_s (about 31.7 years of simulated time). It keeps
 # duration_us an exact integer (below 2**53 us) and far from float overflow,
-# so the run's hard stop is always a finite int.
+# so the run's hard stop is always a finite int. The µs keys a run converts
+# to floats (latency, hold, threshold) share the cap, so none overflows.
 MAX_DURATION_S = 1_000_000_000
 
 
@@ -171,7 +172,8 @@ SCHEMA = {
         ("outputs",): _output_name_rules}),
     "path": Section(PathModel, (
         Field("path_id", "integer", required=True, ge=0, le=255),
-        Field("one_way_latency_us", "integer", required=True, ge=0),
+        Field("one_way_latency_us", "integer", required=True, ge=0,
+              le=MAX_DURATION_S * US_PER_SECOND),
         Field("bandwidth_bps", "integer", required=True, gt=0),
         Field("loss_rate", "number", ge=0, le=1),
         Field("cost", "number", ge=0),
@@ -194,9 +196,10 @@ SCHEMA = {
     ), {("kind", "weights"): _scheduler_rules}),
     "reorder": Section(ReorderConfig, (
         Field("kind", "string", required=True, choices=RECEIVERS),
-        Field("static_threshold_us", "integer", nullable=True, ge=0),
+        Field("static_threshold_us", "integer", nullable=True, ge=0,
+              le=MAX_DURATION_S * US_PER_SECOND),
         Field("adaptive_k", "number", gt=0),
-        Field("max_hold_us", "integer", ge=0),
+        Field("max_hold_us", "integer", ge=0, le=MAX_DURATION_S * US_PER_SECOND),
     ), {}),
     "output": Section(OutputSpec, (
         Field("metric", "string", required=True, choices=METRICS),
@@ -291,8 +294,12 @@ def _section(section: str, obj, where: str, errors: list[str]):
 
 def problems(obj) -> list[str]:
     """Every schema problem of a config built in code: a ScenarioConfig or one
-    of the dataclasses a SCHEMA section builds."""
-    section = _SECTION_OF[type(obj)]
+    of the dataclasses a SCHEMA section builds. Anything else, such as the
+    JSON a config is parsed from, raises TypeError."""
+    section = _SECTION_OF.get(type(obj))
+    if section is None:
+        raise TypeError(f"expected a ScenarioConfig or one of its section "
+                        f"dataclasses, not {type(obj).__name__}")
     errors: list[str] = []
     _section(section, obj, "" if section == "scenario" else section, errors)
     return errors

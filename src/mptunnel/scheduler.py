@@ -12,7 +12,8 @@ cache never changes a decision.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Optional, Sequence
 
 from .flow import Flow
 from .simcore import Plugin
@@ -73,26 +74,20 @@ class FixedRatio:
         return best
 
 
-class CheapestPipeFirst:
-    """Lowest-cost path that still has congestion-window room.
+class LowestWithRoom:
+    """The path lowest by key among paths with congestion-window room.
 
-    When every window is full the cheapest path absorbs the packet into its
-    send queue rather than dropping it at ingress.
+    When every window is full the lowest path overall absorbs the packet
+    into its send queue rather than dropping it at ingress. key ends with
+    path_id, so ties break toward the lower path_id.
     """
 
-    def pick(self, views: Sequence[Flow], now: int) -> int:
-        available = [v for v in views if v.has_window_room]
-        pool = available if available else views
-        return min(pool, key=lambda v: (v.cost, v.path_id)).path_id
-
-
-class MinSrtt:
-    """Lowest smoothed RTT among paths with window room (srtt)."""
+    def __init__(self, key: Callable[[Flow], tuple]):
+        self._key = key
 
     def pick(self, views: Sequence[Flow], now: int) -> int:
         available = [v for v in views if v.has_window_room]
-        pool = available if available else views
-        return min(pool, key=lambda v: (v.srtt_us, v.path_id)).path_id
+        return min(available or views, key=self._key).path_id
 
 
 class Otias:
@@ -130,7 +125,7 @@ class Otias:
 # last_etas has those per-path estimates recorded with each decision.
 SCHEDULERS = {
     "cheapest_pipe_first": Plugin(
-        lambda config: CheapestPipeFirst(),
+        lambda config: LowestWithRoom(attrgetter("cost", "path_id")),
         "cost (per path, default 0)",
         "prefer the lowest-cost path while its window has room"),
     "fixed_ratio": Plugin(
@@ -144,6 +139,6 @@ SCHEDULERS = {
         lambda config: RoundRobin(), "",
         "cycle through paths in path_id order"),
     "srtt": Plugin(
-        lambda config: MinSrtt(), "",
+        lambda config: LowestWithRoom(attrgetter("srtt_us", "path_id")), "",
         "lowest smoothed RTT among paths with window room"),
 }

@@ -69,6 +69,10 @@ def test_run_validation_failure_exit_code(tmp_path, capsys):
     (None, "duration_s", float("nan")),
     (None, "duration_s", float("inf")),
     (None, "duration_s", 1e303),
+    # Valid JSON integers but no floats: a run would overflow converting them.
+    pytest.param("paths", "one_way_latency_us", 10**400, id="latency-1e400"),
+    pytest.param("reorder", "max_hold_us", 10**400, id="max_hold-1e400"),
+    pytest.param("reorder", "static_threshold_us", 10**400, id="threshold-1e400"),
 ])
 def test_malformed_scenario_is_validation_error(tmp_path, capsys, section, key, value):
     bad = json.loads(json.dumps(SCENARIO))
@@ -141,16 +145,19 @@ def malformed_scenarios(draw):
     return data
 
 
-@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@settings(max_examples=250)
 @given(malformed_scenarios())
 def test_malformed_scenario_never_crashes(tmp_path_factory, mutant):
     # Each mutant parses or raises ScenarioError; a rejected one exits 1
-    # through the CLI with every problem listed. Valid mutants are not run.
+    # through the CLI with every problem listed. A valid mutant builds a
+    # Simulation, where unbounded values used to overflow, but is not run.
     try:
-        parse_scenario(mutant)
-        return
+        cfg = parse_scenario(mutant)
     except ScenarioError as exc:
         errors = exc.errors
+    else:
+        Simulation(cfg)
+        return
     assert errors
     scenario = tmp_path_factory.mktemp("fuzz") / "scenario.json"
     scenario.write_text(json.dumps(mutant))

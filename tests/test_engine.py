@@ -482,7 +482,7 @@ def cbr_scenarios(draw):
     return data, draw(st.permutations(range(len(paths))))
 
 
-@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@settings(max_examples=25)
 @given(cbr_scenarios())
 def test_paths_listed_in_any_order_give_the_same_bytes(case):
     data, order = case

@@ -14,11 +14,6 @@ from mptunnel.reorder import (EqualizerLines, PathStats, ReorderBuffer,
 from mptunnel.scheduler import Otias, otias_eta
 from test_reorder import drive_buffer, per_arrival, pkt, reference_reorder
 
-# Deterministic example generation and no example database on disk, so the
-# suite stays reproducible run to run.
-PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
-
-
 class CountingLossOracle:
     """Window and loss state of a flow by the direct rule: every outstanding
     packet keeps a count of acknowledged successors, bumped by a scan of the
@@ -97,7 +92,7 @@ STEP = st.tuples(st.sampled_from(["send", "send", "ack", "ack", "newest", "stale
                  st.integers(0, 1 << 16), st.integers(1, 5_000))
 
 
-@PROPERTY
+@settings(max_examples=300)
 @given(cwnd=st.sampled_from([2.0, 3.5, 8.0, 24.0]),
        ssthresh=st.sampled_from([2.0, 5.0, 16.0, 64.0]),
        steps=st.lists(STEP, min_size=10, max_size=150))
@@ -127,7 +122,7 @@ def test_loss_detection_matches_counting_oracle(cwnd, ssthresh, steps):
         assert state(flow) == oracle_state(oracle)
 
 
-@PROPERTY
+@settings(max_examples=300)
 @given(st.data())
 def test_heap_resequencer_matches_reference_with_per_arrival_thresholds(data):
     # Arbitrary seqs (gaps, reordering, duplicates) with a threshold per
@@ -184,7 +179,7 @@ REPORT = st.tuples(st.integers(0, 7),
                              st.floats(0.0, 4e6, allow_nan=False)))
 
 
-@PROPERTY
+@settings(max_examples=300)
 @given(reports=st.lists(REPORT, min_size=1, max_size=80),
        k=st.sampled_from([0.0, 1.0, 2.5, 4.0]),
        max_hold_us=st.integers(0, 1_000_000))
@@ -216,7 +211,7 @@ OTIAS_STEP = st.tuples(
     st.integers(0, 4), st.integers(0, 1 << 16), st.integers(1, 5))
 
 
-@PROPERTY
+@settings(max_examples=300)
 @given(steps=st.lists(OTIAS_STEP, min_size=1, max_size=120))
 def test_otias_cache_matches_recomputed_etas(steps):
     flows = [Flow(i, 10_000.0 * (i + 1), lambda pkt, now: None) for i in range(5)]

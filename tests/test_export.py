@@ -10,7 +10,7 @@ from collections import namedtuple
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mptunnel.engine import Simulation
@@ -18,7 +18,6 @@ from mptunnel.metrics import (METRICS, Arrival, Delivery, MetricsLog, PdvResult,
                               compute_pdv, export_metric, summarize, write_csv,
                               write_json)
 from mptunnel.scenario import parse_scenario
-from test_equivalence import PROPERTY
 
 
 def reference_fmt(value) -> str:
@@ -146,7 +145,7 @@ def written_bytes(writer, *args) -> bytes:
         return path.read_bytes()
 
 
-@PROPERTY
+@settings(max_examples=300)
 @given(tables())
 @example((["a"] * 6, [(True, None, "", -0.0, math.nan, math.inf)]))
 @example((["a"], []))
@@ -157,7 +156,7 @@ def test_write_csv_matches_per_value_writer(table):
             == written_bytes(reference_write_csv, header, rows))
 
 
-@PROPERTY
+@settings(max_examples=300)
 @given(untemplatable_tables())
 @example((["a", "b"], [(1, 2.5), (3, 4)]))        # a column mixing float and int
 @example((["a", "b"], [(1.0, ""), (2.0, 3.5)]))   # a column mixing float and str
@@ -181,7 +180,7 @@ def test_write_csv_refuses_an_iterator(tmp_path):
 
 # -- compute_pdv -------------------------------------------------------------
 
-@PROPERTY
+@settings(max_examples=300)
 @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 10**9)), max_size=40),
        st.one_of(st.integers(0, 20_000),
                  st.floats(min_value=0, max_value=1e6, allow_nan=False)),

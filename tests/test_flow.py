@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from mptunnel.flow import (Flow, HEADER_LEN, SEQ48_MASK, TunnelPacket,
-                           decode_header, encode_header)
+from mptunnel.flow import (Flow, HEADER_LEN, TunnelPacket, decode_header,
+                           encode_header)
 
 
 def make_flow(prior_rtt_us=20_000.0):
@@ -32,6 +32,14 @@ def test_header_overall_seq_wraps():
     assert fields.overall_seq == (1 << 48) - 1
     pkt2 = TunnelPacket((1 << 48), 0, 0)
     assert decode_header(encode_header(pkt2)).overall_seq == 0
+
+
+def test_header_cuts_sequence_numbers_to_their_wire_widths():
+    # The simulator's sequence numbers are unbounded; the header alone
+    # carries the low 48 bits of overall_seq and the low 32 of flow_seq.
+    pkt = TunnelPacket((1 << 48) + 3, 0, 0, flow_seq=(1 << 32) + 7)
+    fields = decode_header(encode_header(pkt))
+    assert (fields.overall_seq, fields.flow_seq_low32) == (3, 7)
 
 
 def test_header_rtt_report_saturates():
@@ -328,9 +336,16 @@ def test_aimd_trajectory_matches_scripted_oracle():
             assert trace[i] == pytest.approx(trace[i - 1] / 2.0)
 
 
-def test_flow_seq_wraps_modulo_48_bits():
+def test_flow_crossing_2_48_sees_in_order_acks_in_order():
+    # A flow's sequence numbers go on past 2^48 as plain ints, so packets
+    # acked in the order they were sent are neither lost nor halve the window.
     flow, sent = make_flow()
-    flow.cwnd = 4.0
-    flow.next_flow_seq = SEQ48_MASK
-    feed(flow, 2)
-    assert [p.flow_seq for p, _ in sent] == [SEQ48_MASK, 0]
+    flow.cwnd = 20.0
+    flow.next_flow_seq = (1 << 48) - 5
+    feed(flow, 10)
+    for pkt, _ in sent:
+        flow.ack_received(pkt.flow_seq, 1000)
+    assert flow.packets_lost == 0
+    assert flow.cwnd == 30.0  # slow start: one packet per ack, no cut
+    assert flow.in_flight == 0
+    assert [p.flow_seq for p, _ in sent] == [(1 << 48) + i for i in range(-5, 5)]

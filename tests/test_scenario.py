@@ -3,6 +3,7 @@ import json
 import pytest
 
 from mptunnel import scenario
+from mptunnel.engine import Simulation
 from mptunnel.scenario import (ScenarioError, canned_scenario_names,
                                load_canned, load_scenario, parse_scenario)
 
@@ -101,6 +102,18 @@ def test_non_contiguous_path_ids_rejected():
                            "bandwidth_bps": 1_000_000}])
     problems = errors_of(data)
     assert any("0..n-1" in p for p in problems)
+
+
+def test_parsed_json_is_no_config(tmp_path):
+    # Simulation and problems take a config built by parse_scenario, not the
+    # JSON it is parsed from; they say so instead of failing on a lookup.
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(MINIMAL))
+    with open(path) as fh:
+        data = json.load(fh)
+    for call in (Simulation, scenario.problems):
+        with pytest.raises(TypeError, match="ScenarioConfig"):
+            call(data)
 
 
 def test_invalid_json_reported(tmp_path):

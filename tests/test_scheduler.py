@@ -7,9 +7,8 @@ from mptunnel.engine import Simulation
 from mptunnel.flow import Flow, TunnelPacket
 from mptunnel.reorder import RECEIVERS
 from mptunnel.scenario import parse_scenario, problems
-from mptunnel.scheduler import (SCHEDULERS, CheapestPipeFirst, FixedRatio,
-                                MinSrtt, Otias, RoundRobin, SchedulerConfig,
-                                otias_eta)
+from mptunnel.scheduler import (SCHEDULERS, FixedRatio, Otias, RoundRobin,
+                                SchedulerConfig, otias_eta)
 
 
 def view(path_id=0, srtt=20_000.0, rttvar=0.0, cwnd=10.0, in_flight=0,
@@ -97,62 +96,68 @@ def test_fixed_ratio_config_validation_names_weights():
     assert any("weights" in p for p in found)
 
 
-# -- cheapest pipe first ---------------------------------------------------------
+# -- cheapest pipe first and srtt ---------------------------------------------------
+
+
+def registered(kind):
+    """The scheduler a run of this kind picks with."""
+    return SCHEDULERS[kind].factory(SchedulerConfig(kind))
 
 
 def test_cheapest_prefers_low_cost_with_room():
     vs = [view(0, cost=1.0), view(1, cost=10.0)]
-    assert CheapestPipeFirst().pick(vs, 0) == 0
+    assert registered("cheapest_pipe_first").pick(vs, 0) == 0
 
 
 def test_cheapest_spills_when_cheap_window_full():
     vs = [view(0, cost=1.0, cwnd=4.0, in_flight=4), view(1, cost=10.0)]
-    assert CheapestPipeFirst().pick(vs, 0) == 1
+    assert registered("cheapest_pipe_first").pick(vs, 0) == 1
 
 
 def test_cheapest_tie_breaks_on_path_id():
     vs = [view(0, cost=3.0), view(1, cost=3.0)]
-    assert CheapestPipeFirst().pick(vs, 0) == 0
+    assert registered("cheapest_pipe_first").pick(vs, 0) == 0
 
 
 def test_cheapest_falls_back_to_cheapest_when_all_full():
     vs = [view(0, cost=5.0, cwnd=2.0, in_flight=2),
           view(1, cost=1.0, cwnd=2.0, queue=3)]
-    assert CheapestPipeFirst().pick(vs, 0) == 1
-
-
-# -- srtt -----------------------------------------------------------------------
+    assert registered("cheapest_pipe_first").pick(vs, 0) == 1
 
 
 def test_srtt_prefers_lower_rtt():
     vs = [view(0, srtt=10_000), view(1, srtt=20_000)]
-    assert MinSrtt().pick(vs, 0) == 0
+    assert registered("srtt").pick(vs, 0) == 0
 
 
 def test_srtt_switches_after_latency_event():
     vs = [view(0, srtt=100_000), view(1, srtt=20_000)]
-    assert MinSrtt().pick(vs, 0) == 1
+    assert registered("srtt").pick(vs, 0) == 1
 
 
 def test_srtt_respects_window_availability():
     vs = [view(0, srtt=10_000, cwnd=2.0, in_flight=2), view(1, srtt=20_000)]
-    assert MinSrtt().pick(vs, 0) == 1
+    assert registered("srtt").pick(vs, 0) == 1
 
 
-def test_srtt_argmin_over_random_snapshots():
+@pytest.mark.parametrize("kind, key", [
+    ("cheapest_pipe_first", lambda v: (v.cost, v.path_id)),
+    ("srtt", lambda v: (v.srtt_us, v.path_id)),
+], ids=["cheapest_pipe_first", "srtt"])
+def test_argmin_with_room_over_random_snapshots(kind, key):
     rng = random.Random(3)
-    sched = MinSrtt()
+    sched = registered(kind)
     for _ in range(300):
         vs = [view(i, srtt=rng.randrange(1, 200_000),
                    cwnd=rng.randrange(1, 12),
                    in_flight=rng.randrange(0, 12),
-                   queue=rng.randrange(0, 4))
+                   queue=rng.randrange(0, 4),
+                   cost=float(rng.randrange(0, 4)))
               for i in range(rng.randrange(1, 5))]
         got = sched.pick(vs, 0)
         available = [v for v in vs if v.in_flight + len(v.send_queue) < v.cwnd]
         pool = available if available else vs
-        best = min(pool, key=lambda v: (v.srtt_us, v.path_id))
-        assert got == best.path_id
+        assert got == min(pool, key=key).path_id
 
 
 # -- otias ------------------------------------------------------------------------
@@ -267,8 +272,8 @@ def test_every_registered_plugin_runs():
 
 def test_schedulers_are_deterministic_given_same_state():
     vs = [view(0, srtt=30_000, queue=2), view(1, srtt=40_000)]
-    for build in (lambda: RoundRobin(), lambda: FixedRatio([2, 1]),
-                  lambda: CheapestPipeFirst(), lambda: MinSrtt(), lambda: Otias()):
-        a = picks(build(), vs, 12)
-        b = picks(build(), vs, 12)
-        assert a == b
+    for kind in sorted(SCHEDULERS):
+        config = SchedulerConfig(kind, weights=[2, 1])
+        a = picks(SCHEDULERS[kind].factory(config), vs, 12)
+        b = picks(SCHEDULERS[kind].factory(config), vs, 12)
+        assert a == b, kind
