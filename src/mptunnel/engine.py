@@ -53,6 +53,9 @@ class Simulation:
         self._timer_fire, self._emit_cbr = self._timer_fire, self._emit_cbr
 
         self._next_seq = 0
+        # path_ids whose flow changed since the last pick; None before the
+        # first pick, meaning every path.
+        self._changed = None
         self._timers = [None] * len(self.flows)
         self._traffic_stop_us = min(
             cfg.duration_us,
@@ -71,11 +74,12 @@ class Simulation:
         pkt = TunnelPacket(self._next_seq, self.cfg.traffic.packet_size_bytes, now)
         self._next_seq += 1
         self.log.ingress_count += 1
-        picked = self.scheduler.pick(self.flows, now)
+        picked = self.scheduler.pick(self.flows, now, self._changed)
         self.log.decisions.append(
             (now, pkt.overall_seq, picked,
              getattr(self.scheduler, "last_etas", None)))
         self.flows[picked].enqueue(pkt, now)
+        self._changed = {picked}
         self._sample_flow(picked, now)
 
     def _transmit(self, pkt: TunnelPacket, now: int) -> None:
@@ -110,12 +114,13 @@ class Simulation:
         path_id = pkt.path_id
         flow = self.flows[path_id]
         flow.ack_received(pkt.flow_seq, now)
+        self._changed.add(path_id)
         if flow.in_flight:
             self._arm_timer(path_id, now)
         else:
             self._timers[path_id] = None
         self._sample_flow(path_id, now)
-        self._pump_greedy(now)
+        self._pump_greedy(now, path_id)
 
     def _deliver(self, pkt: TunnelPacket, now: int, residency_us: int,
                  disposition: str) -> None:
@@ -150,8 +155,9 @@ class Simulation:
         self._timers[i] = None
         if self.flows[i].in_flight:
             self.flows[i].on_timeout(now)
+            self._changed.add(i)
             self._sample_flow(i, now)
-            self._pump_greedy(now)
+            self._pump_greedy(now, i)
 
     # -- traffic ----------------------------------------------------------------
 
@@ -164,35 +170,36 @@ class Simulation:
             self.queue.schedule(next_at, self._emit_cbr, k + 1)
 
     def _start_greedy(self, _, now: int) -> None:
-        self._pump_greedy(now)
+        self._pump_greedy(now, *range(len(self.flows)))
 
     def _apply_latency_step(self, step: tuple[PathState, int], now: int) -> None:
         state, latency_us = step
         state.current_latency_us = latency_us
 
-    def _pump_greedy(self, now: int) -> None:
+    def _pump_greedy(self, now: int, *path_ids: int) -> None:
         """Work-conserving greedy source.
 
         A backlogged sender offers the scheduler another packet whenever some
-        flow could transmit right now but has nothing queued; the scheduler
-        is free to queue that packet elsewhere. Pulls stop once every flow is
-        either window-full or has a backlog of its own, which bounds each
-        burst.
+        flow is idle: it could transmit right now but has nothing queued. The
+        scheduler is free to queue that packet elsewhere. Pulls stop once no
+        flow is idle, which bounds each burst.
+
+        So inside the traffic window no flow is idle between events. Only an
+        ack or timeout can make its flow idle; a packet handed to a flow that
+        is not idle leaves it not idle. Each call therefore checks only the
+        flows named in path_ids: the one the event changed, or at the start
+        of traffic every flow.
         """
         if self.cfg.traffic.kind != "greedy":
             return
         if not self.cfg.traffic.start_us <= now < self._traffic_stop_us:
             return
-        flows = self.flows
-        while True:
-            for f in flows:
-                # Flow.has_window_room, inlined: a flow with a send queue is
-                # always window-full after a pump, so the two tests agree.
-                if f.in_flight < f.cwnd and not f.send_queue:
-                    break
-            else:
-                return
-            self._ingress(now)
+        for path_id in path_ids:
+            f = self.flows[path_id]
+            # Flow.has_window_room, inlined: a flow with a send queue is
+            # always window-full after a pump, so the two tests agree.
+            while f.in_flight < f.cwnd and not f.send_queue:
+                self._ingress(now)
 
     # -- main loop ----------------------------------------------------------------
 
@@ -200,10 +207,13 @@ class Simulation:
         if self.log is None:
             raise RuntimeError("a Simulation runs once; build a new one to run again")
         cfg = self.cfg
+        hard_stop = cfg.duration_us + cfg.reorder.max_hold_us + DRAIN_SLACK_US
+        # A step past the hard stop could only end the run as undrained.
         for state in self.paths:
             for step in state.model.latency_steps:
-                self.queue.schedule(step.at_us, self._apply_latency_step,
-                                    (state, step.latency_us))
+                if step.at_us <= hard_stop:
+                    self.queue.schedule(step.at_us, self._apply_latency_step,
+                                        (state, step.latency_us))
         if cfg.traffic.kind == "cbr":
             first = cfg.traffic.emission_time_us(0)
             if first < self._traffic_stop_us:
@@ -211,7 +221,6 @@ class Simulation:
         else:
             self.queue.schedule(cfg.traffic.start_us, self._start_greedy)
 
-        hard_stop = cfg.duration_us + cfg.reorder.max_hold_us + DRAIN_SLACK_US
         pop = self.queue.pop
         while True:
             item = pop()

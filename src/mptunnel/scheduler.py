@@ -1,22 +1,28 @@
 """Sender-side packet schedulers: round robin, fixed ratio, cheapest pipe
 first, lowest smoothed RTT, and queue-aware earliest-arrival (otias).
 
-Every scheduler is a pure function of its internal counters and the values
-of the path views handed to it, ties always break toward the lower path_id,
-so the decision sequence is deterministic for a fixed scenario. The views are
-the engine's flows themselves (mptunnel.flow.Flow), read live at decision
-time, in path_id order: a view's index is its path_id. otias caches its
-per-path function of those values, keyed by the values themselves, so the
-cache never changes a decision.
+Every scheduler decides from its internal counters and the path views
+handed to it, ties always break toward the lower path_id, so the decision
+sequence is deterministic for a fixed scenario. The views are the engine's
+flows themselves (mptunnel.flow.Flow), read live at decision time, in
+path_id order: a view's index is its path_id.
+
+pick(views, now, changed) also names the path_ids whose view may have changed
+since the previous pick; changed=None, the default and the engine's value
+at its first pick, means any of them may have. Views not named must read as
+they did at the previous pick. Only otias uses it, to keep each path's ETA
+until the path is named; the other schedulers ignore it.
 """
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Callable, Optional, Sequence
+from operator import add, attrgetter
+from typing import Callable, Collection, Optional, Sequence
 
 from .flow import Flow
 from .simcore import Plugin
+
+Changed = Optional[Collection[int]]  # pick's changed, see the module docstring
 
 
 @dataclass
@@ -45,7 +51,7 @@ class RoundRobin:
     def __init__(self):
         self._last = -1
 
-    def pick(self, views: Sequence[Flow], now: int) -> int:
+    def pick(self, views: Sequence[Flow], now: int, changed: Changed = None) -> int:
         self._last = (self._last + 1) % len(views)
         return self._last
 
@@ -66,11 +72,10 @@ class FixedRatio:
         self._credits = [0] * len(weights)
         self._total = sum(weights)
 
-    def pick(self, views: Sequence[Flow], now: int) -> int:
-        for i, w in enumerate(self._weights):
-            self._credits[i] += w
-        best = max(range(len(self._credits)), key=lambda i: (self._credits[i], -i))
-        self._credits[best] -= self._total
+    def pick(self, views: Sequence[Flow], now: int, changed: Changed = None) -> int:
+        credits = self._credits = list(map(add, self._credits, self._weights))
+        best = credits.index(max(credits))
+        credits[best] -= self._total
         return best
 
 
@@ -85,7 +90,7 @@ class LowestWithRoom:
     def __init__(self, key: Callable[[Flow], tuple]):
         self._key = key
 
-    def pick(self, views: Sequence[Flow], now: int) -> int:
+    def pick(self, views: Sequence[Flow], now: int, changed: Changed = None) -> int:
         available = [v for v in views if v.has_window_room]
         return min(available or views, key=self._key).path_id
 
@@ -96,27 +101,21 @@ class Otias:
     The chosen flow's send queue may exceed its congestion window; queueing on
     the fast path is the mechanism that lines packets up to arrive in order.
 
-    Each path's ETA is kept, as the same float object, until one of the
-    values otias_eta reads changes: srtt_us, cwnd or the backlog
-    len(send_queue) + in_flight. The key holds the values only, never the
-    view's identity, so views mutated in place or replaced are both seen.
+    Each path's ETA is kept, as the same float object, until the engine
+    names the path in changed; changed=None recomputes every path.
     """
 
     def __init__(self):
         self.last_etas: tuple[float, ...] = ()
-        self._keys: list = []  # per path_id: the inputs its ETA was computed from
-        self._etas: list[float] = []
+        self._etas: list[float] = []  # per path_id
 
-    def pick(self, views: Sequence[Flow], now: int) -> int:
-        keys, etas = self._keys, self._etas
-        if len(keys) != len(views):
-            keys[:] = [None] * len(views)
-            etas[:] = keys
-        for i, v in enumerate(views):
-            key = (v.srtt_us, v.cwnd, len(v.send_queue) + v.in_flight)
-            if key != keys[i]:
-                keys[i] = key
-                etas[i] = otias_eta(v)
+    def pick(self, views: Sequence[Flow], now: int, changed: Changed = None) -> int:
+        etas = self._etas
+        if changed is None:
+            etas[:] = map(otias_eta, views)
+        else:
+            for i in changed:
+                etas[i] = otias_eta(views[i])
         etas = self.last_etas = tuple(etas)
         return etas.index(min(etas))
 

@@ -13,8 +13,9 @@ from mptunnel.cli import run_scenario
 from mptunnel.engine import Simulation
 from mptunnel.flow import Flow
 from mptunnel.reorder import RECEIVERS
-from mptunnel.scenario import ScenarioError, parse_scenario
-from mptunnel.scheduler import SCHEDULERS
+from mptunnel.scenario import (ScenarioError, canned_scenario_names, load_canned,
+                                parse_scenario)
+from mptunnel.scheduler import SCHEDULERS, Otias, otias_eta
 from mptunnel.simcore import LatencyStep
 
 
@@ -149,6 +150,19 @@ def test_latency_step_applies_to_later_packets_only():
             assert time_us - ingress_time_us < 50_000
         if ingress_time_us >= 1_500_000:
             assert time_us - ingress_time_us > 100_000
+
+
+def test_latency_step_after_the_hard_stop_leaves_the_run_drained():
+    # 1 s of CBR delivers all 125 packets; a step long after the hard stop
+    # (duration + max hold + drain slack) changes nothing the run does.
+    paths = [{"path_id": 0, "one_way_latency_us": 10_000, "bandwidth_bps": 10_000_000,
+              "latency_steps": [{"at_us": 10**12, "latency_us": 50_000}]},
+             {"path_id": 1, "one_way_latency_us": 20_000, "bandwidth_bps": 10_000_000}]
+    plain = Simulation(scenario(duration_s=1)).run()
+    stepped = Simulation(scenario(duration_s=1, paths=paths)).run()
+    assert plain.drained and stepped.drained
+    assert len(plain.deliveries) == len(stepped.deliveries) == stepped.ingress_count == 125
+    assert stepped.deliveries == plain.deliveries
 
 
 def test_greedy_source_respects_windows_and_drains():
@@ -514,3 +528,92 @@ def test_greedy_paths_listed_in_reverse_give_the_same_bytes():
     assert summary["drained"] and summary["window_violations"] == 0
     assert (summary["delivered"] + summary["dropped"] + summary["discarded"]
             == summary["transmitted"] == summary["sent"])
+
+
+# -- what changes between picks ------------------------------------------------
+
+
+class ChangedOracle(Otias):
+    """otias that checks the engine's changed argument at every pick: only
+    the first pick passes None, every view whose ETA inputs (srtt, cwnd,
+    backlog) moved since the previous pick is named, and every ETA kept
+    equals one computed afresh."""
+
+    def __init__(self):
+        super().__init__()
+        self.inputs = None
+
+    def pick(self, views, now, changed=None):
+        inputs = [(v.srtt_us, v.cwnd, len(v.send_queue) + v.in_flight) for v in views]
+        assert (changed is None) == (self.inputs is None), now
+        if changed is not None:
+            moved = {i for i, (a, b) in enumerate(zip(self.inputs, inputs)) if a != b}
+            assert moved <= set(changed), (now, moved, changed)
+        self.inputs = inputs
+        picked = super().pick(views, now, changed)
+        assert self.last_etas == tuple(map(otias_eta, views)), now
+        return picked
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Counts of greedy pumps inside the traffic window and of ack-silence
+    timeouts; each such pump must leave no flow idle (window room and an
+    empty send queue)."""
+    counts = {"pumps": 0, "timeouts": 0}
+    pump, on_timeout = Simulation._pump_greedy, Flow.on_timeout
+
+    def checked_pump(sim, now, *path_ids):
+        pump(sim, now, *path_ids)
+        traffic = sim.cfg.traffic
+        if traffic.kind == "greedy" and traffic.start_us <= now < sim._traffic_stop_us:
+            counts["pumps"] += 1
+            idle = [f.path_id for f in sim.flows if f.in_flight < f.cwnd and not f.send_queue]
+            assert not idle, (now, idle)
+
+    def counted_timeout(flow, now):
+        counts["timeouts"] += 1
+        return on_timeout(flow, now)
+
+    monkeypatch.setattr(Simulation, "_pump_greedy", checked_pump)
+    monkeypatch.setattr(Flow, "on_timeout", counted_timeout)
+    return counts
+
+
+def run_with_oracle(cfg):
+    sim = Simulation(cfg)
+    sim.scheduler = ChangedOracle()
+    return sim.run()
+
+
+@pytest.mark.parametrize("name", canned_scenario_names())
+def test_canned_runs_name_every_changed_flow(checked, name):
+    cfg = load_canned(name)
+    log = run_with_oracle(cfg)
+    assert log.decisions
+    assert (checked["pumps"] > 0) == (cfg.traffic.kind == "greedy")
+
+
+def lossy(kind, n_paths):
+    """2 s of traffic over n paths listed in reverse path_id order, at 5%
+    loss and with the fastest path's latency jumping to 400 ms at 1 s, so
+    that ack-silence timeouts fire."""
+    paths = [{"path_id": i, "one_way_latency_us": 5_000 + 10_000 * i,
+              "bandwidth_bps": 2_000_000 * (1 + i % 3), "loss_rate": 0.05,
+              "latency_steps": [{"at_us": 1_000_000, "latency_us": 400_000}]
+              if i == 0 else []}
+             for i in reversed(range(n_paths))]
+    traffic = {"kind": "greedy", "packet_size_bytes": 1000}
+    if kind == "cbr":
+        traffic.update(kind="cbr", rate_bps=3_000_000)
+    return scenario(duration_s=2, paths=paths, traffic=traffic,
+                    scheduler={"kind": "otias"})
+
+
+@pytest.mark.parametrize("n_paths", [2, 5, 8])
+@pytest.mark.parametrize("kind", ["greedy", "cbr"])
+def test_lossy_runs_name_every_changed_flow(checked, kind, n_paths):
+    log = run_with_oracle(lossy(kind, n_paths))
+    assert checked["timeouts"] > 0
+    assert (checked["pumps"] > 0) == (kind == "greedy")
+    assert log.window_violations == 0

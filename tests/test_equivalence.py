@@ -198,8 +198,8 @@ def test_thresholds_match_rebuilding_oracle(reports, k, max_hold_us):
             assert stats.rttvars[p].hex() == rttvar.hex()
 
 
-# Values a step may set directly, ints next to equal floats: the cache must
-# treat them as one key, the ETA being a float either way.
+# Values a step may set directly, ints next to equal floats: the ETA is a
+# float either way.
 OTIAS_SETS = {"srtt_us": [1, 2.0, 20_000, 20_000.0, 31_250.5],
               "cwnd": [1, 2, 2.0, 3.5, 7, 7.0],
               "in_flight": [0, 1, 3, 7]}
@@ -214,9 +214,12 @@ OTIAS_STEP = st.tuples(
 @settings(max_examples=300)
 @given(steps=st.lists(OTIAS_STEP, min_size=1, max_size=120))
 def test_otias_cache_matches_recomputed_etas(steps):
+    # Each pick names the flow its step changed, as the engine does; a pick
+    # over a new number of views names none and passes None instead.
     flows = [Flow(i, 10_000.0 * (i + 1), lambda pkt, now: None) for i in range(5)]
     otias = Otias()
     now = seq = 0
+    n_before = None
     for kind, i, choice, n in steps:
         now += 1_000
         flow = flows[i]
@@ -231,13 +234,18 @@ def test_otias_cache_matches_recomputed_etas(steps):
             values = OTIAS_SETS[kind]
             setattr(flow, kind, values[choice % len(values)])
         views = flows[:n]
-        picked = otias.pick(views, now)
+        if n != n_before:
+            changed = None
+        else:
+            changed = [i] if i < n and kind != "none" else []
+        n_before = n
+        picked = otias.pick(views, now, changed)
         expected = tuple(map(otias_eta, views))
         assert len(otias.last_etas) == len(expected)
         for got, want in zip(otias.last_etas, expected):
             assert type(got) is type(want) and got.hex() == want.hex()
         assert picked == expected.index(min(expected))
-        # Unchanged inputs give back the very same float objects.
+        # With nothing named, the very same float objects come back.
         before = otias.last_etas
-        assert otias.pick(views, now) == picked
+        assert otias.pick(views, now, ()) == picked
         assert all(a is b for a, b in zip(otias.last_etas, before))

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mptunnel.engine import Simulation
 from mptunnel.flow import Flow, TunnelPacket
@@ -84,6 +86,33 @@ def test_fixed_ratio_prefix_share_within_one_packet():
     for n in range(1, len(seq) + 1):
         for p, w in enumerate(weights):
             assert abs(seq[:n].count(p) - n * w / total) <= 1.0
+
+
+class KeyedFixedRatio:
+    """FixedRatio's pick by its definition: the highest credit, ties to the
+    lowest index, by a key over every index."""
+
+    def __init__(self, weights):
+        self.weights, self.credits = weights, [0] * len(weights)
+
+    def pick(self, views, now):
+        for i, w in enumerate(self.weights):
+            self.credits[i] += w
+        best = max(range(len(self.credits)), key=lambda i: (self.credits[i], -i))
+        self.credits[best] -= sum(self.weights)
+        return best
+
+
+# The last weight repeats the first, so two paths earn equal credit.
+TIED_WEIGHTS = st.lists(st.integers(0, 3), min_size=1, max_size=5).map(
+    lambda w: w + w[:1]).filter(any)
+
+
+@settings(max_examples=200)
+@given(weights=TIED_WEIGHTS, n=st.integers(1, 60))
+def test_fixed_ratio_matches_keyed_pick(weights, n):
+    vs = [view(i) for i in range(len(weights))]
+    assert picks(FixedRatio(weights), vs, n) == picks(KeyedFixedRatio(weights), vs, n)
 
 
 def test_fixed_ratio_rejects_all_zero():
