@@ -53,8 +53,8 @@ class Simulation:
         self._timer_fire, self._emit_cbr = self._timer_fire, self._emit_cbr
 
         self._next_seq = 0
-        # path_ids whose flow changed since the last pick; None before the
-        # first pick, meaning every path.
+        # path_ids whose flow was sampled, and so may have changed, since the
+        # last pick; None before the first pick, meaning every path.
         self._changed = None
         self._timers = [None] * len(self.flows)
         self._traffic_stop_us = min(
@@ -78,8 +78,8 @@ class Simulation:
         self.log.decisions.append(
             (now, pkt.overall_seq, picked,
              getattr(self.scheduler, "last_etas", None)))
+        self._changed = set()
         self.flows[picked].enqueue(pkt, now)
-        self._changed = {picked}
         self._sample_flow(picked, now)
 
     def _transmit(self, pkt: TunnelPacket, now: int) -> None:
@@ -99,7 +99,7 @@ class Simulation:
             self.log.drops.append((now, path_id, pkt.overall_seq))
         else:
             self.queue.schedule(delivery, self._arrive, pkt)
-        if self._timers[path_id] is None and flow.in_flight:
+        if self._timers[path_id] is None:
             self._arm_timer(path_id, now)
 
     def _arrive(self, pkt: TunnelPacket, now: int) -> None:
@@ -114,7 +114,6 @@ class Simulation:
         path_id = pkt.path_id
         flow = self.flows[path_id]
         flow.ack_received(pkt.flow_seq, now)
-        self._changed.add(path_id)
         if flow.in_flight:
             self._arm_timer(path_id, now)
         else:
@@ -132,6 +131,7 @@ class Simulation:
         self.log.discards.append((now, pkt.path_id, pkt.overall_seq))
 
     def _sample_flow(self, path_id: int, now: int) -> None:
+        self._changed.add(path_id)
         f = self.flows[path_id]
         self.log.flow_rows.append(
             (now, path_id, f.srtt_us, f.cwnd, f.in_flight, len(f.send_queue)))
@@ -140,8 +140,9 @@ class Simulation:
 
     # Each flow has at most one live timer, the arg of its latest timer event,
     # kept in _timers: _transmit arms it if none is live, _ack re-arms it (or
-    # clears it once nothing is in flight). A timer event whose arg is not
-    # the live one was superseded and fires as a no-op.
+    # clears it once nothing is in flight), so a live timer's flow always has
+    # packets in flight. A timer event whose arg is not the live one was
+    # superseded and fires as a no-op.
 
     def _arm_timer(self, i: int, now: int) -> None:
         timer = self._timers[i] = (i, now)
@@ -153,17 +154,13 @@ class Simulation:
         if timer is not self._timers[i]:
             return
         self._timers[i] = None
-        if self.flows[i].in_flight:
-            self.flows[i].on_timeout(now)
-            self._changed.add(i)
-            self._sample_flow(i, now)
-            self._pump_greedy(now, i)
+        self.flows[i].on_timeout(now)
+        self._sample_flow(i, now)
+        self._pump_greedy(now, i)
 
     # -- traffic ----------------------------------------------------------------
 
     def _emit_cbr(self, k: int, now: int) -> None:
-        if now >= self._traffic_stop_us:
-            return
         self._ingress(now)
         next_at = self.cfg.traffic.emission_time_us(k + 1)
         if next_at < self._traffic_stop_us:
@@ -180,9 +177,9 @@ class Simulation:
         """Work-conserving greedy source.
 
         A backlogged sender offers the scheduler another packet whenever some
-        flow is idle: it could transmit right now but has nothing queued. The
-        scheduler is free to queue that packet elsewhere. Pulls stop once no
-        flow is idle, which bounds each burst.
+        flow is idle (Flow.has_window_room: it could transmit right now and
+        has nothing queued). The scheduler is free to queue that packet
+        elsewhere. Pulls stop once no flow is idle, which bounds each burst.
 
         So inside the traffic window no flow is idle between events. Only an
         ack or timeout can make its flow idle; a packet handed to a flow that
@@ -192,13 +189,11 @@ class Simulation:
         """
         if self.cfg.traffic.kind != "greedy":
             return
-        if not self.cfg.traffic.start_us <= now < self._traffic_stop_us:
+        if now >= self._traffic_stop_us:
             return
         for path_id in path_ids:
-            f = self.flows[path_id]
-            # Flow.has_window_room, inlined: a flow with a send queue is
-            # always window-full after a pump, so the two tests agree.
-            while f.in_flight < f.cwnd and not f.send_queue:
+            flow = self.flows[path_id]
+            while flow.has_window_room:
                 self._ingress(now)
 
     # -- main loop ----------------------------------------------------------------

@@ -115,6 +115,16 @@ def _weights_rules(cfg: ScenarioConfig, where: str) -> list[str]:
     return []
 
 
+def _greedy_weights_rules(cfg: ScenarioConfig, where: str) -> list[str]:
+    # The greedy source offers packets while some flow is idle, and fixed_ratio
+    # never picks a path of weight 0, so that path would stay idle for ever.
+    sched = cfg.scheduler
+    if (cfg.traffic.kind == "greedy" and sched.kind == "fixed_ratio"
+            and 0 in (sched.weights or ())):
+        return ["scheduler.weights must all be > 0 for greedy traffic"]
+    return []
+
+
 def _output_name_rules(cfg: ScenarioConfig, where: str) -> list[str]:
     names = [out.path for out in cfg.outputs] + ["summary.json"]
     clashes = sorted({name for name in names if names.count(name) > 1})
@@ -169,6 +179,7 @@ SCHEMA = {
         Field("name", "string"),
         Field("pdv_stream", "string", choices=("arrivals", "deliveries")),
     ), {("paths",): _path_id_rules, ("paths", "scheduler"): _weights_rules,
+        ("scheduler", "traffic"): _greedy_weights_rules,
         ("outputs",): _output_name_rules}),
     "path": Section(PathModel, (
         Field("path_id", "integer", required=True, ge=0, le=255),

@@ -85,7 +85,7 @@ def test_criterion_1_srtt_handover(runs):
 
     # the idle path keeps its last estimate: every recorded srtt for path 1
     # between warmup and the event equals the value it froze at
-    p1 = [(s.time_us, s.srtt_us) for s in log.flow_samples if s.path_id == 1]
+    p1 = [(t, srtt) for t, path_id, srtt, *_ in log.flow_rows if path_id == 1]
     frozen = [v for t, v in p1 if t <= 2_000_000][-1]
     idle_values = {v for t, v in p1 if 2_000_000 < t <= event_us}
     stale = idle_values <= {frozen}
@@ -107,8 +107,8 @@ def test_criterion_2_otias_oscillation(runs):
     cfg, log = runs("otias-moderate")
     run_list = decision_runs(log)
 
-    queues = {p: [(s.time_us, s.queue_len) for s in log.flow_samples
-                  if s.path_id == p] for p in (0, 1)}
+    queues = {p: [(t, queue_len) for t, path_id, *_, queue_len in log.flow_rows
+                  if path_id == p] for p in (0, 1)}
 
     def q_at(pid, t):
         arr = queues[pid]
@@ -322,7 +322,7 @@ def test_criterion_8_congestion_control_properties(runs):
     # SRTT converges within 1% of the true RTT in 50 samples (engine level)
     cfg, log = runs("srtt-handover")
     true_rtt = 2 * 10_000 + 800     # path 1 before its latency step
-    p0 = [s.srtt_us for s in log.flow_samples if s.path_id == 0]
+    p0 = [srtt for _, path_id, srtt, *_ in log.flow_rows if path_id == 0]
     srtt_ok = abs(p0[min(50, len(p0) - 1)] - true_rtt) < 0.01 * true_rtt
 
     # window discipline over every canned scenario run so far

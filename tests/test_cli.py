@@ -60,6 +60,20 @@ def test_run_validation_failure_exit_code(tmp_path, capsys):
     assert "weights" in capsys.readouterr().err
 
 
+def test_greedy_zero_weight_is_validation_error(tmp_path, capsys, monkeypatch):
+    # Such a run would never end, so it must be rejected before it starts.
+    def never_ends(self):
+        raise RuntimeError("the run started")
+
+    monkeypatch.setattr(Simulation, "run", never_ends)
+    bad = dict(SCENARIO, traffic={"kind": "greedy", "packet_size_bytes": 1000},
+               scheduler={"kind": "fixed_ratio", "weights": [3, 0]})
+    scenario = write_scenario(tmp_path, bad)
+    rc = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "scheduler.weights must all be > 0 for greedy traffic" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("traffic", "stop_us", "5"),
     ("reorder", "static_threshold_us", "5"),

@@ -5,30 +5,35 @@ count repeats exactly run to run, unlike wall time on a shared host. It does
 not see work inside C (heap operations, allocation, garbage collection), so
 it complements the benchmark under perfbench/ and never replaces it.
 
-The gate is fixed: a greedy otias run over 16 paths executes at most 1.05
-times the lines per packet of the same run over 2 paths, so per-packet work
-does not grow with the number of paths.
+The gates are fixed: per-packet work grows by at most 5% from a small to a
+large value of each scale knob the canned suite never reaches: path count
+(16 paths against 2), resequencer hold depth (about 400 packets per skew
+against 25) and window (a mean in flight several times larger). Each pair of
+points first shows that it reaches those depths.
 """
 
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 import mptunnel
 from mptunnel.engine import Simulation
+from mptunnel.metrics import MetricsLog
 from mptunnel.scenario import parse_scenario
 
 SOURCE_DIR = str(Path(mptunnel.__file__).resolve().parent)
 
 
-def greedy_otias(n_paths: int) -> dict:
-    """0.3 simulated seconds of a greedy otias source over n >= 2 paths of
-    50 Mbps, one-way latencies spread evenly over 5-40 ms."""
+def greedy_otias(n_paths: int, duration_s: float = 0.3,
+                 loss_rate: float = 0.001) -> dict:
+    """A greedy otias source over n >= 2 paths of 50 Mbps, one-way latencies
+    spread evenly over 5-40 ms."""
     return {
-        "name": f"cost-{n_paths}path", "duration_s": 0.3, "seed": 5,
+        "name": f"cost-{n_paths}path", "duration_s": duration_s, "seed": 5,
         "paths": [
             {"path_id": i,
              "one_way_latency_us": 5_000 + 35_000 * i // (n_paths - 1),
-             "bandwidth_bps": 50_000_000, "loss_rate": 0.001}
+             "bandwidth_bps": 50_000_000, "loss_rate": loss_rate}
             for i in range(n_paths)],
         "traffic": {"kind": "greedy", "packet_size_bytes": 1000},
         "scheduler": {"kind": "otias"},
@@ -36,9 +41,46 @@ def greedy_otias(n_paths: int) -> dict:
     }
 
 
-def lines_per_packet(data: dict) -> float:
+def window(cwnd: int) -> dict:
+    """0.5 s of greedy otias over 2 paths at the loss rate whose window
+    averages about cwnd packets (1.22 / sqrt(p)); the slow start of the
+    40-ms path keeps the measured mean above that."""
+    return greedy_otias(2, duration_s=0.5, loss_rate=(1.22 / cwnd) ** 2)
+
+
+def hold(depth: int) -> dict:
+    """2,000 CBR packets 9:1 over a 5-ms and a 155-ms path, at the rate that
+    emits depth packets per 150-ms skew, into the adaptive resequencer."""
+    rate_bps = depth * 8_000 * 1_000_000 // 150_000
+    return {
+        "name": f"cost-hold-{depth}", "duration_s": 2_000 * 8_000 / rate_bps,
+        "seed": 5,
+        "paths": [
+            {"path_id": i, "one_way_latency_us": latency_us,
+             "bandwidth_bps": 100_000_000, "loss_rate": 0.001}
+            for i, latency_us in enumerate((5_000, 155_000))],
+        "traffic": {"kind": "cbr", "rate_bps": rate_bps, "packet_size_bytes": 1000},
+        "scheduler": {"kind": "fixed_ratio", "weights": [9, 1]},
+        "reorder": {"kind": "adaptive", "adaptive_k": 4.0, "max_hold_us": 500_000},
+    }
+
+
+def peak_held(log) -> int:
+    """Most packets the resequencer held at once: each delivery with a
+    residency r was held over [time - r, time)."""
+    edges = sorted(edge for t, *_, residency, _ in log.deliveries if residency
+                   for edge in ((t - residency, 1), (t, -1)))
+    return max(accumulate(step for _, step in edges), default=0)
+
+
+def mean_in_flight(log) -> float:
+    in_flight = [in_flight for *_, in_flight, _ in log.flow_rows]
+    return sum(in_flight) / len(in_flight)
+
+
+def lines_per_packet(data: dict) -> tuple[float, MetricsLog]:
     """Line events in mptunnel's files while the scenario runs, per ingress
-    packet; building the Simulation is not counted."""
+    packet, and the run's log; building the Simulation is not counted."""
     sim = Simulation(parse_scenario(data))
     lines = 0
 
@@ -57,10 +99,26 @@ def lines_per_packet(data: dict) -> float:
         log = sim.run()
     finally:
         sys.settrace(previous)
-    return lines / log.ingress_count
+    return lines / log.ingress_count, log
 
 
 def test_lines_per_packet_do_not_grow_with_path_count():
-    few, many = lines_per_packet(greedy_otias(2)), lines_per_packet(greedy_otias(16))
+    (few, _), (many, _) = (lines_per_packet(greedy_otias(n)) for n in (2, 16))
     assert many <= 1.05 * few, (
         f"{many:.1f} lines per packet over 16 paths, {few:.1f} over 2")
+
+
+def test_lines_per_packet_do_not_grow_with_hold_depth():
+    (shallow, shallow_log), (deep, deep_log) = (
+        lines_per_packet(hold(depth)) for depth in (25, 400))
+    assert peak_held(deep_log) >= 8 * peak_held(shallow_log) > 0
+    assert deep <= 1.05 * shallow, (
+        f"{deep:.1f} lines per packet at hold-400, {shallow:.1f} at hold-25")
+
+
+def test_lines_per_packet_do_not_grow_with_window():
+    (small, small_log), (large, large_log) = (
+        lines_per_packet(window(cwnd)) for cwnd in (5, 128))
+    assert mean_in_flight(large_log) >= 4 * mean_in_flight(small_log)
+    assert large <= 1.05 * small, (
+        f"{large:.1f} lines per packet at window 128, {small:.1f} at window 5")

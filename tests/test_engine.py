@@ -321,6 +321,27 @@ def test_otias_scrambles_strictly_less_than_rr_when_saturated():
     assert counts["otias"] < counts["round_robin"]
 
 
+# -- receiver independence -------------------------------------------------------
+
+SENDER_STREAMS = ("sends", "arrivals", "drops", "decisions", "flow_rows")
+
+
+@pytest.mark.parametrize("name", ["rr-saturated", "adaptive-jump"])
+def test_receiver_kind_changes_nothing_the_sender_sees(name):
+    # Acks leave at arrival, so the receiver never feeds back into the
+    # sender: every receiver kind sees the same network run.
+    streams = {}
+    for kind in RECEIVERS:
+        cfg = load_canned(name)
+        cfg.reorder.kind = kind
+        log = Simulation(cfg).run()
+        streams[kind] = [getattr(log, stream) for stream in SENDER_STREAMS]
+    assert streams["none"][0]
+    for kind, got in streams.items():
+        for stream, want, have in zip(SENDER_STREAMS, streams["none"], got):
+            assert have == want, f"{stream} differs under the {kind} receiver"
+
+
 # -- record form and log lifetime ----------------------------------------------
 
 EVENT_STREAMS = ("sends", "arrivals", "deliveries", "drops", "discards", "decisions",

@@ -53,6 +53,22 @@ def test_all_zero_weights_error_names_weights():
     assert any("weights" in p for p in problems)
 
 
+def test_greedy_fixed_ratio_rejects_a_zero_weight():
+    # A zero-weight path is never picked, so under a greedy source it would
+    # stay idle and the source would offer packets without end.
+    two = [MINIMAL["paths"][0], {"path_id": 1, "one_way_latency_us": 0,
+                                 "bandwidth_bps": 1_000_000}]
+    greedy = {"kind": "greedy", "packet_size_bytes": 1000}
+    zero = {"kind": "fixed_ratio", "weights": [1, 0]}
+    assert errors_of(variant(paths=two, traffic=greedy, scheduler=zero)) == [
+        "scheduler.weights must all be > 0 for greedy traffic"]
+    assert errors_of(variant(paths=two, traffic=greedy, duration_s="x",
+                             scheduler=zero))[-1].startswith("scheduler.weights")
+    parse_scenario(variant(paths=two, scheduler=zero))
+    parse_scenario(variant(paths=two, traffic=greedy,
+                           scheduler={"kind": "fixed_ratio", "weights": [1, 2]}))
+
+
 def test_duplicate_path_id_rejected():
     data = variant(paths=[MINIMAL["paths"][0], MINIMAL["paths"][0]])
     problems = errors_of(data)
