@@ -40,23 +40,10 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path) -> dict:
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"invalid scenario {args.scenario}:", file=sys.stderr)
-        for problem in exc.errors:
-            print(f"  - {problem}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"cannot read {args.scenario}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    cfg = load_scenario(args.scenario)
     if args.seed is not None:
         cfg.seed = args.seed
-    try:
-        summary = run_scenario(cfg, Path(args.out))
-    except OSError as exc:
-        print(f"cannot write outputs under {args.out}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    summary = run_scenario(cfg, Path(args.out))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -76,19 +63,9 @@ def _cmd_list_plugins(args) -> int:
 
 
 def _cmd_paper_suite(args) -> int:
-    base = Path(args.out)
-    try:
-        for name in canned_scenario_names():
-            cfg = load_canned(name)
-            run_scenario(cfg, base / name)
-            print(f"{name}: ok")
-    except ScenarioError as exc:
-        for problem in exc.errors:
-            print(f"  - {problem}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"suite failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    for name in canned_scenario_names():
+        run_scenario(load_canned(name), Path(args.out) / name)
+        print(f"{name}: ok")
     return EXIT_OK
 
 
@@ -117,9 +94,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place a failure becomes an exit code."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except ScenarioError as exc:
+        print("invalid scenario:", file=sys.stderr)
+        for problem in exc.errors:
+            print(f"  - {problem}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except Exception as exc:  # a fault no command anticipates: one line, exit 2
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -52,7 +52,6 @@ class Simulation:
         self._arrive, self._ack = self._arrive, self._ack
         self._timer_fire, self._emit_cbr = self._timer_fire, self._emit_cbr
 
-        self._next_seq = 0
         # path_ids whose flow was sampled, and so may have changed, since the
         # last pick; None before the first pick, meaning every path.
         self._changed = None
@@ -71,8 +70,8 @@ class Simulation:
     # every collection of an older generation.
 
     def _ingress(self, now: int) -> None:
-        pkt = TunnelPacket(self._next_seq, self.cfg.traffic.packet_size_bytes, now)
-        self._next_seq += 1
+        pkt = TunnelPacket(self.log.ingress_count,
+                           self.cfg.traffic.packet_size_bytes, now)
         self.log.ingress_count += 1
         picked = self.scheduler.pick(self.flows, now, self._changed)
         self.log.decisions.append(
@@ -209,12 +208,11 @@ class Simulation:
                 if step.at_us <= hard_stop:
                     self.queue.schedule(step.at_us, self._apply_latency_step,
                                         (state, step.latency_us))
-        if cfg.traffic.kind == "cbr":
-            first = cfg.traffic.emission_time_us(0)
-            if first < self._traffic_stop_us:
-                self.queue.schedule(first, self._emit_cbr, 0)
-        else:
-            self.queue.schedule(cfg.traffic.start_us, self._start_greedy)
+        # Either source starts at start_us (CBR's emission 0), and only
+        # before traffic stops.
+        if cfg.traffic.start_us < self._traffic_stop_us:
+            start = self._emit_cbr if cfg.traffic.kind == "cbr" else self._start_greedy
+            self.queue.schedule(cfg.traffic.start_us, start, 0)
 
         pop = self.queue.pop
         while True:

@@ -2,7 +2,8 @@
 them (per-path throughput, arrival-order scatter, reordering extent, packet
 delay variation) and deterministic CSV/JSON export.
 
-The NamedTuples below document each record's field order. The engine records
+The NamedTuples below document each record's field order, and their field
+names are the export columns wherever the two agree. The engine records
 every stream, flow samples included, as plain tuples in those orders, and
 compute_pdv returns plain (overall_seq, pdv_us) pairs. Every reader here
 indexes or unpacks, so it accepts either form.
@@ -55,10 +56,7 @@ class Drop(NamedTuple):
     overall_seq: int
 
 
-class Discard(NamedTuple):
-    time_us: int
-    path_id: int
-    overall_seq: int
+Discard = Drop  # an equalizer discard records the same fields as a drop
 
 
 class Decision(NamedTuple):
@@ -291,7 +289,7 @@ def _template(rows) -> list[str]:
     return specs
 
 
-def write_csv(path, header: list[str], rows: Sequence[tuple]) -> None:
+def write_csv(path, header: Sequence[str], rows: Sequence[tuple]) -> None:
     template = ",".join(_template(rows)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -304,7 +302,7 @@ def write_json(path, payload) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _deliveries(log: MetricsLog, pdv) -> tuple[list[str], list]:
+def _deliveries(log: MetricsLog, pdv) -> tuple[Sequence[str], list]:
     # One row per packet the receiver disposed of, discards included, merged
     # in time order.
     header = ["delivery_time_us", "overall_seq", "path_id",
@@ -316,11 +314,9 @@ def _deliveries(log: MetricsLog, pdv) -> tuple[list[str], list]:
     )
 
 
-def _decisions(log: MetricsLog, pdv) -> tuple[list[str], list]:
+def _decisions(log: MetricsLog, pdv) -> tuple[Sequence[str], list]:
     n_paths = max((len(d[3]) for d in log.decisions if d[3]), default=0)
-    header = ["time_us", "overall_seq", "path_id"] + [
-        f"eta_{i}_us" for i in range(n_paths)
-    ]
+    header = Decision._fields[:3] + tuple(f"eta_{i}_us" for i in range(n_paths))
     blank = [""] * n_paths
     return header, [
         (t, seq, path_id) + tuple(etas_us or blank)
@@ -328,7 +324,7 @@ def _decisions(log: MetricsLog, pdv) -> tuple[list[str], list]:
     ]
 
 
-def _headers(log: MetricsLog, pdv) -> tuple[list[str], list]:
+def _headers(log: MetricsLog, pdv) -> tuple[Sequence[str], list]:
     # Bit-exact encapsulation headers of every transmitted packet.
     return ["time_us", "header_hex"], [
         (t,
@@ -339,8 +335,6 @@ def _headers(log: MetricsLog, pdv) -> tuple[list[str], list]:
     ]
 
 
-_EVENT_COLUMNS = ["time_us", "path_id", "overall_seq"]
-
 # Every exportable metric: fn(log, pdv) -> (header, rows), where pdv() returns
 # the run's delay-variation samples. A fn returning a dict instead names a
 # metric written as that JSON document whatever the requested format.
@@ -350,19 +344,16 @@ METRICS = {
         log.arrivals),
     "decisions": _decisions,
     "deliveries": _deliveries,
-    "discards": lambda log, pdv: (_EVENT_COLUMNS, log.discards),
-    "drops": lambda log, pdv: (_EVENT_COLUMNS, log.drops),
-    "flows": lambda log, pdv: (
-        ["time_us", "path_id", "srtt_us", "cwnd", "in_flight", "queue_len"],
-        log.flow_rows),
+    "discards": lambda log, pdv: (Discard._fields, log.discards),
+    "drops": lambda log, pdv: (Drop._fields, log.drops),
+    "flows": lambda log, pdv: (FlowSample._fields, log.flow_rows),
     "headers": _headers,
-    "pdv": lambda log, pdv: (["overall_seq", "pdv_us"], pdv()),
+    "pdv": lambda log, pdv: (PdvSample._fields, pdv()),
     "pdv_histogram": lambda log, pdv: pdv_histogram(pdv()),
     "scatter": lambda log, pdv: (["arrival_index", "overall_seq"],
                                  arrival_order_scatter(log)),
-    "srtt": lambda log, pdv: (
-        ["time_us", "path_id", "srtt_us"],
-        [s[:3] for s in log.flow_rows]),
+    "srtt": lambda log, pdv: (FlowSample._fields[:3],
+                              [s[:3] for s in log.flow_rows]),
     "throughput": lambda log, pdv: (
         ["bin_start_us", "path_id", "throughput_bps"],
         throughput_series(log, THROUGHPUT_BIN_US)),

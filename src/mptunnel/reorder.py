@@ -181,7 +181,8 @@ class BaseReceiver:
     late-packet and given-up-gap counts (zero unless the kind resequences).
 
     Every receiver kind is built as cls(cfg, deliver, schedule, discard) from
-    the run's ScenarioConfig. deliver is callback(pkt, time_us, residency_us,
+    the run's ScenarioConfig and defines on_packet(pkt, time_us), called on
+    each arrival. deliver is callback(pkt, time_us, residency_us,
     disposition); discard is callback(pkt, time_us) for packets dropped at the
     receiver; schedule is callback(at_us, fn, arg) on the run's event queue,
     which later calls fn(arg, at_us) (deadline expiry is an event, never a
@@ -199,9 +200,6 @@ class BaseReceiver:
         self._deliver = deliver
         self._schedule = schedule
         self._discard = discard
-
-    def on_packet(self, pkt: TunnelPacket, now: int) -> None:
-        raise NotImplementedError
 
 
 class PassthroughReceiver(BaseReceiver):

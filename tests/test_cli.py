@@ -2,12 +2,18 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mptunnel
+from mptunnel import cli
 from mptunnel.cli import main
 from mptunnel.engine import Simulation
 from mptunnel.scenario import ScenarioError, canned_scenario_names, parse_scenario
@@ -72,6 +78,69 @@ def test_greedy_zero_weight_is_validation_error(tmp_path, capsys, monkeypatch):
     rc = main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "scheduler.weights must all be > 0 for greedy traffic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, problem", [
+    ({"paths": []}, "paths must list at least one path"),
+    ({"scheduler": {"kind": "fixed_ratio", "weights": [1, 2, 3]}},
+     "scheduler.weights must list one entry per path (2)"),
+    ({"scheduler": {"kind": "fixed_ratio"}}, "scheduler: fixed_ratio requires weights"),
+] + [
+    ({"outputs": [{"metric": "drops", "format": "csv", "path": name}]},
+     f"outputs[0].path must be a bare file name, got {name!r}")
+    for name in ("../x.csv", ".hidden", "")
+], ids=["no-paths", "three-weights", "no-weights", "parent-dir", "hidden", "empty-name"])
+def test_rule_violation_exits_1_naming_the_problem(tmp_path, capsys, change, problem):
+    scenario = write_scenario(tmp_path, dict(SCENARIO, **change))
+    out = tmp_path / "o"
+    rc = main(["run", "--scenario", str(scenario), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"invalid scenario:\n  - {problem}\n"
+    assert not out.exists()
+
+
+def test_out_is_a_regular_file_is_runtime_error(tmp_path, capsys):
+    scenario = write_scenario(tmp_path, SCENARIO)
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    rc = main(["run", "--scenario", str(scenario), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and str(out) in err
+    assert err.count("\n") == 1
+    assert out.read_text() == "not a directory"
+
+
+def test_paper_suite_with_an_invalid_canned_scenario_exits_1(tmp_path, capsys,
+                                                              monkeypatch):
+    # The suite's configs are validated again when each run is built.
+    load = cli.load_canned
+
+    def without_paths(name):
+        cfg = load(name)
+        cfg.paths = []
+        return cfg
+
+    monkeypatch.setattr(cli, "load_canned", without_paths)
+    rc = main(["paper-suite", "--out", str(tmp_path / "suite")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid scenario:\n  - paths must list at least one path\n"
+
+
+def test_shell_sees_the_exit_code(tmp_path):
+    bad = dict(SCENARIO, scheduler={"kind": "fixed_ratio"})
+    scenario = write_scenario(tmp_path, bad)
+    src = str(Path(mptunnel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mptunnel.cli", "run", "--scenario", str(scenario),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert "  - scheduler: fixed_ratio requires weights" in proc.stderr
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -184,10 +253,11 @@ def test_malformed_scenario_never_crashes(tmp_path_factory, mutant):
         assert f"  - {problem}" in stderr.getvalue()
 
 
-def test_run_missing_file_is_runtime_error(tmp_path):
+def test_run_missing_file_is_runtime_error(tmp_path, capsys):
     rc = main(["run", "--scenario", str(tmp_path / "absent.json"),
                "--out", str(tmp_path / "o")])
     assert rc == 2
+    assert capsys.readouterr().err.startswith("file error: [Errno 2]")
 
 
 @pytest.mark.parametrize("raw", [

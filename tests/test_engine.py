@@ -165,6 +165,34 @@ def test_latency_step_after_the_hard_stop_leaves_the_run_drained():
     assert stepped.deliveries == plain.deliveries
 
 
+@pytest.mark.parametrize("traffic", [
+    {"kind": "cbr", "rate_bps": 1_000_000, "packet_size_bytes": 1000},
+    {"kind": "greedy", "packet_size_bytes": 1000},
+], ids=["cbr", "greedy"])
+def test_source_starting_past_the_hard_stop_sends_nothing_and_drains(traffic):
+    # start_us lies past duration + max hold + drain slack: neither source
+    # may leave a start event behind to end the run as undrained.
+    cfg = scenario(duration_s=1, traffic=dict(traffic, start_us=10**9))
+    log = Simulation(cfg).run()
+    assert log.ingress_count == 0
+    assert log.drained
+
+
+def test_overloaded_path_ends_the_run_undrained():
+    # 10 Mbps of CBR into one 100 kbps path: the backlog needs about 80 s to
+    # drain, longer than duration + max hold + drain slack.
+    cfg = scenario(duration_s=1, traffic={"kind": "cbr", "rate_bps": 10_000_000,
+                                          "packet_size_bytes": 1000},
+                   paths=[{"path_id": 0, "one_way_latency_us": 10_000,
+                           "bandwidth_bps": 100_000}])
+    log = Simulation(cfg).run()
+    assert not log.drained
+    assert log.ingress_count == 1250
+    assert len(log.deliveries) < len(log.sends) < log.ingress_count
+    summary = metrics.summarize(log, cfg.nominal_interval_us())
+    assert summary["drained"] is False
+
+
 def test_greedy_source_respects_windows_and_drains():
     cfg = scenario(duration_s=5,
                    traffic={"kind": "greedy", "packet_size_bytes": 1000})
