@@ -75,8 +75,7 @@ class Simulation:
         self.log.ingress_count += 1
         picked = self.scheduler.pick(self.flows, now, self._changed)
         self.log.decisions.append(
-            (now, pkt.overall_seq, picked,
-             getattr(self.scheduler, "last_etas", None)))
+            (now, pkt.overall_seq, picked, self.scheduler.last_etas))
         self._changed = set()
         self.flows[picked].enqueue(pkt, now)
         self._sample_flow(picked, now)

@@ -12,6 +12,10 @@ since the previous pick; changed=None, the default and the engine's value
 at its first pick, means any of them may have. Views not named must read as
 they did at the previous pick. Only otias uses it, to keep each path's ETA
 until the path is named; the other schedulers ignore it.
+
+Every scheduler has last_etas: the per-path estimates its latest pick
+decided from, recorded with each decision, or None on a scheduler that
+makes no estimates.
 """
 
 import math
@@ -48,6 +52,8 @@ def otias_eta(view: Flow) -> float:
 class RoundRobin:
     """Cycle through paths in path_id order."""
 
+    last_etas = None
+
     def __init__(self):
         self._last = -1
 
@@ -64,6 +70,8 @@ class FixedRatio:
     picks each path is chosen exactly its weight's worth, and every prefix
     stays within one packet of the configured ratio.
     """
+
+    last_etas = None
 
     def __init__(self, weights: Sequence[int]):
         if not weights or any(w < 0 for w in weights) or not any(weights):
@@ -87,6 +95,8 @@ class LowestWithRoom:
     path_id, so ties break toward the lower path_id.
     """
 
+    last_etas = None
+
     def __init__(self, key: Callable[[Flow], tuple]):
         self._key = key
 
@@ -102,26 +112,37 @@ class Otias:
     the fast path is the mechanism that lines packets up to arrive in order.
 
     Each path's ETA is kept, as the same float object, until the engine
-    names the path in changed; changed=None recomputes every path.
+    names the path in changed and its value differs; changed=None recomputes
+    every path. While no ETA changes value the previous pick stands, and
+    last_etas stays the same tuple, so consecutive decisions share it.
     """
 
     def __init__(self):
         self.last_etas: tuple[float, ...] = ()
         self._etas: list[float] = []  # per path_id
+        self._picked = 0
 
     def pick(self, views: Sequence[Flow], now: int, changed: Changed = None) -> int:
         etas = self._etas
         if changed is None:
             etas[:] = map(otias_eta, views)
         else:
+            moved = False
             for i in changed:
-                etas[i] = otias_eta(views[i])
+                # ETAs are positive finite floats: equal means bit-identical.
+                eta = otias_eta(views[i])
+                if eta != etas[i]:
+                    etas[i] = eta
+                    moved = True
+            if not moved:
+                return self._picked
         etas = self.last_etas = tuple(etas)
-        return etas.index(min(etas))
+        self._picked = etas.index(min(etas))
+        return self._picked
 
 
-# Every scheduler kind, built from its SchedulerConfig. A scheduler that sets
-# last_etas has those per-path estimates recorded with each decision.
+# Every scheduler kind, built from its SchedulerConfig. Each decision records
+# the scheduler's last_etas (see the module docstring).
 SCHEDULERS = {
     "cheapest_pipe_first": Plugin(
         lambda config: LowestWithRoom(attrgetter("cost", "path_id")),

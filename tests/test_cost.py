@@ -10,9 +10,15 @@ large value of each scale knob the canned suite never reaches: path count
 (16 paths against 2), resequencer hold depth (about 400 packets per skew
 against 25) and window (a mean in flight several times larger). Each pair of
 points first shows that it reaches those depths.
+
+The same holds for memory: tracemalloc counts the bytes a finished run's log
+keeps per ingress packet, and those may grow by at most 8% from 2 paths to
+16.
 """
 
+import gc
 import sys
+import tracemalloc
 from itertools import accumulate
 from pathlib import Path
 
@@ -102,6 +108,25 @@ def lines_per_packet(data: dict) -> tuple[float, MetricsLog]:
     return lines / log.ingress_count, log
 
 
+def retained_bytes_per_packet(data: dict) -> float:
+    """Bytes still allocated once the run's Simulation is freed, that is
+    held by its log alone, per ingress packet; building the Simulation is
+    not counted."""
+    sim = Simulation(parse_scenario(data))
+    # A full collection also empties CPython's free lists, so the run cannot
+    # reuse, unseen, an object allocated before tracing started.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        log = sim.run()
+        del sim
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return retained / log.ingress_count
+
+
 def test_lines_per_packet_do_not_grow_with_path_count():
     (few, _), (many, _) = (lines_per_packet(greedy_otias(n)) for n in (2, 16))
     assert many <= 1.05 * few, (
@@ -122,3 +147,9 @@ def test_lines_per_packet_do_not_grow_with_window():
     assert mean_in_flight(large_log) >= 4 * mean_in_flight(small_log)
     assert large <= 1.05 * small, (
         f"{large:.1f} lines per packet at window 128, {small:.1f} at window 5")
+
+
+def test_retained_bytes_per_packet_do_not_grow_with_path_count():
+    few, many = (retained_bytes_per_packet(greedy_otias(n)) for n in (2, 16))
+    assert many <= 1.08 * few, (
+        f"{many:.1f} bytes per packet over 16 paths, {few:.1f} over 2")

@@ -220,6 +220,7 @@ def test_otias_cache_matches_recomputed_etas(steps):
     otias = Otias()
     now = seq = 0
     n_before = None
+    previous = None  # the previous pick's (full recompute, pick, last_etas)
     for kind, i, choice, n in steps:
         now += 1_000
         flow = flows[i]
@@ -245,7 +246,15 @@ def test_otias_cache_matches_recomputed_etas(steps):
         for got, want in zip(otias.last_etas, expected):
             assert type(got) is type(want) and got.hex() == want.hex()
         assert picked == expected.index(min(expected))
-        # With nothing named, the very same float objects come back.
-        before = otias.last_etas
+        if changed is not None:
+            # While no ETA changes value, the pick and its tuple stand.
+            expected_before, picked_before, etas_before = previous
+            if expected == expected_before:
+                assert otias.last_etas is etas_before
+                assert picked == picked_before
+            else:
+                assert otias.last_etas is not etas_before
+        previous = expected, picked, otias.last_etas
+        # With nothing named, the very same tuple comes back.
         assert otias.pick(views, now, ()) == picked
-        assert all(a is b for a, b in zip(otias.last_etas, before))
+        assert otias.last_etas is previous[2]

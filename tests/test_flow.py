@@ -163,6 +163,22 @@ def test_rtt_report_stamped_from_current_estimate():
     assert sent[0][0].sender_rtt_report == 36_000
 
 
+def test_rtt_report_shared_while_its_value_holds():
+    # 36_000 is no cached small int: an unshared stamp is a new object.
+    flow, sent = make_flow(prior_rtt_us=36_000)
+    flow.cwnd = 8.0
+    feed(flow, 2)
+    flow.update_rtt(36_000)
+    flow.update_rtt(36_003)  # srtt 36_000.375 rounds to the same report
+    feed(flow, 1)
+    flow.srtt_us = 50_000.4  # set from outside, read at stamp time
+    feed(flow, 2)
+    reports = [pkt.sender_rtt_report for pkt, _ in sent]
+    assert reports == [36_000, 36_000, 36_000, 50_000, 50_000]
+    assert reports[0] is reports[1] is reports[2]
+    assert reports[3] is reports[4]
+
+
 # -- congestion control -------------------------------------------------------
 
 
