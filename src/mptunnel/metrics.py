@@ -4,9 +4,10 @@ delay variation) and deterministic CSV/JSON export.
 
 The NamedTuples below document each record's field order, and their field
 names are the export columns wherever the two agree. The engine records
-every stream, flow samples included, as plain tuples in those orders, and
-compute_pdv returns plain (overall_seq, pdv_us) pairs. Every reader here
-indexes or unpacks, so it accepts either form.
+every stream, flow samples included, as plain tuples in those orders. Every
+reader here indexes or unpacks, so it accepts either form. compute_pdv keeps
+no per-sample tuple: its result holds parallel lists of sequence numbers and
+values, and the pdv export zips them into PdvSample-ordered rows.
 
 Export schema version 1. Column layouts are fixed; see the README for the
 full schema reference.
@@ -82,7 +83,10 @@ class PdvSample(NamedTuple):
 
 @dataclass
 class PdvResult:
-    samples: list[tuple[int, float]]  # in PdvSample field order
+    """Delay-variation samples in sequence order: values[i] is the sample of
+    seqs[i]. skipped counts sequence numbers whose predecessor never landed."""
+    seqs: list[int]
+    values: list[float]
     skipped: int
 
 
@@ -148,10 +152,26 @@ def compute_pdv(log: MetricsLog, nominal_interval_us: float,
     key = (stream, type(nominal_interval_us), nominal_interval_us, len(rows))
     if log._pdv is not None and log._pdv[0] == key:
         return log._pdv[1]
-    times = {r[1]: r[0] for r in rows}
-    samples = [(s, (times[s] - times[s - 1]) - nominal_interval_us)
-               for s in sorted(times) if s - 1 in times]
-    result = PdvResult(samples, len(times) - len(samples) - (0 in times))
+    seqs, values = [], []
+    skipped = 0
+    # The stable sort keeps a seq's records in log order, so the last one
+    # of a run of equal seqs is its last record, and seq - 1's time is final
+    # before seq's first record is read.
+    seq = t = prev_seq = prev_t = None
+    for row in sorted(rows, key=itemgetter(1)):
+        if row[1] == seq:  # recorded again: the last time wins
+            t = row[0]
+            if seqs and seqs[-1] == seq:
+                values[-1] = (t - prev_t) - nominal_interval_us
+            continue
+        prev_seq, prev_t = seq, t
+        t, seq = row[0], row[1]
+        if seq - 1 == prev_seq:
+            seqs.append(seq)
+            values.append((t - prev_t) - nominal_interval_us)
+        elif seq:
+            skipped += 1
+    result = PdvResult(seqs, values, skipped)
     log._pdv = (key, result)
     return result
 
@@ -218,12 +238,11 @@ def percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[max(0, min(len(sorted_values) - 1, rank - 1))]
 
 
-def pdv_histogram(samples: list[tuple[int, float]],
-                  bin_width_us: float = 1000.0) -> dict:
+def pdv_histogram(values: list[float], bin_width_us: float = 1000.0) -> dict:
     """Histogram of pdv values as bin edges plus counts."""
-    if not samples:
+    if not values:
         return {"bin_edges_us": [], "counts": []}
-    values = sorted(v for _, v in samples)
+    values = sorted(values)
     lo = float(values[0] // bin_width_us * bin_width_us)
     n_bins = int((values[-1] - lo) // bin_width_us) + 1
     counts = [0] * n_bins
@@ -237,7 +256,7 @@ def summarize(log: MetricsLog, nominal_interval_us: float,
               pdv_stream: str = "deliveries") -> dict:
     """Run totals plus the delay-variation distribution summary."""
     pdv = compute_pdv(log, nominal_interval_us, pdv_stream)
-    values = sorted(v for _, v in pdv.samples)
+    values = sorted(pdv.values)
     mean = sum(values) / len(values) if values else 0.0
     return {
         "schema_version": SCHEMA_VERSION,
@@ -324,6 +343,12 @@ def _decisions(log: MetricsLog, pdv) -> tuple[Sequence[str], list]:
     ]
 
 
+def _pdv(log: MetricsLog, pdv) -> tuple[Sequence[str], list]:
+    # The only place pdv rows exist as tuples: built when written.
+    result = pdv()
+    return PdvSample._fields, list(zip(result.seqs, result.values))
+
+
 def _headers(log: MetricsLog, pdv) -> tuple[Sequence[str], list]:
     # Bit-exact encapsulation headers of every transmitted packet.
     return ["time_us", "header_hex"], [
@@ -336,8 +361,8 @@ def _headers(log: MetricsLog, pdv) -> tuple[Sequence[str], list]:
 
 
 # Every exportable metric: fn(log, pdv) -> (header, rows), where pdv() returns
-# the run's delay-variation samples. A fn returning a dict instead names a
-# metric written as that JSON document whatever the requested format.
+# the run's PdvResult. A fn returning a dict instead names a metric written as
+# that JSON document whatever the requested format.
 METRICS = {
     "arrivals": lambda log, pdv: (
         ["arrival_time_us", "overall_seq", "path_id", "ingress_time_us"],
@@ -348,8 +373,8 @@ METRICS = {
     "drops": lambda log, pdv: (Drop._fields, log.drops),
     "flows": lambda log, pdv: (FlowSample._fields, log.flow_rows),
     "headers": _headers,
-    "pdv": lambda log, pdv: (PdvSample._fields, pdv()),
-    "pdv_histogram": lambda log, pdv: pdv_histogram(pdv()),
+    "pdv": _pdv,
+    "pdv_histogram": lambda log, pdv: pdv_histogram(pdv().values),
     "scatter": lambda log, pdv: (["arrival_index", "overall_seq"],
                                  arrival_order_scatter(log)),
     "srtt": lambda log, pdv: (FlowSample._fields[:3],
@@ -367,7 +392,7 @@ def export_metric(log: MetricsLog, metric: str, fmt: str, path,
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     table = METRICS[metric](
-        log, lambda: compute_pdv(log, nominal_interval_us, pdv_stream).samples)
+        log, lambda: compute_pdv(log, nominal_interval_us, pdv_stream))
     if isinstance(table, dict):
         write_json(path, table)
         return

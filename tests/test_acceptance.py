@@ -184,7 +184,7 @@ def test_criterion_4_adaptive_reordering_delay_jump(runs):
 
 
 def pdv_stats(cfg, log):
-    values = [v for _, v in compute_pdv(log, cfg.nominal_interval_us()).samples]
+    values = compute_pdv(log, cfg.nominal_interval_us()).values
     outside5 = sum(1 for v in values if abs(v) > 5000) / len(values)
     within2 = sum(1 for v in values if abs(v) <= 2000) / len(values)
     pos = any(v > 5000 for v in values)

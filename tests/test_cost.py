@@ -13,7 +13,10 @@ points first shows that it reaches those depths.
 
 The same holds for memory: tracemalloc counts the bytes a finished run's log
 keeps per ingress packet, and those may grow by at most 8% from 2 paths to
-16.
+16. summarize, run on a finished log, may add at most 64 bytes per ingress
+packet at its peak: 40 kept per delay-variation sample (a sequence-number
+pointer, a value pointer and the float itself), 16 of sort buffers while the
+stream is ordered by sequence number, and 8 for the sorted copy of the values.
 """
 
 import gc
@@ -22,9 +25,11 @@ import tracemalloc
 from itertools import accumulate
 from pathlib import Path
 
+import pytest
+
 import mptunnel
 from mptunnel.engine import Simulation
-from mptunnel.metrics import MetricsLog
+from mptunnel.metrics import MetricsLog, summarize
 from mptunnel.scenario import parse_scenario
 
 SOURCE_DIR = str(Path(mptunnel.__file__).resolve().parent)
@@ -127,6 +132,22 @@ def retained_bytes_per_packet(data: dict) -> float:
     return retained / log.ingress_count
 
 
+def summarize_peak_bytes_per_packet(data: dict) -> float:
+    """Peak bytes allocated while summarize runs on the scenario's finished
+    log, per ingress packet; the log itself is allocated before tracing
+    starts, so it is not counted."""
+    cfg = parse_scenario(data)
+    log = Simulation(cfg).run()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        summarize(log, cfg.nominal_interval_us(), cfg.pdv_stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / log.ingress_count
+
+
 def test_lines_per_packet_do_not_grow_with_path_count():
     (few, _), (many, _) = (lines_per_packet(greedy_otias(n)) for n in (2, 16))
     assert many <= 1.05 * few, (
@@ -153,3 +174,10 @@ def test_retained_bytes_per_packet_do_not_grow_with_path_count():
     few, many = (retained_bytes_per_packet(greedy_otias(n)) for n in (2, 16))
     assert many <= 1.08 * few, (
         f"{many:.1f} bytes per packet over 16 paths, {few:.1f} over 2")
+
+
+@pytest.mark.parametrize("data", [greedy_otias(2), greedy_otias(16), hold(400)],
+                         ids=lambda data: data["name"])
+def test_summarize_peak_bytes_per_packet(data):
+    peak = summarize_peak_bytes_per_packet(data)
+    assert peak <= 64, f"summarize peaks at {peak:.1f} bytes per packet"

@@ -216,21 +216,55 @@ class WindowIgnoringFlow(Flow):
             self._transmit(pkt, now)
 
 
+class OneOverWindowFlow(Flow):
+    """Faulty flow that sends while in_flight <= cwnd: one packet over."""
+
+    __slots__ = ()
+
+    def pump(self, now):
+        queue = self.send_queue
+        while queue and self.in_flight <= self.cwnd:
+            pkt = queue.popleft()
+            self.in_flight += 1
+            self._outstanding[pkt.flow_seq] = now
+            self._send_order.append(pkt.flow_seq)
+            self._transmit(pkt, now)
+
+
+# 4 Mbps of lossless CBR over two 100 ms paths keeps ~50 packets in flight,
+# far above the initial window.
+WINDOW_TEST_DATA = {
+    "traffic": {"kind": "cbr", "rate_bps": 4_000_000, "packet_size_bytes": 1000},
+    "paths": [{"path_id": i, "one_way_latency_us": 100_000,
+               "bandwidth_bps": 10_000_000} for i in (0, 1)]}
+
+
 def test_window_violations_counted_for_a_faulty_flow(monkeypatch):
-    # 4 Mbps of CBR over two 100 ms paths keeps ~50 packets in flight, far
-    # above the initial window, so a flow that ignores cwnd must be caught.
-    data = {"traffic": {"kind": "cbr", "rate_bps": 4_000_000, "packet_size_bytes": 1000},
-            "paths": [
-                {"path_id": i, "one_way_latency_us": 100_000,
-                 "bandwidth_bps": 10_000_000} for i in (0, 1)]}
-    cfg = scenario(duration_s=2, **data)
+    # A flow that ignores cwnd must be caught.
+    cfg = scenario(duration_s=2, **WINDOW_TEST_DATA)
     honest = metrics.summarize(Simulation(cfg).run(), cfg.nominal_interval_us())
     monkeypatch.setattr(engine, "Flow", WindowIgnoringFlow)
-    cfg = scenario(duration_s=2, **data)
+    cfg = scenario(duration_s=2, **WINDOW_TEST_DATA)
     faulty = metrics.summarize(Simulation(cfg).run(), cfg.nominal_interval_us())
     assert honest["window_violations"] == 0
     assert faulty["window_violations"] > 0
     assert faulty["sent"] == honest["sent"]
+
+
+def test_window_violations_counted_one_packet_over_an_integer_window(monkeypatch):
+    # The boundary of the transmit check: with no loss every cwnd stays a
+    # whole number, so the faulty flow's last send of each window starts at
+    # in_flight == cwnd, which must count, and the honest flow's never does.
+    counts = {}
+    for flow_class in (Flow, OneOverWindowFlow):
+        monkeypatch.setattr(engine, "Flow", flow_class)
+        sim = Simulation(scenario(duration_s=2, **WINDOW_TEST_DATA))
+        log = sim.run()
+        assert not log.drops and not any(f.packets_lost for f in sim.flows)
+        assert all(cwnd == int(cwnd) for _, _, _, cwnd, _, _ in log.flow_rows)
+        counts[flow_class] = log.window_violations
+    assert counts[Flow] == 0
+    assert counts[OneOverWindowFlow] > 0
 
 
 def test_greedy_respects_stop_time():
@@ -401,8 +435,8 @@ def test_event_records_are_exact_tuples(guard_logs):
         assert {type(r) for r in records} == {tuple}, name
     assert any(etas for _, log in guard_logs for *_, etas in log.decisions)
     for cfg, log in guard_logs:
-        samples = metrics.compute_pdv(log, cfg.nominal_interval_us()).samples
-        assert samples and {type(s) for s in samples} == {tuple}
+        pdv = metrics.compute_pdv(log, cfg.nominal_interval_us())
+        assert pdv.values and {type(v) for v in pdv.values} <= {int, float}
 
 
 def test_event_records_untracked_after_collection(guard_logs):

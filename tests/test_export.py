@@ -1,7 +1,8 @@
 """Export against reference models: write_csv's per-table %-templates and
-compute_pdv's single comprehension must give exactly what the per-value
-writer and the per-sequence loop they replaced gave, which are kept here as
-the references, and write_csv must refuse a table no template can write."""
+compute_pdv's one sorted pass, which keeps PdvResult.seqs, .values and
+.skipped, must give exactly what the per-value writer and the per-sequence
+loop over a seq -> time dict they replaced gave, which are kept here as the
+references, and write_csv must refuse a table no template can write."""
 
 import json
 import math
@@ -42,7 +43,7 @@ def reference_write_json(path, payload) -> None:
 def reference_pdv(log, nominal_interval_us, stream="deliveries") -> PdvResult:
     rows = log.deliveries if stream == "deliveries" else log.arrivals
     times = {seq: t for t, seq, _ in (r[:3] for r in rows)}
-    samples = []
+    seqs, values = [], []
     skipped = 0
     for seq in sorted(times):
         if seq == 0:
@@ -51,8 +52,9 @@ def reference_pdv(log, nominal_interval_us, stream="deliveries") -> PdvResult:
         if prev is None:
             skipped += 1
             continue
-        samples.append((seq, (times[seq] - prev) - nominal_interval_us))
-    return PdvResult(samples, skipped)
+        seqs.append(seq)
+        values.append((times[seq] - prev) - nominal_interval_us)
+    return PdvResult(seqs, values, skipped)
 
 
 # The metric whose rows arrival_order_scatter builds; every other metric's
@@ -66,7 +68,7 @@ REFERENCE_TABLES = {
 
 def reference_export(log, metric, fmt, path, nominal_interval_us) -> None:
     table = REFERENCE_TABLES.get(metric, METRICS[metric])(
-        log, lambda: reference_pdv(log, nominal_interval_us).samples)
+        log, lambda: reference_pdv(log, nominal_interval_us))
     if isinstance(table, dict):
         reference_write_json(path, table)
         return
@@ -185,6 +187,9 @@ def test_write_csv_refuses_an_iterator(tmp_path):
        st.one_of(st.integers(0, 20_000),
                  st.floats(min_value=0, max_value=1e6, allow_nan=False)),
        st.sampled_from(["deliveries", "arrivals"]))
+# Seq 1 recorded again, not adjacently, with an earlier time; seq 0 twice.
+@example([(0, 1_000), (1, 9_000), (2, 20_000), (1, 4_000), (0, 2_000),
+          (3, 25_000)], 8_000, "deliveries")
 def test_compute_pdv_matches_per_sequence_loop(records, nominal, stream):
     # Gaps, sequence numbers recorded twice (the last time wins) and seq 0
     # present or absent all come from the generated (seq, time) pairs.
@@ -195,7 +200,8 @@ def test_compute_pdv_matches_per_sequence_loop(records, nominal, stream):
     got = compute_pdv(log, nominal, stream)
     want = reference_pdv(log, nominal, stream)
     assert got.skipped == want.skipped
-    assert repr(got.samples) == repr(want.samples)
+    assert repr(got.seqs) == repr(want.seqs)
+    assert repr(got.values) == repr(want.values)
 
 
 # -- every metric of a run, in both formats ----------------------------------
@@ -248,7 +254,7 @@ def test_runs_fill_every_table():
     filled = set()
     for run, overrides in RUNS.items():
         cfg, log = short_run(**overrides)
-        pdv = lambda: compute_pdv(log, cfg.nominal_interval_us()).samples
+        pdv = lambda: compute_pdv(log, cfg.nominal_interval_us())
         for metric, build in METRICS.items():
             table = build(log, pdv)
             if table["counts"] if isinstance(table, dict) else table[1]:

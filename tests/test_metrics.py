@@ -20,22 +20,22 @@ def test_pdv_perfect_cbr_stream_is_zero():
     log = log_with_deliveries([(10_000 + 8_000 * k, k) for k in range(50)])
     result = compute_pdv(log, 8_000)
     assert result.skipped == 0
-    assert all(pdv_us == 0 for _, pdv_us in result.samples)
-    assert len(result.samples) == 49
+    assert all(pdv_us == 0 for pdv_us in result.values)
+    assert result.seqs == list(range(1, 50))
 
 
 def test_pdv_sign_convention():
     # packet n lands 2 ms before its predecessor: negative variation
     log = log_with_deliveries([(100_000, 7), (98_000, 8)])
     result = compute_pdv(log, 8_000)
-    assert result.samples == [(8, -10_000)]
+    assert (result.seqs, result.values) == ([8], [-10_000])
 
 
 def test_pdv_missing_predecessor_skipped_and_counted():
     log = log_with_deliveries([(0, 0), (8_000, 1), (30_000, 3), (38_000, 4)])
     result = compute_pdv(log, 8_000)
     assert result.skipped == 1           # seq 3 has no delivered seq 2
-    assert [seq for seq, _ in result.samples] == [1, 4]
+    assert result.seqs == [1, 4]
 
 
 def test_pdv_is_permutation_insensitive():
@@ -54,7 +54,7 @@ def test_pdv_second_call_returns_the_kept_result():
     # An equal interval of another type gives samples of another type.
     floats = compute_pdv(log, 8_000.0)
     assert floats is not first
-    assert {type(v) for _, v in floats.samples} == {float}
+    assert {type(v) for v in floats.values} == {float}
 
 
 def test_pdv_after_a_row_is_appended_is_computed_again():
@@ -63,7 +63,8 @@ def test_pdv_after_a_row_is_appended_is_computed_again():
     log.deliveries.append(Delivery(95_000, 10, 0, 0, 0, "inorder"))
     again = compute_pdv(log, 8_000)
     assert again is not first
-    assert again.samples == first.samples + [(10, 5_000)]
+    assert again.seqs == first.seqs + [10]
+    assert again.values == first.values + [5_000]
 
 
 def test_scatter_identity_for_in_order_run():
@@ -130,9 +131,9 @@ def test_percentile_nearest_rank():
 
 def test_pdv_histogram_counts():
     log = log_with_deliveries([(0, 0), (8_000, 1), (26_000, 2), (30_000, 3)])
-    samples = compute_pdv(log, 8_000).samples
-    hist = pdv_histogram(samples, bin_width_us=1000.0)
-    assert sum(hist["counts"]) == len(samples)
+    values = compute_pdv(log, 8_000).values
+    hist = pdv_histogram(values, bin_width_us=1000.0)
+    assert sum(hist["counts"]) == len(values)
     assert len(hist["bin_edges_us"]) == len(hist["counts"]) + 1
 
 
