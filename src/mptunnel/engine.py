@@ -7,6 +7,7 @@ without sharing anything.
 
 from . import metrics
 from .flow import Flow, TunnelPacket
+from .metrics import CHUNK_ROWS, DISPOSITION_CODES
 from .reorder import RECEIVERS
 from .scenario import ScenarioConfig, ScenarioError, problems
 from .scheduler import SCHEDULERS
@@ -63,19 +64,21 @@ class Simulation:
 
     # -- event handlers ------------------------------------------------------
 
-    # Records, flow samples included, are exact tuples in the field order of
-    # the metrics NamedTuple of the same name (Send, Arrival, ..., FlowSample):
-    # CPython's cyclic collector stops tracking an exact tuple of untracked
-    # values, never a NamedTuple, so the run's history is not rescanned by
-    # every collection of an older generation.
+    # Each record is written where it happens, with no call: the site packs
+    # its row onto its metrics.Stream's tail (a disposition as its code, a
+    # decision's ETA tuple onto etas), and _ingress has the log seal whole
+    # chunks every CHUNK_ROWS packets.
 
     def _ingress(self, now: int) -> None:
-        pkt = TunnelPacket(self.log.ingress_count,
-                           self.cfg.traffic.packet_size_bytes, now)
-        self.log.ingress_count += 1
+        log = self.log
+        pkt = TunnelPacket(log.ingress_count, self.cfg.traffic.packet_size_bytes, now)
+        log.ingress_count += 1
         picked = self.scheduler.pick(self.flows, now, self._changed)
-        self.log.decisions.append(
-            (now, pkt.overall_seq, picked, self.scheduler.last_etas))
+        rows = log.decisions
+        rows.tail += rows.struct.pack(now, pkt.overall_seq, picked)
+        rows.etas.append(self.scheduler.last_etas)
+        if not log.ingress_count % CHUNK_ROWS:
+            log.seal()
         self._changed = set()
         self.flows[picked].enqueue(pkt, now)
         self._sample_flow(picked, now)
@@ -89,20 +92,21 @@ class Simulation:
         # counted this packet in flight.
         if flow.in_flight - 1 >= flow.cwnd:
             self.log.window_violations += 1
-        self.log.sends.append(
-            (now, path_id, pkt.overall_seq, pkt.flow_seq, pkt.payload_len,
-             pkt.sender_rtt_report))
+        rows = self.log.sends
+        rows.tail += rows.struct.pack(now, path_id, pkt.overall_seq, pkt.flow_seq,
+                                      pkt.payload_len, pkt.sender_rtt_report)
         delivery = self.paths[path_id].transmit(pkt.payload_len, now)
         if delivery is None:
-            self.log.drops.append((now, path_id, pkt.overall_seq))
+            rows = self.log.drops
+            rows.tail += rows.struct.pack(now, path_id, pkt.overall_seq)
         else:
             self.queue.schedule(delivery, self._arrive, pkt)
         if self._timers[path_id] is None:
             self._arm_timer(path_id, now)
 
     def _arrive(self, pkt: TunnelPacket, now: int) -> None:
-        self.log.arrivals.append(
-            (now, pkt.overall_seq, pkt.path_id, pkt.ingress_time))
+        rows = self.log.arrivals
+        rows.tail += rows.struct.pack(now, pkt.overall_seq, pkt.path_id, pkt.ingress_time)
         # The ack returns over the same path, not bandwidth-limited.
         ack_at = now + self.paths[pkt.path_id].current_latency_us
         self.queue.schedule(ack_at, self._ack, pkt)
@@ -121,18 +125,20 @@ class Simulation:
 
     def _deliver(self, pkt: TunnelPacket, now: int, residency_us: int,
                  disposition: str) -> None:
-        self.log.deliveries.append(
-            (now, pkt.overall_seq, pkt.path_id, pkt.ingress_time, residency_us,
-             disposition))
+        rows = self.log.deliveries
+        rows.tail += rows.struct.pack(now, pkt.overall_seq, pkt.path_id, pkt.ingress_time,
+                                      residency_us, DISPOSITION_CODES[disposition])
 
     def _discard(self, pkt: TunnelPacket, now: int) -> None:
-        self.log.discards.append((now, pkt.path_id, pkt.overall_seq))
+        rows = self.log.discards
+        rows.tail += rows.struct.pack(now, pkt.path_id, pkt.overall_seq)
 
     def _sample_flow(self, path_id: int, now: int) -> None:
         self._changed.add(path_id)
         f = self.flows[path_id]
-        self.log.flow_rows.append(
-            (now, path_id, f.srtt_us, f.cwnd, f.in_flight, len(f.send_queue)))
+        rows = self.log.flow_rows
+        rows.tail += rows.struct.pack(now, path_id, f.srtt_us, f.cwnd, f.in_flight,
+                                      len(f.send_queue))
 
     # -- ack-silence timers ----------------------------------------------------
 
@@ -225,6 +231,8 @@ class Simulation:
             fn(arg, at)
 
         log, self.log = self.log, None
+        # A finished log holds no per-decision object.
+        log.seal()
         log.timeout_gaps = self.receiver.gap_count
         log.late_count = self.receiver.late_count
         return log

@@ -114,7 +114,7 @@ class Flow:
     __slots__ = ("path_id", "cost", "_transmit", "cwnd", "ssthresh", "in_flight",
                  "send_queue", "next_flow_seq", "srtt_us", "rttvar_us",
                  "_rtt_sampled", "_outstanding", "_send_order", "_top_acks", "_recover_seq",
-                 "_ca_credit", "packets_lost", "_rtt_report")
+                 "_ca_credit", "packets_lost")
 
     def __init__(self, path_id: int, prior_rtt_us: float,
                  transmit: Callable[[TunnelPacket, int], None], cost: float = 0.0):
@@ -145,8 +145,6 @@ class Flow:
         self._ca_credit = 0.0
 
         self.packets_lost = 0
-        # The RTT report last stamped; packets share it while it holds.
-        self._rtt_report = 0
 
     # -- scheduler view -----------------------------------------------------
 
@@ -170,10 +168,7 @@ class Flow:
         """Accept a packet from the scheduler; transmit now if the window allows."""
         pkt.path_id = self.path_id
         pkt.flow_seq = self.next_flow_seq
-        report = min(int(round(self.srtt_us)), RTT_REPORT_MAX)
-        if report != self._rtt_report:
-            self._rtt_report = report
-        pkt.sender_rtt_report = self._rtt_report
+        pkt.sender_rtt_report = min(int(round(self.srtt_us)), RTT_REPORT_MAX)
         self.next_flow_seq += 1
         self.send_queue.append(pkt)
         self.pump(now)

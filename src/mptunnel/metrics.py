@@ -1,13 +1,18 @@
-"""Run metrics: append-only logs plus the evaluation quantities computed from
-them (per-path throughput, arrival-order scatter, reordering extent, packet
+"""Run metrics: the run log, the evaluation quantities computed from it
+(per-path throughput, arrival-order scatter, reordering extent, packet
 delay variation) and deterministic CSV/JSON export.
 
-The NamedTuples below document each record's field order, and their field
-names are the export columns wherever the two agree. The engine records
-every stream, flow samples included, as plain tuples in those orders. Every
-reader here indexes or unpacks, so it accepts either form. compute_pdv keeps
-no per-sample tuple: its result holds parallel lists of sequence numbers and
-values, and the pdv export zips them into PdvSample-ordered rows.
+STREAMS names every record stream once: its NamedTuple, whose field order
+its rows keep and whose field names are the export columns wherever the two
+agree, and the packed form of each field. A Stream keeps its rows packed, 8
+bytes per field, in sealed chunks of CHUNK_ROWS rows plus one open tail, all
+bytes the cyclic collector never scans; a disposition is packed as its index
+in DISPOSITIONS, and a decision's ETA tuple, when it is not the previous
+decision's, as a record of the entries that changed or of the whole tuple.
+Read back, a stream is a read-only sequence of exact tuples of plain values.
+compute_pdv reads columns, not rows: its result holds the sequence numbers
+packed and the values as a list, and the pdv export zips them into
+PdvSample-ordered rows.
 
 Export schema version 1. Column layouts are fixed; see the README for the
 full schema reference.
@@ -15,12 +20,16 @@ full schema reference.
 
 import json
 import math
+import struct
+from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from operator import itemgetter
+from dataclasses import dataclass, field, fields
+from itertools import chain, compress, count, islice, repeat
+from operator import eq, is_not, itemgetter, setitem, sub
 from typing import NamedTuple, Optional
 
 from .flow import TunnelPacket, encode_header
+from .reorder import DISPOSITION_INORDER, DISPOSITION_LATE, DISPOSITION_TIMEOUT
 
 SCHEMA_VERSION = 1
 THROUGHPUT_BIN_US = 100_000
@@ -81,32 +90,253 @@ class PdvSample(NamedTuple):
     pdv_us: float
 
 
+# Every record stream of a MetricsLog: its row NamedTuple and one kind per
+# field: q an int of 64 bits, d a float, c a disposition and e an ETA tuple
+# (None, or floats), kept apart from the packed row (see Decisions).
+STREAMS = {
+    "sends": (Send, "qqqqqq"),
+    "arrivals": (Arrival, "qqqq"),
+    "deliveries": (Delivery, "qqqqqc"),
+    "drops": (Drop, "qqq"),
+    "discards": (Discard, "qqq"),
+    "decisions": (Decision, "qqqe"),
+    "flow_rows": (FlowSample, "qqddqq"),
+}
+
+CHUNK_ROWS = 1024
+DISPOSITIONS = (DISPOSITION_INORDER, DISPOSITION_LATE, DISPOSITION_TIMEOUT)
+DISPOSITION_CODES = {d: i for i, d in enumerate(DISPOSITIONS)}
+# One packed row per stream, shared by every log.
+_ROW_STRUCTS = {
+    name: struct.Struct("=" + "".join({"q": "q", "d": "d", "c": "q", "e": ""}[kind]
+                                      for kind in kinds))
+    for name, (_, kinds) in STREAMS.items()}
+# A decision's ETA record: (row, width, count), where row is its index in
+# the chunk and width the tuple's length (-1 for None), followed by the
+# whole tuple's etas if count is width, else by count entries of (index, eta).
+_ETA_RECORD = struct.Struct("=qqq")
+_ETA_ENTRY = struct.Struct("=qd")
+
+
+class Stream(Sequence):
+    """One record stream, a read-only sequence of exact tuples in the field
+    order of its STREAMS NamedTuple, stored packed.
+
+    A row is written with no call: tail += struct.pack(*row), a disposition
+    given as its DISPOSITION_CODES code (and a decision's ETA tuple appended
+    to etas instead, see Decisions). seal() moves each whole CHUNK_ROWS rows
+    of the tail into a sealed chunk; MetricsLog.seal runs it for every
+    stream. append(row) is the same write for a row from anywhere else,
+    validated and sealed at once. Reads seal first and copy the tail, so no
+    view of it outlives a read and it can always grow.
+    """
+
+    __slots__ = ("name", "kinds", "struct", "full", "tail", "_chunks")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.kinds = STREAMS[name][1]
+        self.struct = _ROW_STRUCTS[name]
+        self.full = CHUNK_ROWS * self.struct.size
+        self.tail = bytearray()
+        self._chunks: list[bytes] = []
+
+    def append(self, row: Sequence) -> None:
+        """Pack one row. An int field takes an int of 64 bits; a float field
+        a float (an int there reads back as a float)."""
+        try:
+            values = [DISPOSITION_CODES[v] if kind == "c" else v
+                      for kind, v in zip(self.kinds, row, strict=True)]
+            self.tail += self.struct.pack(*values)
+        except (KeyError, ValueError, struct.error) as exc:
+            raise ValueError(f"{self.name} row {tuple(row)!r}: {exc}") from None
+        self.seal()
+
+    def seal(self) -> None:
+        while len(self.tail) >= self.full:
+            self._chunks.append(bytes(self.tail[:self.full]))
+            del self.tail[:self.full]
+
+    @property
+    def specs(self) -> tuple[str, ...]:
+        """The %-format of each column in an export (see _template)."""
+        return tuple("%.3f" if kind == "d" else "%s" for kind in self.kinds)
+
+    def column(self, i: int):
+        """Field i of every row in row order, read without building rows."""
+        return chain.from_iterable(self._column(block, i) for block in self._blocks())
+
+    def _blocks(self):
+        self.seal()
+        yield from self._chunks
+        yield bytes(self.tail)
+
+    def _column(self, block, i: int):
+        kind = self.kinds[i]
+        values = memoryview(block).cast("d" if kind == "d" else "q")[i::self.struct.size // 8]
+        return map(DISPOSITIONS.__getitem__, values) if kind == "c" else values
+
+    def _rows(self, block):
+        return zip(*[self._column(block, i) for i in range(len(self.kinds))])
+
+    def __len__(self) -> int:
+        return len(self._chunks) * CHUNK_ROWS + len(self.tail) // self.struct.size
+
+    def __iter__(self):
+        return chain.from_iterable(map(self._rows, self._blocks()))
+
+    def __getitem__(self, i: int) -> tuple:
+        c, r = divmod(range(len(self))[i], CHUNK_ROWS)
+        block = next(islice(self._blocks(), c, None))
+        return next(islice(self._rows(block), r, None))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+
+class Decisions(Stream):
+    """The decisions stream: (time_us, overall_seq, path_id) packed like any
+    stream's row, each row's ETA tuple appended to etas instead.
+
+    seal() packs the tuples in etas: a record for each row whose tuple is
+    not the previous row's object, holding the entries that are not the
+    previous tuple's float objects, or the whole tuple when that is all of
+    them: always after None or a change of width, and at two entries or
+    fewer, where the whole tuple is no larger. The first row of each chunk
+    is compared with None, so a sealed chunk, its rows then its records,
+    decodes on its own, and a run whose scheduler keeps no ETAs keeps no
+    record at all.
+    """
+
+    __slots__ = ("etas", "_records", "_flushed", "_last")
+
+    def __init__(self, name: str):
+        super().__init__(name)
+        self.etas: list[Optional[tuple]] = []
+        # The records of the tail's first _flushed rows, and the last
+        # of their tuples.
+        self._records = bytearray()
+        self._flushed, self._last = 0, None
+
+    def append(self, row: Sequence) -> None:
+        *fixed, etas = row
+        if etas is not None and not isinstance(etas, tuple):
+            raise ValueError(f"{self.name} row {tuple(row)!r}: ETAs are a tuple or None")
+        try:
+            packed = self.struct.pack(*fixed)
+            if etas is not None:
+                struct.pack(f"={len(etas)}d", *etas)
+        except struct.error as exc:
+            raise ValueError(f"{self.name} row {tuple(row)!r}: {exc}") from None
+        self.tail += packed
+        self.etas.append(etas)
+        self.seal()
+
+    def _flush(self, etas: list) -> None:
+        """Record the tuples of the next rows of the current chunk. Only rows
+        with a new tuple are visited, and in each only the entries that
+        changed: finding both is C-level, so the Python-level work does not
+        grow with the number of paths."""
+        if not etas:
+            return
+        prevs = [self._last, *etas[:-1]]
+        records = self._records
+        for row, new, old in compress(zip(count(self._flushed), etas, prevs),
+                                      map(is_not, etas, prevs)):
+            if new is None:
+                records += _ETA_RECORD.pack(row, -1, 0)
+                continue
+            width = len(new)
+            moved = (list(compress(range(width), map(is_not, new, old)))
+                     if width > 2 and old is not None and len(old) == width else range(width))
+            records += _ETA_RECORD.pack(row, width, len(moved))
+            if len(moved) == width:
+                records += struct.pack(f"={width}d", *new)
+            else:
+                for i in moved:
+                    records += _ETA_ENTRY.pack(i, new[i])
+        self._flushed += len(etas)
+        self._last = etas[-1]
+
+    def seal(self) -> None:
+        while True:
+            room = CHUNK_ROWS - self._flushed
+            self._flush(self.etas[:room])
+            del self.etas[:room]
+            if self._flushed < CHUNK_ROWS:
+                return
+            self._chunks.append(bytes(self.tail[:self.full]) + self._records)
+            del self.tail[:self.full]
+            self._records.clear()
+            self._flushed, self._last = 0, None
+
+    specs = None  # exported through _decisions, never as it stands
+
+    def _blocks(self):
+        return (rows for rows, _ in self._parts())
+
+    def _parts(self):
+        """(rows, records) of every sealed chunk, then of the tail."""
+        self.seal()
+        for chunk in self._chunks:
+            view = memoryview(chunk)
+            yield view[:self.full], view[self.full:]
+        yield bytes(self.tail), bytes(self._records)
+
+    def _decode(self, rows, records):
+        """The rows of one chunk with their ETA tuples; a row with no record
+        shares its predecessor's tuple."""
+        column, etas, start, at = [], None, 0, 0
+        while at < len(records):
+            row, width, n = _ETA_RECORD.unpack_from(records, at)
+            at += _ETA_RECORD.size
+            column += repeat(etas, row - start)
+            if width < 0:
+                etas = None
+            elif n == width:
+                etas = struct.unpack_from(f"={width}d", records, at)
+                at += 8 * width
+            else:  # the previous tuple, of the same width, with n entries replaced
+                entries = list(etas)
+                for i, eta in _ETA_ENTRY.iter_unpack(records[at:at + n * _ETA_ENTRY.size]):
+                    entries[i] = eta
+                etas = tuple(entries)
+                at += n * _ETA_ENTRY.size
+            start = row
+        column += repeat(etas, len(rows) // self.struct.size - start)
+        return zip(*[self._column(rows, i) for i in range(3)], column)
+
+    def __iter__(self):
+        return chain.from_iterable(self._decode(*parts) for parts in self._parts())
+
+    def __getitem__(self, i: int) -> tuple:
+        c, r = divmod(range(len(self))[i], CHUNK_ROWS)
+        return next(islice(self._decode(*next(islice(self._parts(), c, None))), r, None))
+
+
 @dataclass
 class PdvResult:
     """Delay-variation samples in sequence order: values[i] is the sample of
-    seqs[i]. skipped counts sequence numbers whose predecessor never landed."""
-    seqs: list[int]
+    seqs[i], and seqs is packed, a read-only sequence of ints. skipped counts
+    sequence numbers whose predecessor never landed."""
+    seqs: Sequence[int]
     values: list[float]
     skipped: int
 
 
 @dataclass
 class MetricsLog:
-    """Everything a run records; all lists are append-only and time-ordered.
+    """Everything a run records: one Stream per STREAMS entry, an attribute
+    of the same name, each append-only and time-ordered, plus run totals.
 
-    Each stream holds plain tuples in the field order of the NamedTuple of
-    the same name (deliveries: Delivery, ..., flow_rows: FlowSample).
     flow_samples is a read-only view of flow_rows as FlowSample instances,
     built anew on each read. compute_pdv keeps its last result here.
     """
 
-    deliveries: list[tuple] = field(default_factory=list)
-    arrivals: list[tuple] = field(default_factory=list)
-    sends: list[tuple] = field(default_factory=list)
-    drops: list[tuple] = field(default_factory=list)
-    discards: list[tuple] = field(default_factory=list)
-    decisions: list[tuple] = field(default_factory=list)
-    flow_rows: list[tuple] = field(default_factory=list)
     ingress_count: int = 0
     timeout_gaps: int = 0
     late_count: int = 0
@@ -116,18 +346,32 @@ class MetricsLog:
     _pdv: Optional[tuple] = field(default=None, init=False, compare=False,
                                   repr=False)
 
+    def __post_init__(self):
+        for name, (_, kinds) in STREAMS.items():
+            setattr(self, name, (Decisions if "e" in kinds else Stream)(name))
+
+    def __eq__(self, other) -> bool:
+        # The streams are attributes, not dataclass fields: compare them too.
+        if not isinstance(other, MetricsLog):
+            return NotImplemented
+        names = [f.name for f in fields(self) if f.compare] + list(STREAMS)
+        return all(getattr(self, n) == getattr(other, n) for n in names)
+
+    def seal(self) -> None:
+        """Seal each stream's whole chunks (see Stream)."""
+        for name in STREAMS:
+            getattr(self, name).seal()
+
     @property
     def flow_samples(self) -> tuple[FlowSample, ...]:
         return tuple(map(FlowSample._make, self.flow_rows))
 
 
-def _stream(log: MetricsLog, stream: str) -> list:
+def _stream(log: MetricsLog, stream: str) -> Stream:
     """The chosen record stream itself, not a copy; its rows lead with
     time_us, overall_seq, path_id (Delivery and Arrival both do)."""
-    if stream == "deliveries":
-        return log.deliveries
-    if stream == "arrivals":
-        return log.arrivals
+    if stream in ("deliveries", "arrivals"):
+        return getattr(log, stream)
     raise ValueError(f"unknown stream {stream!r}")
 
 
@@ -138,10 +382,16 @@ def compute_pdv(log: MetricsLog, nominal_interval_us: float,
     pdv(n) = (t(n) - t(n-1)) - nominal interval, using application-visible
     times of the chosen stream; negative when a packet landed before the one
     preceding it in sequence. Sequence numbers whose predecessor never landed
-    are skipped and counted; sequence numbers start at 0, which has no
-    predecessor and is neither sampled nor counted. Pure function of the
-    (seq, time) pairs, so log record order does not matter; a sequence
-    number recorded twice keeps its last time.
+    are skipped and counted; sequence number 0 has no predecessor and is
+    neither sampled nor counted. Pure function of the (seq, time) pairs, so
+    log record order does not matter; a sequence number recorded twice keeps
+    its last time.
+
+    The times are laid out by sequence number, 9 bytes per number between
+    the lowest and the highest recorded, and every pass over them is C-level;
+    a run numbers its packets 0, 1, ... in ingress order, so that is 9 bytes
+    per ingress packet. Numbers more than 16 apart on average, which only a
+    hand-built log has, take a sorted pass over (seq, time) pairs instead.
 
     The result is kept on the log and returned again, the same object, until
     the stream grows or another stream or interval is asked for.
@@ -152,33 +402,93 @@ def compute_pdv(log: MetricsLog, nominal_interval_us: float,
     key = (stream, type(nominal_interval_us), nominal_interval_us, len(rows))
     if log._pdv is not None and log._pdv[0] == key:
         return log._pdv[1]
+    lo = min(rows.column(1), default=0)
+    hi = max(rows.column(1), default=-1)
+    if hi - lo < 16 * len(rows):
+        result = _pdv_laid_out(rows, lo, hi, nominal_interval_us)
+    else:
+        result = _pdv_sorted(rows, nominal_interval_us)
+    log._pdv = (key, result)
+    return result
+
+
+def _pdv_laid_out(rows: Stream, lo: int, hi: int, nominal_interval_us: float) -> PdvResult:
+    times = memoryview(bytearray(8 * (hi - lo + 1))).cast("q")
+    landed = bytearray(len(times))
+
+    def offsets():  # each row's position in times, in record order
+        return map(sub, rows.column(1), repeat(lo)) if lo else rows.column(1)
+
+    # A sequence number recorded again takes its last time.
+    deque(map(setitem, repeat(times), offsets(), rows.column(0)), maxlen=0)
+    deque(map(setitem, repeat(landed), offsets(), repeat(1)), maxlen=0)
+    # sampled[i]: number lo + i + 1 landed, and so did its predecessor. Each
+    # byte of landed is 0 or 1, so one integer AND of landed with itself
+    # shifted a byte ands every adjacent pair.
+    both = int.from_bytes(landed, "little")
+    sampled = ((both >> 8) & both).to_bytes(len(landed), "little")[:-1]
+    values = list(compress(
+        map(sub, map(sub, times[1:], times), repeat(nominal_interval_us)), sampled))
+    seqs = memoryview(bytearray(8 * len(values))).cast("q")
+    deque(map(setitem, repeat(seqs), count(), compress(range(lo + 1, hi + 1), sampled)),
+          maxlen=0)
+    # Every number that landed unsampled is skipped, but for 0.
+    skipped = landed.count(1) - len(values)
+    if lo <= 0 <= hi:
+        skipped -= landed[-lo] and not (lo < 0 and sampled[-lo - 1])
+    return PdvResult(seqs.toreadonly(), values, skipped)
+
+
+def _pdv_sorted(rows: Stream, nominal_interval_us: float) -> PdvResult:
     seqs, values = [], []
     skipped = 0
     # The stable sort keeps a seq's records in log order, so the last one
     # of a run of equal seqs is its last record, and seq - 1's time is final
     # before seq's first record is read.
     seq = t = prev_seq = prev_t = None
-    for row in sorted(rows, key=itemgetter(1)):
+    for row in sorted(zip(rows.column(0), rows.column(1)), key=itemgetter(1)):
         if row[1] == seq:  # recorded again: the last time wins
             t = row[0]
             if seqs and seqs[-1] == seq:
                 values[-1] = (t - prev_t) - nominal_interval_us
             continue
         prev_seq, prev_t = seq, t
-        t, seq = row[0], row[1]
+        t, seq = row
         if seq - 1 == prev_seq:
             seqs.append(seq)
             values.append((t - prev_t) - nominal_interval_us)
         elif seq:
             skipped += 1
-    result = PdvResult(seqs, values, skipped)
-    log._pdv = (key, result)
-    return result
+    packed = memoryview(struct.pack(f"={len(seqs)}q", *seqs)).cast("q")
+    return PdvResult(packed, values, skipped)
 
 
-def arrival_order_scatter(log: MetricsLog) -> list[tuple[int, int]]:
+class Scatter(Sequence):
+    """(arrival_index, overall_seq) rows over the arrivals' sequence-number
+    column, read on demand."""
+
+    specs = ("%s", "%s")
+
+    def __init__(self, arrivals: Stream):
+        self._arrivals = arrivals
+
+    def __len__(self) -> int:
+        return len(self._arrivals)
+
+    def __getitem__(self, i: int) -> tuple[int, int]:
+        i = range(len(self))[i]
+        return i, self._arrivals[i][1]
+
+    def __iter__(self):
+        return enumerate(self._arrivals.column(1))
+
+    __eq__ = Stream.__eq__
+    __hash__ = None
+
+
+def arrival_order_scatter(log: MetricsLog) -> Scatter:
     """Sequence numbers in order of arrival; monotone iff nothing reordered."""
-    return list(enumerate(map(itemgetter(1), log.arrivals)))
+    return Scatter(log.arrivals)
 
 
 def reordering_extent(log: MetricsLog) -> dict:
@@ -188,7 +498,7 @@ def reordering_extent(log: MetricsLog) -> dict:
     sequence number was already seen; max_displacement the worst gap between
     a packet's arrival position and its in-sequence position.
     """
-    seqs = [r[1] for r in log.arrivals]
+    seqs = list(log.arrivals.column(1))
     rank = {seq: i for i, seq in enumerate(sorted(seqs))}
     out_of_order = 0
     max_disp = 0
@@ -216,9 +526,9 @@ def throughput_series(log: MetricsLog, bin_us: int) -> list[tuple[int, int, floa
         raise ValueError("bin_us must be > 0")
     if not log.deliveries:
         return []
-    size_by_seq = {seq: size for _, _, seq, _, size, _ in log.sends}
-    last_bin = max(d[0] for d in log.deliveries) // bin_us
-    paths = sorted({d[2] for d in log.deliveries})
+    size_by_seq = dict(zip(log.sends.column(2), log.sends.column(4)))
+    last_bin = max(log.deliveries.column(0)) // bin_us
+    paths = sorted(set(log.deliveries.column(2)))
     bits: dict[tuple[int, int], int] = {}
     for time_us, seq, path_id, _, _, _ in log.deliveries:
         key = (time_us // bin_us, path_id)
@@ -288,7 +598,11 @@ def _template(rows) -> list[str]:
     "%s" for a column with no float. A table no single spec per column can
     write raises: rows that are not a sequence (an iterator would be used up
     by this scan), a row that is not a tuple, rows of unequal length, or a
-    column mixing floats with other types."""
+    column mixing floats with other types. Rows that state their specs (a
+    Stream, from its field kinds, or the scatter) are not scanned."""
+    specs = getattr(rows, "specs", None)
+    if specs is not None:
+        return list(specs)
     if not isinstance(rows, Sequence):
         raise TypeError(f"table rows must be a sequence, not {type(rows).__name__}")
     if not all(issubclass(t, tuple) for t in set(map(type, rows))):
@@ -312,8 +626,7 @@ def write_csv(path, header: Sequence[str], rows: Sequence[tuple]) -> None:
     template = ",".join(_template(rows)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(template % row)
+        fh.writelines(map(template.__mod__, rows))
 
 
 def write_json(path, payload) -> None:
@@ -334,12 +647,13 @@ def _deliveries(log: MetricsLog, pdv) -> tuple[Sequence[str], list]:
 
 
 def _decisions(log: MetricsLog, pdv) -> tuple[Sequence[str], list]:
-    n_paths = max((len(d[3]) for d in log.decisions if d[3]), default=0)
+    decisions = list(log.decisions)
+    n_paths = max(map(len, filter(None, map(itemgetter(3), decisions))), default=0)
     header = Decision._fields[:3] + tuple(f"eta_{i}_us" for i in range(n_paths))
-    blank = [""] * n_paths
+    blank = ("",) * n_paths
     return header, [
-        (t, seq, path_id) + tuple(etas_us or blank)
-        for t, seq, path_id, etas_us in log.decisions
+        (t, seq, path_id) + (etas_us or blank)
+        for t, seq, path_id, etas_us in decisions
     ]
 
 
@@ -360,6 +674,11 @@ def _headers(log: MetricsLog, pdv) -> tuple[Sequence[str], list]:
     ]
 
 
+def _stream_table(name: str):
+    # A stream exported as it stands, headed by its NamedTuple's fields.
+    return lambda log, pdv: (STREAMS[name][0]._fields, getattr(log, name))
+
+
 # Every exportable metric: fn(log, pdv) -> (header, rows), where pdv() returns
 # the run's PdvResult. A fn returning a dict instead names a metric written as
 # that JSON document whatever the requested format.
@@ -369,16 +688,16 @@ METRICS = {
         log.arrivals),
     "decisions": _decisions,
     "deliveries": _deliveries,
-    "discards": lambda log, pdv: (Discard._fields, log.discards),
-    "drops": lambda log, pdv: (Drop._fields, log.drops),
-    "flows": lambda log, pdv: (FlowSample._fields, log.flow_rows),
+    "discards": _stream_table("discards"),
+    "drops": _stream_table("drops"),
+    "flows": _stream_table("flow_rows"),
     "headers": _headers,
     "pdv": _pdv,
     "pdv_histogram": lambda log, pdv: pdv_histogram(pdv().values),
     "scatter": lambda log, pdv: (["arrival_index", "overall_seq"],
                                  arrival_order_scatter(log)),
     "srtt": lambda log, pdv: (FlowSample._fields[:3],
-                              [s[:3] for s in log.flow_rows]),
+                              list(zip(*map(log.flow_rows.column, range(3))))),
     "throughput": lambda log, pdv: (
         ["bin_start_us", "path_id", "throughput_bps"],
         throughput_series(log, THROUGHPUT_BIN_US)),

@@ -1,8 +1,10 @@
 """The benchmark's tracer contract: perfbench/spans.py wraps simulator entry
 points by name and reads attributes of their arguments, so renaming or
 deleting one of them must fail here, not only in a traced benchmark run.
-Its child counts a run's recorded rows as the lists in vars(log), and its
-sweep reads flow samples by field name; both are checked here too.
+Its child counts a run's recorded rows as the lists in vars(log), which
+counts none of the packed record streams, and its sweep reads flow samples
+by field name; both are checked here too, with metrics.STREAMS, the count
+the child should take, against every stream.
 
 The tracer patches classes for the rest of the process, so the traced runs
 happen in a subprocess that prints its findings as one JSON line.
@@ -19,7 +21,7 @@ TRACED_RUNS = r"""
 import json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import spans
-from mptunnel import reorder, scheduler
+from mptunnel import metrics, reorder, scheduler
 from mptunnel.engine import Simulation
 from mptunnel.scenario import parse_scenario
 
@@ -47,10 +49,11 @@ for i, kind in enumerate(sorted(scheduler.SCHEDULERS)):
     log = sim.run()
     packets += log.ingress_count
     in_flight += [s.in_flight for s in log.flow_samples]
-    # child.py's rows_recorded counts the lists in vars(log); every stream
-    # must be one of them.
+    # child.py's rows_recorded counts the lists in vars(log), and no stream
+    # is one; metrics.STREAMS names every stream.
     counted_rows.append((
         sum(len(v) for v in vars(log).values() if isinstance(v, list)),
+        sum(len(getattr(log, name)) for name in metrics.STREAMS),
         sum(map(len, (log.sends, log.arrivals, log.deliveries, log.drops,
                       log.discards, log.decisions, log.flow_rows)))))
 calls = {name: t["calls"] for name, t in tracer.span_totals().items()}
@@ -76,5 +79,6 @@ def test_tracer_sees_every_layer_entry_point():
     assert found["peak_held"] > 0
     assert found["queue_peak"] > 0
     assert found["peak_in_flight_sample"] > 0
-    for counted, streams in found["counted_rows"]:
-        assert counted == streams > 0
+    for in_lists, in_streams, streams in found["counted_rows"]:
+        assert in_lists == 0
+        assert in_streams == streams > 0

@@ -13,10 +13,19 @@ points first shows that it reaches those depths.
 
 The same holds for memory: tracemalloc counts the bytes a finished run's log
 keeps per ingress packet, and those may grow by at most 8% from 2 paths to
-16. summarize, run on a finished log, may add at most 64 bytes per ingress
-packet at its peak: 40 kept per delay-variation sample (a sequence-number
-pointer, a value pointer and the float itself), 16 of sort buffers while the
-stream is ordered by sequence number, and 8 for the sorted copy of the values.
+16. At 2 paths they are at most 400: the log packs its rows, 8 bytes per
+field, about 280 bytes per packet. summarize, run on a finished log, may add
+at most 64 bytes per ingress packet at its peak: 40 kept per delay-variation
+sample (its packed sequence number, a value pointer and the float itself),
+10 per sequence number while the times are laid out by sequence number, and
+8 for the sorted copy of the values, with room for sort buffers.
+
+And for the cyclic collector: a finished log keeps at most 0.01 objects the
+collector tracks per ingress packet, counted with the collector paused
+during the run, so every object the log made is still tracked. Its rows live
+in bytes, which the collector never scans; what it tracks is a fixed 16
+objects (the log, each stream with its chunk list, and the decisions' etas
+list), so a full collection's work on the log does not grow with the run.
 """
 
 import gc
@@ -148,6 +157,26 @@ def summarize_peak_bytes_per_packet(data: dict) -> float:
     return peak / log.ingress_count
 
 
+def tracked_objects_per_packet(data: dict) -> float:
+    """Objects the cyclic collector tracks that a finished log keeps, per
+    ingress packet: those freed with the log, the collector paused from the
+    start of the run so that none was untracked on the way."""
+    sim = Simulation(parse_scenario(data))
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        log = sim.run()
+        packets = log.ingress_count
+        with_log = len(gc.get_objects())
+        del log
+        kept = with_log - len(gc.get_objects())
+    finally:
+        if was_enabled:
+            gc.enable()
+    return kept / packets
+
+
 def test_lines_per_packet_do_not_grow_with_path_count():
     (few, _), (many, _) = (lines_per_packet(greedy_otias(n)) for n in (2, 16))
     assert many <= 1.05 * few, (
@@ -174,6 +203,18 @@ def test_retained_bytes_per_packet_do_not_grow_with_path_count():
     few, many = (retained_bytes_per_packet(greedy_otias(n)) for n in (2, 16))
     assert many <= 1.08 * few, (
         f"{many:.1f} bytes per packet over 16 paths, {few:.1f} over 2")
+
+
+def test_retained_bytes_per_packet_stay_packed():
+    retained = retained_bytes_per_packet(greedy_otias(2))
+    assert retained <= 400, f"the log keeps {retained:.1f} bytes per packet"
+
+
+@pytest.mark.parametrize("data", [greedy_otias(2), hold(400)],
+                         ids=lambda data: data["name"])
+def test_log_keeps_no_tracked_object_per_packet(data):
+    tracked = tracked_objects_per_packet(data)
+    assert tracked <= 0.01, f"the log keeps {tracked:.4f} tracked objects per packet"
 
 
 @pytest.mark.parametrize("data", [greedy_otias(2), greedy_otias(16), hold(400)],

@@ -1,5 +1,6 @@
 import gc
 import json
+import struct
 import tempfile
 import weakref
 from pathlib import Path
@@ -406,8 +407,8 @@ def test_receiver_kind_changes_nothing_the_sender_sees(name):
 
 # -- record form and log lifetime ----------------------------------------------
 
-EVENT_STREAMS = ("sends", "arrivals", "deliveries", "drops", "discards", "decisions",
-                 "flow_rows")
+EVENT_STREAMS = tuple(metrics.STREAMS)
+FIELD_TYPES = {"q": {int}, "d": {float}, "c": {str}, "e": {tuple, type(None)}}
 
 
 @pytest.fixture(scope="module")
@@ -428,27 +429,48 @@ def guard_logs():
     return logs
 
 
-def test_event_records_are_exact_tuples(guard_logs):
+def test_event_records_read_back_as_exact_tuples(guard_logs):
     for name in EVENT_STREAMS:
+        row_type, kinds = metrics.STREAMS[name]
         records = [r for _, log in guard_logs for r in getattr(log, name)]
         assert records, name
         assert {type(r) for r in records} == {tuple}, name
+        assert {len(r) for r in records} == {len(row_type._fields)}, name
+        for i, kind in enumerate(kinds):
+            assert {type(r[i]) for r in records} <= FIELD_TYPES[kind], (name, i)
     assert any(etas for _, log in guard_logs for *_, etas in log.decisions)
     for cfg, log in guard_logs:
         pdv = metrics.compute_pdv(log, cfg.nominal_interval_us())
         assert pdv.values and {type(v) for v in pdv.values} <= {int, float}
 
 
-def test_event_records_untracked_after_collection(guard_logs):
-    # A record holding a tuple (a decision's ETAs) can be untracked only
-    # once its inner tuple is, which may take a second pass.
-    gc.collect()
-    gc.collect()
-    for name in EVENT_STREAMS:
-        for _, log in guard_logs:
-            records = getattr(log, name)
-            sample = records[::max(1, len(records) // 50)]
-            assert not any(gc.is_tracked(r) for r in sample), name
+def held_objects(stream) -> list:
+    """Every object reachable from a stream, short of classes and the packed
+    row layout that all logs share."""
+    held, todo = {}, [stream]
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in held and not isinstance(obj, (type, struct.Struct)):
+            held[id(obj)] = obj
+            todo.extend(gc.get_referents(obj))
+    return list(held.values())
+
+
+def test_event_records_are_packed_out_of_the_collectors_sight(guard_logs):
+    # Rows live in bytes, which the cyclic collector never scans: whatever a
+    # stream's length, it holds a few objects plus one per sealed chunk, and
+    # the collector tracks only the stream, its chunk list, the decisions'
+    # etas list (empty in a finished log) and the last ETA tuple packed.
+    greedy = Simulation(scenario(duration_s=1, scheduler={"kind": "otias"},
+                                 traffic={"kind": "greedy", "packet_size_bytes": 1000})).run()
+    assert len(greedy.decisions) > 2 * metrics.CHUNK_ROWS
+    for log in [greedy] + [log for _, log in guard_logs]:
+        for name in EVENT_STREAMS:
+            stream = getattr(log, name)
+            held = held_objects(stream)
+            assert len(held) <= 20 + len(stream) // metrics.CHUNK_ROWS, name
+            assert sum(map(gc.is_tracked, held)) <= 4, name
+        assert log.decisions.etas == []
 
 
 def test_flow_samples_view_matches_flow_rows(guard_logs):

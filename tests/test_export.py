@@ -1,8 +1,9 @@
 """Export against reference models: write_csv's per-table %-templates and
-compute_pdv's one sorted pass, which keeps PdvResult.seqs, .values and
-.skipped, must give exactly what the per-value writer and the per-sequence
-loop over a seq -> time dict they replaced gave, which are kept here as the
-references, and write_csv must refuse a table no template can write."""
+compute_pdv's column passes over the times laid out by sequence number,
+which keep PdvResult.seqs (packed), .values and .skipped, must give exactly
+what the per-value writer and the per-sequence loop over a seq -> time dict
+they replaced gave, which are kept here as the references, and write_csv
+must refuse a table no template can write."""
 
 import json
 import math
@@ -190,6 +191,9 @@ def test_write_csv_refuses_an_iterator(tmp_path):
 # Seq 1 recorded again, not adjacently, with an earlier time; seq 0 twice.
 @example([(0, 1_000), (1, 9_000), (2, 20_000), (1, 4_000), (0, 2_000),
           (3, 25_000)], 8_000, "deliveries")
+# Numbers too sparse to lay out densely.
+@example([(2**61 + 1, 7), (0, 1_000), (2**61, 5), (1, 9_000), (2**61, 6)], 8_000.0,
+         "arrivals")
 def test_compute_pdv_matches_per_sequence_loop(records, nominal, stream):
     # Gaps, sequence numbers recorded twice (the last time wins) and seq 0
     # present or absent all come from the generated (seq, time) pairs.
@@ -200,7 +204,7 @@ def test_compute_pdv_matches_per_sequence_loop(records, nominal, stream):
     got = compute_pdv(log, nominal, stream)
     want = reference_pdv(log, nominal, stream)
     assert got.skipped == want.skipped
-    assert repr(got.seqs) == repr(want.seqs)
+    assert repr(got.seqs.tolist()) == repr(want.seqs)
     assert repr(got.values) == repr(want.values)
 
 

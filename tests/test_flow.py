@@ -163,8 +163,7 @@ def test_rtt_report_stamped_from_current_estimate():
     assert sent[0][0].sender_rtt_report == 36_000
 
 
-def test_rtt_report_shared_while_its_value_holds():
-    # 36_000 is no cached small int: an unshared stamp is a new object.
+def test_rtt_report_is_the_rounded_srtt_at_enqueue():
     flow, sent = make_flow(prior_rtt_us=36_000)
     flow.cwnd = 8.0
     feed(flow, 2)
@@ -175,8 +174,6 @@ def test_rtt_report_shared_while_its_value_holds():
     feed(flow, 2)
     reports = [pkt.sender_rtt_report for pkt, _ in sent]
     assert reports == [36_000, 36_000, 36_000, 50_000, 50_000]
-    assert reports[0] is reports[1] is reports[2]
-    assert reports[3] is reports[4]
 
 
 # -- congestion control -------------------------------------------------------

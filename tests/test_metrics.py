@@ -2,11 +2,13 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mptunnel.metrics import (Arrival, Delivery, MetricsLog, Send,
-                              arrival_order_scatter, compute_pdv, pdv_histogram,
-                              percentile, reordering_extent, summarize,
-                              throughput_series)
+from mptunnel.metrics import (CHUNK_ROWS, DISPOSITIONS, STREAMS, Arrival, Delivery,
+                              MetricsLog, Send, arrival_order_scatter, compute_pdv,
+                              pdv_histogram, percentile, reordering_extent,
+                              summarize, throughput_series)
 
 
 def log_with_deliveries(rows):
@@ -21,21 +23,21 @@ def test_pdv_perfect_cbr_stream_is_zero():
     result = compute_pdv(log, 8_000)
     assert result.skipped == 0
     assert all(pdv_us == 0 for pdv_us in result.values)
-    assert result.seqs == list(range(1, 50))
+    assert result.seqs.tolist() == list(range(1, 50))
 
 
 def test_pdv_sign_convention():
     # packet n lands 2 ms before its predecessor: negative variation
     log = log_with_deliveries([(100_000, 7), (98_000, 8)])
     result = compute_pdv(log, 8_000)
-    assert (result.seqs, result.values) == ([8], [-10_000])
+    assert (result.seqs.tolist(), result.values) == ([8], [-10_000])
 
 
 def test_pdv_missing_predecessor_skipped_and_counted():
     log = log_with_deliveries([(0, 0), (8_000, 1), (30_000, 3), (38_000, 4)])
     result = compute_pdv(log, 8_000)
     assert result.skipped == 1           # seq 3 has no delivered seq 2
-    assert result.seqs == [1, 4]
+    assert result.seqs.tolist() == [1, 4]
 
 
 def test_pdv_is_permutation_insensitive():
@@ -63,7 +65,7 @@ def test_pdv_after_a_row_is_appended_is_computed_again():
     log.deliveries.append(Delivery(95_000, 10, 0, 0, 0, "inorder"))
     again = compute_pdv(log, 8_000)
     assert again is not first
-    assert again.seqs == first.seqs + [10]
+    assert again.seqs.tolist() == first.seqs.tolist() + [10]
     assert again.values == first.values + [5_000]
 
 
@@ -167,3 +169,127 @@ def test_header_trace_export_is_bit_exact(tmp_path):
         assert fields.overall_seq == send.overall_seq
         assert fields.sender_rtt_report == send.rtt_report_us
         assert fields.flow_seq_low32 == send.flow_seq
+
+
+# -- packed record streams ----------------------------------------------------
+
+INT64 = st.integers(-(2**63 - 1), 2**63 - 1)
+FIELD_VALUES = {
+    "q": st.one_of(INT64, st.sampled_from([2**63 - 1, -(2**63 - 1), 0, -1])),
+    "d": st.floats(),
+    "c": st.sampled_from(DISPOSITIONS),
+}
+
+
+def eta_tuples(draw, n_rows):
+    """ETA tuples the way a scheduler hands them over: None, the previous
+    tuple again, the previous one with some entries replaced (the others the
+    same float objects), or a new tuple, possibly of another width."""
+    etas, prev = [], None
+    for _ in range(n_rows):
+        how = draw(st.sampled_from(["none", "same", "edit", "new"]))
+        if how == "none":
+            prev = None
+        elif how == "edit" and prev:
+            entries = list(prev)
+            for i in draw(st.lists(st.integers(0, len(entries) - 1), max_size=3)):
+                entries[i] = draw(st.floats())
+            prev = tuple(entries)
+        elif how != "same" or prev is None:
+            prev = tuple(draw(st.lists(st.floats(), max_size=4)))
+        etas.append(prev)
+    return etas
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(sorted(STREAMS)), st.data())
+# One example per stream crosses a chunk boundary with the extreme ints.
+@example("sends", None)
+@example("decisions", None)
+@example("deliveries", None)
+@example("flow_rows", None)
+def test_stream_round_trip(name, data):
+    row_type, kinds = STREAMS[name]
+    if data is None:
+        n_rows = 2 * CHUNK_ROWS + 5
+        # Each ETA tuple serves 10 rows, across chunk boundaries too, and
+        # mostly keeps its predecessor's float objects but one.
+        shared, etas = [], None
+        for j in range(n_rows // 10 + 1):
+            etas = (None if j % 4 == 3 else (j / 3, j / 5, j / 7) if etas is None
+                    else etas[:1] + (j / 11,) + etas[2:])
+            shared += [etas] * 10
+        rows = [tuple({"q": (2**63 - 1, -(2**63 - 1), i)[i % 3], "d": i / 7,
+                       "c": DISPOSITIONS[i % 3], "e": shared[i]}[k]
+                      for k in kinds) for i in range(n_rows)]
+    else:
+        n_rows = data.draw(st.sampled_from([0, 1, 7, CHUNK_ROWS, CHUNK_ROWS + 3]))
+        pattern = [tuple(data.draw(FIELD_VALUES[k]) for k in kinds if k != "e")
+                   for _ in range(data.draw(st.integers(1, 5)))]
+        rows = [pattern[i % len(pattern)] for i in range(n_rows)]
+        if "e" in kinds:
+            rows = [row + (etas,) for row, etas in zip(rows, eta_tuples(data.draw, n_rows))]
+    stream = getattr(MetricsLog(), name)
+    half = n_rows // 2
+    for i, row in enumerate(rows[:half]):
+        # NamedTuples and plain tuples alike.
+        stream.append(row_type._make(row) if i % 2 else row)
+    # Reads left open hold no view of the tail, so it can still grow.
+    open_rows, open_column = iter(stream), stream.column(0)
+    next(open_rows, None), next(open_column, None)
+    for row in rows[half:]:
+        stream.append(row)
+    got = list(stream)
+    assert len(stream) == len(got) == n_rows
+    assert {type(row) for row in got} <= {tuple}
+    # repr tells 1 from 1.0, -0.0 from 0.0, and shows nan equal to nan.
+    assert repr(got) == repr(rows)
+    for i in {0, n_rows - 1, CHUNK_ROWS - 1, CHUNK_ROWS} & set(range(n_rows)):
+        assert repr(stream[i]) == repr(rows[i])
+        assert repr(stream[i - n_rows]) == repr(rows[i])
+    assert list(stream.column(0)) == [row[0] for row in rows]
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_stream_refuses_an_int_past_64_bits(name):
+    row_type, kinds = STREAMS[name]
+    row = tuple({"q": 2**63, "d": 0.5, "c": DISPOSITIONS[0], "e": None}[k] for k in kinds)
+    stream = getattr(MetricsLog(), name)
+    with pytest.raises(ValueError, match=name):
+        stream.append(row)
+    assert len(stream) == 0
+    stream.append(tuple(-(2**63 - 1) if k == "q" else v for k, v in zip(kinds, row)))
+    assert len(stream) == 1
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_logs_differing_in_one_row_compare_unequal(name):
+    def log_with(value):
+        log = MetricsLog()
+        for stream, (_, kinds) in STREAMS.items():
+            row = tuple({"q": 1, "d": 0.5, "c": DISPOSITIONS[0], "e": (1.5,)}[k] for k in kinds)
+            if stream == name:
+                row = (value,) + row[1:]
+            getattr(log, stream).append(row)
+        return log
+
+    assert log_with(7) == log_with(7)
+    assert log_with(7) != log_with(8)
+
+
+def test_rows_written_onto_the_tail_read_back_before_any_seal():
+    # The engine's write: pack onto the tail (a decision's ETA tuple onto
+    # etas) and leave sealing to MetricsLog.seal, which may come later.
+    log = MetricsLog()
+    n_rows = 2 * CHUNK_ROWS + 5
+    drops = [(i, i % 3, 2 * i) for i in range(n_rows)]
+    decisions = [(i, i, i % 2, None if i % 7 == 0 else (i / 2, 0.5)) for i in range(n_rows)]
+    for drop, decision in zip(drops, decisions):
+        log.drops.tail += log.drops.struct.pack(*drop)
+        log.decisions.tail += log.decisions.struct.pack(*decision[:3])
+        log.decisions.etas.append(decision[3])
+    for stream, rows in ((log.drops, drops), (log.decisions, decisions)):
+        assert stream[-1] == rows[-1] and stream[CHUNK_ROWS + 1] == rows[CHUNK_ROWS + 1]
+        assert list(stream) == rows
+    log.seal()
+    assert list(log.drops) == drops and list(log.decisions) == decisions
