@@ -45,8 +45,8 @@ class Simulation:
             for m in models
         ]
         self.scheduler = SCHEDULERS[cfg.scheduler.kind].factory(cfg.scheduler)
-        self.receiver = RECEIVERS[cfg.reorder.kind].factory(
-            cfg, self._deliver, self.queue.schedule, self._discard)
+        self.receiver = RECEIVERS[cfg.reorder.kind].factory(cfg).wire(
+            self._deliver, self.queue.schedule, self._discard)
 
         # Each event handler is bound once, here: every event of a kind
         # schedules this one object, so an event allocates no method object.

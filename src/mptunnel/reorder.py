@@ -1,14 +1,17 @@
-"""Receiver-side processing: passthrough, threshold-based resequencing
-(static or adaptive threshold) and per-flow delay equalization.
+"""Receiver-side processing, one class per algorithm: Receiver passes
+packets through, ReorderBuffer resequences with a static or adaptive timing
+threshold, and EqualizerLines equalizes per-flow delay.
 
-The resequencers buffer out-of-order packets and wait up to a timing
-threshold for the gaps to fill; the equalizer instead delays each flow so all
-paths present the same end-to-end latency, never consulting the overall
-sequencing, and discards packets that show up hopelessly late.
+The resequencer buffers out-of-order packets and waits up to the threshold
+for the gaps to fill; the equalizer instead delays each flow so all paths
+present the same end-to-end latency, never consulting the overall
+sequencing, and discards packets that show up hopelessly late. A run builds
+its receiver as RECEIVERS[kind].factory(cfg) and passes its sinks to wire();
+the on_arrival and on_deadline steps need no sinks and can be driven alone.
 """
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Optional
 
 from .flow import TunnelPacket, smooth_rtt
 from .simcore import Plugin
@@ -77,7 +80,32 @@ class _Held:
     deadline_us: int
 
 
-class ReorderBuffer:
+class Receiver:
+    """Kind none, and what every kind shares: path stats, the run's sinks and
+    the late-packet and given-up-gap counts (0 unless the kind resequences).
+
+    wire() sets the sinks: deliver(pkt, time_us, residency_us, disposition),
+    schedule(at_us, fn, arg) on the run's event queue, which later calls
+    fn(arg, at_us), and discard(pkt, time_us) for packets dropped at the
+    receiver. on_packet(pkt, time_us) is called on each arrival; this one
+    delivers the packet at once.
+    """
+
+    late_count = 0
+    gap_count = 0
+
+    def __init__(self):
+        self.stats = PathStats()
+
+    def wire(self, deliver, schedule, discard) -> "Receiver":
+        self._deliver, self._schedule, self._discard = deliver, schedule, discard
+        return self
+
+    def on_packet(self, pkt: TunnelPacket, now: int) -> None:
+        self._deliver(pkt, now, 0, DISPOSITION_INORDER)
+
+
+class ReorderBuffer(Receiver):
     """Holds out-of-order packets until their gap fills or a deadline expires.
 
     Deliveries are returned as (packet, delivery_residency_us, disposition)
@@ -89,13 +117,24 @@ class ReorderBuffer:
     arms one deadline, at held[seq].deadline_us, and calls on_deadline(seq,
     now) when it comes up. Deadlines of holds released early, or re-held by
     a duplicate, come up as no-ops.
+
+    As a receiver it holds each packet for threshold_us(): the static
+    threshold, capped at max_hold_us, if one is given, else the adaptive one.
     """
 
-    def __init__(self, expected_next: int = 0):
+    def __init__(self, expected_next: int = 0, adaptive_k: float = DEFAULT_ADAPTIVE_K,
+                 max_hold_us: int = DEFAULT_MAX_HOLD_US,
+                 static_threshold_us: Optional[float] = None):
+        super().__init__()
         self.expected_next = expected_next
         self.held: dict[int, _Held] = {}
         self.late_count = 0
         self.gap_count = 0
+        self.adaptive_k = adaptive_k
+        self.max_hold_us = max_hold_us
+        self.static_threshold_us = (None if static_threshold_us is None else
+                                    min(float(static_threshold_us), float(max_hold_us)))
+        self._expire = self._expire  # bound once, scheduled per hold
 
     def on_arrival(self, pkt: TunnelPacket, now: int,
                    threshold_us: float) -> list[tuple[TunnelPacket, int, str]]:
@@ -140,22 +179,49 @@ class ReorderBuffer:
             self.expected_next += 1
         return out
 
+    def threshold_us(self) -> float:
+        if self.static_threshold_us is not None:
+            return self.static_threshold_us
+        return adaptive_threshold(self.stats, self.adaptive_k, self.max_hold_us)
 
-class EqualizerLines:
+    def on_packet(self, pkt: TunnelPacket, now: int) -> None:
+        self.stats.update(pkt.path_id, pkt.sender_rtt_report)
+        out = self.on_arrival(pkt, now, self.threshold_us())
+        if out:
+            self._emit(out, now)
+        else:
+            # Packet was held; arm its expiry. Events for holds that get
+            # released early fire as no-ops.
+            seq = pkt.overall_seq
+            self._schedule(self.held[seq].deadline_us, self._expire, seq)
+
+    def _expire(self, seq: int, now: int) -> None:
+        self._emit(self.on_deadline(seq, now), now)
+
+    def _emit(self, out, now: int) -> None:
+        for pkt, residency, disposition in out:
+            self._deliver(pkt, now, residency, disposition)
+
+
+class EqualizerLines(Receiver):
     """Per-flow delay lines that level out end-to-end latency across paths.
 
     Every flow is delayed so packets leave at (max path RTT)/2 plus a
     variation guard after ingress; within a flow release order is FIFO.
     Sequencing is never consulted. A packet whose delay already exceeds the
     target by more than max_hold is discarded instead of released.
+
+    As a receiver it schedules one release event per packet it keeps.
     """
 
     DISCARD = -1
 
     def __init__(self, k: float, max_hold_us: int):
+        super().__init__()
         self.k = k
         self.max_hold_us = max_hold_us
         self._last_release: dict[int, int] = {}
+        self._release = self._release  # bound once, scheduled per packet
 
     def target_delay_us(self, stats: PathStats) -> float:
         guard = self.k * max(stats.rttvars.values())
@@ -175,107 +241,10 @@ class EqualizerLines:
         self._last_release[pkt.path_id] = release
         return release
 
-
-class BaseReceiver:
-    """Common receiver plumbing: path stats, the delivery sinks, and the
-    late-packet and given-up-gap counts (zero unless the kind resequences).
-
-    Every receiver kind is built as cls(cfg, deliver, schedule, discard) from
-    the run's ScenarioConfig and defines on_packet(pkt, time_us), called on
-    each arrival. deliver is callback(pkt, time_us, residency_us,
-    disposition); discard is callback(pkt, time_us) for packets dropped at the
-    receiver; schedule is callback(at_us, fn, arg) on the run's event queue,
-    which later calls fn(arg, at_us) (deadline expiry is an event, never a
-    timer thread).
-    """
-
-    late_count = 0
-    gap_count = 0
-
-    def __init__(self, cfg, deliver: Callable[[TunnelPacket, int, int, str], None],
-                 schedule: Callable[[int, Callable[[Any, int], None], Any], None],
-                 discard: Callable[[TunnelPacket, int], None]):
-        self.config: ReorderConfig = cfg.reorder
-        self.stats = PathStats()
-        self._deliver = deliver
-        self._schedule = schedule
-        self._discard = discard
-
-
-class PassthroughReceiver(BaseReceiver):
-    """No reordering: every packet goes straight to the application."""
-
-    def on_packet(self, pkt: TunnelPacket, now: int) -> None:
-        self._deliver(pkt, now, 0, DISPOSITION_INORDER)
-
-
-class ResequencingReceiver(BaseReceiver):
-    """Timing-threshold reordering with the adaptive threshold."""
-
-    def __init__(self, cfg, deliver, schedule, discard):
-        super().__init__(cfg, deliver, schedule, discard)
-        self.buffer = ReorderBuffer()
-        self._on_deadline = self._on_deadline  # bound once, scheduled per hold
-
-    def threshold_us(self) -> float:
-        return adaptive_threshold(self.stats, self.config.adaptive_k,
-                                  self.config.max_hold_us)
-
     def on_packet(self, pkt: TunnelPacket, now: int) -> None:
         self.stats.update(pkt.path_id, pkt.sender_rtt_report)
-        out = self.buffer.on_arrival(pkt, now, self.threshold_us())
-        if out:
-            self._emit(out, now)
-        else:
-            # Packet was held; arm its expiry. Events for holds that get
-            # released early fire as no-ops.
-            seq = pkt.overall_seq
-            self._schedule(self.buffer.held[seq].deadline_us, self._on_deadline, seq)
-
-    def _on_deadline(self, seq: int, now: int) -> None:
-        self._emit(self.buffer.on_deadline(seq, now), now)
-
-    def _emit(self, out, now: int) -> None:
-        for pkt, residency, disposition in out:
-            self._deliver(pkt, now, residency, disposition)
-
-    @property
-    def late_count(self) -> int:
-        return self.buffer.late_count
-
-    @property
-    def gap_count(self) -> int:
-        return self.buffer.gap_count
-
-
-class StaticResequencingReceiver(ResequencingReceiver):
-    """Timing-threshold reordering with a fixed threshold, by default the gap
-    between the slowest and fastest configured path RTT."""
-
-    def __init__(self, cfg, deliver, schedule, discard):
-        super().__init__(cfg, deliver, schedule, discard)
-        threshold = self.config.static_threshold_us
-        if threshold is None:
-            rtts = [2 * p.one_way_latency_us for p in cfg.paths]
-            threshold = static_threshold(max(rtts), min(rtts))
-        self._threshold_us = min(float(threshold), float(self.config.max_hold_us))
-
-    def threshold_us(self) -> float:
-        return self._threshold_us
-
-
-class EqualizingReceiver(BaseReceiver):
-    """Per-flow delay equalization with late-packet discard."""
-
-    def __init__(self, cfg, deliver, schedule, discard):
-        super().__init__(cfg, deliver, schedule, discard)
-        self.lines = EqualizerLines(self.config.adaptive_k, self.config.max_hold_us)
-        self._release = self._release  # bound once, scheduled per packet
-
-    def on_packet(self, pkt: TunnelPacket, now: int) -> None:
-        self.stats.update(pkt.path_id, pkt.sender_rtt_report)
-        release = self.lines.on_arrival(pkt, now, self.stats)
-        if release == EqualizerLines.DISCARD:
+        release = self.on_arrival(pkt, now, self.stats)
+        if release == self.DISCARD:
             self._discard(pkt, now)
             return
         self._schedule(release, self._release, (pkt, release - now))
@@ -285,19 +254,32 @@ class EqualizingReceiver(BaseReceiver):
         self._deliver(pkt, now, residency, DISPOSITION_INORDER)
 
 
-# Every reorder kind, by the receiver class that implements it.
+def _static_resequencer(cfg) -> ReorderBuffer:
+    """A ReorderBuffer whose fixed threshold defaults to the configured RTT gap."""
+    threshold = cfg.reorder.static_threshold_us
+    if threshold is None:
+        rtts = [2 * p.one_way_latency_us for p in cfg.paths]
+        threshold = static_threshold(max(rtts), min(rtts))
+    return ReorderBuffer(max_hold_us=cfg.reorder.max_hold_us, static_threshold_us=threshold)
+
+
+# Every reorder kind, by the factory that builds its receiver from the run's
+# ScenarioConfig.
 RECEIVERS = {
     "adaptive": Plugin(
-        ResequencingReceiver, "adaptive_k, max_hold_us",
+        lambda cfg: ReorderBuffer(adaptive_k=cfg.reorder.adaptive_k,
+                                  max_hold_us=cfg.reorder.max_hold_us),
+        "adaptive_k, max_hold_us",
         "resequencing with a threshold recomputed from measured RTTs"),
     "delay_equalize": Plugin(
-        EqualizingReceiver, "adaptive_k, max_hold_us",
+        lambda cfg: EqualizerLines(cfg.reorder.adaptive_k, cfg.reorder.max_hold_us),
+        "adaptive_k, max_hold_us",
         "per-flow delay lines equalizing end-to-end latency, late packets discarded"),
     "none": Plugin(
-        PassthroughReceiver, "",
+        lambda cfg: Receiver(), "",
         "no receiver processing, packets delivered on arrival"),
     "static": Plugin(
-        StaticResequencingReceiver,
+        _static_resequencer,
         "static_threshold_us (defaults to the configured RTT gap), max_hold_us",
         "resequencing with a fixed threshold"),
 }

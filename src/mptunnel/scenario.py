@@ -19,6 +19,8 @@ from .simcore import LatencyStep, PathModel, TrafficSource, US_PER_SECOND
 # so the run's hard stop is always a finite int. The µs keys a run converts
 # to floats (latency, hold, threshold) share the cap, so none overflows.
 MAX_DURATION_S = 1_000_000_000
+# The largest IP datagram; far larger sizes overflow a sends row's 64-bit int.
+MAX_PACKET_BYTES = 65_535
 
 
 class ScenarioError(Exception):
@@ -142,8 +144,15 @@ def _path_rules(path: PathModel, where: str) -> list[str]:
 
 
 def _rate_rules(traffic: TrafficSource, where: str) -> list[str]:
-    if traffic.kind == "cbr" and traffic.rate_bps <= 0:
+    if traffic.kind != "cbr":
+        return []
+    if traffic.rate_bps <= 0:
         return [f"{where}: cbr requires rate_bps > 0"]
+    # Emission times are floored to whole µs, so past one packet per µs
+    # simulated time can stop advancing.
+    if traffic.rate_bps > traffic.packet_size_bytes * 8 * US_PER_SECOND:
+        return [f"{where}.rate_bps must be <= packet_size_bytes * 8 * 10^6 "
+                f"(at most one cbr packet per microsecond)"]
     return []
 
 
@@ -196,11 +205,13 @@ SCHEMA = {
     ), {}),
     "traffic": Section(TrafficSource, (
         Field("kind", "string", required=True, choices=("cbr", "greedy")),
-        Field("packet_size_bytes", "integer", required=True, gt=0),
+        Field("packet_size_bytes", "integer", required=True, gt=0,
+              le=MAX_PACKET_BYTES),
         Field("rate_bps", "integer"),
         Field("start_us", "integer", ge=0),
         Field("stop_us", "integer", nullable=True),
-    ), {("kind", "rate_bps"): _rate_rules, ("start_us", "stop_us"): _stop_rules}),
+    ), {("kind", "rate_bps", "packet_size_bytes"): _rate_rules,
+        ("start_us", "stop_us"): _stop_rules}),
     "scheduler": Section(SchedulerConfig, (
         Field("kind", "string", required=True, choices=SCHEDULERS),
         Field("weights", "array", nullable=True, of="integer", ge=0),

@@ -156,6 +156,8 @@ def test_shell_sees_the_exit_code(tmp_path):
     pytest.param("paths", "one_way_latency_us", 10**400, id="latency-1e400"),
     pytest.param("reorder", "max_hold_us", 10**400, id="max_hold-1e400"),
     pytest.param("reorder", "static_threshold_us", 10**400, id="threshold-1e400"),
+    # Would overflow the 64-bit size field of the first sends row.
+    pytest.param("traffic", "packet_size_bytes", 10**22, id="packet_size-1e22"),
 ])
 def test_malformed_scenario_is_validation_error(tmp_path, capsys, section, key, value):
     bad = json.loads(json.dumps(SCENARIO))

@@ -294,6 +294,19 @@ def test_static_threshold_derived_from_path_latencies():
     assert seqs == sorted(seqs)
 
 
+def test_static_threshold_is_capped_at_max_hold():
+    # Slow-path packets come about 10 ms behind, so a 400 ms threshold would
+    # hold their successors until the gap fills; the cap gives up after 5 ms.
+    cfg = scenario(duration_s=2, reorder={"kind": "static", "max_hold_us": 5_000,
+                                          "static_threshold_us": 400_000})
+    sim = Simulation(cfg)
+    assert sim.receiver.threshold_us() == 5_000
+    log = sim.run()
+    residencies = [row[4] for row in log.deliveries]
+    assert len(residencies) == log.ingress_count
+    assert 0 < max(residencies) <= 5_000
+
+
 def test_otias_decision_log_is_eta_consistent():
     # Runs on the decision log alternate and each run ends exactly when the
     # selected path's estimated arrival first exceeds the other path's.
@@ -612,6 +625,21 @@ def test_paths_listed_in_any_order_give_the_same_bytes(case):
     if summary["drained"]:
         assert (summary["delivered"] + summary["dropped"] + summary["discarded"]
                 == summary["transmitted"] == summary["sent"])
+
+
+def overall_seqs(stream):
+    return list(stream.column(metrics.STREAMS[stream.name][0]._fields.index("overall_seq")))
+
+
+@settings(max_examples=25)
+@given(cbr_scenarios())
+def test_every_arrival_ends_in_one_delivery_or_discard(case):
+    data, _ = case
+    log = Simulation(parse_scenario(data)).run()
+    if log.drained:
+        assert len(log.sends) == len(log.arrivals) + len(log.drops)
+        ends = overall_seqs(log.deliveries) + overall_seqs(log.discards)
+        assert sorted(ends) == sorted(overall_seqs(log.arrivals))
 
 
 def test_greedy_paths_listed_in_reverse_give_the_same_bytes():

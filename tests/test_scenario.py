@@ -177,6 +177,24 @@ def test_reorder_params_validated():
     assert any("adaptive_k" in p for p in problems)
 
 
+def test_packet_size_capped_at_largest_ip_datagram():
+    traffic = dict(MINIMAL["traffic"], packet_size_bytes=10**22)
+    assert errors_of(variant(traffic=traffic)) == ["traffic.packet_size_bytes must be <= 65535"]
+    traffic["packet_size_bytes"] = 65_535
+    assert parse_scenario(variant(traffic=traffic)).traffic.packet_size_bytes == 65_535
+
+
+def test_cbr_rate_capped_at_one_packet_per_microsecond():
+    # Above the cap the emission schedule never advances; the run is not tried.
+    traffic = dict(MINIMAL["traffic"], rate_bps=10**30)
+    problems = errors_of(variant(traffic=traffic))
+    assert len(problems) == 1 and "traffic.rate_bps must be <=" in problems[0]
+    traffic["rate_bps"] = 1000 * 8 * 10**6 + 1
+    assert len(errors_of(variant(traffic=traffic))) == 1
+    traffic["rate_bps"] = 1000 * 8 * 10**6
+    assert parse_scenario(variant(traffic=traffic)).nominal_interval_us() == 1.0
+
+
 def test_canned_suite_ships_and_loads():
     names = canned_scenario_names()
     for expected in ("srtt-handover", "otias-moderate", "otias-saturated",
