@@ -5,6 +5,9 @@ A run owns all of its state; independent runs can execute in parallel threads
 without sharing anything.
 """
 
+from itertools import compress, repeat
+from operator import is_not
+
 from . import metrics
 from .flow import Flow, TunnelPacket
 from .metrics import CHUNK_ROWS, DISPOSITION_CODES
@@ -56,6 +59,9 @@ class Simulation:
         # path_ids whose flow was sampled, and so may have changed, since the
         # last pick; None before the first pick, meaning every path.
         self._changed = None
+        # The scheduler's last_etas as last recorded; None before the first
+        # pick, and for good on a scheduler that makes no estimates.
+        self._etas = None
         self._timers = [None] * len(self.flows)
         self._traffic_stop_us = min(
             cfg.duration_us,
@@ -65,9 +71,8 @@ class Simulation:
     # -- event handlers ------------------------------------------------------
 
     # Each record is written where it happens, with no call: the site packs
-    # its row onto its metrics.Stream's tail (a disposition as its code, a
-    # decision's ETA tuple onto etas), and _ingress has the log seal whole
-    # chunks every CHUNK_ROWS packets.
+    # its row onto its metrics.Stream's tail (a disposition as its code),
+    # and _ingress has the log seal whole chunks every CHUNK_ROWS packets.
 
     def _ingress(self, now: int) -> None:
         log = self.log
@@ -76,7 +81,14 @@ class Simulation:
         picked = self.scheduler.pick(self.flows, now, self._changed)
         rows = log.decisions
         rows.tail += rows.struct.pack(now, pkt.overall_seq, picked)
-        rows.etas.append(self.scheduler.last_etas)
+        if self.scheduler.last_etas is not self._etas:
+            # otias keeps an ETA that did not change value as the same float
+            # object: one row per path whose ETA changed, every path at first.
+            old = self._etas or repeat(None)
+            etas = self._etas = self.scheduler.last_etas
+            rows = log.etas
+            for i in compress(range(len(etas)), map(is_not, etas, old)):
+                rows.tail += rows.struct.pack(pkt.overall_seq, i, etas[i])
         if not log.ingress_count % CHUNK_ROWS:
             log.seal()
         self._changed = set()

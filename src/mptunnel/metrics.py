@@ -7,9 +7,10 @@ its rows keep and whose field names are the export columns wherever the two
 agree, and the packed form of each field. A Stream keeps its rows packed, 8
 bytes per field, in sealed chunks of CHUNK_ROWS rows plus one open tail, all
 bytes the cyclic collector never scans; a disposition is packed as its index
-in DISPOSITIONS, and a decision's ETA tuple, when it is not the previous
-decision's, as a record of the entries that changed or of the whole tuple.
-Read back, a stream is a read-only sequence of exact tuples of plain values.
+in DISPOSITIONS. Read back, a stream is a read-only sequence of exact tuples
+of plain values. A decision's per-path ETAs are not in its row: the etas
+stream holds one row per path whose ETA changed value at a decision (every
+path at the first), and the decisions export replays it.
 compute_pdv reads columns, not rows: its result holds the sequence numbers
 packed and the values as a list, and the pdv export zips them into
 PdvSample-ordered rows.
@@ -24,8 +25,8 @@ import struct
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from itertools import chain, compress, count, islice, repeat
-from operator import eq, is_not, itemgetter, setitem, sub
+from itertools import chain, compress, count, groupby, islice, repeat
+from operator import eq, itemgetter, setitem, sub
 from typing import NamedTuple, Optional
 
 from .flow import TunnelPacket, encode_header
@@ -73,7 +74,12 @@ class Decision(NamedTuple):
     time_us: int
     overall_seq: int
     path_id: int
-    etas_us: Optional[tuple]
+
+
+class Eta(NamedTuple):
+    overall_seq: int
+    path_id: int
+    eta_us: float
 
 
 class FlowSample(NamedTuple):
@@ -91,15 +97,15 @@ class PdvSample(NamedTuple):
 
 
 # Every record stream of a MetricsLog: its row NamedTuple and one kind per
-# field: q an int of 64 bits, d a float, c a disposition and e an ETA tuple
-# (None, or floats), kept apart from the packed row (see Decisions).
+# field: q an int of 64 bits, d a float and c a disposition.
 STREAMS = {
     "sends": (Send, "qqqqqq"),
     "arrivals": (Arrival, "qqqq"),
     "deliveries": (Delivery, "qqqqqc"),
     "drops": (Drop, "qqq"),
     "discards": (Discard, "qqq"),
-    "decisions": (Decision, "qqqe"),
+    "decisions": (Decision, "qqq"),
+    "etas": (Eta, "qqd"),
     "flow_rows": (FlowSample, "qqddqq"),
 }
 
@@ -107,15 +113,8 @@ CHUNK_ROWS = 1024
 DISPOSITIONS = (DISPOSITION_INORDER, DISPOSITION_LATE, DISPOSITION_TIMEOUT)
 DISPOSITION_CODES = {d: i for i, d in enumerate(DISPOSITIONS)}
 # One packed row per stream, shared by every log.
-_ROW_STRUCTS = {
-    name: struct.Struct("=" + "".join({"q": "q", "d": "d", "c": "q", "e": ""}[kind]
-                                      for kind in kinds))
-    for name, (_, kinds) in STREAMS.items()}
-# A decision's ETA record: (row, width, count), where row is its index in
-# the chunk and width the tuple's length (-1 for None), followed by the
-# whole tuple's etas if count is width, else by count entries of (index, eta).
-_ETA_RECORD = struct.Struct("=qqq")
-_ETA_ENTRY = struct.Struct("=qd")
+_ROW_STRUCTS = {name: struct.Struct("=" + kinds.replace("c", "q"))
+                for name, (_, kinds) in STREAMS.items()}
 
 
 class Stream(Sequence):
@@ -123,12 +122,13 @@ class Stream(Sequence):
     order of its STREAMS NamedTuple, stored packed.
 
     A row is written with no call: tail += struct.pack(*row), a disposition
-    given as its DISPOSITION_CODES code (and a decision's ETA tuple appended
-    to etas instead, see Decisions). seal() moves each whole CHUNK_ROWS rows
-    of the tail into a sealed chunk; MetricsLog.seal runs it for every
-    stream. append(row) is the same write for a row from anywhere else,
-    validated and sealed at once. Reads seal first and copy the tail, so no
-    view of it outlives a read and it can always grow.
+    given as its DISPOSITION_CODES code. seal() moves each whole CHUNK_ROWS
+    rows of the tail into a sealed chunk; MetricsLog.seal runs it for every
+    stream. The chunk list is made at the first seal, so a stream that never
+    fills a chunk keeps no object the cyclic collector tracks. append(row)
+    is the same write for a row from anywhere else, validated and sealed at
+    once. Reads seal first and copy the tail, so no view of it outlives a
+    read and it can always grow.
     """
 
     __slots__ = ("name", "kinds", "struct", "full", "tail", "_chunks")
@@ -139,7 +139,7 @@ class Stream(Sequence):
         self.struct = _ROW_STRUCTS[name]
         self.full = CHUNK_ROWS * self.struct.size
         self.tail = bytearray()
-        self._chunks: list[bytes] = []
+        self._chunks: Sequence[bytes] = ()
 
     def append(self, row: Sequence) -> None:
         """Pack one row. An int field takes an int of 64 bits; a float field
@@ -154,6 +154,8 @@ class Stream(Sequence):
 
     def seal(self) -> None:
         while len(self.tail) >= self.full:
+            if not self._chunks:
+                self._chunks = []
             self._chunks.append(bytes(self.tail[:self.full]))
             del self.tail[:self.full]
 
@@ -198,126 +200,6 @@ class Stream(Sequence):
     __hash__ = None
 
 
-class Decisions(Stream):
-    """The decisions stream: (time_us, overall_seq, path_id) packed like any
-    stream's row, each row's ETA tuple appended to etas instead.
-
-    seal() packs the tuples in etas: a record for each row whose tuple is
-    not the previous row's object, holding the entries that are not the
-    previous tuple's float objects, or the whole tuple when that is all of
-    them: always after None or a change of width, and at two entries or
-    fewer, where the whole tuple is no larger. The first row of each chunk
-    is compared with None, so a sealed chunk, its rows then its records,
-    decodes on its own, and a run whose scheduler keeps no ETAs keeps no
-    record at all.
-    """
-
-    __slots__ = ("etas", "_records", "_flushed", "_last")
-
-    def __init__(self, name: str):
-        super().__init__(name)
-        self.etas: list[Optional[tuple]] = []
-        # The records of the tail's first _flushed rows, and the last
-        # of their tuples.
-        self._records = bytearray()
-        self._flushed, self._last = 0, None
-
-    def append(self, row: Sequence) -> None:
-        *fixed, etas = row
-        if etas is not None and not isinstance(etas, tuple):
-            raise ValueError(f"{self.name} row {tuple(row)!r}: ETAs are a tuple or None")
-        try:
-            packed = self.struct.pack(*fixed)
-            if etas is not None:
-                struct.pack(f"={len(etas)}d", *etas)
-        except struct.error as exc:
-            raise ValueError(f"{self.name} row {tuple(row)!r}: {exc}") from None
-        self.tail += packed
-        self.etas.append(etas)
-        self.seal()
-
-    def _flush(self, etas: list) -> None:
-        """Record the tuples of the next rows of the current chunk. Only rows
-        with a new tuple are visited, and in each only the entries that
-        changed: finding both is C-level, so the Python-level work does not
-        grow with the number of paths."""
-        if not etas:
-            return
-        prevs = [self._last, *etas[:-1]]
-        records = self._records
-        for row, new, old in compress(zip(count(self._flushed), etas, prevs),
-                                      map(is_not, etas, prevs)):
-            if new is None:
-                records += _ETA_RECORD.pack(row, -1, 0)
-                continue
-            width = len(new)
-            moved = (list(compress(range(width), map(is_not, new, old)))
-                     if width > 2 and old is not None and len(old) == width else range(width))
-            records += _ETA_RECORD.pack(row, width, len(moved))
-            if len(moved) == width:
-                records += struct.pack(f"={width}d", *new)
-            else:
-                for i in moved:
-                    records += _ETA_ENTRY.pack(i, new[i])
-        self._flushed += len(etas)
-        self._last = etas[-1]
-
-    def seal(self) -> None:
-        while True:
-            room = CHUNK_ROWS - self._flushed
-            self._flush(self.etas[:room])
-            del self.etas[:room]
-            if self._flushed < CHUNK_ROWS:
-                return
-            self._chunks.append(bytes(self.tail[:self.full]) + self._records)
-            del self.tail[:self.full]
-            self._records.clear()
-            self._flushed, self._last = 0, None
-
-    specs = None  # exported through _decisions, never as it stands
-
-    def _blocks(self):
-        return (rows for rows, _ in self._parts())
-
-    def _parts(self):
-        """(rows, records) of every sealed chunk, then of the tail."""
-        self.seal()
-        for chunk in self._chunks:
-            view = memoryview(chunk)
-            yield view[:self.full], view[self.full:]
-        yield bytes(self.tail), bytes(self._records)
-
-    def _decode(self, rows, records):
-        """The rows of one chunk with their ETA tuples; a row with no record
-        shares its predecessor's tuple."""
-        column, etas, start, at = [], None, 0, 0
-        while at < len(records):
-            row, width, n = _ETA_RECORD.unpack_from(records, at)
-            at += _ETA_RECORD.size
-            column += repeat(etas, row - start)
-            if width < 0:
-                etas = None
-            elif n == width:
-                etas = struct.unpack_from(f"={width}d", records, at)
-                at += 8 * width
-            else:  # the previous tuple, of the same width, with n entries replaced
-                entries = list(etas)
-                for i, eta in _ETA_ENTRY.iter_unpack(records[at:at + n * _ETA_ENTRY.size]):
-                    entries[i] = eta
-                etas = tuple(entries)
-                at += n * _ETA_ENTRY.size
-            start = row
-        column += repeat(etas, len(rows) // self.struct.size - start)
-        return zip(*[self._column(rows, i) for i in range(3)], column)
-
-    def __iter__(self):
-        return chain.from_iterable(self._decode(*parts) for parts in self._parts())
-
-    def __getitem__(self, i: int) -> tuple:
-        c, r = divmod(range(len(self))[i], CHUNK_ROWS)
-        return next(islice(self._decode(*next(islice(self._parts(), c, None))), r, None))
-
-
 @dataclass
 class PdvResult:
     """Delay-variation samples in sequence order: values[i] is the sample of
@@ -347,8 +229,8 @@ class MetricsLog:
                                   repr=False)
 
     def __post_init__(self):
-        for name, (_, kinds) in STREAMS.items():
-            setattr(self, name, (Decisions if "e" in kinds else Stream)(name))
+        for name in STREAMS:
+            setattr(self, name, Stream(name))
 
     def __eq__(self, other) -> bool:
         # The streams are attributes, not dataclass fields: compare them too.
@@ -646,15 +528,21 @@ def _deliveries(log: MetricsLog, pdv) -> tuple[Sequence[str], list]:
     )
 
 
-def _decisions(log: MetricsLog, pdv) -> tuple[Sequence[str], list]:
-    decisions = list(log.decisions)
-    n_paths = max(map(len, filter(None, map(itemgetter(3), decisions))), default=0)
-    header = Decision._fields[:3] + tuple(f"eta_{i}_us" for i in range(n_paths))
-    blank = ("",) * n_paths
-    return header, [
-        (t, seq, path_id) + (etas_us or blank)
-        for t, seq, path_id, etas_us in decisions
-    ]
+def _decisions(log: MetricsLog, pdv) -> tuple[Sequence[str], Sequence]:
+    # Each row ends with every path's ETA as of its pick: the etas rows, in
+    # sequence order, replayed up to its overall_seq.
+    if not log.etas:
+        return Decision._fields, log.decisions
+    n_paths = max(log.etas.column(1)) + 1
+    header = Decision._fields + tuple(f"eta_{i}_us" for i in range(n_paths))
+    etas, at_seq = [None] * n_paths, {}
+    for seq, changes in groupby(log.etas, itemgetter(0)):
+        for _, path_id, eta_us in changes:
+            etas[path_id] = eta_us
+        at_seq[seq] = tuple(etas)
+    current = ()
+    return header, [row + (current := at_seq.get(row[1], current))
+                    for row in log.decisions]
 
 
 def _pdv(log: MetricsLog, pdv) -> tuple[Sequence[str], list]:

@@ -119,7 +119,8 @@ class ReorderBuffer(Receiver):
     a duplicate, come up as no-ops.
 
     As a receiver it holds each packet for threshold_us(): the static
-    threshold, capped at max_hold_us, if one is given, else the adaptive one.
+    threshold, capped at max_hold_us, if one is given, else the adaptive one,
+    and only the adaptive one updates the path stats.
     """
 
     def __init__(self, expected_next: int = 0, adaptive_k: float = DEFAULT_ADAPTIVE_K,
@@ -185,7 +186,8 @@ class ReorderBuffer(Receiver):
         return adaptive_threshold(self.stats, self.adaptive_k, self.max_hold_us)
 
     def on_packet(self, pkt: TunnelPacket, now: int) -> None:
-        self.stats.update(pkt.path_id, pkt.sender_rtt_report)
+        if self.static_threshold_us is None:  # a static threshold reads no stats
+            self.stats.update(pkt.path_id, pkt.sender_rtt_report)
         out = self.on_arrival(pkt, now, self.threshold_us())
         if out:
             self._emit(out, now)

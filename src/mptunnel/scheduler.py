@@ -14,8 +14,9 @@ they did at the previous pick. Only otias uses it, to keep each path's ETA
 until the path is named; the other schedulers ignore it.
 
 Every scheduler has last_etas: the per-path estimates its latest pick
-decided from, recorded with each decision, or None on a scheduler that
-makes no estimates.
+decided from, or None on a scheduler that makes no estimates. The engine
+records the entries of each new last_etas tuple that are not the previous
+tuple's objects.
 """
 
 import math
@@ -141,8 +142,8 @@ class Otias:
         return self._picked
 
 
-# Every scheduler kind, built from its SchedulerConfig. Each decision records
-# the scheduler's last_etas (see the module docstring).
+# Every scheduler kind, built from its SchedulerConfig. The run log records
+# the scheduler's last_etas as they change (see the module docstring).
 SCHEDULERS = {
     "cheapest_pipe_first": Plugin(
         lambda config: LowestWithRoom(attrgetter("cost", "path_id")),

@@ -50,7 +50,7 @@ def report(criterion, ok, detail):
 def decision_runs(log):
     """Maximal constant-path runs of the scheduler decision sequence."""
     out = []
-    for time_us, _, path_id, _ in log.decisions:
+    for time_us, _, path_id in log.decisions:
         if out and out[-1][0] == path_id:
             out[-1][1] += 1
             out[-1][3] = time_us
@@ -74,13 +74,13 @@ def test_criterion_1_srtt_handover(runs):
     cfg, log = runs("srtt-handover")
     event_us = 15_000_000
 
-    pre = [p for t, _, p, _ in log.decisions if 5_000_000 <= t < event_us]
+    pre = [p for t, _, p in log.decisions if 5_000_000 <= t < event_us]
     share_pre = sum(1 for p in pre if p == 0) / len(pre)
 
-    post = [p for t, _, p, _ in log.decisions if t >= event_us + 2_000_000]
+    post = [p for t, _, p in log.decisions if t >= event_us + 2_000_000]
     share_post = sum(1 for p in post if p == 1) / len(post)
 
-    switch_us = next(t for t, _, p, _ in log.decisions
+    switch_us = next(t for t, _, p in log.decisions
                      if t >= event_us and p == 1)
 
     # the idle path keeps its last estimate: every recorded srtt for path 1

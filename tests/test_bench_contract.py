@@ -55,7 +55,7 @@ for i, kind in enumerate(sorted(scheduler.SCHEDULERS)):
         sum(len(v) for v in vars(log).values() if isinstance(v, list)),
         sum(len(getattr(log, name)) for name in metrics.STREAMS),
         sum(map(len, (log.sends, log.arrivals, log.deliveries, log.drops,
-                      log.discards, log.decisions, log.flow_rows)))))
+                      log.discards, log.decisions, log.etas, log.flow_rows)))))
 calls = {name: t["calls"] for name, t in tracer.span_totals().items()}
 print(json.dumps({"layers": spans.layer_metrics(tracer, packets),
                   "uncalled": sorted(e for e in entry_points if not calls.get(e)),

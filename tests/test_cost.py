@@ -23,9 +23,10 @@ sample (its packed sequence number, a value pointer and the float itself),
 And for the cyclic collector: a finished log keeps at most 0.01 objects the
 collector tracks per ingress packet, counted with the collector paused
 during the run, so every object the log made is still tracked. Its rows live
-in bytes, which the collector never scans; what it tracks is a fixed 16
-objects (the log, each stream with its chunk list, and the decisions' etas
-list), so a full collection's work on the log does not grow with the run.
+in bytes, which the collector never scans; what it tracks is at most 17
+objects (the log, each stream, and each stream's chunk list, made at its
+first seal), so a full collection's work on the log does not grow with the
+run.
 """
 
 import gc

@@ -96,7 +96,7 @@ def test_per_path_fifo_preserved():
 def test_overall_seq_stamped_densely_in_ingress_order():
     cfg = scenario(duration_s=4)
     log = Simulation(cfg).run()
-    assert [seq for _, seq, _, _ in log.decisions] == list(range(log.ingress_count))
+    assert [seq for _, seq, _ in log.decisions] == list(range(log.ingress_count))
 
 
 def test_identical_runs_are_bit_identical():
@@ -273,7 +273,7 @@ def test_greedy_respects_stop_time():
                    traffic={"kind": "greedy", "packet_size_bytes": 1000,
                             "stop_us": 1_000_000})
     log = Simulation(cfg).run()
-    assert max(t for t, _, _, _ in log.decisions) < 1_000_000
+    assert max(t for t, _, _ in log.decisions) < 1_000_000
 
 
 def test_resequencer_rebuilds_order_under_rr():
@@ -307,6 +307,29 @@ def test_static_threshold_is_capped_at_max_hold():
     assert 0 < max(residencies) <= 5_000
 
 
+def test_static_kind_keeps_no_path_stats():
+    # A static threshold never reads the path stats, so a static run updates
+    # none, and it delivers exactly as a run that updates them on arrival.
+    cfg = scenario(duration_s=3, reorder={"kind": "static"})
+    for p in cfg.paths:
+        p.loss_rate = 0.05
+    sim = Simulation(cfg)
+    log = sim.run()
+    assert sim.receiver.stats.srtts == {}
+    assert any(residency for *_, residency, _ in log.deliveries)
+
+    updating = Simulation(cfg)
+    receiver, on_packet = updating.receiver, updating.receiver.on_packet
+
+    def updating_on_packet(pkt, now):
+        receiver.stats.update(pkt.path_id, pkt.sender_rtt_report)
+        on_packet(pkt, now)
+
+    receiver.on_packet = updating_on_packet
+    assert updating.run().deliveries == log.deliveries
+    assert set(receiver.stats.srtts) == {0, 1}
+
+
 def test_otias_decision_log_is_eta_consistent():
     # Runs on the decision log alternate and each run ends exactly when the
     # selected path's estimated arrival first exceeds the other path's.
@@ -323,9 +346,11 @@ def test_otias_decision_log_is_eta_consistent():
     )
     log = Simulation(cfg).run()
     assert len(log.decisions) > 500
+    header, rows = metrics.METRICS["decisions"](log, None)
+    assert header[3:] == ("eta_0_us", "eta_1_us")
     switches = 0
     prev = None
-    for _, _, path_id, etas in log.decisions:
+    for _, _, path_id, *etas in rows:
         best = min(range(len(etas)), key=lambda i: (etas[i], i))
         assert path_id == best
         if prev is not None and path_id != prev:
@@ -399,7 +424,7 @@ def test_otias_scrambles_strictly_less_than_rr_when_saturated():
 
 # -- receiver independence -------------------------------------------------------
 
-SENDER_STREAMS = ("sends", "arrivals", "drops", "decisions", "flow_rows")
+SENDER_STREAMS = ("sends", "arrivals", "drops", "decisions", "etas", "flow_rows")
 
 
 @pytest.mark.parametrize("name", ["rr-saturated", "adaptive-jump"])
@@ -421,14 +446,14 @@ def test_receiver_kind_changes_nothing_the_sender_sees(name):
 # -- record form and log lifetime ----------------------------------------------
 
 EVENT_STREAMS = tuple(metrics.STREAMS)
-FIELD_TYPES = {"q": {int}, "d": {float}, "c": {str}, "e": {tuple, type(None)}}
+FIELD_TYPES = {"q": {int}, "d": {float}, "c": {str}}
 
 
 @pytest.fixture(scope="module")
 def guard_logs():
-    """Two lossy runs that fill all seven record streams between them: round
+    """Two lossy runs that fill all eight record streams between them: round
     robin into delay equalization across a latency jump (discards), and otias
-    (decisions carrying ETA tuples)."""
+    (ETA changes)."""
     equalized = scenario(duration_s=3,
                          reorder={"kind": "delay_equalize", "max_hold_us": 10_000})
     equalized.paths[1].latency_steps = [LatencyStep(at_us=1_500_000,
@@ -451,7 +476,6 @@ def test_event_records_read_back_as_exact_tuples(guard_logs):
         assert {len(r) for r in records} == {len(row_type._fields)}, name
         for i, kind in enumerate(kinds):
             assert {type(r[i]) for r in records} <= FIELD_TYPES[kind], (name, i)
-    assert any(etas for _, log in guard_logs for *_, etas in log.decisions)
     for cfg, log in guard_logs:
         pdv = metrics.compute_pdv(log, cfg.nominal_interval_us())
         assert pdv.values and {type(v) for v in pdv.values} <= {int, float}
@@ -472,8 +496,7 @@ def held_objects(stream) -> list:
 def test_event_records_are_packed_out_of_the_collectors_sight(guard_logs):
     # Rows live in bytes, which the cyclic collector never scans: whatever a
     # stream's length, it holds a few objects plus one per sealed chunk, and
-    # the collector tracks only the stream, its chunk list, the decisions'
-    # etas list (empty in a finished log) and the last ETA tuple packed.
+    # the collector tracks only the stream and its chunk list.
     greedy = Simulation(scenario(duration_s=1, scheduler={"kind": "otias"},
                                  traffic={"kind": "greedy", "packet_size_bytes": 1000})).run()
     assert len(greedy.decisions) > 2 * metrics.CHUNK_ROWS
@@ -482,8 +505,7 @@ def test_event_records_are_packed_out_of_the_collectors_sight(guard_logs):
             stream = getattr(log, name)
             held = held_objects(stream)
             assert len(held) <= 20 + len(stream) // metrics.CHUNK_ROWS, name
-            assert sum(map(gc.is_tracked, held)) <= 4, name
-        assert log.decisions.etas == []
+            assert sum(map(gc.is_tracked, held)) <= 2, name
 
 
 def test_flow_samples_view_matches_flow_rows(guard_logs):
@@ -670,11 +692,12 @@ class ChangedOracle(Otias):
     """otias that checks the engine's changed argument at every pick: only
     the first pick passes None, every view whose ETA inputs (srtt, cwnd,
     backlog) moved since the previous pick is named, and every ETA kept
-    equals one computed afresh."""
+    equals one computed afresh. history keeps last_etas at every pick."""
 
     def __init__(self):
         super().__init__()
         self.inputs = None
+        self.history = []
 
     def pick(self, views, now, changed=None):
         inputs = [(v.srtt_us, v.cwnd, len(v.send_queue) + v.in_flight) for v in views]
@@ -685,6 +708,7 @@ class ChangedOracle(Otias):
         self.inputs = inputs
         picked = super().pick(views, now, changed)
         assert self.last_etas == tuple(map(otias_eta, views)), now
+        self.history.append(self.last_etas)
         return picked
 
 
@@ -714,9 +738,17 @@ def checked(monkeypatch):
 
 
 def run_with_oracle(cfg):
+    """Run cfg under the ChangedOracle, and check that the decisions export
+    replays the recorded ETA changes into exactly the ETAs of every pick."""
     sim = Simulation(cfg)
-    sim.scheduler = ChangedOracle()
-    return sim.run()
+    oracle = sim.scheduler = ChangedOracle()
+    log = sim.run()
+    header, rows = metrics.METRICS["decisions"](log, None)
+    assert len(header) == 3 + len(cfg.paths)
+    # float.hex tells 1.0 from 1.0000000000000002 and -0.0 from 0.0.
+    assert ([tuple(map(float.hex, row[3:])) for row in rows]
+            == [tuple(map(float.hex, etas)) for etas in oracle.history])
+    return log
 
 
 @pytest.mark.parametrize("name", canned_scenario_names())

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mptunnel.metrics import (CHUNK_ROWS, DISPOSITIONS, STREAMS, Arrival, Delivery,
-                              MetricsLog, Send, arrival_order_scatter, compute_pdv,
-                              pdv_histogram, percentile, reordering_extent,
-                              summarize, throughput_series)
+from mptunnel.metrics import (CHUNK_ROWS, DISPOSITIONS, METRICS, STREAMS, Arrival,
+                              Delivery, MetricsLog, Send, arrival_order_scatter,
+                              compute_pdv, pdv_histogram, percentile,
+                              reordering_extent, summarize, throughput_series)
 
 
 def log_with_deliveries(rows):
@@ -171,6 +171,20 @@ def test_header_trace_export_is_bit_exact(tmp_path):
         assert fields.flow_seq_low32 == send.flow_seq
 
 
+def test_decisions_export_replays_the_eta_changes():
+    log = MetricsLog()
+    for row in [(0, 0, 1), (5, 1, 0), (9, 2, 0)]:
+        log.decisions.append(row)
+    # No ETA ever recorded: the stream as it stands.
+    header, rows = METRICS["decisions"](log, None)
+    assert header == ("time_us", "overall_seq", "path_id") and rows is log.decisions
+    for row in [(0, 0, 2.5), (0, 1, 1.5), (2, 1, 4.0)]:
+        log.etas.append(row)
+    header, rows = METRICS["decisions"](log, None)
+    assert header[3:] == ("eta_0_us", "eta_1_us")
+    assert rows == [(0, 0, 1, 2.5, 1.5), (5, 1, 0, 2.5, 1.5), (9, 2, 0, 2.5, 4.0)]
+
+
 # -- packed record streams ----------------------------------------------------
 
 INT64 = st.integers(-(2**63 - 1), 2**63 - 1)
@@ -181,54 +195,26 @@ FIELD_VALUES = {
 }
 
 
-def eta_tuples(draw, n_rows):
-    """ETA tuples the way a scheduler hands them over: None, the previous
-    tuple again, the previous one with some entries replaced (the others the
-    same float objects), or a new tuple, possibly of another width."""
-    etas, prev = [], None
-    for _ in range(n_rows):
-        how = draw(st.sampled_from(["none", "same", "edit", "new"]))
-        if how == "none":
-            prev = None
-        elif how == "edit" and prev:
-            entries = list(prev)
-            for i in draw(st.lists(st.integers(0, len(entries) - 1), max_size=3)):
-                entries[i] = draw(st.floats())
-            prev = tuple(entries)
-        elif how != "same" or prev is None:
-            prev = tuple(draw(st.lists(st.floats(), max_size=4)))
-        etas.append(prev)
-    return etas
-
-
 @settings(max_examples=60)
 @given(st.sampled_from(sorted(STREAMS)), st.data())
 # One example per stream crosses a chunk boundary with the extreme ints.
 @example("sends", None)
 @example("decisions", None)
 @example("deliveries", None)
+@example("etas", None)
 @example("flow_rows", None)
 def test_stream_round_trip(name, data):
     row_type, kinds = STREAMS[name]
     if data is None:
         n_rows = 2 * CHUNK_ROWS + 5
-        # Each ETA tuple serves 10 rows, across chunk boundaries too, and
-        # mostly keeps its predecessor's float objects but one.
-        shared, etas = [], None
-        for j in range(n_rows // 10 + 1):
-            etas = (None if j % 4 == 3 else (j / 3, j / 5, j / 7) if etas is None
-                    else etas[:1] + (j / 11,) + etas[2:])
-            shared += [etas] * 10
         rows = [tuple({"q": (2**63 - 1, -(2**63 - 1), i)[i % 3], "d": i / 7,
-                       "c": DISPOSITIONS[i % 3], "e": shared[i]}[k]
+                       "c": DISPOSITIONS[i % 3]}[k]
                       for k in kinds) for i in range(n_rows)]
     else:
         n_rows = data.draw(st.sampled_from([0, 1, 7, CHUNK_ROWS, CHUNK_ROWS + 3]))
-        pattern = [tuple(data.draw(FIELD_VALUES[k]) for k in kinds if k != "e")
+        pattern = [tuple(data.draw(FIELD_VALUES[k]) for k in kinds)
                    for _ in range(data.draw(st.integers(1, 5)))]
         rows = [pattern[i % len(pattern)] for i in range(n_rows)]
-        if "e" in kinds:
-            rows = [row + (etas,) for row, etas in zip(rows, eta_tuples(data.draw, n_rows))]
     stream = getattr(MetricsLog(), name)
     half = n_rows // 2
     for i, row in enumerate(rows[:half]):
@@ -253,7 +239,7 @@ def test_stream_round_trip(name, data):
 @pytest.mark.parametrize("name", sorted(STREAMS))
 def test_stream_refuses_an_int_past_64_bits(name):
     row_type, kinds = STREAMS[name]
-    row = tuple({"q": 2**63, "d": 0.5, "c": DISPOSITIONS[0], "e": None}[k] for k in kinds)
+    row = tuple({"q": 2**63, "d": 0.5, "c": DISPOSITIONS[0]}[k] for k in kinds)
     stream = getattr(MetricsLog(), name)
     with pytest.raises(ValueError, match=name):
         stream.append(row)
@@ -267,7 +253,7 @@ def test_logs_differing_in_one_row_compare_unequal(name):
     def log_with(value):
         log = MetricsLog()
         for stream, (_, kinds) in STREAMS.items():
-            row = tuple({"q": 1, "d": 0.5, "c": DISPOSITIONS[0], "e": (1.5,)}[k] for k in kinds)
+            row = tuple({"q": 1, "d": 0.5, "c": DISPOSITIONS[0]}[k] for k in kinds)
             if stream == name:
                 row = (value,) + row[1:]
             getattr(log, stream).append(row)
@@ -278,18 +264,17 @@ def test_logs_differing_in_one_row_compare_unequal(name):
 
 
 def test_rows_written_onto_the_tail_read_back_before_any_seal():
-    # The engine's write: pack onto the tail (a decision's ETA tuple onto
-    # etas) and leave sealing to MetricsLog.seal, which may come later.
+    # The engine's write: pack onto the tail and leave sealing to
+    # MetricsLog.seal, which may come later.
     log = MetricsLog()
     n_rows = 2 * CHUNK_ROWS + 5
     drops = [(i, i % 3, 2 * i) for i in range(n_rows)]
-    decisions = [(i, i, i % 2, None if i % 7 == 0 else (i / 2, 0.5)) for i in range(n_rows)]
-    for drop, decision in zip(drops, decisions):
+    etas = [(i, i % 2, i / 2) for i in range(n_rows)]
+    for drop, eta in zip(drops, etas):
         log.drops.tail += log.drops.struct.pack(*drop)
-        log.decisions.tail += log.decisions.struct.pack(*decision[:3])
-        log.decisions.etas.append(decision[3])
-    for stream, rows in ((log.drops, drops), (log.decisions, decisions)):
+        log.etas.tail += log.etas.struct.pack(*eta)
+    for stream, rows in ((log.drops, drops), (log.etas, etas)):
         assert stream[-1] == rows[-1] and stream[CHUNK_ROWS + 1] == rows[CHUNK_ROWS + 1]
         assert list(stream) == rows
     log.seal()
-    assert list(log.drops) == drops and list(log.decisions) == decisions
+    assert list(log.drops) == drops and list(log.etas) == etas
