@@ -12,8 +12,7 @@ tunnel carries unreliable traffic.
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 RTT_REPORT_MAX = (1 << 32) - 1
 HEADER_LEN = 16
@@ -42,7 +41,6 @@ def smooth_rtt(srtt: Optional[float], rttvar: float,
     return (1 - SRTT_GAIN) * srtt + SRTT_GAIN * sample, rttvar
 
 
-@dataclass(slots=True)
 class TunnelPacket:
     """One ingress datagram wrapped with the multipath encapsulation header.
 
@@ -52,16 +50,17 @@ class TunnelPacket:
     to their wire widths.
     """
 
-    overall_seq: int
-    payload_len: int
-    ingress_time: int
-    path_id: int = 0
-    flow_seq: int = 0
-    sender_rtt_report: int = 0
+    __slots__ = ("overall_seq", "payload_len", "ingress_time", "path_id",
+                 "flow_seq", "sender_rtt_report")
+
+    def __init__(self, overall_seq: int, payload_len: int, ingress_time: int,
+                 path_id: int = 0, flow_seq: int = 0, sender_rtt_report: int = 0):
+        self.overall_seq, self.payload_len = overall_seq, payload_len
+        self.ingress_time, self.path_id = ingress_time, path_id
+        self.flow_seq, self.sender_rtt_report = flow_seq, sender_rtt_report
 
 
-@dataclass(frozen=True)
-class HeaderFields:
+class HeaderFields(NamedTuple):
     version: int
     path_id: int
     overall_seq: int

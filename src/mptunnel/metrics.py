@@ -24,7 +24,6 @@ import math
 import struct
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
 from itertools import chain, compress, count, groupby, islice, repeat
 from operator import eq, itemgetter, setitem, sub
 from typing import NamedTuple, Optional
@@ -200,8 +199,7 @@ class Stream(Sequence):
     __hash__ = None
 
 
-@dataclass
-class PdvResult:
+class PdvResult(NamedTuple):
     """Delay-variation samples in sequence order: values[i] is the sample of
     seqs[i], and seqs is packed, a read-only sequence of ints. skipped counts
     sequence numbers whose predecessor never landed."""
@@ -210,34 +208,36 @@ class PdvResult:
     skipped: int
 
 
-@dataclass
-class MetricsLog:
-    """Everything a run records: one Stream per STREAMS entry, an attribute
-    of the same name, each append-only and time-ordered, plus run totals.
-
-    flow_samples is a read-only view of flow_rows as FlowSample instances,
-    built anew on each read. compute_pdv keeps its last result here.
-    """
-
+class Totals(NamedTuple):
+    """A MetricsLog's run totals and their starting values."""
     ingress_count: int = 0
     timeout_gaps: int = 0
     late_count: int = 0
     window_violations: int = 0
     drained: bool = True
-    # compute_pdv's last (key, PdvResult)
-    _pdv: Optional[tuple] = field(default=None, init=False, compare=False,
-                                  repr=False)
 
-    def __post_init__(self):
+
+class MetricsLog:
+    """Everything a run records: one Stream per STREAMS entry, an attribute
+    of the same name, each append-only and time-ordered, plus the Totals
+    fields, which the constructor takes as Totals does. == compares both.
+
+    flow_samples is a read-only view of flow_rows as FlowSample instances,
+    built anew on each read. compute_pdv keeps its last result here.
+    """
+
+    __hash__ = None
+
+    def __init__(self, *totals, **named):
+        vars(self).update(Totals(*totals, **named)._asdict())
+        self._pdv: Optional[tuple] = None  # compute_pdv's last (key, PdvResult)
         for name in STREAMS:
             setattr(self, name, Stream(name))
 
     def __eq__(self, other) -> bool:
-        # The streams are attributes, not dataclass fields: compare them too.
         if not isinstance(other, MetricsLog):
             return NotImplemented
-        names = [f.name for f in fields(self) if f.compare] + list(STREAMS)
-        return all(getattr(self, n) == getattr(other, n) for n in names)
+        return all(getattr(self, n) == getattr(other, n) for n in _COMPARED)
 
     def seal(self) -> None:
         """Seal each stream's whole chunks (see Stream)."""
@@ -247,6 +247,9 @@ class MetricsLog:
     @property
     def flow_samples(self) -> tuple[FlowSample, ...]:
         return tuple(map(FlowSample._make, self.flow_rows))
+
+
+_COMPARED = Totals._fields + tuple(STREAMS)
 
 
 def _stream(log: MetricsLog, stream: str) -> Stream:

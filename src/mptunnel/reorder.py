@@ -10,11 +10,10 @@ its receiver as RECEIVERS[kind].factory(cfg) and passes its sinks to wire();
 the on_arrival and on_deadline steps need no sinks and can be driven alone.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .flow import TunnelPacket, smooth_rtt
-from .simcore import Plugin
+from .simcore import Plugin, Record
 
 DEFAULT_ADAPTIVE_K = 4.0
 DEFAULT_MAX_HOLD_US = 500_000
@@ -24,12 +23,12 @@ DISPOSITION_TIMEOUT = "timeout"
 DISPOSITION_LATE = "late"
 
 
-@dataclass
-class ReorderConfig:
-    kind: str = "none"
-    static_threshold_us: Optional[int] = None
-    adaptive_k: float = DEFAULT_ADAPTIVE_K
-    max_hold_us: int = DEFAULT_MAX_HOLD_US
+class ReorderConfig(Record):
+    def __init__(self, kind: str = "none", static_threshold_us: Optional[int] = None,
+                 adaptive_k: float = DEFAULT_ADAPTIVE_K,
+                 max_hold_us: int = DEFAULT_MAX_HOLD_US):
+        super().__init__(kind=kind, static_threshold_us=static_threshold_us,
+                         adaptive_k=adaptive_k, max_hold_us=max_hold_us)
 
 
 class PathStats:
@@ -73,8 +72,7 @@ def adaptive_threshold(stats: PathStats, k: float, max_hold_us: int) -> float:
     return min(spread + guard, float(max_hold_us))
 
 
-@dataclass(slots=True)
-class _Held:
+class _Held(NamedTuple):
     pkt: TunnelPacket
     arrival_us: int
     deadline_us: int

@@ -4,14 +4,13 @@ with the package."""
 
 import json
 import sys
-from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Collection, NamedTuple, Optional
 
 from .metrics import METRICS
 from .reorder import RECEIVERS, ReorderConfig
 from .scheduler import SCHEDULERS, SchedulerConfig
-from .simcore import LatencyStep, PathModel, TrafficSource, US_PER_SECOND
+from .simcore import LatencyStep, PathModel, Record, TrafficSource, US_PER_SECOND
 
 
 # Upper bound on duration_s (about 31.7 years of simulated time). It keeps
@@ -31,24 +30,22 @@ class ScenarioError(Exception):
         self.errors = errors
 
 
-@dataclass
-class OutputSpec:
-    metric: str
-    format: str
-    path: str
+class OutputSpec(Record):
+    def __init__(self, metric: str, format: str, path: str):
+        super().__init__(metric=metric, format=format, path=path)
 
 
-@dataclass
-class ScenarioConfig:
-    duration_s: float
-    seed: int
-    paths: list[PathModel]
-    traffic: TrafficSource
-    scheduler: SchedulerConfig
-    reorder: ReorderConfig = field(default_factory=ReorderConfig)
-    outputs: list[OutputSpec] = field(default_factory=list)
-    name: str = "scenario"
-    pdv_stream: str = "deliveries"
+class ScenarioConfig(Record):
+    def __init__(self, duration_s: float, seed: int, paths: list[PathModel],
+                 traffic: TrafficSource, scheduler: SchedulerConfig,
+                 reorder: Optional[ReorderConfig] = None,
+                 outputs: Optional[list[OutputSpec]] = None,
+                 name: str = "scenario", pdv_stream: str = "deliveries"):
+        super().__init__(
+            duration_s=duration_s, seed=seed, paths=paths, traffic=traffic,
+            scheduler=scheduler,
+            reorder=ReorderConfig() if reorder is None else reorder,
+            outputs=[] if outputs is None else outputs, name=name, pdv_stream=pdv_stream)
 
     @property
     def duration_us(self) -> int:
@@ -69,7 +66,7 @@ class Field(NamedTuple):
     type is integer, number (finite), string, array or the name of another
     section for a nested object; of is the item type of an array. The range
     (gt, ge, le) and choices apply to the value, or to each item of an array.
-    An absent optional key takes the default of the dataclass field of the
+    An absent optional key takes the default of the record field of the
     same name; a nullable key also accepts null for that default.
     """
 
@@ -85,7 +82,7 @@ class Field(NamedTuple):
 
 
 class Section(NamedTuple):
-    """The dataclass a JSON object builds, its keys, and the rules that relate
+    """The record a JSON object builds, its keys, and the rules that relate
     several keys, each under the keys it reads: check(instance, where) ->
     problems. A rule runs whenever every key it reads is well typed, so one
     mistyped key hides no problem among the others."""
@@ -283,8 +280,8 @@ def _section(section: str, obj, where: str, errors: list[str]):
     """Check obj against SCHEMA[section], then against each of the section's
     rules whose keys are well typed.
 
-    obj is parsed JSON, built into the section's dataclass, or an instance of
-    that dataclass, checked as the JSON object of its fields. Returns the
+    obj is parsed JSON, built into the section's record, or an instance of
+    that record, checked as the JSON object of its fields. Returns the
     instance, or _BAD when a key is missing or has the wrong type.
     """
     cls, fields, rules = SCHEMA[section]
@@ -316,12 +313,12 @@ def _section(section: str, obj, where: str, errors: list[str]):
 
 def problems(obj) -> list[str]:
     """Every schema problem of a config built in code: a ScenarioConfig or one
-    of the dataclasses a SCHEMA section builds. Anything else, such as the
+    of the records a SCHEMA section builds. Anything else, such as the
     JSON a config is parsed from, raises TypeError."""
     section = _SECTION_OF.get(type(obj))
     if section is None:
         raise TypeError(f"expected a ScenarioConfig or one of its section "
-                        f"dataclasses, not {type(obj).__name__}")
+                        f"records, not {type(obj).__name__}")
     errors: list[str] = []
     _section(section, obj, "" if section == "scenario" else section, errors)
     return errors

@@ -20,20 +20,18 @@ tuple's objects.
 """
 
 import math
-from dataclasses import dataclass
 from operator import add, attrgetter
 from typing import Callable, Collection, Optional, Sequence
 
 from .flow import Flow
-from .simcore import Plugin
+from .simcore import Plugin, Record
 
 Changed = Optional[Collection[int]]  # pick's changed, see the module docstring
 
 
-@dataclass
-class SchedulerConfig:
-    kind: str
-    weights: Optional[list[int]] = None
+class SchedulerConfig(Record):
+    def __init__(self, kind: str, weights: Optional[list[int]] = None):
+        super().__init__(kind=kind, weights=weights)
 
 
 def otias_eta(view: Flow) -> float:

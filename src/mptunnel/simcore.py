@@ -9,7 +9,7 @@ are bit-reproducible for a fixed (scenario, seed).
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Optional
 
 US_PER_SECOND = 1_000_000
@@ -41,35 +41,40 @@ def serialization_us(size_bytes: int, bandwidth_bps: int) -> int:
     return -(-bits * US_PER_SECOND // bandwidth_bps)
 
 
-@dataclass(frozen=True)
-class LatencyStep:
+class Record(SimpleNamespace):
+    """A mutable config record whose fields are its attributes: vars() lists
+    them, == and repr go field by field and a copy is rebuilt from them. A
+    field defaulting to a new list or record takes None for that default."""
+
+    __reduce__ = object.__reduce__
+
+
+class LatencyStep(Record):
     """Scheduled change of a path's one-way latency."""
 
-    at_us: int
-    latency_us: int
+    def __init__(self, at_us: int, latency_us: int):
+        super().__init__(at_us=at_us, latency_us=latency_us)
 
 
-@dataclass
-class PathModel:
+class PathModel(Record):
     """Static description of one simulated link."""
 
-    path_id: int
-    one_way_latency_us: int
-    bandwidth_bps: int
-    loss_rate: float = 0.0
-    cost: float = 0.0
-    latency_steps: list[LatencyStep] = field(default_factory=list)
+    def __init__(self, path_id: int, one_way_latency_us: int, bandwidth_bps: int,
+                 loss_rate: float = 0.0, cost: float = 0.0,
+                 latency_steps: Optional[list[LatencyStep]] = None):
+        super().__init__(
+            path_id=path_id, one_way_latency_us=one_way_latency_us,
+            bandwidth_bps=bandwidth_bps, loss_rate=loss_rate, cost=cost,
+            latency_steps=[] if latency_steps is None else latency_steps)
 
 
-@dataclass
-class TrafficSource:
+class TrafficSource(Record):
     """Constant bit rate or greedy (always backlogged) packet source."""
 
-    kind: str  # "cbr" | "greedy"
-    packet_size_bytes: int
-    rate_bps: int = 0
-    start_us: int = 0
-    stop_us: Optional[int] = None
+    def __init__(self, kind: str, packet_size_bytes: int, rate_bps: int = 0,
+                 start_us: int = 0, stop_us: Optional[int] = None):
+        super().__init__(kind=kind, packet_size_bytes=packet_size_bytes,
+                         rate_bps=rate_bps, start_us=start_us, stop_us=stop_us)
 
     def emission_time_us(self, k: int) -> int:
         """Ingress time of the k-th CBR packet, drift-free integer schedule."""

@@ -6,7 +6,6 @@ assert the stated tolerances.
 """
 
 import bisect
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -213,9 +212,8 @@ def test_criterion_5_pdv_concentration(runs):
 
     # Reordering that removes delay variation is the equalizer: pdv-adaptive
     # with only the receiver kind swapped.
-    base = load_canned("pdv-adaptive")
-    eq_cfg = dataclasses.replace(
-        base, reorder=dataclasses.replace(base.reorder, kind="delay_equalize"))
+    eq_cfg = load_canned("pdv-adaptive")
+    eq_cfg.reorder.kind = "delay_equalize"
     eq_log = Simulation(eq_cfg).run()
     _, within_eq, _, _ = pdv_stats(eq_cfg, eq_log)
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mptunnel.metrics import (CHUNK_ROWS, DISPOSITIONS, METRICS, STREAMS, Arrival,
-                              Delivery, MetricsLog, Send, arrival_order_scatter,
+                              Delivery, MetricsLog, Send, Totals, arrival_order_scatter,
                               compute_pdv, pdv_histogram, percentile,
                               reordering_extent, summarize, throughput_series)
 
@@ -261,6 +261,16 @@ def test_logs_differing_in_one_row_compare_unequal(name):
 
     assert log_with(7) == log_with(7)
     assert log_with(7) != log_with(8)
+
+
+@pytest.mark.parametrize("name", Totals._fields)
+def test_logs_differing_in_one_total_compare_unequal(name):
+    assert MetricsLog() == MetricsLog(*Totals()) == MetricsLog(**Totals()._asdict())
+    other = MetricsLog(**{name: 7})
+    assert getattr(other, name) == 7
+    assert MetricsLog() != other
+    with pytest.raises(TypeError):
+        hash(other)
 
 
 def test_rows_written_onto_the_tail_read_back_before_any_seal():

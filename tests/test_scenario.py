@@ -1,9 +1,12 @@
+import copy
 import json
+import pickle
 
 import pytest
 
 from mptunnel import scenario
 from mptunnel.engine import Simulation
+from mptunnel.reorder import ReorderConfig
 from mptunnel.scenario import (ScenarioError, canned_scenario_names,
                                load_canned, load_scenario, parse_scenario)
 
@@ -42,6 +45,10 @@ def test_minimal_scenario_loads(tmp_path):
 def test_unknown_key_rejected():
     problems = errors_of(variant(warp_factor=9))
     assert any("warp_factor" in p for p in problems)
+    # A config built in code is checked as the JSON object of its attributes.
+    cfg = parse_scenario(MINIMAL)
+    cfg.sead = 3
+    assert scenario.problems(cfg) == ["scenario: unknown key 'sead'"]
 
 
 def test_all_zero_weights_error_names_weights():
@@ -209,3 +216,51 @@ def test_unknown_canned_name_lists_alternatives():
     with pytest.raises(ScenarioError) as err:
         load_canned("no-such-scenario")
     assert "srtt-handover" in err.value.errors[0]
+
+
+# The value every optional key of a SCHEMA section takes when left out.
+DEFAULTS = {
+    "scenario": {"reorder": ReorderConfig(), "outputs": [], "name": "scenario",
+                 "pdv_stream": "deliveries"},
+    "path": {"loss_rate": 0.0, "cost": 0.0, "latency_steps": []},
+    "latency_step": {},
+    "traffic": {"rate_bps": 0, "start_us": 0, "stop_us": None},
+    "scheduler": {"weights": None},
+    "reorder": {"static_threshold_us": None, "adaptive_k": 4.0, "max_hold_us": 500_000},
+    "output": {},
+}
+
+
+def required_only(section: str) -> dict:
+    """The required keys of a SCHEMA section, valued as in a parsed scenario
+    that has one record of every section."""
+    data = variant(outputs=[{"metric": "drops", "format": "csv", "path": "d.csv"}])
+    data["paths"][0]["latency_steps"] = [{"at_us": 5, "latency_us": 7}]
+    cfg = parse_scenario(data)
+    path = cfg.paths[0]
+    record = {"scenario": cfg, "path": path, "latency_step": path.latency_steps[0],
+              "traffic": cfg.traffic, "scheduler": cfg.scheduler,
+              "reorder": cfg.reorder, "output": cfg.outputs[0]}[section]
+    return {f.key: getattr(record, f.key)
+            for f in scenario.SCHEMA[section].fields if f.required}
+
+
+@pytest.mark.parametrize("section", sorted(scenario.SCHEMA))
+def test_record_semantics(section):
+    cls, fields, _ = scenario.SCHEMA[section]
+    assert set(DEFAULTS[section]) == {f.key for f in fields if not f.required}
+    required = required_only(section)
+    record, twin = cls(**required), cls(**required)
+    # Every optional key takes its default, a list or record a new one.
+    assert vars(record) == dict(required, **DEFAULTS[section])
+    for key in DEFAULTS[section]:
+        if isinstance(getattr(record, key), (list, ReorderConfig)):
+            assert getattr(record, key) is not getattr(twin, key), key
+    # == compares field by field; repr names the class and every field.
+    assert record == twin
+    text = repr(record)
+    assert text.startswith(f"{cls.__name__}(")
+    assert all(f"{f.key}=" in text for f in fields)
+    assert copy.deepcopy(record) == record == pickle.loads(pickle.dumps(record))
+    setattr(twin, fields[-1].key, "changed")
+    assert record != twin
