@@ -5,6 +5,7 @@ A run owns all of its state; independent runs can execute in parallel threads
 without sharing anything.
 """
 
+from functools import partial
 from itertools import compress, repeat
 from operator import is_not
 
@@ -14,7 +15,7 @@ from .metrics import CHUNK_ROWS, DISPOSITION_CODES
 from .reorder import RECEIVERS
 from .scenario import ScenarioConfig, ScenarioError, problems
 from .scheduler import SCHEDULERS
-from .simcore import EventQueue, PathState, US_PER_SECOND
+from .simcore import EventQueue, PathState, US_PER_SECOND, cbr_emission_us
 
 # Slack past the configured duration for queues, acks and holds to drain.
 DRAIN_SLACK_US = 60 * US_PER_SECOND
@@ -56,17 +57,23 @@ class Simulation:
         self._arrive, self._ack = self._arrive, self._ack
         self._timer_fire, self._emit_cbr = self._timer_fire, self._emit_cbr
 
-        # path_ids whose flow was sampled, and so may have changed, since the
-        # last pick; None before the first pick, meaning every path.
+        # path_ids whose flow got a flow row, and so may have changed, since
+        # the last pick; None before the first pick, meaning every path.
         self._changed = None
         # The scheduler's last_etas as last recorded; None before the first
         # pick, and for good on a scheduler that makes no estimates.
         self._etas = None
         self._timers = [None] * len(self.flows)
+        # The traffic source is read here, once, not per packet.
+        traffic = cfg.traffic
         self._traffic_stop_us = min(
             cfg.duration_us,
-            cfg.traffic.stop_us if cfg.traffic.stop_us is not None else cfg.duration_us,
+            traffic.stop_us if traffic.stop_us is not None else cfg.duration_us,
         )
+        self._packet_size = traffic.packet_size_bytes
+        self._greedy = traffic.kind == "greedy"
+        self._emission_us = partial(cbr_emission_us, traffic.start_us,
+                                    traffic.packet_size_bytes, traffic.rate_bps)
 
     # -- event handlers ------------------------------------------------------
 
@@ -76,7 +83,7 @@ class Simulation:
 
     def _ingress(self, now: int) -> None:
         log = self.log
-        pkt = TunnelPacket(log.ingress_count, self.cfg.traffic.packet_size_bytes, now)
+        pkt = TunnelPacket(log.ingress_count, self._packet_size, now)
         log.ingress_count += 1
         picked = self.scheduler.pick(self.flows, now, self._changed)
         rows = log.decisions
@@ -91,9 +98,12 @@ class Simulation:
                 rows.tail += rows.struct.pack(pkt.overall_seq, i, etas[i])
         if not log.ingress_count % CHUNK_ROWS:
             log.seal()
-        self._changed = set()
-        self.flows[picked].enqueue(pkt, now)
-        self._sample_flow(picked, now)
+        flow = self.flows[picked]
+        flow.enqueue(pkt, now)
+        self._changed = {picked}
+        rows = log.flow_rows
+        rows.tail += rows.struct.pack(now, picked, flow.srtt_us, flow.cwnd,
+                                      flow.in_flight, len(flow.send_queue))
 
     def _transmit(self, pkt: TunnelPacket, now: int) -> None:
         path_id = pkt.path_id
@@ -132,8 +142,12 @@ class Simulation:
             self._arm_timer(path_id, now)
         else:
             self._timers[path_id] = None
-        self._sample_flow(path_id, now)
-        self._pump_greedy(now, path_id)
+        self._changed.add(path_id)
+        rows = self.log.flow_rows
+        rows.tail += rows.struct.pack(now, path_id, flow.srtt_us, flow.cwnd,
+                                      flow.in_flight, len(flow.send_queue))
+        if self._greedy:
+            self._pump_greedy(now, path_id)
 
     def _deliver(self, pkt: TunnelPacket, now: int, residency_us: int,
                  disposition: str) -> None:
@@ -144,13 +158,6 @@ class Simulation:
     def _discard(self, pkt: TunnelPacket, now: int) -> None:
         rows = self.log.discards
         rows.tail += rows.struct.pack(now, pkt.path_id, pkt.overall_seq)
-
-    def _sample_flow(self, path_id: int, now: int) -> None:
-        self._changed.add(path_id)
-        f = self.flows[path_id]
-        rows = self.log.flow_rows
-        rows.tail += rows.struct.pack(now, path_id, f.srtt_us, f.cwnd, f.in_flight,
-                                      len(f.send_queue))
 
     # -- ack-silence timers ----------------------------------------------------
 
@@ -170,15 +177,20 @@ class Simulation:
         if timer is not self._timers[i]:
             return
         self._timers[i] = None
-        self.flows[i].on_timeout(now)
-        self._sample_flow(i, now)
-        self._pump_greedy(now, i)
+        flow = self.flows[i]
+        flow.on_timeout(now)
+        self._changed.add(i)
+        rows = self.log.flow_rows
+        rows.tail += rows.struct.pack(now, i, flow.srtt_us, flow.cwnd,
+                                      flow.in_flight, len(flow.send_queue))
+        if self._greedy:
+            self._pump_greedy(now, i)
 
     # -- traffic ----------------------------------------------------------------
 
     def _emit_cbr(self, k: int, now: int) -> None:
         self._ingress(now)
-        next_at = self.cfg.traffic.emission_time_us(k + 1)
+        next_at = self._emission_us(k + 1)
         if next_at < self._traffic_stop_us:
             self.queue.schedule(next_at, self._emit_cbr, k + 1)
 
@@ -203,8 +215,6 @@ class Simulation:
         flows named in path_ids: the one the event changed, or at the start
         of traffic every flow.
         """
-        if self.cfg.traffic.kind != "greedy":
-            return
         if now >= self._traffic_stop_us:
             return
         for path_id in path_ids:
@@ -228,7 +238,7 @@ class Simulation:
         # Either source starts at start_us (CBR's emission 0), and only
         # before traffic stops.
         if cfg.traffic.start_us < self._traffic_stop_us:
-            start = self._emit_cbr if cfg.traffic.kind == "cbr" else self._start_greedy
+            start = self._start_greedy if self._greedy else self._emit_cbr
             self.queue.schedule(cfg.traffic.start_us, start, 0)
 
         pop = self.queue.pop

@@ -225,7 +225,8 @@ class Flow:
                         break
                     self.declare_lost(seq)
                 order.popleft()
-        self.pump(now)
+        if self.send_queue:
+            self.pump(now)
 
     def declare_lost(self, flow_seq: int) -> None:
         """Give up on an unacknowledged packet and react to the loss."""

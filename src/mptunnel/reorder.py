@@ -116,9 +116,9 @@ class ReorderBuffer(Receiver):
     now) when it comes up. Deadlines of holds released early, or re-held by
     a duplicate, come up as no-ops.
 
-    As a receiver it holds each packet for threshold_us(): the static
-    threshold, capped at max_hold_us, if one is given, else the adaptive one,
-    and only the adaptive one updates the path stats.
+    As a receiver it holds each packet for the static threshold, capped at
+    max_hold_us, if one is given, else for the adaptive one, and only the
+    adaptive one updates the path stats.
     """
 
     def __init__(self, expected_next: int = 0, adaptive_k: float = DEFAULT_ADAPTIVE_K,
@@ -178,15 +178,12 @@ class ReorderBuffer(Receiver):
             self.expected_next += 1
         return out
 
-    def threshold_us(self) -> float:
-        if self.static_threshold_us is not None:
-            return self.static_threshold_us
-        return adaptive_threshold(self.stats, self.adaptive_k, self.max_hold_us)
-
     def on_packet(self, pkt: TunnelPacket, now: int) -> None:
-        if self.static_threshold_us is None:  # a static threshold reads no stats
+        threshold = self.static_threshold_us
+        if threshold is None:  # a static threshold reads no stats
             self.stats.update(pkt.path_id, pkt.sender_rtt_report)
-        out = self.on_arrival(pkt, now, self.threshold_us())
+            threshold = adaptive_threshold(self.stats, self.adaptive_k, self.max_hold_us)
+        out = self.on_arrival(pkt, now, threshold)
         if out:
             self._emit(out, now)
         else:
@@ -196,7 +193,9 @@ class ReorderBuffer(Receiver):
             self._schedule(self.held[seq].deadline_us, self._expire, seq)
 
     def _expire(self, seq: int, now: int) -> None:
-        self._emit(self.on_deadline(seq, now), now)
+        out = self.on_deadline(seq, now)
+        if out:  # most deadlines find their gap already filled
+            self._emit(out, now)
 
     def _emit(self, out, now: int) -> None:
         for pkt, residency, disposition in out:

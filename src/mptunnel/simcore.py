@@ -7,6 +7,7 @@ reconfiguring one path never perturbs another path's loss sequence and runs
 are bit-reproducible for a fixed (scenario, seed).
 """
 
+import copyreg
 import heapq
 import random
 from types import SimpleNamespace
@@ -41,12 +42,22 @@ def serialization_us(size_bytes: int, bandwidth_bps: int) -> int:
     return -(-bits * US_PER_SECOND // bandwidth_bps)
 
 
+def cbr_emission_us(start_us: int, packet_size_bytes: int, rate_bps: int, k: int) -> int:
+    """Ingress time of the k-th packet of a CBR source, drift-free integer
+    schedule; a run binds the first three arguments once."""
+    bits = packet_size_bytes * 8
+    return start_us + (k * bits * US_PER_SECOND) // rate_bps
+
+
 class Record(SimpleNamespace):
     """A mutable config record whose fields are its attributes: vars() lists
     them, == and repr go field by field and a copy is rebuilt from them. A
     field defaulting to a new list or record takes None for that default."""
 
-    __reduce__ = object.__reduce__
+    def __reduce__(self):
+        # A bare instance, then its fields: __init__ is not called, and
+        # copyreg.__newobj__ is found by name at every pickle protocol.
+        return copyreg.__newobj__, (type(self),), vars(self)
 
 
 class LatencyStep(Record):
@@ -77,9 +88,8 @@ class TrafficSource(Record):
                          rate_bps=rate_bps, start_us=start_us, stop_us=stop_us)
 
     def emission_time_us(self, k: int) -> int:
-        """Ingress time of the k-th CBR packet, drift-free integer schedule."""
-        bits = self.packet_size_bytes * 8
-        return self.start_us + (k * bits * US_PER_SECOND) // self.rate_bps
+        """Ingress time of the k-th CBR packet (see cbr_emission_us)."""
+        return cbr_emission_us(self.start_us, self.packet_size_bytes, self.rate_bps, k)
 
 
 class EventQueue:
@@ -123,24 +133,35 @@ class PathState:
     Latency changes never affect packets already in flight. Losses are drawn
     per transmitted packet from the path's own generator; a lost packet still
     occupies the link (it is dropped downstream).
+
+    The model is read when the state is built, and its bandwidth again only
+    when the packet size changes, so a run reads no config per packet.
     """
 
-    __slots__ = ("model", "current_latency_us", "busy_until_us", "_rng")
+    __slots__ = ("model", "current_latency_us", "busy_until_us", "_rng",
+                 "_loss_rate", "_size_bytes", "_tx_us")
 
     def __init__(self, model: PathModel, seed: int):
         self.model = model
         self.current_latency_us = model.one_way_latency_us
         self.busy_until_us = 0
         self._rng = random.Random(f"{seed}/{model.path_id}")
+        self._loss_rate = model.loss_rate
+        # Serialization delay of the last packet size sent.
+        self._size_bytes = self._tx_us = None
 
     def transmit(self, size_bytes: int, now: int) -> Optional[int]:
         """Accept a packet for transmission, returning its delivery time.
 
         Returns None when the loss draw discards the packet.
         """
-        start = max(now, self.busy_until_us)
-        tx = serialization_us(size_bytes, self.model.bandwidth_bps)
-        self.busy_until_us = start + tx
-        if self.model.loss_rate > 0.0 and self._rng.random() < self.model.loss_rate:
+        if size_bytes != self._size_bytes:
+            self._size_bytes = size_bytes
+            self._tx_us = serialization_us(size_bytes, self.model.bandwidth_bps)
+        start = self.busy_until_us
+        if now > start:
+            start = now
+        done = self.busy_until_us = start + self._tx_us
+        if self._loss_rate > 0.0 and self._rng.random() < self._loss_rate:
             return None
-        return start + tx + self.current_latency_us
+        return done + self.current_latency_us

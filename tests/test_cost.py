@@ -1,15 +1,24 @@
-"""A deterministic cost model: executed lines per ingress packet.
+"""A deterministic cost model: executed lines and calls per ingress packet.
 
-sys.settrace counts line events in mptunnel's own source files only, so the
-count repeats exactly run to run, unlike wall time on a shared host. It does
-not see work inside C (heap operations, allocation, garbage collection), so
-it complements the benchmark under perfbench/ and never replaces it.
+sys.settrace counts line events, and calls into functions, in mptunnel's own
+source files only, so the counts repeat exactly run to run, unlike wall time
+on a shared host. They do not see work inside C (heap operations,
+allocation, garbage collection), so they complement the benchmark under
+perfbench/ and never replace it.
 
 The gates are fixed: per-packet work grows by at most 5% from a small to a
 large value of each scale knob the canned suite never reaches: path count
 (16 paths against 2), resequencer hold depth (about 400 packets per skew
 against 25) and window (a mean in flight several times larger). Each pair of
 points first shows that it reaches those depths.
+
+A rise of the same size at every point passes those ratios, so at three of
+the points no file's lines or calls per packet may rise more than 1% above
+tests/golden/cost.json. Those counts depend on the CPython version that
+compiled the code, so the golden names the version it was taken with and
+the test runs only on it. Lowering a count is free; after a change that
+must raise one, rewrite the golden with `PYTHONPATH=src python
+tests/test_cost.py` and say why in the change's description.
 
 The same holds for memory: tracemalloc counts the bytes a finished run's log
 keeps per ingress packet, and those may grow by at most 8% from 2 paths to
@@ -34,7 +43,9 @@ importing mptunnel loads none of the stdlib modules behind dataclasses
 """
 
 import gc
+import json
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -49,6 +60,7 @@ from mptunnel.metrics import MetricsLog, summarize
 from mptunnel.scenario import parse_scenario
 
 SOURCE_DIR = str(Path(mptunnel.__file__).resolve().parent)
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cost.json"
 # The dataclasses module and the modules it imports that mptunnel does not.
 DATACLASS_MACHINERY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
@@ -107,20 +119,33 @@ def mean_in_flight(log) -> float:
     return sum(in_flight) / len(in_flight)
 
 
-def lines_per_packet(data: dict) -> tuple[float, MetricsLog]:
-    """Line events in mptunnel's files while the scenario runs, per ingress
-    packet, and the run's log; building the Simulation is not counted."""
+def counts_per_packet(data: dict) -> tuple[dict, MetricsLog]:
+    """Line events and calls in each of mptunnel's files while the scenario
+    runs, per ingress packet, as {"lines": {file: n}, "calls": {file: n}},
+    and the run's log; building the Simulation is not counted."""
     sim = Simulation(parse_scenario(data))
-    lines = 0
+    counts = {}  # file name -> [lines, calls]
+    tracers = {}  # source path -> (its counts, its local trace function)
 
-    def count_lines(frame, event, arg):
-        nonlocal lines
-        if event == "line":
-            lines += 1
-        return count_lines
+    def file_tracer(name):
+        count = counts[name] = [0, 0]
+
+        def count_lines(frame, event, arg):
+            if event == "line":
+                count[0] += 1
+            return count_lines
+
+        return count, count_lines
 
     def in_package(frame, event, arg):
-        return count_lines if frame.f_code.co_filename.startswith(SOURCE_DIR) else None
+        path = frame.f_code.co_filename
+        if not path.startswith(SOURCE_DIR):
+            return None
+        if path not in tracers:
+            tracers[path] = file_tracer(os.path.relpath(path, SOURCE_DIR))
+        count, count_lines = tracers[path]
+        count[1] += 1
+        return count_lines
 
     previous = sys.gettrace()
     sys.settrace(in_package)
@@ -128,7 +153,33 @@ def lines_per_packet(data: dict) -> tuple[float, MetricsLog]:
         log = sim.run()
     finally:
         sys.settrace(previous)
-    return lines / log.ingress_count, log
+    n = log.ingress_count
+    return {kind: {name: count[i] / n for name, count in sorted(counts.items())}
+            for i, kind in enumerate(("lines", "calls"))}, log
+
+
+# The points tests/golden/cost.json holds, by the name it gives them.
+GOLDEN_POINTS = {"greedy_otias(2)": (greedy_otias, 2), "hold(400)": (hold, 400),
+                 "window(128)": (window, 128)}
+
+
+@pytest.fixture(scope="module")
+def traced():
+    """traced(builder, arg): counts_per_packet(builder(arg)), each point
+    traced once per module, so the golden check reuses the gates' runs."""
+    runs = {}
+
+    def get(builder, arg):
+        if (builder, arg) not in runs:
+            runs[builder, arg] = counts_per_packet(builder(arg))
+        return runs[builder, arg]
+
+    return get
+
+
+def lines_per_packet(traced, builder, arg) -> tuple[float, MetricsLog]:
+    counts, log = traced(builder, arg)
+    return sum(counts["lines"].values()), log
 
 
 def retained_bytes_per_packet(data: dict) -> float:
@@ -186,26 +237,38 @@ def tracked_objects_per_packet(data: dict) -> float:
     return kept / packets
 
 
-def test_lines_per_packet_do_not_grow_with_path_count():
-    (few, _), (many, _) = (lines_per_packet(greedy_otias(n)) for n in (2, 16))
+def test_lines_per_packet_do_not_grow_with_path_count(traced):
+    (few, _), (many, _) = (lines_per_packet(traced, greedy_otias, n) for n in (2, 16))
     assert many <= 1.05 * few, (
         f"{many:.1f} lines per packet over 16 paths, {few:.1f} over 2")
 
 
-def test_lines_per_packet_do_not_grow_with_hold_depth():
+def test_lines_per_packet_do_not_grow_with_hold_depth(traced):
     (shallow, shallow_log), (deep, deep_log) = (
-        lines_per_packet(hold(depth)) for depth in (25, 400))
+        lines_per_packet(traced, hold, depth) for depth in (25, 400))
     assert peak_held(deep_log) >= 8 * peak_held(shallow_log) > 0
     assert deep <= 1.05 * shallow, (
         f"{deep:.1f} lines per packet at hold-400, {shallow:.1f} at hold-25")
 
 
-def test_lines_per_packet_do_not_grow_with_window():
+def test_lines_per_packet_do_not_grow_with_window(traced):
     (small, small_log), (large, large_log) = (
-        lines_per_packet(window(cwnd)) for cwnd in (5, 128))
+        lines_per_packet(traced, window, cwnd) for cwnd in (5, 128))
     assert mean_in_flight(large_log) >= 4 * mean_in_flight(small_log)
     assert large <= 1.05 * small, (
         f"{large:.1f} lines per packet at window 128, {small:.1f} at window 5")
+
+
+@pytest.mark.parametrize("point", GOLDEN_POINTS)
+def test_counts_per_packet_stay_at_golden(traced, point):
+    golden = json.loads(GOLDEN.read_text())
+    if golden["python"] != python_version():
+        pytest.skip(f"the golden counts are {golden['python']}'s")
+    counts, _ = traced(*GOLDEN_POINTS[point])
+    risen = {(kind, name): (count, golden["points"][point][kind].get(name, 0.0))
+             for kind, by_file in counts.items() for name, count in by_file.items()
+             if count > 1.01 * golden["points"][point][kind].get(name, 0.0)}
+    assert not risen, f"counts per packet above golden at {point}: {risen}"
 
 
 def test_retained_bytes_per_packet_do_not_grow_with_path_count():
@@ -241,3 +304,21 @@ def test_import_loads_no_dataclass_machinery():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.split() == [], f"importing mptunnel.cli loads {out.strip()}"
+
+
+def python_version() -> str:
+    return f"{platform.python_implementation()} {sys.version_info[0]}.{sys.version_info[1]}"
+
+
+def write_golden() -> None:
+    points = {point: counts_per_packet(builder(arg))[0]
+              for point, (builder, arg) in GOLDEN_POINTS.items()}
+    rounded = {point: {kind: {name: round(n, 6) for name, n in by_file.items()}
+                       for kind, by_file in counts.items()}
+               for point, counts in points.items()}
+    golden = {"python": python_version(), "points": rounded}
+    GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    write_golden()

@@ -3,6 +3,7 @@ import json
 import struct
 import tempfile
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,39 @@ def test_cbr_emits_exact_packet_count():
     cfg = scenario(duration_s=10)
     log = Simulation(cfg).run()
     assert log.ingress_count == 1250
+
+
+def read_counting(record, reads: Counter):
+    """A copy of a config record that counts each attribute read in reads."""
+    class Counted(type(record)):
+        def __getattribute__(self, name):
+            reads[name] += 1
+            return super().__getattribute__(name)
+
+    return Counted(**vars(record))
+
+
+@pytest.mark.parametrize("traffic", [
+    {"kind": "cbr", "rate_bps": 1_000_000, "packet_size_bytes": 1000},
+    {"kind": "greedy", "packet_size_bytes": 1000},
+], ids=lambda traffic: traffic["kind"])
+def test_a_run_reads_no_config_per_packet(traffic):
+    # The traffic source and path models are read at set-up, not per packet,
+    # so a run twice as long reads them exactly as often.
+    runs = []
+    for duration_s in (1, 2):
+        cfg = scenario(duration_s=duration_s, traffic=traffic, scheduler={"kind": "otias"})
+        reads = Counter()
+        cfg.traffic = read_counting(cfg.traffic, reads)
+        cfg.paths = [read_counting(model, reads) for model in cfg.paths]
+        for model in cfg.paths:
+            model.loss_rate = 0.01
+        sim = Simulation(cfg)
+        reads.clear()
+        runs.append((sim.run().ingress_count, reads))
+    (short, short_reads), (long, long_reads) = runs
+    assert long > 1.5 * short > 0
+    assert long_reads == short_reads
 
 
 def test_malformed_scenario_rejected_before_running():
@@ -288,7 +322,7 @@ def test_static_threshold_derived_from_path_latencies():
     cfg = scenario(duration_s=5, reorder={"kind": "static"})
     sim = Simulation(cfg)
     # RTT gap of the configured paths: 2*(20ms - 10ms)
-    assert sim.receiver.threshold_us() == 20_000
+    assert sim.receiver.static_threshold_us == 20_000
     log = sim.run()
     seqs = [seq for _, seq, *_ in log.deliveries]
     assert seqs == sorted(seqs)
@@ -300,7 +334,7 @@ def test_static_threshold_is_capped_at_max_hold():
     cfg = scenario(duration_s=2, reorder={"kind": "static", "max_hold_us": 5_000,
                                           "static_threshold_us": 400_000})
     sim = Simulation(cfg)
-    assert sim.receiver.threshold_us() == 5_000
+    assert sim.receiver.static_threshold_us == 5_000
     log = sim.run()
     residencies = [row[4] for row in log.deliveries]
     assert len(residencies) == log.ingress_count

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mptunnel import metrics
 from mptunnel.engine import Simulation
 from mptunnel.metrics import (METRICS, Arrival, Delivery, MetricsLog, PdvResult,
                               compute_pdv, export_metric, summarize, write_csv,
@@ -203,6 +204,28 @@ def test_compute_pdv_matches_per_sequence_loop(records, nominal, stream):
         log.arrivals.append(Arrival(t, seq, 0, 0))
     got = compute_pdv(log, nominal, stream)
     want = reference_pdv(log, nominal, stream)
+    assert got.skipped == want.skipped
+    assert repr(got.seqs.tolist()) == repr(want.seqs)
+    assert repr(got.values) == repr(want.values)
+
+
+def test_a_run_losing_nearly_every_packet_takes_the_sorted_pass(monkeypatch):
+    # About 3 in 100 numbers land, so they lie more than 16 apart on average.
+    sorted_passes = []
+    pdv_sorted = metrics._pdv_sorted
+
+    def counted(rows, nominal):
+        sorted_passes.append(len(rows))
+        return pdv_sorted(rows, nominal)
+
+    monkeypatch.setattr(metrics, "_pdv_sorted", counted)
+    paths = [{"path_id": i, "one_way_latency_us": 10_000 + 30_000 * i,
+              "bandwidth_bps": 2_000_000, "loss_rate": 0.97} for i in (0, 1)]
+    cfg, log = short_run(duration_s=10, paths=paths, reorder={"kind": "none"})
+    nominal = cfg.nominal_interval_us()
+    got = compute_pdv(log, nominal)
+    want = reference_pdv(log, nominal)
+    assert sorted_passes == [len(log.deliveries)] and want.skipped > 0
     assert got.skipped == want.skipped
     assert repr(got.seqs.tolist()) == repr(want.seqs)
     assert repr(got.values) == repr(want.values)

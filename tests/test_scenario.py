@@ -9,6 +9,7 @@ from mptunnel.engine import Simulation
 from mptunnel.reorder import ReorderConfig
 from mptunnel.scenario import (ScenarioError, canned_scenario_names,
                                load_canned, load_scenario, parse_scenario)
+from mptunnel.simcore import Record
 
 MINIMAL = {
     "duration_s": 1,
@@ -245,6 +246,16 @@ def required_only(section: str) -> dict:
             for f in scenario.SCHEMA[section].fields if f.required}
 
 
+def test_schema_builds_every_config_record():
+    # So test_record_semantics, one case per section, covers every record
+    # class mptunnel defines (tests may derive their own).
+    def subclasses(cls):
+        return {sub for c in cls.__subclasses__() if c.__module__.startswith("mptunnel.")
+                for sub in {c} | subclasses(c)}
+
+    assert {s.cls for s in scenario.SCHEMA.values()} == subclasses(Record)
+
+
 @pytest.mark.parametrize("section", sorted(scenario.SCHEMA))
 def test_record_semantics(section):
     cls, fields, _ = scenario.SCHEMA[section]
@@ -261,6 +272,9 @@ def test_record_semantics(section):
     text = repr(record)
     assert text.startswith(f"{cls.__name__}(")
     assert all(f"{f.key}=" in text for f in fields)
-    assert copy.deepcopy(record) == record == pickle.loads(pickle.dumps(record))
+    assert copy.deepcopy(record) == record
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(record, protocol))
+        assert type(back) is cls and back == record, protocol
     setattr(twin, fields[-1].key, "changed")
     assert record != twin
