@@ -11,8 +11,8 @@ tunnel carries unreliable traffic.
 """
 
 import heapq
-from collections import deque
-from typing import Callable, NamedTuple, Optional
+from collections import deque, namedtuple
+from collections.abc import Callable
 
 RTT_REPORT_MAX = (1 << 32) - 1
 HEADER_LEN = 16
@@ -31,7 +31,7 @@ TIMEOUT_RTT_MULTIPLE = 4
 MIN_TIMEOUT_US = 200_000
 
 
-def smooth_rtt(srtt: Optional[float], rttvar: float,
+def smooth_rtt(srtt: float | None, rttvar: float,
                sample: float) -> tuple[float, float]:
     """One RFC 6298 update of (srtt, rttvar) by a round-trip sample; srtt
     None marks the first sample, which gives (sample, sample / 2)."""
@@ -60,12 +60,8 @@ class TunnelPacket:
         self.flow_seq, self.sender_rtt_report = flow_seq, sender_rtt_report
 
 
-class HeaderFields(NamedTuple):
-    version: int
-    path_id: int
-    overall_seq: int
-    sender_rtt_report: int
-    flow_seq_low32: int
+HeaderFields = namedtuple(
+    "HeaderFields", "version path_id overall_seq sender_rtt_report flow_seq_low32")
 
 
 def encode_header(pkt: TunnelPacket) -> bytes:

@@ -2,7 +2,7 @@
 (per-path throughput, arrival-order scatter, reordering extent, packet
 delay variation) and deterministic CSV/JSON export.
 
-STREAMS names every record stream once: its NamedTuple, whose field order
+STREAMS names every record stream once: its namedtuple, whose field order
 its rows keep and whose field names are the export columns wherever the two
 agree, and the packed form of each field. A Stream keeps its rows packed, 8
 bytes per field, in sealed chunks of CHUNK_ROWS rows plus one open tail, all
@@ -22,11 +22,10 @@ full schema reference.
 import json
 import math
 import struct
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Sequence
 from itertools import chain, compress, count, groupby, islice, repeat
 from operator import eq, itemgetter, setitem, sub
-from typing import NamedTuple, Optional
 
 from .flow import TunnelPacket, encode_header
 from .reorder import DISPOSITION_INORDER, DISPOSITION_LATE, DISPOSITION_TIMEOUT
@@ -35,67 +34,18 @@ SCHEMA_VERSION = 1
 THROUGHPUT_BIN_US = 100_000
 
 
-class Delivery(NamedTuple):
-    time_us: int
-    overall_seq: int
-    path_id: int
-    ingress_time_us: int
-    residency_us: int
-    disposition: str
-
-
-class Arrival(NamedTuple):
-    time_us: int
-    overall_seq: int
-    path_id: int
-    ingress_time_us: int
-
-
-class Send(NamedTuple):
-    time_us: int
-    path_id: int
-    overall_seq: int
-    flow_seq: int
-    size_bytes: int
-    rtt_report_us: int
-
-
-class Drop(NamedTuple):
-    time_us: int
-    path_id: int
-    overall_seq: int
-
-
+Delivery = namedtuple("Delivery", "time_us overall_seq path_id ingress_time_us "
+                                  "residency_us disposition")
+Arrival = namedtuple("Arrival", "time_us overall_seq path_id ingress_time_us")
+Send = namedtuple("Send", "time_us path_id overall_seq flow_seq size_bytes rtt_report_us")
+Drop = namedtuple("Drop", "time_us path_id overall_seq")
 Discard = Drop  # an equalizer discard records the same fields as a drop
+Decision = namedtuple("Decision", "time_us overall_seq path_id")
+Eta = namedtuple("Eta", "overall_seq path_id eta_us")
+FlowSample = namedtuple("FlowSample", "time_us path_id srtt_us cwnd in_flight queue_len")
+PdvSample = namedtuple("PdvSample", "overall_seq pdv_us")
 
-
-class Decision(NamedTuple):
-    time_us: int
-    overall_seq: int
-    path_id: int
-
-
-class Eta(NamedTuple):
-    overall_seq: int
-    path_id: int
-    eta_us: float
-
-
-class FlowSample(NamedTuple):
-    time_us: int
-    path_id: int
-    srtt_us: float
-    cwnd: float
-    in_flight: int
-    queue_len: int
-
-
-class PdvSample(NamedTuple):
-    overall_seq: int
-    pdv_us: float
-
-
-# Every record stream of a MetricsLog: its row NamedTuple and one kind per
+# Every record stream of a MetricsLog: its row namedtuple and one kind per
 # field: q an int of 64 bits, d a float and c a disposition.
 STREAMS = {
     "sends": (Send, "qqqqqq"),
@@ -118,7 +68,7 @@ _ROW_STRUCTS = {name: struct.Struct("=" + kinds.replace("c", "q"))
 
 class Stream(Sequence):
     """One record stream, a read-only sequence of exact tuples in the field
-    order of its STREAMS NamedTuple, stored packed.
+    order of its STREAMS namedtuple, stored packed.
 
     A row is written with no call: tail += struct.pack(*row), a disposition
     given as its DISPOSITION_CODES code. seal() moves each whole CHUNK_ROWS
@@ -199,22 +149,18 @@ class Stream(Sequence):
     __hash__ = None
 
 
-class PdvResult(NamedTuple):
+class PdvResult(namedtuple("PdvResult", "seqs values skipped")):
     """Delay-variation samples in sequence order: values[i] is the sample of
     seqs[i], and seqs is packed, a read-only sequence of ints. skipped counts
     sequence numbers whose predecessor never landed."""
-    seqs: Sequence[int]
-    values: list[float]
-    skipped: int
+    __slots__ = ()
 
 
-class Totals(NamedTuple):
+class Totals(namedtuple("Totals", "ingress_count timeout_gaps late_count "
+                                  "window_violations drained",
+                        defaults=(0, 0, 0, 0, True))):
     """A MetricsLog's run totals and their starting values."""
-    ingress_count: int = 0
-    timeout_gaps: int = 0
-    late_count: int = 0
-    window_violations: int = 0
-    drained: bool = True
+    __slots__ = ()
 
 
 class MetricsLog:
@@ -230,7 +176,7 @@ class MetricsLog:
 
     def __init__(self, *totals, **named):
         vars(self).update(Totals(*totals, **named)._asdict())
-        self._pdv: Optional[tuple] = None  # compute_pdv's last (key, PdvResult)
+        self._pdv: tuple | None = None  # compute_pdv's last (key, PdvResult)
         for name in STREAMS:
             setattr(self, name, Stream(name))
 
@@ -568,7 +514,7 @@ def _headers(log: MetricsLog, pdv) -> tuple[Sequence[str], list]:
 
 
 def _stream_table(name: str):
-    # A stream exported as it stands, headed by its NamedTuple's fields.
+    # A stream exported as it stands, headed by its namedtuple's fields.
     return lambda log, pdv: (STREAMS[name][0]._fields, getattr(log, name))
 
 

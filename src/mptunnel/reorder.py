@@ -10,8 +10,6 @@ its receiver as RECEIVERS[kind].factory(cfg) and passes its sinks to wire();
 the on_arrival and on_deadline steps need no sinks and can be driven alone.
 """
 
-from typing import NamedTuple, Optional
-
 from .flow import TunnelPacket, smooth_rtt
 from .simcore import Plugin, Record
 
@@ -24,7 +22,7 @@ DISPOSITION_LATE = "late"
 
 
 class ReorderConfig(Record):
-    def __init__(self, kind: str = "none", static_threshold_us: Optional[int] = None,
+    def __init__(self, kind: str = "none", static_threshold_us: int | None = None,
                  adaptive_k: float = DEFAULT_ADAPTIVE_K,
                  max_hold_us: int = DEFAULT_MAX_HOLD_US):
         super().__init__(kind=kind, static_threshold_us=static_threshold_us,
@@ -72,12 +70,6 @@ def adaptive_threshold(stats: PathStats, k: float, max_hold_us: int) -> float:
     return min(spread + guard, float(max_hold_us))
 
 
-class _Held(NamedTuple):
-    pkt: TunnelPacket
-    arrival_us: int
-    deadline_us: int
-
-
 class Receiver:
     """Kind none, and what every kind shares: path stats, the run's sinks and
     the late-packet and given-up-gap counts (0 unless the kind resequences).
@@ -111,10 +103,11 @@ class ReorderBuffer(Receiver):
     expected_next (its gap was already given up) is delivered immediately out
     of band and flagged late.
 
-    The buffer keeps no deadline order of its own: for every hold the caller
-    arms one deadline, at held[seq].deadline_us, and calls on_deadline(seq,
-    now) when it comes up. Deadlines of holds released early, or re-held by
-    a duplicate, come up as no-ops.
+    held maps each held seq to (pkt, arrival_us, deadline_us). The buffer
+    keeps no deadline order of its own: for every hold the caller arms one
+    deadline, at held[seq][2], and calls on_deadline(seq, now) when it comes
+    up. Deadlines of holds released early, or re-held by a duplicate, come
+    up as no-ops.
 
     As a receiver it holds each packet for the static threshold, capped at
     max_hold_us, if one is given, else for the adaptive one, and only the
@@ -123,10 +116,10 @@ class ReorderBuffer(Receiver):
 
     def __init__(self, expected_next: int = 0, adaptive_k: float = DEFAULT_ADAPTIVE_K,
                  max_hold_us: int = DEFAULT_MAX_HOLD_US,
-                 static_threshold_us: Optional[float] = None):
+                 static_threshold_us: float | None = None):
         super().__init__()
         self.expected_next = expected_next
-        self.held: dict[int, _Held] = {}
+        self.held: dict[int, tuple[TunnelPacket, int, int]] = {}
         self.late_count = 0
         self.gap_count = 0
         self.adaptive_k = adaptive_k
@@ -144,7 +137,7 @@ class ReorderBuffer(Receiver):
             out.extend(self._flush_consecutive(now, DISPOSITION_INORDER))
             return out
         if seq > self.expected_next:
-            self.held[seq] = _Held(pkt, now, now + int(round(threshold_us)))
+            self.held[seq] = (pkt, now, now + int(round(threshold_us)))
             return []
         self.late_count += 1
         return [(pkt, 0, DISPOSITION_LATE)]
@@ -157,7 +150,7 @@ class ReorderBuffer(Receiver):
         (a duplicate re-held it).
         """
         # Every held seq is above expected_next, so seq below it is released.
-        if seq < self.expected_next or self.held[seq].deadline_us > now:
+        if seq < self.expected_next or self.held[seq][2] > now:
             return []
         out = []
         for s in range(self.expected_next, seq + 1):
@@ -165,7 +158,7 @@ class ReorderBuffer(Receiver):
             if held is None:
                 self.gap_count += 1
             else:
-                out.append((held.pkt, now - held.arrival_us, DISPOSITION_TIMEOUT))
+                out.append((held[0], now - held[1], DISPOSITION_TIMEOUT))
         self.expected_next = seq + 1
         out.extend(self._flush_consecutive(now, DISPOSITION_TIMEOUT))
         return out
@@ -173,8 +166,8 @@ class ReorderBuffer(Receiver):
     def _flush_consecutive(self, now: int, disposition: str):
         out = []
         while self.expected_next in self.held:
-            held = self.held.pop(self.expected_next)
-            out.append((held.pkt, now - held.arrival_us, disposition))
+            pkt, arrival_us, _ = self.held.pop(self.expected_next)
+            out.append((pkt, now - arrival_us, disposition))
             self.expected_next += 1
         return out
 
@@ -190,7 +183,7 @@ class ReorderBuffer(Receiver):
             # Packet was held; arm its expiry. Events for holds that get
             # released early fire as no-ops.
             seq = pkt.overall_seq
-            self._schedule(self.held[seq].deadline_us, self._expire, seq)
+            self._schedule(self.held[seq][2], self._expire, seq)
 
     def _expire(self, seq: int, now: int) -> None:
         out = self.on_deadline(seq, now)

@@ -4,8 +4,7 @@ with the package."""
 
 import json
 import sys
-from importlib import resources
-from typing import Callable, Collection, NamedTuple, Optional
+from collections import namedtuple
 
 from .metrics import METRICS
 from .reorder import RECEIVERS, ReorderConfig
@@ -38,8 +37,8 @@ class OutputSpec(Record):
 class ScenarioConfig(Record):
     def __init__(self, duration_s: float, seed: int, paths: list[PathModel],
                  traffic: TrafficSource, scheduler: SchedulerConfig,
-                 reorder: Optional[ReorderConfig] = None,
-                 outputs: Optional[list[OutputSpec]] = None,
+                 reorder: ReorderConfig | None = None,
+                 outputs: list[OutputSpec] | None = None,
                  name: str = "scenario", pdv_stream: str = "deliveries"):
         super().__init__(
             duration_s=duration_s, seed=seed, paths=paths, traffic=traffic,
@@ -60,7 +59,8 @@ class ScenarioConfig(Record):
 
 # -- schema ------------------------------------------------------------------
 
-class Field(NamedTuple):
+class Field(namedtuple("Field", "key type required nullable of gt ge le choices",
+                       defaults=(False, False, None, None, None, None, None))):
     """One key of a schema section.
 
     type is integer, number (finite), string, array or the name of another
@@ -70,26 +70,17 @@ class Field(NamedTuple):
     same name; a nullable key also accepts null for that default.
     """
 
-    key: str
-    type: str
-    required: bool = False
-    nullable: bool = False
-    of: Optional[str] = None
-    gt: Optional[float] = None
-    ge: Optional[float] = None
-    le: Optional[float] = None
-    choices: Optional[Collection[str]] = None
+    __slots__ = ()
 
 
-class Section(NamedTuple):
-    """The record a JSON object builds, its keys, and the rules that relate
-    several keys, each under the keys it reads: check(instance, where) ->
-    problems. A rule runs whenever every key it reads is well typed, so one
-    mistyped key hides no problem among the others."""
+class Section(namedtuple("Section", "cls fields rules")):
+    """The record a JSON object builds (cls), its keys (fields, a tuple of
+    Field), and the rules that relate several keys (rules, a dict), each
+    under the keys it reads: check(instance, where) -> problems. A rule runs
+    whenever every key it reads is well typed, so one mistyped key hides no
+    problem among the others."""
 
-    cls: type
-    fields: tuple[Field, ...]
-    rules: dict[tuple[str, ...], Callable[[object, str], list[str]]]
+    __slots__ = ()
 
 
 def _path_id_rules(cfg: ScenarioConfig, where: str) -> list[str]:
@@ -346,17 +337,24 @@ def load_scenario(path) -> ScenarioConfig:
 
 # -- canned scenario suite -------------------------------------------------------
 
+def _suite():
+    """The directory of the canned suite. importlib.resources loads pathlib,
+    tempfile and zipfile, so only reading the suite imports it."""
+    from importlib import resources
+
+    return resources.files(__package__).joinpath("scenarios")
+
+
 def canned_scenario_names() -> list[str]:
-    files = resources.files(__package__).joinpath("scenarios")
     return sorted(
         f.name.removesuffix(".json")
-        for f in files.iterdir()
+        for f in _suite().iterdir()
         if f.name.endswith(".json")
     )
 
 
 def load_canned(name: str) -> ScenarioConfig:
-    ref = resources.files(__package__).joinpath("scenarios", f"{name}.json")
+    ref = _suite().joinpath(f"{name}.json")
     try:
         text = ref.read_text(encoding="utf-8")
     except FileNotFoundError:

@@ -20,17 +20,17 @@ tuple's objects.
 """
 
 import math
+from collections.abc import Callable, Collection, Sequence
 from operator import add, attrgetter
-from typing import Callable, Collection, Optional, Sequence
 
 from .flow import Flow
 from .simcore import Plugin, Record
 
-Changed = Optional[Collection[int]]  # pick's changed, see the module docstring
+Changed = Collection[int] | None  # pick's changed, see the module docstring
 
 
 class SchedulerConfig(Record):
-    def __init__(self, kind: str, weights: Optional[list[int]] = None):
+    def __init__(self, kind: str, weights: list[int] | None = None):
         super().__init__(kind=kind, weights=weights)
 
 

@@ -10,26 +10,26 @@ are bit-reproducible for a fixed (scenario, seed).
 import copyreg
 import heapq
 import random
+from collections import namedtuple
+from collections.abc import Callable
 from types import SimpleNamespace
-from typing import Any, Callable, NamedTuple, Optional
 
 US_PER_SECOND = 1_000_000
 
 # An event handler is called as fn(arg, now): a bound method plus one
 # argument, so scheduling allocates no closure.
-EventFn = Callable[[Any, int], None]
+EventFn = Callable[[object, int], None]
 
 
 class PastEventError(Exception):
     """Scheduling an event before the current clock is a programming error."""
 
 
-class Plugin(NamedTuple):
-    """One entry of a plugin registry: how to build it, what it reads, what it does."""
+class Plugin(namedtuple("Plugin", "factory params doc")):
+    """One entry of a plugin registry: how to build it (factory), the scenario
+    keys it reads (params, "" for none) and what it does (doc)."""
 
-    factory: Callable
-    params: str  # scenario keys the plugin reads, "" for none
-    doc: str
+    __slots__ = ()
 
     def describe(self) -> str:
         params = f"params: {self.params}" if self.params else "no params"
@@ -72,7 +72,7 @@ class PathModel(Record):
 
     def __init__(self, path_id: int, one_way_latency_us: int, bandwidth_bps: int,
                  loss_rate: float = 0.0, cost: float = 0.0,
-                 latency_steps: Optional[list[LatencyStep]] = None):
+                 latency_steps: list[LatencyStep] | None = None):
         super().__init__(
             path_id=path_id, one_way_latency_us=one_way_latency_us,
             bandwidth_bps=bandwidth_bps, loss_rate=loss_rate, cost=cost,
@@ -83,7 +83,7 @@ class TrafficSource(Record):
     """Constant bit rate or greedy (always backlogged) packet source."""
 
     def __init__(self, kind: str, packet_size_bytes: int, rate_bps: int = 0,
-                 start_us: int = 0, stop_us: Optional[int] = None):
+                 start_us: int = 0, stop_us: int | None = None):
         super().__init__(kind=kind, packet_size_bytes=packet_size_bytes,
                          rate_bps=rate_bps, start_us=start_us, stop_us=stop_us)
 
@@ -108,7 +108,7 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, at_us: int, fn: EventFn, arg: Any = None) -> None:
+    def schedule(self, at_us: int, fn: EventFn, arg: object = None) -> None:
         if at_us < self.now:
             raise PastEventError(
                 f"cannot schedule event at {at_us} us, clock is at {self.now} us"
@@ -116,7 +116,7 @@ class EventQueue:
         heapq.heappush(self._heap, (at_us, self._next_id, fn, arg))
         self._next_id += 1
 
-    def pop(self) -> Optional[tuple[int, int, EventFn, Any]]:
+    def pop(self) -> tuple[int, int, EventFn, object] | None:
         """Remove and return the earliest (time, id, fn, arg) entry, or None."""
         if not self._heap:
             return None
@@ -150,7 +150,7 @@ class PathState:
         # Serialization delay of the last packet size sent.
         self._size_bytes = self._tx_us = None
 
-    def transmit(self, size_bytes: int, now: int) -> Optional[int]:
+    def transmit(self, size_bytes: int, now: int) -> int | None:
         """Accept a packet for transmission, returning its delivery time.
 
         Returns None when the loss draw discards the packet.

@@ -20,6 +20,14 @@ the test runs only on it. Lowering a count is free; after a change that
 must raise one, rewrite the golden with `PYTHONPATH=src python
 tests/test_cost.py` and say why in the change's description.
 
+The golden also holds, at each of those points, how often a run calls each
+entry point that perfbench/spans.py wraps (ENTRY_POINTS), and those counts
+must stay exactly equal: a trim of the hot path that bypasses or adds a call
+to one of them would change what the benchmark's traced run reports
+(events, acks, picks, deadline calls, peak hold) without any output byte
+changing. They do not depend on the compiler, so they are checked on every
+CPython that names a code object's co_qualname (3.11 and later).
+
 The same holds for memory: tracemalloc counts the bytes a finished run's log
 keeps per ingress packet, and those may grow by at most 8% from 2 paths to
 16. At 2 paths they are at most 400: the log packs its rows, 8 bytes per
@@ -39,7 +47,9 @@ run.
 
 And for start-up, which every run, CLI call and sweep worker pays once:
 importing mptunnel loads none of the stdlib modules behind dataclasses
-(inspect, ast, dis, tokenize), about two thirds of the import's time.
+(inspect, ast, dis, tokenize), nor typing, nor importlib.resources (which
+loads pathlib, tempfile and zipfile). The import runs in an interpreter
+started with -S, since a site hook may load some of them first.
 """
 
 import gc
@@ -55,6 +65,7 @@ from pathlib import Path
 import pytest
 
 import mptunnel
+from mptunnel import reorder, scheduler
 from mptunnel.engine import Simulation
 from mptunnel.metrics import MetricsLog, summarize
 from mptunnel.scenario import parse_scenario
@@ -63,6 +74,21 @@ SOURCE_DIR = str(Path(mptunnel.__file__).resolve().parent)
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cost.json"
 # The dataclasses module and the modules it imports that mptunnel does not.
 DATACLASS_MACHINERY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def own_methods(module, attr: str) -> list[str]:
+    """The qualified name of attr in each class of module that defines it."""
+    return [f"{cls.__qualname__}.{attr}" for cls in vars(module).values()
+            if isinstance(cls, type) and cls.__module__ == module.__name__
+            and attr in vars(cls)]
+
+
+# The entry points perfbench/spans.py wraps that a run calls, by co_qualname.
+ENTRY_POINTS = ("EventQueue.schedule", "EventQueue.pop", "PathState.transmit",
+                "Flow.enqueue", "Flow.ack_received", "Flow.on_timeout",
+                *own_methods(scheduler, "pick"), *own_methods(reorder, "on_packet"),
+                "ReorderBuffer.on_arrival", "ReorderBuffer.on_deadline",
+                "EqualizerLines.on_arrival")
 
 
 def greedy_otias(n_paths: int, duration_s: float = 0.3,
@@ -122,10 +148,12 @@ def mean_in_flight(log) -> float:
 def counts_per_packet(data: dict) -> tuple[dict, MetricsLog]:
     """Line events and calls in each of mptunnel's files while the scenario
     runs, per ingress packet, as {"lines": {file: n}, "calls": {file: n}},
+    plus the run's calls of each entry point as {"entry_calls": {name: n}},
     and the run's log; building the Simulation is not counted."""
     sim = Simulation(parse_scenario(data))
     counts = {}  # file name -> [lines, calls]
     tracers = {}  # source path -> (its counts, its local trace function)
+    entry_calls = dict.fromkeys(ENTRY_POINTS, 0)
 
     def file_tracer(name):
         count = counts[name] = [0, 0]
@@ -145,6 +173,9 @@ def counts_per_packet(data: dict) -> tuple[dict, MetricsLog]:
             tracers[path] = file_tracer(os.path.relpath(path, SOURCE_DIR))
         count, count_lines = tracers[path]
         count[1] += 1
+        name = getattr(frame.f_code, "co_qualname", None)
+        if name in entry_calls:
+            entry_calls[name] += 1
         return count_lines
 
     previous = sys.gettrace()
@@ -154,8 +185,9 @@ def counts_per_packet(data: dict) -> tuple[dict, MetricsLog]:
     finally:
         sys.settrace(previous)
     n = log.ingress_count
-    return {kind: {name: count[i] / n for name, count in sorted(counts.items())}
-            for i, kind in enumerate(("lines", "calls"))}, log
+    per_packet = {kind: {name: count[i] / n for name, count in sorted(counts.items())}
+                  for i, kind in enumerate(("lines", "calls"))}
+    return dict(per_packet, entry_calls=entry_calls), log
 
 
 # The points tests/golden/cost.json holds, by the name it gives them.
@@ -266,9 +298,18 @@ def test_counts_per_packet_stay_at_golden(traced, point):
         pytest.skip(f"the golden counts are {golden['python']}'s")
     counts, _ = traced(*GOLDEN_POINTS[point])
     risen = {(kind, name): (count, golden["points"][point][kind].get(name, 0.0))
-             for kind, by_file in counts.items() for name, count in by_file.items()
+             for kind in ("lines", "calls") for name, count in counts[kind].items()
              if count > 1.01 * golden["points"][point][kind].get(name, 0.0)}
     assert not risen, f"counts per packet above golden at {point}: {risen}"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects name no co_qualname")
+@pytest.mark.parametrize("point", GOLDEN_POINTS)
+def test_entry_point_calls_equal_golden(traced, point):
+    golden = json.loads(GOLDEN.read_text())["points"][point]["entry_calls"]
+    counts, _ = traced(*GOLDEN_POINTS[point])
+    assert counts["entry_calls"] == golden, (
+        f"entry-point calls at {point}: {counts['entry_calls']}, golden {golden}")
 
 
 def test_retained_bytes_per_packet_do_not_grow_with_path_count():
@@ -296,14 +337,27 @@ def test_summarize_peak_bytes_per_packet(data):
     assert peak <= 64, f"summarize peaks at {peak:.1f} bytes per packet"
 
 
-def test_import_loads_no_dataclass_machinery():
-    # A fresh interpreter: what it loaded before the import is not counted.
-    code = ("import sys; before = set(sys.modules); import mptunnel.cli; "
-            f"print(*sorted((set(sys.modules) - before) & set({DATACLASS_MACHINERY})))")
+def loaded_by_import(module: str, names) -> list[str]:
+    """Which of names a fresh interpreter loads to import module. It starts
+    with -S, so no site hook loads any of them first; PYTHONPATH still
+    applies."""
+    code = ("import sys; before = set(sys.modules); "
+            f"import {module}; print(*set(sys.modules) - before)")
     env = dict(os.environ, PYTHONPATH=str(Path(SOURCE_DIR).parent))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.split() == [], f"importing mptunnel.cli loads {out.strip()}"
+    return sorted(set(out.split()) & set(names))
+
+
+def test_import_loads_no_dataclass_machinery():
+    loaded = loaded_by_import("mptunnel.cli", DATACLASS_MACHINERY)
+    assert loaded == [], f"importing mptunnel.cli loads {loaded}"
+
+
+def test_import_loads_no_typing_or_resources():
+    loaded = loaded_by_import("mptunnel.cli", ("typing", "importlib.resources",
+                                               *DATACLASS_MACHINERY))
+    assert loaded == [], f"importing mptunnel.cli loads {loaded}"
 
 
 def python_version() -> str:

@@ -111,7 +111,7 @@ def test_timeout_gives_up_gap():
     buf = ReorderBuffer(expected_next=5)
     buf.on_arrival(pkt(6), 100, 10_000)
     buf.on_arrival(pkt(7), 200, 10_000)
-    assert buf.held[6].deadline_us == 10_100
+    assert buf.held[6][2] == 10_100  # (pkt, arrival_us, deadline_us)
     out = buf.on_deadline(6, 10_100)
     assert seqs(out) == [6, 7]
     assert all(d == "timeout" for _, _, d in out)
@@ -257,7 +257,7 @@ def drive_buffer(arrivals, threshold, buf=None):
         if released:
             out.extend((t, p.overall_seq, d) for p, _, d in released)
         else:
-            heapq.heappush(events, (buf.held[s].deadline_us, i, s))
+            heapq.heappush(events, (buf.held[s][2], i, s))
     fire(float("inf"))
     return out
 
