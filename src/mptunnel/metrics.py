@@ -11,8 +11,9 @@ in DISPOSITIONS. Read back, a stream is a read-only sequence of exact tuples
 of plain values. A decision's per-path ETAs are not in its row: the etas
 stream holds one row per path whose ETA changed value at a decision (every
 path at the first), and the decisions export replays it.
-compute_pdv reads columns, not rows: its result holds the sequence numbers
-packed and the values as a list, and the pdv export zips them into
+compute_pdv reads columns, not rows, and lays the times out over the run's
+own packet numbers, 0 .. ingress_count - 1: its result holds the sequence
+numbers packed and the values as a list, and the pdv export zips them into
 PdvSample-ordered rows.
 
 Export schema version 1. Column layouts are fixed; see the README for the
@@ -198,102 +199,58 @@ class MetricsLog:
 _COMPARED = Totals._fields + tuple(STREAMS)
 
 
-def _stream(log: MetricsLog, stream: str) -> Stream:
-    """The chosen record stream itself, not a copy; its rows lead with
-    time_us, overall_seq, path_id (Delivery and Arrival both do)."""
-    if stream in ("deliveries", "arrivals"):
-        return getattr(log, stream)
-    raise ValueError(f"unknown stream {stream!r}")
-
-
 def compute_pdv(log: MetricsLog, nominal_interval_us: float,
                 stream: str = "deliveries") -> PdvResult:
     """Delay variation between consecutive sequence numbers.
 
     pdv(n) = (t(n) - t(n-1)) - nominal interval, using application-visible
-    times of the chosen stream; negative when a packet landed before the one
-    preceding it in sequence. Sequence numbers whose predecessor never landed
-    are skipped and counted; sequence number 0 has no predecessor and is
-    neither sampled nor counted. Pure function of the (seq, time) pairs, so
-    log record order does not matter; a sequence number recorded twice keeps
-    its last time.
+    times of the chosen stream, deliveries or arrivals; negative when a
+    packet landed before the one preceding it in sequence. Sequence numbers
+    whose predecessor never landed are skipped and counted; sequence number
+    0 has no predecessor and is neither sampled nor counted. Pure function
+    of the (seq, time) pairs, so log record order does not matter; a
+    sequence number recorded twice keeps its last time.
 
-    The times are laid out by sequence number, 9 bytes per number between
-    the lowest and the highest recorded, and every pass over them is C-level;
-    a run numbers its packets 0, 1, ... in ingress order, so that is 9 bytes
-    per ingress packet. Numbers more than 16 apart on average take a sorted
-    pass over (seq, time) pairs instead: a hand-built log with large numbers
-    does that, and so does a run that loses nearly every packet (at a
-    loss_rate of 0.97, for one, about 3 numbers in 100 land).
+    A run numbers its packets 0 .. ingress_count - 1 in ingress order, and
+    the times are laid out over that range, 9 bytes per ingress packet;
+    every pass over them is C-level. A log recording a number outside the
+    range raises ValueError before anything is laid out.
 
     The result is kept on the log and returned again, the same object, until
     the stream grows or another stream or interval is asked for.
     """
-    rows = _stream(log, stream)
+    if stream not in ("deliveries", "arrivals"):
+        raise ValueError(f"unknown stream {stream!r}")
+    rows = getattr(log, stream)
     # The interval's type is part of the key: 8000 == 8000.0, but the
     # samples' type, and so their export format, follows the interval's.
     key = (stream, type(nominal_interval_us), nominal_interval_us, len(rows))
     if log._pdv is not None and log._pdv[0] == key:
         return log._pdv[1]
+    n = log.ingress_count
     lo = min(rows.column(1), default=0)
     hi = max(rows.column(1), default=-1)
-    if hi - lo < 16 * len(rows):
-        result = _pdv_laid_out(rows, lo, hi, nominal_interval_us)
-    else:
-        result = _pdv_sorted(rows, nominal_interval_us)
-    log._pdv = (key, result)
-    return result
-
-
-def _pdv_laid_out(rows: Stream, lo: int, hi: int, nominal_interval_us: float) -> PdvResult:
-    times = memoryview(bytearray(8 * (hi - lo + 1))).cast("q")
-    landed = bytearray(len(times))
-
-    def offsets():  # each row's position in times, in record order
-        return map(sub, rows.column(1), repeat(lo)) if lo else rows.column(1)
-
+    if lo < 0 or hi >= n:
+        raise ValueError(f"{stream} record sequence numbers {lo} .. {hi}, "
+                         f"outside the run's 0 .. {n - 1}")
+    times = memoryview(bytearray(8 * n)).cast("q")
+    landed = bytearray(n)
     # A sequence number recorded again takes its last time.
-    deque(map(setitem, repeat(times), offsets(), rows.column(0)), maxlen=0)
-    deque(map(setitem, repeat(landed), offsets(), repeat(1)), maxlen=0)
-    # sampled[i]: number lo + i + 1 landed, and so did its predecessor. Each
-    # byte of landed is 0 or 1, so one integer AND of landed with itself
-    # shifted a byte ands every adjacent pair.
+    deque(map(setitem, repeat(times), rows.column(1), rows.column(0)), maxlen=0)
+    deque(map(setitem, repeat(landed), rows.column(1), repeat(1)), maxlen=0)
+    # sampled[i]: number i + 1 landed, and so did its predecessor. Each byte
+    # of landed is 0 or 1, so one integer AND of landed with itself shifted
+    # a byte ands every adjacent pair.
     both = int.from_bytes(landed, "little")
-    sampled = ((both >> 8) & both).to_bytes(len(landed), "little")[:-1]
+    sampled = ((both >> 8) & both).to_bytes(n, "little")[:-1]
     values = list(compress(
         map(sub, map(sub, times[1:], times), repeat(nominal_interval_us)), sampled))
     seqs = memoryview(bytearray(8 * len(values))).cast("q")
-    deque(map(setitem, repeat(seqs), count(), compress(range(lo + 1, hi + 1), sampled)),
-          maxlen=0)
-    # Every number that landed unsampled is skipped, but for 0.
-    skipped = landed.count(1) - len(values)
-    if lo <= 0 <= hi:
-        skipped -= landed[-lo] and not (lo < 0 and sampled[-lo - 1])
-    return PdvResult(seqs.toreadonly(), values, skipped)
-
-
-def _pdv_sorted(rows: Stream, nominal_interval_us: float) -> PdvResult:
-    seqs, values = [], []
-    skipped = 0
-    # The stable sort keeps a seq's records in log order, so the last one
-    # of a run of equal seqs is its last record, and seq - 1's time is final
-    # before seq's first record is read.
-    seq = t = prev_seq = prev_t = None
-    for row in sorted(zip(rows.column(0), rows.column(1)), key=itemgetter(1)):
-        if row[1] == seq:  # recorded again: the last time wins
-            t = row[0]
-            if seqs and seqs[-1] == seq:
-                values[-1] = (t - prev_t) - nominal_interval_us
-            continue
-        prev_seq, prev_t = seq, t
-        t, seq = row
-        if seq - 1 == prev_seq:
-            seqs.append(seq)
-            values.append((t - prev_t) - nominal_interval_us)
-        elif seq:
-            skipped += 1
-    packed = memoryview(struct.pack(f"={len(seqs)}q", *seqs)).cast("q")
-    return PdvResult(packed, values, skipped)
+    deque(map(setitem, repeat(seqs), count(), compress(range(1, n), sampled)), maxlen=0)
+    # Every number after 0 that landed unsampled is skipped.
+    result = PdvResult(seqs.toreadonly(), values, landed.count(1, 1) - len(values))
+    log._pdv = (key, result)
+    return result
 
 
 class Scatter(Sequence):

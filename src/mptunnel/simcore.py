@@ -87,10 +87,6 @@ class TrafficSource(Record):
         super().__init__(kind=kind, packet_size_bytes=packet_size_bytes,
                          rate_bps=rate_bps, start_us=start_us, stop_us=stop_us)
 
-    def emission_time_us(self, k: int) -> int:
-        """Ingress time of the k-th CBR packet (see cbr_emission_us)."""
-        return cbr_emission_us(self.start_us, self.packet_size_bytes, self.rate_bps, k)
-
 
 class EventQueue:
     """Time-ordered event queue with FIFO tie-break.

@@ -34,7 +34,7 @@ keeps per ingress packet, and those may grow by at most 8% from 2 paths to
 field, about 280 bytes per packet. summarize, run on a finished log, may add
 at most 64 bytes per ingress packet at its peak: 40 kept per delay-variation
 sample (its packed sequence number, a value pointer and the float itself),
-10 per sequence number while the times are laid out by sequence number, and
+9 per ingress packet while the times are laid out by sequence number, and
 8 for the sorted copy of the values, with room for sort buffers.
 
 And for the cyclic collector: a finished log keeps at most 0.01 objects the

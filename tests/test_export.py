@@ -1,13 +1,15 @@
 """Export against reference models: write_csv's per-table %-templates and
-compute_pdv's column passes over the times laid out by sequence number,
-which keep PdvResult.seqs (packed), .values and .skipped, must give exactly
-what the per-value writer and the per-sequence loop over a seq -> time dict
-they replaced gave, which are kept here as the references, and write_csv
-must refuse a table no template can write."""
+compute_pdv's column passes over the times laid out by the run's packet
+numbers, 0 .. ingress_count - 1, which keep PdvResult.seqs (packed),
+.values and .skipped, must give exactly what the per-value writer and the
+per-sequence loop over a seq -> time dict they replaced gave, which are
+kept here as the references. write_csv must refuse a table no template can
+write, and compute_pdv a log recording a number outside that range."""
 
 import json
 import math
 import tempfile
+import tracemalloc
 from collections import namedtuple
 from pathlib import Path
 
@@ -15,7 +17,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mptunnel import metrics
 from mptunnel.engine import Simulation
 from mptunnel.metrics import (METRICS, Arrival, Delivery, MetricsLog, PdvResult,
                               compute_pdv, export_metric, summarize, write_csv,
@@ -192,13 +193,11 @@ def test_write_csv_refuses_an_iterator(tmp_path):
 # Seq 1 recorded again, not adjacently, with an earlier time; seq 0 twice.
 @example([(0, 1_000), (1, 9_000), (2, 20_000), (1, 4_000), (0, 2_000),
           (3, 25_000)], 8_000, "deliveries")
-# Numbers too sparse to lay out densely.
-@example([(2**61 + 1, 7), (0, 1_000), (2**61, 5), (1, 9_000), (2**61, 6)], 8_000.0,
-         "arrivals")
 def test_compute_pdv_matches_per_sequence_loop(records, nominal, stream):
     # Gaps, sequence numbers recorded twice (the last time wins) and seq 0
-    # present or absent all come from the generated (seq, time) pairs.
-    log = MetricsLog()
+    # present or absent all come from the generated (seq, time) pairs; the
+    # log counts as many ingress packets as its largest number needs.
+    log = MetricsLog(max((seq for seq, _ in records), default=-1) + 1)
     for seq, t in records:
         log.deliveries.append(Delivery(t, seq, 0, 0, 0, "inorder"))
         log.arrivals.append(Arrival(t, seq, 0, 0))
@@ -209,23 +208,33 @@ def test_compute_pdv_matches_per_sequence_loop(records, nominal, stream):
     assert repr(got.values) == repr(want.values)
 
 
-def test_a_run_losing_nearly_every_packet_takes_the_sorted_pass(monkeypatch):
-    # About 3 in 100 numbers land, so they lie more than 16 apart on average.
-    sorted_passes = []
-    pdv_sorted = metrics._pdv_sorted
+@pytest.mark.parametrize("seqs", [[0, -1], [1, 2**61]], ids=["negative", "2**61"])
+def test_compute_pdv_refuses_a_number_outside_the_run(seqs):
+    # A log of 2 ingress packets numbers them 0 and 1. The check runs on the
+    # min/max pass, before the times are laid out: 2**61 numbers laid out
+    # would take 18 EiB.
+    log = MetricsLog(2)
+    for t, seq in enumerate(seqs):
+        log.deliveries.append(Delivery(8_000 * t, seq, 0, 0, 0, "inorder"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            compute_pdv(log, 8_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
-    def counted(rows, nominal):
-        sorted_passes.append(len(rows))
-        return pdv_sorted(rows, nominal)
 
-    monkeypatch.setattr(metrics, "_pdv_sorted", counted)
+def test_a_run_losing_nearly_every_packet_matches_the_reference():
+    # About 3 in 100 numbers land.
     paths = [{"path_id": i, "one_way_latency_us": 10_000 + 30_000 * i,
               "bandwidth_bps": 2_000_000, "loss_rate": 0.97} for i in (0, 1)]
     cfg, log = short_run(duration_s=10, paths=paths, reorder={"kind": "none"})
     nominal = cfg.nominal_interval_us()
     got = compute_pdv(log, nominal)
     want = reference_pdv(log, nominal)
-    assert sorted_passes == [len(log.deliveries)] and want.skipped > 0
+    assert want.skipped > 0
     assert got.skipped == want.skipped
     assert repr(got.seqs.tolist()) == repr(want.seqs)
     assert repr(got.values) == repr(want.values)

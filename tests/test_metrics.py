@@ -12,7 +12,8 @@ from mptunnel.metrics import (CHUNK_ROWS, DISPOSITIONS, METRICS, STREAMS, Arriva
 
 
 def log_with_deliveries(rows):
-    log = MetricsLog()
+    # A run numbers its packets 0 .. ingress_count - 1.
+    log = MetricsLog(max((seq for _, seq in rows), default=-1) + 1)
     for t, seq in rows:
         log.deliveries.append(Delivery(t, seq, 0, 0, 0, "inorder"))
     return log
@@ -63,6 +64,7 @@ def test_pdv_after_a_row_is_appended_is_computed_again():
     log = log_with_deliveries([(10_000 + 8_000 * k, k) for k in range(10)])
     first = compute_pdv(log, 8_000)
     log.deliveries.append(Delivery(95_000, 10, 0, 0, 0, "inorder"))
+    log.ingress_count = 11
     again = compute_pdv(log, 8_000)
     assert again is not first
     assert again.seqs.tolist() == first.seqs.tolist() + [10]

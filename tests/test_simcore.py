@@ -3,7 +3,7 @@ import pytest
 from mptunnel.scenario import problems
 from mptunnel.simcore import (EventQueue, LatencyStep, PastEventError,
                               PathModel, PathState, TrafficSource,
-                              serialization_us)
+                              cbr_emission_us, serialization_us)
 
 
 def test_serialization_exact_values():
@@ -93,12 +93,11 @@ def test_path_loss_sequence_is_per_path_and_seeded():
 
 
 def test_cbr_emission_schedule_is_exact():
-    src = TrafficSource("cbr", packet_size_bytes=1000, rate_bps=1_000_000)
-    times = [src.emission_time_us(k) for k in range(4)]
+    times = [cbr_emission_us(0, 1000, 1_000_000, k) for k in range(4)]
     assert times == [0, 8000, 16000, 24000]
     # 1 Mbps of 1000-byte packets over 10 s emits exactly 1250 packets
     count = 0
-    while src.emission_time_us(count) < 10_000_000:
+    while cbr_emission_us(0, 1000, 1_000_000, count) < 10_000_000:
         count += 1
     assert count == 1250
 
