@@ -4,17 +4,18 @@ delay variation) and deterministic CSV/JSON export.
 
 STREAMS names every record stream once: its namedtuple, whose field order
 its rows keep and whose field names are the export columns wherever the two
-agree, and the packed form of each field. A Stream keeps its rows packed, 8
-bytes per field, in sealed chunks of CHUNK_ROWS rows plus one open tail, all
-bytes the cyclic collector never scans; a disposition is packed as its index
-in DISPOSITIONS. Read back, a stream is a read-only sequence of exact tuples
+agree, and the packed form of each field. A Stream packs each row, 8 bytes
+per field, onto one open tail and seals each CHUNK_ROWS rows of it into a
+chunk that keeps only the byte planes non-zero in some row, all bytes the
+cyclic collector never scans; a disposition is packed as its index in
+DISPOSITIONS. Read back, a stream is a read-only sequence of exact tuples
 of plain values. A decision's per-path ETAs are not in its row: the etas
 stream holds one row per path whose ETA changed value at a decision (every
-path at the first), and the decisions export replays it.
+path at the first), and the decisions export replays it as it writes.
 compute_pdv reads columns, not rows, and lays the times out over the run's
-own packet numbers, 0 .. ingress_count - 1: its result holds the sequence
-numbers packed and the values as a list, and the pdv export zips them into
-PdvSample-ordered rows.
+own packet numbers, 0 .. ingress_count - 1: its result holds a 1-byte mask
+of the sampled numbers and the values as a list, and the pdv export zips
+the numbers, packed from the mask, into PdvSample-ordered rows.
 
 Export schema version 1. Column layouts are fixed; see the README for the
 full schema reference.
@@ -26,7 +27,7 @@ import struct
 from collections import deque, namedtuple
 from collections.abc import Sequence
 from itertools import chain, compress, count, groupby, islice, repeat
-from operator import eq, itemgetter, setitem, sub
+from operator import eq, itemgetter, ne, setitem, sub
 
 from .flow import TunnelPacket, encode_header
 from .reorder import DISPOSITION_INORDER, DISPOSITION_LATE, DISPOSITION_TIMEOUT
@@ -65,6 +66,7 @@ DISPOSITION_CODES = {d: i for i, d in enumerate(DISPOSITIONS)}
 # One packed row per stream, shared by every log.
 _ROW_STRUCTS = {name: struct.Struct("=" + kinds.replace("c", "q"))
                 for name, (_, kinds) in STREAMS.items()}
+_ZERO_PLANE = bytes(CHUNK_ROWS)
 
 
 class Stream(Sequence):
@@ -73,12 +75,15 @@ class Stream(Sequence):
 
     A row is written with no call: tail += struct.pack(*row), a disposition
     given as its DISPOSITION_CODES code. seal() moves each whole CHUNK_ROWS
-    rows of the tail into a sealed chunk; MetricsLog.seal runs it for every
-    stream. The chunk list is made at the first seal, so a stream that never
-    fills a chunk keeps no object the cyclic collector tracks. append(row)
-    is the same write for a row from anywhere else, validated and sealed at
-    once. Reads seal first and copy the tail, so no view of it outlives a
-    read and it can always grow.
+    rows of the tail into a sealed chunk, stored as its byte planes (plane o
+    is byte o of every row) less those that are zero in every row: one
+    keep-byte per plane, then the kept planes in order. MetricsLog.seal runs
+    it for every stream. The chunk list is made at the first seal, so a
+    stream that never fills a chunk keeps no object the cyclic collector
+    tracks. append(row) is the same write for a row from anywhere else,
+    validated and sealed at once. Reads seal first; a sealed chunk restores
+    only the fields read, and the tail is copied and read as packed rows, so
+    no view of it outlives a read and it can always grow.
     """
 
     __slots__ = ("name", "kinds", "struct", "full", "tail", "_chunks")
@@ -103,11 +108,14 @@ class Stream(Sequence):
         self.seal()
 
     def seal(self) -> None:
-        while len(self.tail) >= self.full:
+        size, full, tail = self.struct.size, self.full, self.tail
+        while len(tail) >= full:
             if not self._chunks:
                 self._chunks = []
-            self._chunks.append(bytes(self.tail[:self.full]))
-            del self.tail[:self.full]
+            planes = [tail[o:full:size] for o in range(size)]
+            keep = list(map(ne, planes, repeat(_ZERO_PLANE)))
+            self._chunks.append(bytes(keep) + b"".join(compress(planes, keep)))
+            del tail[:full]
 
     @property
     def specs(self) -> tuple[str, ...]:
@@ -119,13 +127,25 @@ class Stream(Sequence):
         return chain.from_iterable(self._column(block, i) for block in self._blocks())
 
     def _blocks(self):
+        # Each sealed chunk, bytes, then a view of a copy of the tail's rows.
         self.seal()
         yield from self._chunks
-        yield bytes(self.tail)
+        yield memoryview(bytes(self.tail))
 
     def _column(self, block, i: int):
         kind = self.kinds[i]
-        values = memoryview(block).cast("d" if kind == "d" else "q")[i::self.struct.size // 8]
+        fmt = "d" if kind == "d" else "q"
+        if isinstance(block, memoryview):
+            values = block.cast(fmt)[i::len(self.kinds)]
+        else:
+            # Put field i's kept planes back at the offsets they came from.
+            field = bytearray(8 * CHUNK_ROWS)
+            start = self.struct.size + CHUNK_ROWS * block.count(1, 0, 8 * i)
+            for o in range(8):
+                if block[8 * i + o]:
+                    field[o::8] = block[start:start + CHUNK_ROWS]
+                    start += CHUNK_ROWS
+            values = memoryview(field).cast(fmt)
         return map(DISPOSITIONS.__getitem__, values) if kind == "c" else values
 
     def _rows(self, block):
@@ -150,11 +170,21 @@ class Stream(Sequence):
     __hash__ = None
 
 
-class PdvResult(namedtuple("PdvResult", "seqs values skipped")):
-    """Delay-variation samples in sequence order: values[i] is the sample of
-    seqs[i], and seqs is packed, a read-only sequence of ints. skipped counts
+class PdvResult(namedtuple("PdvResult", "sampled values skipped")):
+    """Delay-variation samples in sequence order. sampled[i] is 1 if number
+    i + 1 has a sample and 0 if not; values holds the samples in sequence
+    order, and seqs, packed on each read, their numbers. skipped counts
     sequence numbers whose predecessor never landed."""
     __slots__ = ()
+
+    @property
+    def seqs(self) -> memoryview:
+        """The sampled sequence numbers, a read-only sequence of packed ints:
+        values[i] is the sample of seqs[i]."""
+        seqs = memoryview(bytearray(8 * len(self.values))).cast("q")
+        deque(map(setitem, repeat(seqs), count(),
+                  compress(count(1), self.sampled)), maxlen=0)
+        return seqs.toreadonly()
 
 
 class Totals(namedtuple("Totals", "ingress_count timeout_gaps late_count "
@@ -245,40 +275,39 @@ def compute_pdv(log: MetricsLog, nominal_interval_us: float,
     sampled = ((both >> 8) & both).to_bytes(n, "little")[:-1]
     values = list(compress(
         map(sub, map(sub, times[1:], times), repeat(nominal_interval_us)), sampled))
-    seqs = memoryview(bytearray(8 * len(values))).cast("q")
-    deque(map(setitem, repeat(seqs), count(), compress(range(1, n), sampled)), maxlen=0)
     # Every number after 0 that landed unsampled is skipped.
-    result = PdvResult(seqs.toreadonly(), values, landed.count(1, 1) - len(values))
+    result = PdvResult(sampled, values, landed.count(1, 1) - len(values))
     log._pdv = (key, result)
     return result
 
 
-class Scatter(Sequence):
-    """(arrival_index, overall_seq) rows over the arrivals' sequence-number
-    column, read on demand."""
+class Table(Sequence):
+    """Export rows read on demand, one per row of a stream: rows() returns a
+    fresh iterator over them in order, each written with its spec in
+    specs."""
 
-    specs = ("%s", "%s")
-
-    def __init__(self, arrivals: Stream):
-        self._arrivals = arrivals
+    def __init__(self, specs: tuple[str, ...], stream: Stream, rows):
+        self.specs = specs
+        self._stream = stream
+        self._rows = rows
 
     def __len__(self) -> int:
-        return len(self._arrivals)
+        return len(self._stream)
 
-    def __getitem__(self, i: int) -> tuple[int, int]:
-        i = range(len(self))[i]
-        return i, self._arrivals[i][1]
+    def __getitem__(self, i: int) -> tuple:
+        return next(islice(self._rows(), range(len(self))[i], None))
 
     def __iter__(self):
-        return enumerate(self._arrivals.column(1))
+        return self._rows()
 
     __eq__ = Stream.__eq__
     __hash__ = None
 
 
-def arrival_order_scatter(log: MetricsLog) -> Scatter:
-    """Sequence numbers in order of arrival; monotone iff nothing reordered."""
-    return Scatter(log.arrivals)
+def arrival_order_scatter(log: MetricsLog) -> Table:
+    """(arrival_index, overall_seq) rows: sequence numbers in order of
+    arrival; monotone iff nothing reordered."""
+    return Table(("%s", "%s"), log.arrivals, lambda: enumerate(log.arrivals.column(1)))
 
 
 def reordering_extent(log: MetricsLog) -> dict:
@@ -437,20 +466,28 @@ def _deliveries(log: MetricsLog, pdv) -> tuple[Sequence[str], list]:
 
 
 def _decisions(log: MetricsLog, pdv) -> tuple[Sequence[str], Sequence]:
-    # Each row ends with every path's ETA as of its pick: the etas rows, in
-    # sequence order, replayed up to its overall_seq.
+    # Each row ends with every path's ETA as of its pick: the etas rows up to
+    # its overall_seq, replayed as both streams are read side by side in
+    # sequence order.
     if not log.etas:
         return Decision._fields, log.decisions
     n_paths = max(log.etas.column(1)) + 1
     header = Decision._fields + tuple(f"eta_{i}_us" for i in range(n_paths))
-    etas, at_seq = [None] * n_paths, {}
-    for seq, changes in groupby(log.etas, itemgetter(0)):
-        for _, path_id, eta_us in changes:
-            etas[path_id] = eta_us
-        at_seq[seq] = tuple(etas)
-    current = ()
-    return header, [row + (current := at_seq.get(row[1], current))
-                    for row in log.decisions]
+    return header, Table(log.decisions.specs + ("%.3f",) * n_paths, log.decisions,
+                         lambda: _with_etas(log, n_paths))
+
+
+def _with_etas(log: MetricsLog, n_paths: int):
+    etas, current = [None] * n_paths, ()
+    changes = groupby(log.etas, itemgetter(0))
+    seq, group = next(changes, (math.inf, ()))
+    for row in log.decisions:
+        while seq <= row[1]:
+            for _, path_id, eta_us in group:
+                etas[path_id] = eta_us
+            current = tuple(etas)
+            seq, group = next(changes, (math.inf, ()))
+        yield row + current
 
 
 def _pdv(log: MetricsLog, pdv) -> tuple[Sequence[str], list]:

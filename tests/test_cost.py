@@ -30,12 +30,16 @@ CPython that names a code object's co_qualname (3.11 and later).
 
 The same holds for memory: tracemalloc counts the bytes a finished run's log
 keeps per ingress packet, and those may grow by at most 8% from 2 paths to
-16. At 2 paths they are at most 400: the log packs its rows, 8 bytes per
-field, about 280 bytes per packet. summarize, run on a finished log, may add
-at most 64 bytes per ingress packet at its peak: 40 kept per delay-variation
-sample (its packed sequence number, a value pointer and the float itself),
-9 per ingress packet while the times are laid out by sequence number, and
-8 for the sorted copy of the values, with room for sort buffers.
+16. At 2 paths they are at most 160: the log seals its rows into chunks that
+keep only their non-zero byte planes, about 130 bytes per packet, where
+8 bytes per field would take about 265. summarize, run on a finished log,
+may add at most 64 bytes per ingress packet at its peak: 32 kept per
+delay-variation sample (a value pointer and the float itself), 1 per
+ingress packet for the mask of sampled numbers, 9 per ingress packet while
+the times are laid out by sequence number, and 8 for the sorted copy of the
+values, with room for sort buffers. The decisions export streams its rows,
+so at its peak it adds at most 32 bytes per decision row on a run of about
+10,000, where a list of the rows took about 200.
 
 And for the cyclic collector: a finished log keeps at most 0.01 objects the
 collector tracks per ingress packet, counted with the collector paused
@@ -67,7 +71,7 @@ import pytest
 import mptunnel
 from mptunnel import reorder, scheduler
 from mptunnel.engine import Simulation
-from mptunnel.metrics import MetricsLog, summarize
+from mptunnel.metrics import MetricsLog, export_metric, summarize
 from mptunnel.scenario import parse_scenario
 
 SOURCE_DIR = str(Path(mptunnel.__file__).resolve().parent)
@@ -249,6 +253,21 @@ def summarize_peak_bytes_per_packet(data: dict) -> float:
     return peak / log.ingress_count
 
 
+def decisions_export_peak_bytes_per_row(data: dict, path) -> float:
+    """Peak bytes allocated while the decisions metric of the scenario's
+    finished log is written to path as CSV, per decision row."""
+    cfg = parse_scenario(data)
+    log = Simulation(cfg).run()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        export_metric(log, "decisions", "csv", path, cfg.nominal_interval_us())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / len(log.decisions)
+
+
 def tracked_objects_per_packet(data: dict) -> float:
     """Objects the cyclic collector tracks that a finished log keeps, per
     ingress packet: those freed with the log, the collector paused from the
@@ -320,7 +339,7 @@ def test_retained_bytes_per_packet_do_not_grow_with_path_count():
 
 def test_retained_bytes_per_packet_stay_packed():
     retained = retained_bytes_per_packet(greedy_otias(2))
-    assert retained <= 400, f"the log keeps {retained:.1f} bytes per packet"
+    assert retained <= 160, f"the log keeps {retained:.1f} bytes per packet"
 
 
 @pytest.mark.parametrize("data", [greedy_otias(2), hold(400)],
@@ -335,6 +354,12 @@ def test_log_keeps_no_tracked_object_per_packet(data):
 def test_summarize_peak_bytes_per_packet(data):
     peak = summarize_peak_bytes_per_packet(data)
     assert peak <= 64, f"summarize peaks at {peak:.1f} bytes per packet"
+
+
+def test_decisions_export_peak_bytes_per_row(tmp_path):
+    peak = decisions_export_peak_bytes_per_row(greedy_otias(2, duration_s=2),
+                                               tmp_path / "decisions.csv")
+    assert peak <= 32, f"the decisions export peaks at {peak:.1f} bytes per row"
 
 
 def loaded_by_import(module: str, names) -> list[str]:

@@ -1,6 +1,6 @@
 """Export against reference models: write_csv's per-table %-templates and
 compute_pdv's column passes over the times laid out by the run's packet
-numbers, 0 .. ingress_count - 1, which keep PdvResult.seqs (packed),
+numbers, 0 .. ingress_count - 1, which give PdvResult.seqs (packed),
 .values and .skipped, must give exactly what the per-value writer and the
 per-sequence loop over a seq -> time dict they replaced gave, which are
 kept here as the references. write_csv must refuse a table no template can
@@ -18,9 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mptunnel.engine import Simulation
-from mptunnel.metrics import (METRICS, Arrival, Delivery, MetricsLog, PdvResult,
-                              compute_pdv, export_metric, summarize, write_csv,
-                              write_json)
+from mptunnel.metrics import (METRICS, Arrival, Delivery, MetricsLog, compute_pdv,
+                              export_metric, summarize, write_csv, write_json)
 from mptunnel.scenario import parse_scenario
 
 
@@ -43,7 +42,10 @@ def reference_write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def reference_pdv(log, nominal_interval_us, stream="deliveries") -> PdvResult:
+ReferencePdv = namedtuple("ReferencePdv", "seqs values skipped")
+
+
+def reference_pdv(log, nominal_interval_us, stream="deliveries") -> ReferencePdv:
     rows = log.deliveries if stream == "deliveries" else log.arrivals
     times = {seq: t for t, seq, _ in (r[:3] for r in rows)}
     seqs, values = [], []
@@ -57,7 +59,7 @@ def reference_pdv(log, nominal_interval_us, stream="deliveries") -> PdvResult:
             continue
         seqs.append(seq)
         values.append((times[seq] - prev) - nominal_interval_us)
-    return PdvResult(seqs, values, skipped)
+    return ReferencePdv(seqs, values, skipped)
 
 
 # The metric whose rows arrival_order_scatter builds; every other metric's

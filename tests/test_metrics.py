@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -236,6 +237,36 @@ def test_stream_round_trip(name, data):
         assert repr(stream[i]) == repr(rows[i])
         assert repr(stream[i - n_rows]) == repr(rows[i])
     assert list(stream.column(0)) == [row[0] for row in rows]
+
+
+# A sealed chunk keeps only its byte planes that are non-zero in some row.
+# Row i of one chunk plus a tail: a field zero in every row (all its planes
+# dropped), one non-zero in a single row, negative ints (0xFF planes),
+# -0.0, nan and +-inf, and every disposition.
+LONE = 300
+SPECIAL_FLOATS = (-0.0, math.nan, math.inf, -math.inf, 0.0, 1e-300)
+EDGE_ROWS = {
+    "deliveries": lambda i: (i * 7919, 0, 5 if i == LONE else 0, -i,
+                             -(2**63 - 1) if i % 2 else 0, DISPOSITIONS[i % 3]),
+    "flow_rows": lambda i: (-i, 0, SPECIAL_FLOATS[i % 6], 2.5 if i == LONE else 0.0,
+                            -1, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_ROWS))
+def test_sealed_chunk_restores_every_byte(name):
+    n_rows = CHUNK_ROWS + 7
+    rows = [EDGE_ROWS[name](i) for i in range(n_rows)]
+    stream = getattr(MetricsLog(), name)
+    for row in rows:
+        stream.append(row)
+    assert len(stream) == n_rows
+    # repr tells 1 from 1.0, -0.0 from 0.0, and shows nan equal to nan.
+    assert repr(list(stream)) == repr(rows)
+    for i in range(len(rows[0])):
+        assert repr(list(stream.column(i))) == repr([row[i] for row in rows])
+    for i in (0, LONE, CHUNK_ROWS - 1, CHUNK_ROWS, n_rows - 1):
+        assert repr(stream[i]) == repr(stream[i - n_rows]) == repr(rows[i])
 
 
 @pytest.mark.parametrize("name", sorted(STREAMS))
