@@ -18,8 +18,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mptunnel.engine import Simulation
-from mptunnel.metrics import (METRICS, Arrival, Delivery, MetricsLog, compute_pdv,
-                              export_metric, summarize, write_csv, write_json)
+from mptunnel.flow import TunnelPacket, encode_header
+from mptunnel.metrics import (METRICS, THROUGHPUT_BIN_US, Arrival, Delivery, MetricsLog,
+                              compute_pdv, export_metric, summarize, write_csv,
+                              write_json)
 from mptunnel.scenario import parse_scenario
 
 
@@ -62,12 +64,46 @@ def reference_pdv(log, nominal_interval_us, stream="deliveries") -> ReferencePdv
     return ReferencePdv(seqs, values, skipped)
 
 
-# The metric whose rows arrival_order_scatter builds; every other metric's
-# rows come from METRICS itself, pdv's from reference_pdv.
+def reference_throughput(log, bin_us):
+    # One dict pass over every delivery, then every (bin, path) pair in order.
+    if not log.deliveries:
+        return []
+    size_by_seq = {seq: size for _, _, seq, _, size, _ in log.sends}
+    last_bin = max(t for t, *_ in log.deliveries) // bin_us
+    paths = sorted({path_id for _, _, path_id, *_ in log.deliveries})
+    bits = {}
+    for time_us, seq, path_id, _, _, _ in log.deliveries:
+        key = (time_us // bin_us, path_id)
+        bits[key] = bits.get(key, 0) + size_by_seq.get(seq, 0) * 8
+    return [(b * bin_us, p, bits.get((b, p), 0) * 1_000_000 / bin_us)
+            for b in range(last_bin + 1) for p in paths]
+
+
+# Each metric's rows built in full as a list, the way the export once built
+# them; pdv's come from reference_pdv. The stream-backed metrics (arrivals,
+# decisions, discards, drops, flows) and pdv_histogram come from METRICS.
 REFERENCE_TABLES = {
+    "deliveries": lambda log, pdv: (
+        ["delivery_time_us", "overall_seq", "path_id", "buffer_residency_us",
+         "disposition"],
+        sorted([(t, seq, path_id, residency_us, disposition)
+                for t, seq, path_id, _, residency_us, disposition in log.deliveries]
+               + [(t, seq, path_id, 0, "discarded") for t, path_id, seq in log.discards])),
+    "headers": lambda log, pdv: (
+        ["time_us", "header_hex"],
+        [(t, encode_header(TunnelPacket(seq, size_bytes, 0, path_id=path_id,
+                                        flow_seq=flow_seq,
+                                        sender_rtt_report=rtt_report_us)).hex())
+         for t, path_id, seq, flow_seq, size_bytes, rtt_report_us in log.sends]),
+    "pdv": lambda log, pdv: (["overall_seq", "pdv_us"], list(zip(*pdv()[:2]))),
     "scatter": lambda log, pdv: (
         ["arrival_index", "overall_seq"],
         [(i, seq) for i, (_, seq, _) in enumerate(a[:3] for a in log.arrivals)]),
+    "srtt": lambda log, pdv: (
+        ["time_us", "path_id", "srtt_us"], [row[:3] for row in log.flow_rows]),
+    "throughput": lambda log, pdv: (
+        ["bin_start_us", "path_id", "throughput_bps"],
+        reference_throughput(log, THROUGHPUT_BIN_US)),
 }
 
 
