@@ -13,9 +13,9 @@ of plain values. A decision's per-path ETAs are not in its row: the etas
 stream holds one row per path whose ETA changed value at a decision (every
 path at the first), and the decisions export replays it as it writes.
 compute_pdv reads columns, not rows, and lays the times out over the run's
-own packet numbers, 0 .. ingress_count - 1: its result holds a 1-byte mask
-of the sampled numbers and the values as a list, and the pdv export zips
-the numbers, packed from the mask, into PdvSample-ordered rows.
+own packet numbers, 0 .. ingress_count - 1, into a 1-byte mask of the
+sampled numbers and a list of the values. Every tabular export is a Table:
+its header, each column's %-format, stated, and its rows, streamed.
 
 Export schema version 1. Column layouts are fixed; see the README for the
 full schema reference.
@@ -24,10 +24,12 @@ full schema reference.
 import json
 import math
 import struct
+from bisect import bisect_left
 from collections import deque, namedtuple
 from collections.abc import Sequence
+from heapq import merge
 from itertools import chain, compress, count, groupby, islice, repeat
-from operator import eq, itemgetter, ne, setitem, sub
+from operator import eq, floordiv, itemgetter, ne, setitem, sub
 
 from .flow import TunnelPacket, encode_header
 from .reorder import DISPOSITION_INORDER, DISPOSITION_LATE, DISPOSITION_TIMEOUT
@@ -119,7 +121,7 @@ class Stream(Sequence):
 
     @property
     def specs(self) -> tuple[str, ...]:
-        """The %-format of each column in an export (see _template)."""
+        """The %-format of each field as an export column."""
         return tuple("%.3f" if kind == "d" else "%s" for kind in self.kinds)
 
     def column(self, i: int):
@@ -229,6 +231,15 @@ class MetricsLog:
 _COMPARED = Totals._fields + tuple(STREAMS)
 
 
+def _check_numbers(log: MetricsLog, stream: str, i: int) -> None:
+    # ValueError unless field i of the stream numbers packets of the run.
+    column, n = getattr(log, stream).column, log.ingress_count
+    lo, hi = min(column(i), default=0), max(column(i), default=-1)
+    if lo < 0 or hi >= n:
+        raise ValueError(f"{stream} record sequence numbers {lo} .. {hi}, "
+                         f"outside the run's 0 .. {n - 1}")
+
+
 def compute_pdv(log: MetricsLog, nominal_interval_us: float,
                 stream: str = "deliveries") -> PdvResult:
     """Delay variation between consecutive sequence numbers.
@@ -257,12 +268,8 @@ def compute_pdv(log: MetricsLog, nominal_interval_us: float,
     key = (stream, type(nominal_interval_us), nominal_interval_us, len(rows))
     if log._pdv is not None and log._pdv[0] == key:
         return log._pdv[1]
+    _check_numbers(log, stream, 1)
     n = log.ingress_count
-    lo = min(rows.column(1), default=0)
-    hi = max(rows.column(1), default=-1)
-    if lo < 0 or hi >= n:
-        raise ValueError(f"{stream} record sequence numbers {lo} .. {hi}, "
-                         f"outside the run's 0 .. {n - 1}")
     times = memoryview(bytearray(8 * n)).cast("q")
     landed = bytearray(n)
     # A sequence number recorded again takes its last time.
@@ -281,33 +288,22 @@ def compute_pdv(log: MetricsLog, nominal_interval_us: float,
     return result
 
 
-class Table(Sequence):
-    """Export rows read on demand, one per row of a stream: rows() returns a
-    fresh iterator over them in order, each written with its spec in
-    specs."""
+class Table:
+    """A tabular export: its header, each column's %-format, in CSV and JSON
+    alike, and rows(), which like iter() returns a fresh iterator of tuples."""
 
-    def __init__(self, specs: tuple[str, ...], stream: Stream, rows):
-        self.specs = specs
-        self._stream = stream
-        self._rows = rows
-
-    def __len__(self) -> int:
-        return len(self._stream)
-
-    def __getitem__(self, i: int) -> tuple:
-        return next(islice(self._rows(), range(len(self))[i], None))
+    def __init__(self, header: tuple[str, ...], specs: tuple[str, ...], rows):
+        self.header, self.specs, self.rows = header, specs, rows
 
     def __iter__(self):
-        return self._rows()
-
-    __eq__ = Stream.__eq__
-    __hash__ = None
+        return self.rows()
 
 
 def arrival_order_scatter(log: MetricsLog) -> Table:
     """(arrival_index, overall_seq) rows: sequence numbers in order of
     arrival; monotone iff nothing reordered."""
-    return Table(("%s", "%s"), log.arrivals, lambda: enumerate(log.arrivals.column(1)))
+    return Table(("arrival_index", "overall_seq"), ("%s", "%s"),
+                 lambda: enumerate(log.arrivals.column(1)))
 
 
 def reordering_extent(log: MetricsLog) -> dict:
@@ -335,28 +331,35 @@ def reordering_extent(log: MetricsLog) -> dict:
     }
 
 
-def throughput_series(log: MetricsLog, bin_us: int) -> list[tuple[int, int, float]]:
+def throughput_series(log: MetricsLog, bin_us: int) -> Table:
     """Delivered payload throughput per time bin and path.
 
-    Rows of (bin_start_us, path_id, bits_per_second). Bins with no traffic
-    emit zero rows so series align across paths.
+    Rows of (bin_start_us, path_id, bits_per_second) for every bin up to the
+    last delivery's and every path that delivered, zero where a path had no
+    traffic. The time-ordered deliveries are read once, a bin's rows emitted
+    when the next bin starts; sizes are laid out by sequence number.
     """
     if bin_us <= 0:
         raise ValueError("bin_us must be > 0")
-    if not log.deliveries:
-        return []
-    size_by_seq = dict(zip(log.sends.column(2), log.sends.column(4)))
-    last_bin = max(log.deliveries.column(0)) // bin_us
+    _check_numbers(log, "deliveries", 1)
+    _check_numbers(log, "sends", 2)
+    sizes = memoryview(bytearray(8 * log.ingress_count)).cast("q")
+    deque(map(setitem, repeat(sizes), log.sends.column(2), log.sends.column(4)), maxlen=0)
     paths = sorted(set(log.deliveries.column(2)))
-    bits: dict[tuple[int, int], int] = {}
-    for time_us, seq, path_id, _, _, _ in log.deliveries:
-        key = (time_us // bin_us, path_id)
-        bits[key] = bits.get(key, 0) + size_by_seq.get(seq, 0) * 8
-    rows = []
-    for b in range(last_bin + 1):
-        for p in paths:
-            rows.append((b * bin_us, p, bits.get((b, p), 0) * 1_000_000 / bin_us))
-    return rows
+
+    def rows():
+        times, seqs, path_ids = map(log.deliveries.column, (0, 1, 2))
+        bins = zip(map(floordiv, times, repeat(bin_us)), seqs, path_ids)
+        start = 0
+        for last, group in groupby(bins, itemgetter(0)):
+            bits = dict.fromkeys(paths, 0)
+            for _, seq, path_id in group:
+                bits[path_id] += sizes[seq] * 8
+            yield from ((b * bin_us, p, 0.0) for b in range(start, last) for p in paths)
+            yield from ((last * bin_us, p, bits[p] * 1_000_000 / bin_us) for p in paths)
+            start = last + 1
+
+    return Table(("bin_start_us", "path_id", "throughput_bps"), ("%s", "%s", "%.3f"), rows)
 
 
 def percentile(sorted_values: list[float], q: float) -> float:
@@ -411,41 +414,11 @@ def summarize(log: MetricsLog, nominal_interval_us: float,
 
 # -- file export -------------------------------------------------------------
 
-def _template(rows) -> list[str]:
-    """The one %-format spec per column that every row of a table is
-    written with, in CSV and JSON alike: "%.3f" for a column of floats and
-    "%s" for a column with no float. A table no single spec per column can
-    write raises: rows that are not a sequence (an iterator would be used up
-    by this scan), a row that is not a tuple, rows of unequal length, or a
-    column mixing floats with other types. Rows that state their specs (a
-    Stream, from its field kinds, or the scatter) are not scanned."""
-    specs = getattr(rows, "specs", None)
-    if specs is not None:
-        return list(specs)
-    if not isinstance(rows, Sequence):
-        raise TypeError(f"table rows must be a sequence, not {type(rows).__name__}")
-    if not all(issubclass(t, tuple) for t in set(map(type, rows))):
-        raise ValueError("every table row must be a tuple")
-    widths = set(map(len, rows)) or {0}
-    if len(widths) != 1:
-        raise ValueError(f"table rows have unequal lengths {sorted(widths)}")
-    specs = []
-    for i in range(widths.pop()):
-        types = set(map(type, map(itemgetter(i), rows)))
-        if types == {float}:
-            specs.append("%.3f")
-        elif any(issubclass(t, float) for t in types):
-            raise ValueError(f"table column {i} mixes floats with other types")
-        else:
-            specs.append("%s")
-    return specs
-
-
-def write_csv(path, header: Sequence[str], rows: Sequence[tuple]) -> None:
-    template = ",".join(_template(rows)) + "\n"
+def write_csv(path, table: Table) -> None:
+    template = ",".join(table.specs) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(map(template.__mod__, rows))
+        fh.write(",".join(table.header) + "\n")
+        fh.writelines(map(template.__mod__, table))
 
 
 def write_json(path, payload) -> None:
@@ -453,28 +426,40 @@ def write_json(path, payload) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _deliveries(log: MetricsLog, pdv) -> tuple[Sequence[str], list]:
-    # One row per packet the receiver disposed of, discards included, merged
-    # in time order.
-    header = ["delivery_time_us", "overall_seq", "path_id",
-              "buffer_residency_us", "disposition"]
-    return header, sorted(
-        [(t, seq, path_id, residency_us, disposition)
-         for t, seq, path_id, _, residency_us, disposition in log.deliveries]
-        + [(t, seq, path_id, 0, "discarded") for t, path_id, seq in log.discards]
-    )
+def _stream(stream: Stream, header: tuple[str, ...] | None = None) -> Table:
+    return Table(header or STREAMS[stream.name][0]._fields, stream.specs, stream.__iter__)
 
 
-def _decisions(log: MetricsLog, pdv) -> tuple[Sequence[str], Sequence]:
+def _deliveries(log: MetricsLog, pdv) -> Table:
+    # Every packet the receiver disposed of, discards included, in sorted
+    # order: both time-ordered streams merged by time and sorted 128 rows at
+    # a time, the rows of a block's last time held back, as more may follow.
+    def blocks():
+        kept, gone = log.deliveries.column, log.discards.column
+        rows = merge(zip(kept(0), kept(1), kept(2), kept(4), kept(5)),
+                     zip(gone(0), gone(2), gone(1), repeat(0), repeat("discarded")),
+                     key=itemgetter(0))
+        block = []
+        while more := list(islice(rows, 128)):
+            block = sorted(block + more)
+            cut = bisect_left(block, block[-1][:1])
+            yield block[:cut]
+            block = block[cut:]
+        yield block
+
+    return Table(("delivery_time_us", "overall_seq", "path_id", "buffer_residency_us",
+                  "disposition"), ("%s",) * 5, lambda: chain.from_iterable(blocks()))
+
+
+def _decisions(log: MetricsLog, pdv) -> Table:
     # Each row ends with every path's ETA as of its pick: the etas rows up to
-    # its overall_seq, replayed as both streams are read side by side in
-    # sequence order.
+    # its overall_seq, replayed as both streams are read in sequence order.
     if not log.etas:
-        return Decision._fields, log.decisions
+        return _stream(log.decisions)
     n_paths = max(log.etas.column(1)) + 1
     header = Decision._fields + tuple(f"eta_{i}_us" for i in range(n_paths))
-    return header, Table(log.decisions.specs + ("%.3f",) * n_paths, log.decisions,
-                         lambda: _with_etas(log, n_paths))
+    return Table(header, log.decisions.specs + ("%.3f",) * n_paths,
+                 lambda: _with_etas(log, n_paths))
 
 
 def _with_etas(log: MetricsLog, n_paths: int):
@@ -490,70 +475,55 @@ def _with_etas(log: MetricsLog, n_paths: int):
         yield row + current
 
 
-def _pdv(log: MetricsLog, pdv) -> tuple[Sequence[str], list]:
-    # The only place pdv rows exist as tuples: built when written.
+def _pdv(log: MetricsLog, pdv) -> Table:
+    # The samples take the interval's type, which compute_pdv's key records.
     result = pdv()
-    return PdvSample._fields, list(zip(result.seqs, result.values))
+    spec = "%.3f" if issubclass(log._pdv[0][1], float) else "%s"
+    return Table(PdvSample._fields, ("%s", spec),
+                 lambda: zip(compress(count(1), result.sampled), result.values))
 
 
-def _headers(log: MetricsLog, pdv) -> tuple[Sequence[str], list]:
+def _headers(log: MetricsLog, pdv) -> Table:
     # Bit-exact encapsulation headers of every transmitted packet.
-    return ["time_us", "header_hex"], [
-        (t,
-         encode_header(TunnelPacket(seq, size_bytes, 0, path_id=path_id,
-                                    flow_seq=flow_seq,
-                                    sender_rtt_report=rtt_report_us)).hex())
-        for t, path_id, seq, flow_seq, size_bytes, rtt_report_us in log.sends
-    ]
+    return Table(("time_us", "header_hex"), ("%s", "%s"), lambda: (
+        (t, encode_header(TunnelPacket(seq, size, 0, path_id=path_id, flow_seq=flow_seq,
+                                       sender_rtt_report=rtt_us)).hex())
+        for t, path_id, seq, flow_seq, size, rtt_us in log.sends))
 
 
-def _stream_table(name: str):
-    # A stream exported as it stands, headed by its namedtuple's fields.
-    return lambda log, pdv: (STREAMS[name][0]._fields, getattr(log, name))
-
-
-# Every exportable metric: fn(log, pdv) -> (header, rows), where pdv() returns
-# the run's PdvResult. A fn returning a dict instead names a metric written as
-# that JSON document whatever the requested format.
+# Every exportable metric: fn(log, pdv) -> Table, pdv() giving the run's
+# PdvResult; a fn returning a dict is a JSON document whatever the format.
 METRICS = {
-    "arrivals": lambda log, pdv: (
-        ["arrival_time_us", "overall_seq", "path_id", "ingress_time_us"],
-        log.arrivals),
+    "arrivals": lambda log, pdv: _stream(log.arrivals, (
+        "arrival_time_us", "overall_seq", "path_id", "ingress_time_us")),
     "decisions": _decisions,
     "deliveries": _deliveries,
-    "discards": _stream_table("discards"),
-    "drops": _stream_table("drops"),
-    "flows": _stream_table("flow_rows"),
+    "discards": lambda log, pdv: _stream(log.discards),
+    "drops": lambda log, pdv: _stream(log.drops),
+    "flows": lambda log, pdv: _stream(log.flow_rows),
     "headers": _headers,
     "pdv": _pdv,
     "pdv_histogram": lambda log, pdv: pdv_histogram(pdv().values),
-    "scatter": lambda log, pdv: (["arrival_index", "overall_seq"],
-                                 arrival_order_scatter(log)),
-    "srtt": lambda log, pdv: (FlowSample._fields[:3],
-                              list(zip(*map(log.flow_rows.column, range(3))))),
-    "throughput": lambda log, pdv: (
-        ["bin_start_us", "path_id", "throughput_bps"],
-        throughput_series(log, THROUGHPUT_BIN_US)),
+    "scatter": lambda log, pdv: arrival_order_scatter(log),
+    "srtt": lambda log, pdv: Table(FlowSample._fields[:3], log.flow_rows.specs[:3],
+                                   lambda: zip(*map(log.flow_rows.column, range(3)))),
+    "throughput": lambda log, pdv: throughput_series(log, THROUGHPUT_BIN_US),
 }
 
 
-def export_metric(log: MetricsLog, metric: str, fmt: str, path,
-                  nominal_interval_us: float,
+def export_metric(log: MetricsLog, metric: str, fmt: str, path, nominal_interval_us: float,
                   pdv_stream: str = "deliveries") -> None:
-    """Write one named metric to path in the requested format."""
+    """Write one named metric to path in the requested format, csv or json.
+    An unknown metric or format raises ValueError before anything is built."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    table = METRICS[metric](
-        log, lambda: compute_pdv(log, nominal_interval_us, pdv_stream))
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    table = METRICS[metric](log, lambda: compute_pdv(log, nominal_interval_us, pdv_stream))
     if isinstance(table, dict):
         write_json(path, table)
-        return
-    header, rows = table
-    if fmt == "csv":
-        write_csv(path, header, rows)
-    elif fmt == "json":
-        specs = _template(rows)
-        write_json(path, [{key: spec % (v,) for key, spec, v in zip(header, specs, row)}
-                          for row in rows])
+    elif fmt == "csv":
+        write_csv(path, table)
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        write_json(path, [{key: spec % (v,) for key, spec, v in
+                           zip(table.header, table.specs, row)} for row in table])

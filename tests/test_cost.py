@@ -37,9 +37,10 @@ may add at most 64 bytes per ingress packet at its peak: 32 kept per
 delay-variation sample (a value pointer and the float itself), 1 per
 ingress packet for the mask of sampled numbers, 9 per ingress packet while
 the times are laid out by sequence number, and 8 for the sorted copy of the
-values, with room for sort buffers. The decisions export streams its rows,
-so at its peak it adds at most 32 bytes per decision row on a run of about
-10,000, where a list of the rows took about 200.
+values, with room for sort buffers. Every tabular export streams its rows,
+so written as CSV, with the run's delay variation computed first, each adds
+at most 32 bytes per ingress packet at its peak on a run of about 10,000
+packets, where a list of the rows took 100 to 270.
 
 And for the cyclic collector: a finished log keeps at most 0.01 objects the
 collector tracks per ingress packet, counted with the collector paused
@@ -71,7 +72,7 @@ import pytest
 import mptunnel
 from mptunnel import reorder, scheduler
 from mptunnel.engine import Simulation
-from mptunnel.metrics import MetricsLog, export_metric, summarize
+from mptunnel.metrics import METRICS, MetricsLog, compute_pdv, export_metric, summarize
 from mptunnel.scenario import parse_scenario
 
 SOURCE_DIR = str(Path(mptunnel.__file__).resolve().parent)
@@ -253,19 +254,18 @@ def summarize_peak_bytes_per_packet(data: dict) -> float:
     return peak / log.ingress_count
 
 
-def decisions_export_peak_bytes_per_row(data: dict, path) -> float:
-    """Peak bytes allocated while the decisions metric of the scenario's
-    finished log is written to path as CSV, per decision row."""
-    cfg = parse_scenario(data)
-    log = Simulation(cfg).run()
+def export_peak_bytes_per_packet(cfg, log, metric: str, path) -> float:
+    """Peak bytes allocated while a metric of a finished log is written to
+    path as CSV, per ingress packet; the log, and its delay variation if
+    computed, are allocated before tracing starts."""
     gc.collect()
     tracemalloc.start()
     try:
-        export_metric(log, "decisions", "csv", path, cfg.nominal_interval_us())
+        export_metric(log, metric, "csv", path, cfg.nominal_interval_us(), cfg.pdv_stream)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak / len(log.decisions)
+    return peak / log.ingress_count
 
 
 def tracked_objects_per_packet(data: dict) -> float:
@@ -356,10 +356,20 @@ def test_summarize_peak_bytes_per_packet(data):
     assert peak <= 64, f"summarize peaks at {peak:.1f} bytes per packet"
 
 
-def test_decisions_export_peak_bytes_per_row(tmp_path):
-    peak = decisions_export_peak_bytes_per_row(greedy_otias(2, duration_s=2),
-                                               tmp_path / "decisions.csv")
-    assert peak <= 32, f"the decisions export peaks at {peak:.1f} bytes per row"
+@pytest.fixture(scope="module")
+def export_run():
+    """A 2-s greedy otias run over 2 paths as (cfg, log), its delay variation
+    computed, as every export of the run computes it first."""
+    cfg = parse_scenario(greedy_otias(2, duration_s=2))
+    log = Simulation(cfg).run()
+    compute_pdv(log, cfg.nominal_interval_us(), cfg.pdv_stream)
+    return cfg, log
+
+
+@pytest.mark.parametrize("metric", sorted(set(METRICS) - {"pdv_histogram"}))
+def test_export_peak_bytes_per_packet(export_run, metric, tmp_path):
+    peak = export_peak_bytes_per_packet(*export_run, metric, tmp_path / f"{metric}.csv")
+    assert peak <= 32, f"the {metric} export peaks at {peak:.1f} bytes per packet"
 
 
 def loaded_by_import(module: str, names) -> list[str]:

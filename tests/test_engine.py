@@ -380,11 +380,11 @@ def test_otias_decision_log_is_eta_consistent():
     )
     log = Simulation(cfg).run()
     assert len(log.decisions) > 500
-    header, rows = metrics.METRICS["decisions"](log, None)
-    assert header[3:] == ("eta_0_us", "eta_1_us")
+    table = metrics.METRICS["decisions"](log, None)
+    assert table.header[3:] == ("eta_0_us", "eta_1_us")
     switches = 0
     prev = None
-    for _, _, path_id, *etas in rows:
+    for _, _, path_id, *etas in table:
         best = min(range(len(etas)), key=lambda i: (etas[i], i))
         assert path_id == best
         if prev is not None and path_id != prev:
@@ -777,10 +777,10 @@ def run_with_oracle(cfg):
     sim = Simulation(cfg)
     oracle = sim.scheduler = ChangedOracle()
     log = sim.run()
-    header, rows = metrics.METRICS["decisions"](log, None)
-    assert len(header) == 3 + len(cfg.paths)
+    table = metrics.METRICS["decisions"](log, None)
+    assert len(table.header) == 3 + len(cfg.paths)
     # float.hex tells 1.0 from 1.0000000000000002 and -0.0 from 0.0.
-    assert ([tuple(map(float.hex, row[3:])) for row in rows]
+    assert ([tuple(map(float.hex, row[3:])) for row in table]
             == [tuple(map(float.hex, etas)) for etas in oracle.history])
     return log
 

@@ -1,13 +1,16 @@
-"""Export against reference models: write_csv's per-table %-templates and
-compute_pdv's column passes over the times laid out by the run's packet
-numbers, 0 .. ingress_count - 1, which give PdvResult.seqs (packed),
-.values and .skipped, must give exactly what the per-value writer and the
-per-sequence loop over a seq -> time dict they replaced gave, which are
-kept here as the references. write_csv must refuse a table no template can
-write, and compute_pdv a log recording a number outside that range."""
+"""Export against reference models. write_csv writes a Table with one
+%-template made of the specs it states, compute_pdv passes over the times
+laid out by the run's packet numbers, 0 .. ingress_count - 1, and the
+streamed exports read the log as they write; each must give exactly what
+the per-value writer, the per-sequence loop over a seq -> time dict and
+the list-built tables they replaced gave, which are kept here as the
+references. Every tabular metric states one spec per header column, an
+unknown format is refused before anything is built, and compute_pdv
+refuses a log recording a number outside that range."""
 
 import json
 import math
+import random
 import tempfile
 import tracemalloc
 from collections import namedtuple
@@ -19,9 +22,9 @@ from hypothesis import strategies as st
 
 from mptunnel.engine import Simulation
 from mptunnel.flow import TunnelPacket, encode_header
-from mptunnel.metrics import (METRICS, THROUGHPUT_BIN_US, Arrival, Delivery, MetricsLog,
-                              compute_pdv, export_metric, summarize, write_csv,
-                              write_json)
+from mptunnel.metrics import (DISPOSITIONS, METRICS, THROUGHPUT_BIN_US, Arrival, Delivery,
+                              MetricsLog, Table, compute_pdv, export_metric, summarize,
+                              write_csv, write_json)
 from mptunnel.scenario import parse_scenario
 
 
@@ -113,7 +116,7 @@ def reference_export(log, metric, fmt, path, nominal_interval_us) -> None:
     if isinstance(table, dict):
         reference_write_json(path, table)
         return
-    header, rows = table
+    header, rows = table if metric in REFERENCE_TABLES else (table.header, list(table))
     if fmt == "csv":
         reference_write_csv(path, header, rows)
     else:
@@ -125,13 +128,14 @@ def reference_export(log, metric, fmt, path, nominal_interval_us) -> None:
 
 SPECIAL_FLOATS = [-0.0, math.nan, math.inf, -math.inf, 1e300, 1e-9]
 FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+# Each kind of column: its values and the %-format a table states for it.
 COLUMNS = {
-    "int": st.integers(),
-    "float": FLOATS,
+    "int": (st.integers(), "%s"),
+    "float": (FLOATS, "%.3f"),
     # Commas and "%s" in a value must reach the file as they are.
-    "str": st.text(alphabet="ab,%s.'\" 0", max_size=5),
-    "bool": st.booleans(),
-    "none": st.none(),
+    "str": (st.text(alphabet="ab,%s.'\" 0", max_size=5), "%s"),
+    "bool": (st.booleans(), "%s"),
+    "none": (st.none(), "%s"),
 }
 NAMED_ROWS = [namedtuple(f"Row{n}", [f"c{i}" for i in range(n)]) for n in range(12)]
 ROW_TYPES = {
@@ -141,44 +145,20 @@ ROW_TYPES = {
 
 
 @st.composite
-def tables(draw, min_columns=0, min_rows=0):
-    """(header, rows) that one template can write: columns of one type each,
-    rows of one width that are tuples, namedtuples or a mix of both."""
-    kinds = draw(st.lists(st.sampled_from(sorted(COLUMNS)),
-                          min_size=min_columns, max_size=5))
+def tables(draw):
+    """(header, specs, rows): columns of one kind each, the specs their kinds
+    state, and rows of one width that are tuples, namedtuples or a mix of
+    both."""
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMNS)), max_size=5))
     container = draw(st.sampled_from(sorted(ROW_TYPES) + ["mixed"]))
     rows = []
-    for _ in range(draw(st.integers(min_rows, 8))):
+    for _ in range(draw(st.integers(0, 8))):
         kind = container
         if kind == "mixed":
             kind = draw(st.sampled_from(sorted(ROW_TYPES)))
-        rows.append(ROW_TYPES[kind]([draw(COLUMNS[kind]) for kind in kinds]))
-    return [f"c{i}" for i in range(len(kinds))], rows
-
-
-def list_row(rows, i, j):
-    return rows[:i] + [list(rows[i])] + rows[i + 1:]
-
-
-def ragged_row(rows, i, j):
-    return rows + [tuple(rows[i]) + (0,)]
-
-
-def mixed_column(rows, i, j):
-    # A float in a column with none, or an int in a column of floats.
-    row = list(rows[i])
-    row[j] = 1 if isinstance(row[j], float) else 1.5
-    return rows + [tuple(row)]
-
-
-@st.composite
-def untemplatable_tables(draw):
-    """A table that one template can write, broken in one place."""
-    header, rows = draw(tables(min_columns=1, min_rows=1))
-    fault = draw(st.sampled_from([list_row, ragged_row, mixed_column]))
-    i = draw(st.integers(0, len(rows) - 1))
-    j = draw(st.integers(0, len(header) - 1))
-    return header, fault(rows, i, j)
+        rows.append(ROW_TYPES[kind]([draw(COLUMNS[kind][0]) for kind in kinds]))
+    return (tuple(f"c{i}" for i in range(len(kinds))),
+            tuple(COLUMNS[kind][1] for kind in kinds), rows)
 
 
 def written_bytes(writer, *args) -> bytes:
@@ -190,35 +170,39 @@ def written_bytes(writer, *args) -> bytes:
 
 @settings(max_examples=300)
 @given(tables())
-@example((["a"] * 6, [(True, None, "", -0.0, math.nan, math.inf)]))
-@example((["a"], []))
-@example(([], [(), ()]))
+@example((("a",) * 6, ("%s",) * 3 + ("%.3f",) * 3,
+          [(True, None, "", -0.0, math.nan, math.inf)]))
+@example((("a",), ("%s",), []))
+@example(((), (), [(), ()]))
 def test_write_csv_matches_per_value_writer(table):
-    header, rows = table
-    assert (written_bytes(write_csv, header, rows)
+    header, specs, rows = table
+    assert (written_bytes(write_csv, Table(header, specs, rows.__iter__))
             == written_bytes(reference_write_csv, header, rows))
 
 
-@settings(max_examples=300)
-@given(untemplatable_tables())
-@example((["a", "b"], [(1, 2.5), (3, 4)]))        # a column mixing float and int
-@example((["a", "b"], [(1.0, ""), (2.0, 3.5)]))   # a column mixing float and str
-@example((["a", "b"], [(1.0, "a"), [2.0, "b"]]))  # a list row
-@example((["a", "b"], [(1, 2), (3,)]))            # ragged rows
-def test_write_csv_refuses_a_table_no_template_fits(table):
-    header, rows = table
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "out"
-        with pytest.raises(ValueError):
-            write_csv(path, header, rows)
-        assert not path.exists()
+# -- deliveries --------------------------------------------------------------
 
-
-def test_write_csv_refuses_an_iterator(tmp_path):
-    path = tmp_path / "out"
-    with pytest.raises(TypeError):
-        write_csv(path, ["a", "b"], (row for row in [(1, 2.5), (3, 4.5)]))
-    assert not path.exists()
+@pytest.mark.parametrize("seed", range(3))
+def test_deliveries_export_sorts_runs_of_equal_times(seed, tmp_path):
+    # Runs of one time up to 300 rows long, their numbers shuffled, straddle
+    # the blocks the export sorts; discards at the same times merge in.
+    rng = random.Random(seed)
+    seqs = list(range(3_000))
+    rng.shuffle(seqs)
+    log, t = MetricsLog(len(seqs)), 0
+    while seqs:
+        t += rng.randrange(1, 50)
+        for _ in range(rng.choice([1, 2, 7, 300])):
+            if seqs and rng.random() < 0.2:
+                log.discards.append((t, rng.randrange(2), seqs.pop()))
+            elif seqs:
+                log.deliveries.append(Delivery(t, seqs.pop(), rng.randrange(2), 0,
+                                               rng.randrange(3), rng.choice(DISPOSITIONS)))
+    for fmt in ("csv", "json"):
+        got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
+        export_metric(log, "deliveries", fmt, got, 0.0)
+        reference_export(log, "deliveries", fmt, want, 0.0)
+        assert got.read_bytes() == want.read_bytes(), fmt
 
 
 # -- compute_pdv -------------------------------------------------------------
@@ -307,9 +291,15 @@ RUNS = {
 }
 
 
+@pytest.fixture(scope="module")
+def run_logs():
+    """Each of RUNS as (cfg, log), run once per module."""
+    return {run: short_run(**overrides) for run, overrides in RUNS.items()}
+
+
 @pytest.mark.parametrize("run", sorted(RUNS))
-def test_every_metric_exports_the_reference_bytes(run, tmp_path):
-    cfg, log = short_run(**RUNS[run])
+def test_every_metric_exports_the_reference_bytes(run_logs, run, tmp_path):
+    cfg, log = run_logs[run]
     nominal = cfg.nominal_interval_us()
     for metric in METRICS:
         for fmt in ("csv", "json"):
@@ -322,15 +312,48 @@ def test_every_metric_exports_the_reference_bytes(run, tmp_path):
             == written_bytes(reference_write_json, summary))
 
 
-def test_runs_fill_every_table():
+def tables_of(cfg, log):
+    """Each metric's Table, or dict for a JSON document, by metric."""
+    pdv = lambda: compute_pdv(log, cfg.nominal_interval_us())
+    return {metric: build(log, pdv) for metric, build in METRICS.items()}
+
+
+def test_runs_fill_every_table(run_logs):
     # Guards the test above against comparing empty tables: between them the
-    # two runs record rows for every metric.
+    # two runs record rows for every metric. A Table has no len(), so ask
+    # for its first row.
     filled = set()
-    for run, overrides in RUNS.items():
-        cfg, log = short_run(**overrides)
-        pdv = lambda: compute_pdv(log, cfg.nominal_interval_us())
-        for metric, build in METRICS.items():
-            table = build(log, pdv)
-            if table["counts"] if isinstance(table, dict) else table[1]:
+    for cfg, log in run_logs.values():
+        for metric, table in tables_of(cfg, log).items():
+            if isinstance(table, dict):
+                if table["counts"]:
+                    filled.add(metric)
+            elif next(iter(table), None) is not None:
                 filled.add(metric)
     assert filled == set(METRICS)
+
+
+def test_every_table_states_one_spec_per_column(run_logs):
+    # write_csv formats each row with one template, so every row is a tuple
+    # as wide as the header, with a spec for each of its columns.
+    for run, (cfg, log) in run_logs.items():
+        for metric, table in tables_of(cfg, log).items():
+            if isinstance(table, dict):
+                continue
+            width = len(table.header)
+            assert len(table.specs) == width, (run, metric)
+            shapes = {(type(row), len(row)) for row in table}
+            assert shapes <= {(tuple, width)}, (run, metric)
+
+
+def test_unknown_format_is_refused_before_anything_is_built(tmp_path):
+    log = MetricsLog(2)
+    log.deliveries.append(Delivery(0, 0, 0, 0, 0, "inorder"))
+    log.deliveries.append(Delivery(8_000, 1, 0, 0, 0, "inorder"))
+    for metric in METRICS:
+        path = tmp_path / f"{metric}.xml"
+        with pytest.raises(ValueError, match="format"):
+            export_metric(log, metric, "xml", path, 8_000.0)
+        assert not path.exists(), metric
+    # Not even the delay variation was computed.
+    assert log._pdv is None

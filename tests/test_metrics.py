@@ -77,7 +77,8 @@ def test_scatter_identity_for_in_order_run():
     for k in range(20):
         log.arrivals.append(Arrival(1000 * k, k, 0, 0))
     scatter = arrival_order_scatter(log)
-    assert scatter == [(k, k) for k in range(20)]
+    assert scatter.header == ("arrival_index", "overall_seq")
+    assert list(scatter) == [(k, k) for k in range(20)]
 
 
 def test_scatter_exposes_reordering():
@@ -105,12 +106,12 @@ def test_reordering_extent_single_swap():
 
 
 def test_throughput_series_values_and_conservation():
-    log = MetricsLog()
+    log = MetricsLog(125)
     # 1000-byte packets every 8 ms on path 0 for one second: 1 Mbps
     for k in range(125):
         log.sends.append(Send(8_000 * k, 0, k, k, 1000, 20_000))
         log.deliveries.append(Delivery(8_000 * k + 11_200, k, 0, 8_000 * k, 0, "inorder"))
-    rows = throughput_series(log, bin_us=100_000)
+    rows = list(throughput_series(log, bin_us=100_000))
     total_bits = sum(bps * 0.1 for _, _, bps in rows)
     assert total_bits == pytest.approx(125 * 8000)
     full_bins = [bps for start, _, bps in rows if 100_000 <= start < 900_000]
@@ -119,7 +120,18 @@ def test_throughput_series_values_and_conservation():
 
 
 def test_throughput_empty_log_is_empty():
-    assert throughput_series(MetricsLog(), bin_us=100_000) == []
+    assert list(throughput_series(MetricsLog(), bin_us=100_000)) == []
+
+
+@pytest.mark.parametrize("stream, row", [("sends", Send(0, 0, 2, 0, 1000, 0)),
+                                         ("deliveries", Delivery(0, 2, 0, 0, 0, "inorder"))],
+                         ids=["sends", "deliveries"])
+def test_throughput_refuses_a_number_outside_the_run(stream, row):
+    # Sizes are laid out by sequence number over the run's 0 .. ingress_count - 1.
+    log = MetricsLog(2)
+    getattr(log, stream).append(row)
+    with pytest.raises(ValueError, match=stream):
+        throughput_series(log, bin_us=100_000)
 
 
 def test_throughput_rejects_bad_bin():
@@ -179,13 +191,14 @@ def test_decisions_export_replays_the_eta_changes():
     for row in [(0, 0, 1), (5, 1, 0), (9, 2, 0)]:
         log.decisions.append(row)
     # No ETA ever recorded: the stream as it stands.
-    header, rows = METRICS["decisions"](log, None)
-    assert header == ("time_us", "overall_seq", "path_id") and rows is log.decisions
+    table = METRICS["decisions"](log, None)
+    assert table.header == ("time_us", "overall_seq", "path_id")
+    assert list(table) == [(0, 0, 1), (5, 1, 0), (9, 2, 0)]
     for row in [(0, 0, 2.5), (0, 1, 1.5), (2, 1, 4.0)]:
         log.etas.append(row)
-    header, rows = METRICS["decisions"](log, None)
-    assert header[3:] == ("eta_0_us", "eta_1_us")
-    assert rows == [(0, 0, 1, 2.5, 1.5), (5, 1, 0, 2.5, 1.5), (9, 2, 0, 2.5, 4.0)]
+    table = METRICS["decisions"](log, None)
+    assert table.header[3:] == ("eta_0_us", "eta_1_us")
+    assert list(table) == [(0, 0, 1, 2.5, 1.5), (5, 1, 0, 2.5, 1.5), (9, 2, 0, 2.5, 4.0)]
 
 
 # -- packed record streams ----------------------------------------------------
