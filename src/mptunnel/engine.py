@@ -6,8 +6,6 @@ without sharing anything.
 """
 
 from functools import partial
-from itertools import compress, repeat
-from operator import is_not
 
 from . import metrics
 from .flow import Flow, TunnelPacket
@@ -60,9 +58,6 @@ class Simulation:
         # path_ids whose flow got a flow row, and so may have changed, since
         # the last pick; None before the first pick, meaning every path.
         self._changed = None
-        # The scheduler's last_etas as last recorded; None before the first
-        # pick, and for good on a scheduler that makes no estimates.
-        self._etas = None
         self._timers = [None] * len(self.flows)
         # The traffic source is read here, once, not per packet.
         traffic = cfg.traffic
@@ -88,14 +83,9 @@ class Simulation:
         picked = self.scheduler.pick(self.flows, now, self._changed)
         rows = log.decisions
         rows.tail += rows.struct.pack(now, pkt.overall_seq, picked)
-        if self.scheduler.last_etas is not self._etas:
-            # otias keeps an ETA that did not change value as the same float
-            # object: one row per path whose ETA changed, every path at first.
-            old = self._etas or repeat(None)
-            etas = self._etas = self.scheduler.last_etas
-            rows = log.etas
-            for i in compress(range(len(etas)), map(is_not, etas, old)):
-                rows.tail += rows.struct.pack(pkt.overall_seq, i, etas[i])
+        # One etas row per path whose ETA the pick moved (see scheduler.py).
+        for i in self.scheduler.moved:
+            log.etas.tail += log.etas.struct.pack(pkt.overall_seq, i, self.scheduler.etas[i])
         if not log.ingress_count % CHUNK_ROWS:
             log.seal()
         flow = self.flows[picked]
@@ -256,5 +246,4 @@ class Simulation:
         # A finished log holds no per-decision object.
         log.seal()
         log.timeout_gaps = self.receiver.gap_count
-        log.late_count = self.receiver.late_count
         return log

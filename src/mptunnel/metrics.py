@@ -2,20 +2,20 @@
 (per-path throughput, arrival-order scatter, reordering extent, packet
 delay variation) and deterministic CSV/JSON export.
 
-STREAMS names every record stream once: its namedtuple, whose field order
-its rows keep and whose field names are the export columns wherever the two
-agree, and the packed form of each field. A Stream packs each row, 8 bytes
-per field, onto one open tail and seals each CHUNK_ROWS rows of it into a
-chunk that keeps only the byte planes non-zero in some row, all bytes the
-cyclic collector never scans; a disposition is packed as its index in
-DISPOSITIONS. Read back, a stream is a read-only sequence of exact tuples
-of plain values. A decision's per-path ETAs are not in its row: the etas
-stream holds one row per path whose ETA changed value at a decision (every
-path at the first), and the decisions export replays it as it writes.
-compute_pdv reads columns, not rows, and lays the times out over the run's
-own packet numbers, 0 .. ingress_count - 1, into a 1-byte mask of the
-sampled numbers and a list of the values. Every tabular export is a Table:
-its header, each column's %-format, stated, and its rows, streamed.
+STREAMS names every record stream once: its field names, in the order its
+rows keep, which are the export columns wherever the two agree, and the
+packed form of each field. A Stream packs each row, 8 bytes per field, onto
+one open tail and seals each CHUNK_ROWS rows of it into a chunk that keeps
+only the byte planes non-zero in some row, all bytes the cyclic collector
+never scans; a disposition is packed as its index in DISPOSITIONS. Read
+back, a stream is a read-only sequence of exact tuples of plain values. A
+decision's per-path ETAs are not in its row: the etas stream holds one row
+per path whose ETA changed value at a decision (every path at the first),
+and the decisions export replays it as it writes. compute_pdv reads
+columns, not rows, and lays the times out over the run's own packet
+numbers, 0 .. ingress_count - 1, into a 1-byte mask of the sampled numbers
+and a list of the values. Every tabular export is a Table: its header, each
+column's %-format, stated, and its rows, streamed.
 
 Export schema version 1. Column layouts are fixed; see the README for the
 full schema reference.
@@ -28,8 +28,8 @@ from bisect import bisect_left
 from collections import deque, namedtuple
 from collections.abc import Sequence
 from heapq import merge
-from itertools import chain, compress, count, groupby, islice, repeat
-from operator import eq, floordiv, itemgetter, ne, setitem, sub
+from itertools import accumulate, chain, compress, count, groupby, islice, repeat
+from operator import countOf, eq, floordiv, itemgetter, ne, setitem, sub
 
 from .flow import TunnelPacket, encode_header
 from .reorder import DISPOSITION_INORDER, DISPOSITION_LATE, DISPOSITION_TIMEOUT
@@ -38,29 +38,23 @@ SCHEMA_VERSION = 1
 THROUGHPUT_BIN_US = 100_000
 
 
-Delivery = namedtuple("Delivery", "time_us overall_seq path_id ingress_time_us "
-                                  "residency_us disposition")
-Arrival = namedtuple("Arrival", "time_us overall_seq path_id ingress_time_us")
-Send = namedtuple("Send", "time_us path_id overall_seq flow_seq size_bytes rtt_report_us")
-Drop = namedtuple("Drop", "time_us path_id overall_seq")
-Discard = Drop  # an equalizer discard records the same fields as a drop
-Decision = namedtuple("Decision", "time_us overall_seq path_id")
-Eta = namedtuple("Eta", "overall_seq path_id eta_us")
-FlowSample = namedtuple("FlowSample", "time_us path_id srtt_us cwnd in_flight queue_len")
-PdvSample = namedtuple("PdvSample", "overall_seq pdv_us")
-
-# Every record stream of a MetricsLog: its row namedtuple and one kind per
-# field: q an int of 64 bits, d a float and c a disposition.
+# Every record stream of a MetricsLog: its field names, in row order, and
+# one kind per field: q an int of 64 bits, d a float and c a disposition.
 STREAMS = {
-    "sends": (Send, "qqqqqq"),
-    "arrivals": (Arrival, "qqqq"),
-    "deliveries": (Delivery, "qqqqqc"),
-    "drops": (Drop, "qqq"),
-    "discards": (Discard, "qqq"),
-    "decisions": (Decision, "qqq"),
-    "etas": (Eta, "qqd"),
-    "flow_rows": (FlowSample, "qqddqq"),
+    "sends": (("time_us", "path_id", "overall_seq", "flow_seq", "size_bytes",
+               "rtt_report_us"), "qqqqqq"),
+    "arrivals": (("time_us", "overall_seq", "path_id", "ingress_time_us"), "qqqq"),
+    "deliveries": (("time_us", "overall_seq", "path_id", "ingress_time_us",
+                    "residency_us", "disposition"), "qqqqqc"),
+    "drops": (("time_us", "path_id", "overall_seq"), "qqq"),
+    "discards": (("time_us", "path_id", "overall_seq"), "qqq"),
+    "decisions": (("time_us", "overall_seq", "path_id"), "qqq"),
+    "etas": (("overall_seq", "path_id", "eta_us"), "qqd"),
+    "flow_rows": (("time_us", "path_id", "srtt_us", "cwnd", "in_flight", "queue_len"),
+                  "qqddqq"),
 }
+# The one row class, for the flow_samples view.
+FlowSample = namedtuple("FlowSample", STREAMS["flow_rows"][0])
 
 CHUNK_ROWS = 1024
 DISPOSITIONS = (DISPOSITION_INORDER, DISPOSITION_LATE, DISPOSITION_TIMEOUT)
@@ -73,7 +67,7 @@ _ZERO_PLANE = bytes(CHUNK_ROWS)
 
 class Stream(Sequence):
     """One record stream, a read-only sequence of exact tuples in the field
-    order of its STREAMS namedtuple, stored packed.
+    order STREAMS names, stored packed.
 
     A row is written with no call: tail += struct.pack(*row), a disposition
     given as its DISPOSITION_CODES code. seal() moves each whole CHUNK_ROWS
@@ -83,9 +77,11 @@ class Stream(Sequence):
     it for every stream. The chunk list is made at the first seal, so a
     stream that never fills a chunk keeps no object the cyclic collector
     tracks. append(row) is the same write for a row from anywhere else,
-    validated and sealed at once. Reads seal first; a sealed chunk restores
-    only the fields read, and the tail is copied and read as packed rows, so
-    no view of it outlives a read and it can always grow.
+    validated and sealed at once. Reads seal first, and every block, each
+    sealed chunk and then the tail, restores only the fields read, plane by
+    plane: a chunk's kept planes are runs of its bytes, and the tail's plane
+    o is tail[o::size]. No read copies the whole tail or keeps a view of it,
+    so it can always grow.
     """
 
     __slots__ = ("name", "kinds", "struct", "full", "tail", "_chunks")
@@ -129,25 +125,25 @@ class Stream(Sequence):
         return chain.from_iterable(self._column(block, i) for block in self._blocks())
 
     def _blocks(self):
-        # Each sealed chunk, bytes, then a view of a copy of the tail's rows.
+        # Each block as (its bytes, its rows, the step and start of each of
+        # its byte planes, a start of -1 for a plane a chunk dropped).
         self.seal()
-        yield from self._chunks
-        yield memoryview(bytes(self.tail))
+        size = self.struct.size
+        for chunk in self._chunks:
+            keep = chunk[:size]
+            yield chunk, CHUNK_ROWS, 1, [size + CHUNK_ROWS * k if kept else -1
+                                         for k, kept in zip(accumulate(keep, initial=0), keep)]
+        yield self.tail, len(self.tail) // size, size, range(size)
 
     def _column(self, block, i: int):
+        # Put field i's planes back at the offsets they came from.
+        data, rows, step, starts = block
+        field = bytearray(8 * rows)
+        for o, start in enumerate(starts[8 * i:8 * i + 8]):
+            if start >= 0:
+                field[o::8] = data[start:start + step * rows:step]
         kind = self.kinds[i]
-        fmt = "d" if kind == "d" else "q"
-        if isinstance(block, memoryview):
-            values = block.cast(fmt)[i::len(self.kinds)]
-        else:
-            # Put field i's kept planes back at the offsets they came from.
-            field = bytearray(8 * CHUNK_ROWS)
-            start = self.struct.size + CHUNK_ROWS * block.count(1, 0, 8 * i)
-            for o in range(8):
-                if block[8 * i + o]:
-                    field[o::8] = block[start:start + CHUNK_ROWS]
-                    start += CHUNK_ROWS
-            values = memoryview(field).cast(fmt)
+        values = memoryview(field).cast("d" if kind == "d" else "q")
         return map(DISPOSITIONS.__getitem__, values) if kind == "c" else values
 
     def _rows(self, block):
@@ -174,24 +170,14 @@ class Stream(Sequence):
 
 class PdvResult(namedtuple("PdvResult", "sampled values skipped")):
     """Delay-variation samples in sequence order. sampled[i] is 1 if number
-    i + 1 has a sample and 0 if not; values holds the samples in sequence
-    order, and seqs, packed on each read, their numbers. skipped counts
-    sequence numbers whose predecessor never landed."""
+    i + 1 has a sample and 0 if not, so compress(count(1), sampled) gives
+    the sampled numbers; values holds their samples in sequence order.
+    skipped counts sequence numbers whose predecessor never landed."""
     __slots__ = ()
 
-    @property
-    def seqs(self) -> memoryview:
-        """The sampled sequence numbers, a read-only sequence of packed ints:
-        values[i] is the sample of seqs[i]."""
-        seqs = memoryview(bytearray(8 * len(self.values))).cast("q")
-        deque(map(setitem, repeat(seqs), count(),
-                  compress(count(1), self.sampled)), maxlen=0)
-        return seqs.toreadonly()
 
-
-class Totals(namedtuple("Totals", "ingress_count timeout_gaps late_count "
-                                  "window_violations drained",
-                        defaults=(0, 0, 0, 0, True))):
+class Totals(namedtuple("Totals", "ingress_count timeout_gaps window_violations drained",
+                        defaults=(0, 0, 0, True))):
     """A MetricsLog's run totals and their starting values."""
     __slots__ = ()
 
@@ -397,7 +383,7 @@ def summarize(log: MetricsLog, nominal_interval_us: float,
         "delivered": len(log.deliveries),
         "dropped": len(log.drops),
         "discarded": len(log.discards),
-        "late": log.late_count,
+        "late": countOf(log.deliveries.column(5), DISPOSITION_LATE),
         "timeout_gaps": log.timeout_gaps,
         "window_violations": log.window_violations,
         "drained": log.drained,
@@ -427,7 +413,7 @@ def write_json(path, payload) -> None:
 
 
 def _stream(stream: Stream, header: tuple[str, ...] | None = None) -> Table:
-    return Table(header or STREAMS[stream.name][0]._fields, stream.specs, stream.__iter__)
+    return Table(header or STREAMS[stream.name][0], stream.specs, stream.__iter__)
 
 
 def _deliveries(log: MetricsLog, pdv) -> Table:
@@ -457,7 +443,7 @@ def _decisions(log: MetricsLog, pdv) -> Table:
     if not log.etas:
         return _stream(log.decisions)
     n_paths = max(log.etas.column(1)) + 1
-    header = Decision._fields + tuple(f"eta_{i}_us" for i in range(n_paths))
+    header = STREAMS["decisions"][0] + tuple(f"eta_{i}_us" for i in range(n_paths))
     return Table(header, log.decisions.specs + ("%.3f",) * n_paths,
                  lambda: _with_etas(log, n_paths))
 
@@ -479,7 +465,7 @@ def _pdv(log: MetricsLog, pdv) -> Table:
     # The samples take the interval's type, which compute_pdv's key records.
     result = pdv()
     spec = "%.3f" if issubclass(log._pdv[0][1], float) else "%s"
-    return Table(PdvSample._fields, ("%s", spec),
+    return Table(("overall_seq", "pdv_us"), ("%s", spec),
                  lambda: zip(compress(count(1), result.sampled), result.values))
 
 
@@ -505,7 +491,7 @@ METRICS = {
     "pdv": _pdv,
     "pdv_histogram": lambda log, pdv: pdv_histogram(pdv().values),
     "scatter": lambda log, pdv: arrival_order_scatter(log),
-    "srtt": lambda log, pdv: Table(FlowSample._fields[:3], log.flow_rows.specs[:3],
+    "srtt": lambda log, pdv: Table(STREAMS["flow_rows"][0][:3], log.flow_rows.specs[:3],
                                    lambda: zip(*map(log.flow_rows.column, range(3)))),
     "throughput": lambda log, pdv: throughput_series(log, THROUGHPUT_BIN_US),
 }

@@ -72,7 +72,7 @@ def adaptive_threshold(stats: PathStats, k: float, max_hold_us: int) -> float:
 
 class Receiver:
     """Kind none, and what every kind shares: path stats, the run's sinks and
-    the late-packet and given-up-gap counts (0 unless the kind resequences).
+    the given-up-gap count (0 unless the kind resequences).
 
     wire() sets the sinks: deliver(pkt, time_us, residency_us, disposition),
     schedule(at_us, fn, arg) on the run's event queue, which later calls
@@ -81,7 +81,6 @@ class Receiver:
     delivers the packet at once.
     """
 
-    late_count = 0
     gap_count = 0
 
     def __init__(self):
@@ -120,7 +119,6 @@ class ReorderBuffer(Receiver):
         super().__init__()
         self.expected_next = expected_next
         self.held: dict[int, tuple[TunnelPacket, int, int]] = {}
-        self.late_count = 0
         self.gap_count = 0
         self.adaptive_k = adaptive_k
         self.max_hold_us = max_hold_us
@@ -139,7 +137,6 @@ class ReorderBuffer(Receiver):
         if seq > self.expected_next:
             self.held[seq] = (pkt, now, now + int(round(threshold_us)))
             return []
-        self.late_count += 1
         return [(pkt, 0, DISPOSITION_LATE)]
 
     def on_deadline(self, seq: int, now: int) -> list[tuple[TunnelPacket, int, str]]:

@@ -13,10 +13,10 @@ at its first pick, means any of them may have. Views not named must read as
 they did at the previous pick. Only otias uses it, to keep each path's ETA
 until the path is named; the other schedulers ignore it.
 
-Every scheduler has last_etas: the per-path estimates its latest pick
-decided from, or None on a scheduler that makes no estimates. The engine
-records the entries of each new last_etas tuple that are not the previous
-tuple's objects.
+Every scheduler has moved: the path_ids whose estimate its latest pick
+changed in value, () on a scheduler that makes no estimates. One that lists
+any keeps etas, its estimate per path_id, and the engine records etas[i]
+for each i in moved.
 """
 
 import math
@@ -51,7 +51,7 @@ def otias_eta(view: Flow) -> float:
 class RoundRobin:
     """Cycle through paths in path_id order."""
 
-    last_etas = None
+    moved = ()
 
     def __init__(self):
         self._last = -1
@@ -70,7 +70,7 @@ class FixedRatio:
     stays within one packet of the configured ratio.
     """
 
-    last_etas = None
+    moved = ()
 
     def __init__(self, weights: Sequence[int]):
         if not weights or any(w < 0 for w in weights) or not any(weights):
@@ -94,7 +94,7 @@ class LowestWithRoom:
     path_id, so ties break toward the lower path_id.
     """
 
-    last_etas = None
+    moved = ()
 
     def __init__(self, key: Callable[[Flow], tuple]):
         self._key = key
@@ -110,38 +110,38 @@ class Otias:
     The chosen flow's send queue may exceed its congestion window; queueing on
     the fast path is the mechanism that lines packets up to arrive in order.
 
-    Each path's ETA is kept, as the same float object, until the engine
-    names the path in changed and its value differs; changed=None recomputes
-    every path. While no ETA changes value the previous pick stands, and
-    last_etas stays the same tuple, so consecutive decisions share it.
+    Each path's ETA is kept until the engine names the path in changed and
+    its value differs; changed=None recomputes every path. moved lists the
+    paths whose ETA changed value, every path at a full recompute. While no
+    ETA changes value the previous pick stands.
     """
 
     def __init__(self):
-        self.last_etas: tuple[float, ...] = ()
-        self._etas: list[float] = []  # per path_id
+        self.etas: list[float] = []  # per path_id
+        self.moved: list[int] = []
         self._picked = 0
 
     def pick(self, views: Sequence[Flow], now: int, changed: Changed = None) -> int:
-        etas = self._etas
+        etas, moved = self.etas, self.moved
+        moved.clear()
         if changed is None:
             etas[:] = map(otias_eta, views)
+            moved.extend(range(len(views)))
         else:
-            moved = False
             for i in changed:
                 # ETAs are positive finite floats: equal means bit-identical.
                 eta = otias_eta(views[i])
                 if eta != etas[i]:
                     etas[i] = eta
-                    moved = True
+                    moved.append(i)
             if not moved:
                 return self._picked
-        etas = self.last_etas = tuple(etas)
         self._picked = etas.index(min(etas))
         return self._picked
 
 
 # Every scheduler kind, built from its SchedulerConfig. The run log records
-# the scheduler's last_etas as they change (see the module docstring).
+# the ETAs each pick moved (see the module docstring).
 SCHEDULERS = {
     "cheapest_pipe_first": Plugin(
         lambda config: LowestWithRoom(attrgetter("cost", "path_id")),

@@ -39,8 +39,10 @@ ingress packet for the mask of sampled numbers, 9 per ingress packet while
 the times are laid out by sequence number, and 8 for the sorted copy of the
 values, with room for sort buffers. Every tabular export streams its rows,
 so written as CSV, with the run's delay variation computed first, each adds
-at most 32 bytes per ingress packet at its peak on a run of about 10,000
-packets, where a list of the rows took 100 to 270.
+at most 16 bytes per ingress packet at its peak on a run of about 10,000
+packets, where a list of the rows took 100 to 270: each column read of the
+log restores one field of one block at a time, so a read that copied the
+whole open tail (up to 1,023 rows) per column would exceed that bound.
 
 And for the cyclic collector: a finished log keeps at most 0.01 objects the
 collector tracks per ingress packet, counted with the collector paused
@@ -369,7 +371,7 @@ def export_run():
 @pytest.mark.parametrize("metric", sorted(set(METRICS) - {"pdv_histogram"}))
 def test_export_peak_bytes_per_packet(export_run, metric, tmp_path):
     peak = export_peak_bytes_per_packet(*export_run, metric, tmp_path / f"{metric}.csv")
-    assert peak <= 32, f"the {metric} export peaks at {peak:.1f} bytes per packet"
+    assert peak <= 16, f"the {metric} export peaks at {peak:.1f} bytes per packet"
 
 
 def loaded_by_import(module: str, names) -> list[str]:

@@ -503,11 +503,11 @@ def guard_logs():
 
 def test_event_records_read_back_as_exact_tuples(guard_logs):
     for name in EVENT_STREAMS:
-        row_type, kinds = metrics.STREAMS[name]
+        fields, kinds = metrics.STREAMS[name]
         records = [r for _, log in guard_logs for r in getattr(log, name)]
         assert records, name
         assert {type(r) for r in records} == {tuple}, name
-        assert {len(r) for r in records} == {len(row_type._fields)}, name
+        assert {len(r) for r in records} == {len(fields)} == {len(kinds)}, name
         for i, kind in enumerate(kinds):
             assert {type(r[i]) for r in records} <= FIELD_TYPES[kind], (name, i)
     for cfg, log in guard_logs:
@@ -684,7 +684,7 @@ def test_paths_listed_in_any_order_give_the_same_bytes(case):
 
 
 def overall_seqs(stream):
-    return list(stream.column(metrics.STREAMS[stream.name][0]._fields.index("overall_seq")))
+    return list(stream.column(metrics.STREAMS[stream.name][0].index("overall_seq")))
 
 
 @settings(max_examples=25)
@@ -725,8 +725,10 @@ def test_greedy_paths_listed_in_reverse_give_the_same_bytes():
 class ChangedOracle(Otias):
     """otias that checks the engine's changed argument at every pick: only
     the first pick passes None, every view whose ETA inputs (srtt, cwnd,
-    backlog) moved since the previous pick is named, and every ETA kept
-    equals one computed afresh. history keeps last_etas at every pick."""
+    backlog) moved since the previous pick is named, every ETA kept equals
+    one computed afresh, and moved lists exactly the paths whose ETA changed
+    value (every path at the first pick). history keeps the ETAs as of every
+    pick."""
 
     def __init__(self):
         super().__init__()
@@ -740,9 +742,12 @@ class ChangedOracle(Otias):
             moved = {i for i, (a, b) in enumerate(zip(self.inputs, inputs)) if a != b}
             assert moved <= set(changed), (now, moved, changed)
         self.inputs = inputs
+        before = list(self.etas)
         picked = super().pick(views, now, changed)
-        assert self.last_etas == tuple(map(otias_eta, views)), now
-        self.history.append(self.last_etas)
+        assert self.etas == list(map(otias_eta, views)), now
+        assert sorted(self.moved) == [i for i, eta in enumerate(self.etas)
+                                      if changed is None or eta != before[i]], now
+        self.history.append(tuple(self.etas))
         return picked
 
 

@@ -140,7 +140,6 @@ def test_heap_resequencer_matches_reference_with_per_arrival_thresholds(data):
     assert not buf.held
     released = {s for _, s, d in got if d != "late"}
     assert buf.gap_count == buf.expected_next - len(released)
-    assert buf.late_count == sum(1 for _, _, d in got if d == "late")
 
 
 class PathStatsOracle:
@@ -220,7 +219,7 @@ def test_otias_cache_matches_recomputed_etas(steps):
     otias = Otias()
     now = seq = 0
     n_before = None
-    previous = None  # the previous pick's (full recompute, pick, last_etas)
+    previous = None  # the previous pick's (full recompute, pick)
     for kind, i, choice, n in steps:
         now += 1_000
         flow = flows[i]
@@ -242,19 +241,21 @@ def test_otias_cache_matches_recomputed_etas(steps):
         n_before = n
         picked = otias.pick(views, now, changed)
         expected = tuple(map(otias_eta, views))
-        assert len(otias.last_etas) == len(expected)
-        for got, want in zip(otias.last_etas, expected):
+        assert len(otias.etas) == len(expected)
+        for got, want in zip(otias.etas, expected):
             assert type(got) is type(want) and got.hex() == want.hex()
         assert picked == expected.index(min(expected))
-        if changed is not None:
-            # While no ETA changes value, the pick and its tuple stand.
-            expected_before, picked_before, etas_before = previous
-            if expected == expected_before:
-                assert otias.last_etas is etas_before
+        if changed is None:
+            assert otias.moved == list(range(n))
+        else:
+            # moved names exactly the paths whose ETA changed value, and
+            # while none does, the pick stands.
+            expected_before, picked_before = previous
+            assert sorted(otias.moved) == [j for j in range(n)
+                                           if expected[j] != expected_before[j]]
+            if not otias.moved:
                 assert picked == picked_before
-            else:
-                assert otias.last_etas is not etas_before
-        previous = expected, picked, otias.last_etas
-        # With nothing named, the very same tuple comes back.
+        previous = expected, picked
+        # With nothing named, nothing moves and the pick stands.
         assert otias.pick(views, now, ()) == picked
-        assert otias.last_etas is previous[2]
+        assert otias.moved == []

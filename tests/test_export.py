@@ -14,6 +14,7 @@ import random
 import tempfile
 import tracemalloc
 from collections import namedtuple
+from itertools import compress, count
 from pathlib import Path
 
 import pytest
@@ -22,9 +23,8 @@ from hypothesis import strategies as st
 
 from mptunnel.engine import Simulation
 from mptunnel.flow import TunnelPacket, encode_header
-from mptunnel.metrics import (DISPOSITIONS, METRICS, THROUGHPUT_BIN_US, Arrival, Delivery,
-                              MetricsLog, Table, compute_pdv, export_metric, summarize,
-                              write_csv, write_json)
+from mptunnel.metrics import (DISPOSITIONS, METRICS, THROUGHPUT_BIN_US, MetricsLog, Table,
+                              compute_pdv, export_metric, summarize, write_csv, write_json)
 from mptunnel.scenario import parse_scenario
 
 
@@ -196,8 +196,8 @@ def test_deliveries_export_sorts_runs_of_equal_times(seed, tmp_path):
             if seqs and rng.random() < 0.2:
                 log.discards.append((t, rng.randrange(2), seqs.pop()))
             elif seqs:
-                log.deliveries.append(Delivery(t, seqs.pop(), rng.randrange(2), 0,
-                                               rng.randrange(3), rng.choice(DISPOSITIONS)))
+                log.deliveries.append((t, seqs.pop(), rng.randrange(2), 0,
+                                       rng.randrange(3), rng.choice(DISPOSITIONS)))
     for fmt in ("csv", "json"):
         got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
         export_metric(log, "deliveries", fmt, got, 0.0)
@@ -221,12 +221,12 @@ def test_compute_pdv_matches_per_sequence_loop(records, nominal, stream):
     # log counts as many ingress packets as its largest number needs.
     log = MetricsLog(max((seq for seq, _ in records), default=-1) + 1)
     for seq, t in records:
-        log.deliveries.append(Delivery(t, seq, 0, 0, 0, "inorder"))
-        log.arrivals.append(Arrival(t, seq, 0, 0))
+        log.deliveries.append((t, seq, 0, 0, 0, "inorder"))
+        log.arrivals.append((t, seq, 0, 0))
     got = compute_pdv(log, nominal, stream)
     want = reference_pdv(log, nominal, stream)
     assert got.skipped == want.skipped
-    assert repr(got.seqs.tolist()) == repr(want.seqs)
+    assert repr(list(compress(count(1), got.sampled))) == repr(want.seqs)
     assert repr(got.values) == repr(want.values)
 
 
@@ -237,7 +237,7 @@ def test_compute_pdv_refuses_a_number_outside_the_run(seqs):
     # would take 18 EiB.
     log = MetricsLog(2)
     for t, seq in enumerate(seqs):
-        log.deliveries.append(Delivery(8_000 * t, seq, 0, 0, 0, "inorder"))
+        log.deliveries.append((8_000 * t, seq, 0, 0, 0, "inorder"))
     tracemalloc.start()
     try:
         with pytest.raises(ValueError):
@@ -258,7 +258,7 @@ def test_a_run_losing_nearly_every_packet_matches_the_reference():
     want = reference_pdv(log, nominal)
     assert want.skipped > 0
     assert got.skipped == want.skipped
-    assert repr(got.seqs.tolist()) == repr(want.seqs)
+    assert repr(list(compress(count(1), got.sampled))) == repr(want.seqs)
     assert repr(got.values) == repr(want.values)
 
 
@@ -348,8 +348,8 @@ def test_every_table_states_one_spec_per_column(run_logs):
 
 def test_unknown_format_is_refused_before_anything_is_built(tmp_path):
     log = MetricsLog(2)
-    log.deliveries.append(Delivery(0, 0, 0, 0, 0, "inorder"))
-    log.deliveries.append(Delivery(8_000, 1, 0, 0, 0, "inorder"))
+    log.deliveries.append((0, 0, 0, 0, 0, "inorder"))
+    log.deliveries.append((8_000, 1, 0, 0, 0, "inorder"))
     for metric in METRICS:
         path = tmp_path / f"{metric}.xml"
         with pytest.raises(ValueError, match="format"):
@@ -357,3 +357,43 @@ def test_unknown_format_is_refused_before_anything_is_built(tmp_path):
         assert not path.exists(), metric
     # Not even the delay variation was computed.
     assert log._pdv is None
+
+
+# -- the README's export schemas ---------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_columns() -> dict[str, list[str]]:
+    """The README "Export schemas" table: each metric's first code span in
+    its columns cell, split at commas (a JSON document's keys for one in
+    braces)."""
+    section = README.read_text().split("\n## Export schemas", 1)[1].split("\n## ", 1)[0]
+    columns = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and cells[0].startswith("`"):
+            listed = cells[1].split("`")[1].strip("{}")
+            columns[cells[0].strip("`")] = [name.strip() for name in listed.split(",")]
+    return columns
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_readme_lists_the_header_of_every_metric(run_logs, run):
+    # A list ending in "..." continues its last name's number for as many
+    # columns as the table has: the decisions ETAs, under otias alone.
+    cfg, log = run_logs[run]
+    readme = readme_columns()
+    assert sorted(readme) == sorted(METRICS)
+    for metric, table in tables_of(cfg, log).items():
+        listed = readme[metric]
+        if isinstance(table, dict):
+            assert sorted(listed) == sorted(table), metric
+            continue
+        header = list(table.header)
+        if listed[-1] == "...":
+            fixed, numbered = listed[:-2], listed[-2]
+            extra = len(header) - len(fixed)
+            assert (extra > 0) == (metric == "decisions" and cfg.scheduler.kind == "otias")
+            listed = fixed + [numbered.replace("_0_", f"_{i}_") for i in range(extra)]
+        assert header == listed, metric

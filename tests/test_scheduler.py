@@ -250,11 +250,14 @@ def test_otias_tie_breaks_on_path_id():
     assert Otias().pick(vs, 0) == 0
 
 
-def test_otias_records_last_etas():
+def test_otias_lists_the_etas_each_pick_moved():
     sched = Otias()
     vs = [view(0, srtt=10_000), view(1, srtt=50_000)]
     sched.pick(vs, 0)
-    assert sched.last_etas == (5_000, 25_000)
+    assert (sched.etas, sched.moved) == ([5_000, 25_000], [0, 1])
+    vs[1].srtt_us = 30_000
+    sched.pick(vs, 0, {0, 1})
+    assert (sched.etas, sched.moved) == ([5_000, 15_000], [1])
 
 
 def test_otias_pick_is_argmin_over_random_snapshots():
