@@ -5,15 +5,13 @@ A run owns all of its state; independent runs can execute in parallel threads
 without sharing anything.
 """
 
-from functools import partial
-
 from . import metrics
 from .flow import Flow, TunnelPacket
 from .metrics import CHUNK_ROWS, DISPOSITION_CODES
 from .reorder import RECEIVERS
 from .scenario import ScenarioConfig, ScenarioError, problems
 from .scheduler import SCHEDULERS
-from .simcore import EventQueue, PathState, US_PER_SECOND, cbr_emission_us
+from .simcore import EventQueue, PathState, US_PER_SECOND
 
 # Slack past the configured duration for queues, acks and holds to drain.
 DRAIN_SLACK_US = 60 * US_PER_SECOND
@@ -67,8 +65,9 @@ class Simulation:
         )
         self._packet_size = traffic.packet_size_bytes
         self._greedy = traffic.kind == "greedy"
-        self._emission_us = partial(cbr_emission_us, traffic.start_us,
-                                    traffic.packet_size_bytes, traffic.rate_bps)
+        # Emission k is due at start + k * bit_us // rate: drift-free integers.
+        self._cbr_start, self._cbr_rate = traffic.start_us, traffic.rate_bps
+        self._cbr_bit_us = traffic.packet_size_bytes * 8 * US_PER_SECOND
 
     # -- event handlers ------------------------------------------------------
 
@@ -180,7 +179,7 @@ class Simulation:
 
     def _emit_cbr(self, k: int, now: int) -> None:
         self._ingress(now)
-        next_at = self._emission_us(k + 1)
+        next_at = self._cbr_start + (k + 1) * self._cbr_bit_us // self._cbr_rate
         if next_at < self._traffic_stop_us:
             self.queue.schedule(next_at, self._emit_cbr, k + 1)
 

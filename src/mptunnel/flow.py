@@ -10,9 +10,9 @@ three or from an ack-silence timeout; there are no retransmissions, the
 tunnel carries unreliable traffic.
 """
 
-import heapq
 from collections import deque, namedtuple
 from collections.abc import Callable
+from heapq import heapreplace
 
 RTT_REPORT_MAX = (1 << 32) - 1
 HEADER_LEN = 16
@@ -163,7 +163,8 @@ class Flow:
         """Accept a packet from the scheduler; transmit now if the window allows."""
         pkt.path_id = self.path_id
         pkt.flow_seq = self.next_flow_seq
-        pkt.sender_rtt_report = min(int(round(self.srtt_us)), RTT_REPORT_MAX)
+        report = round(self.srtt_us)
+        pkt.sender_rtt_report = RTT_REPORT_MAX if RTT_REPORT_MAX < report else report
         self.next_flow_seq += 1
         self.send_queue.append(pkt)
         self.pump(now)
@@ -211,7 +212,7 @@ class Flow:
         # packet whatever the window.
         top = self._top_acks
         if flow_seq > top[0]:
-            heapq.heapreplace(top, flow_seq)
+            heapreplace(top, flow_seq)
             outstanding = self._outstanding
             order = self._send_order
             while order:
@@ -246,7 +247,8 @@ class Flow:
         self._recover_seq = self.next_flow_seq
 
     def timeout_deadline_us(self, now: int) -> int:
-        return now + max(int(round(TIMEOUT_RTT_MULTIPLE * self.srtt_us)), MIN_TIMEOUT_US)
+        timeout = round(TIMEOUT_RTT_MULTIPLE * self.srtt_us)
+        return now + (MIN_TIMEOUT_US if MIN_TIMEOUT_US > timeout else timeout)
 
     def on_timeout(self, now: int) -> int:
         """Ack-silence timeout: everything outstanding is presumed lost."""

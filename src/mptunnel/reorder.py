@@ -67,7 +67,8 @@ def adaptive_threshold(stats: PathStats, k: float, max_hold_us: int) -> float:
         return float(max_hold_us)
     spread = (max(srtts) - min(srtts)) / 2.0
     guard = k * max(stats.rttvars.values())
-    return min(spread + guard, float(max_hold_us))
+    threshold, cap = spread + guard, float(max_hold_us)
+    return cap if cap < threshold else threshold
 
 
 class Receiver:
@@ -135,7 +136,7 @@ class ReorderBuffer(Receiver):
             out.extend(self._flush_consecutive(now, DISPOSITION_INORDER))
             return out
         if seq > self.expected_next:
-            self.held[seq] = (pkt, now, now + int(round(threshold_us)))
+            self.held[seq] = (pkt, now, now + round(threshold_us))
             return []
         return [(pkt, 0, DISPOSITION_LATE)]
 
@@ -222,8 +223,9 @@ class EqualizerLines(Receiver):
         if now - pkt.ingress_time > target + self.max_hold_us:
             return self.DISCARD
         added = target - stats.srtts[pkt.path_id] / 2.0
-        added = min(max(added, 0.0), float(self.max_hold_us))
-        release = now + int(round(added))
+        added = 0.0 if 0.0 > added else added
+        cap = float(self.max_hold_us)
+        release = now + round(cap if cap < added else added)
         floor = self._last_release.get(pkt.path_id)
         if floor is not None and release < floor:
             release = floor

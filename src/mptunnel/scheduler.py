@@ -19,8 +19,8 @@ any keeps etas, its estimate per path_id, and the engine records etas[i]
 for each i in moved.
 """
 
-import math
 from collections.abc import Callable, Collection, Sequence
+from math import ceil
 from operator import add, attrgetter
 
 from .flow import Flow
@@ -45,7 +45,7 @@ def otias_eta(view: Flow) -> float:
     backlog = len(view.send_queue) + view.in_flight + 1 - view.cwnd
     if backlog <= 0:
         return srtt / 2.0
-    return math.ceil(backlog / view.cwnd) * srtt + srtt / 2.0
+    return ceil(backlog / view.cwnd) * srtt + srtt / 2.0
 
 
 class RoundRobin:

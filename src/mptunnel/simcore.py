@@ -8,10 +8,10 @@ are bit-reproducible for a fixed (scenario, seed).
 """
 
 import copyreg
-import heapq
 import random
 from collections import namedtuple
 from collections.abc import Callable
+from heapq import heappop, heappush
 from types import SimpleNamespace
 
 US_PER_SECOND = 1_000_000
@@ -40,13 +40,6 @@ def serialization_us(size_bytes: int, bandwidth_bps: int) -> int:
     """Link serialization delay for a packet, rounded up to whole microseconds."""
     bits = size_bytes * 8
     return -(-bits * US_PER_SECOND // bandwidth_bps)
-
-
-def cbr_emission_us(start_us: int, packet_size_bytes: int, rate_bps: int, k: int) -> int:
-    """Ingress time of the k-th packet of a CBR source, drift-free integer
-    schedule; a run binds the first three arguments once."""
-    bits = packet_size_bytes * 8
-    return start_us + (k * bits * US_PER_SECOND) // rate_bps
 
 
 class Record(SimpleNamespace):
@@ -109,14 +102,14 @@ class EventQueue:
             raise PastEventError(
                 f"cannot schedule event at {at_us} us, clock is at {self.now} us"
             )
-        heapq.heappush(self._heap, (at_us, self._next_id, fn, arg))
+        heappush(self._heap, (at_us, self._next_id, fn, arg))
         self._next_id += 1
 
     def pop(self) -> tuple[int, int, EventFn, object] | None:
         """Remove and return the earliest (time, id, fn, arg) entry, or None."""
         if not self._heap:
             return None
-        entry = heapq.heappop(self._heap)
+        entry = heappop(self._heap)
         self.now = entry[0]
         return entry
 

@@ -2,9 +2,11 @@
 
 sys.settrace counts line events, and calls into functions, in mptunnel's own
 source files only, so the counts repeat exactly run to run, unlike wall time
-on a shared host. They do not see work inside C (heap operations,
-allocation, garbage collection), so they complement the benchmark under
-perfbench/ and never replace it.
+on a shared host. sys.setprofile counts, by name, the calls those files make
+to builtin functions and methods (max, round, heappush, Struct.pack), though
+not calls of types (int, float, tuple). No count sees the work inside C
+(heap sifts, allocation, garbage collection), so they complement the
+benchmark under perfbench/ and never replace it.
 
 The gates are fixed: per-packet work grows by at most 5% from a small to a
 large value of each scale knob the canned suite never reaches: path count
@@ -13,10 +15,10 @@ against 25) and window (a mean in flight several times larger). Each pair of
 points first shows that it reaches those depths.
 
 A rise of the same size at every point passes those ratios, so at three of
-the points no file's lines or calls per packet may rise more than 1% above
-tests/golden/cost.json. Those counts depend on the CPython version that
-compiled the code, so the golden names the version it was taken with and
-the test runs only on it. Lowering a count is free; after a change that
+the points no file's lines or calls per packet, and no builtin's calls per
+packet, may rise more than 1% above tests/golden/cost.json. Those counts
+depend on the CPython version that compiled the code, so the golden names
+the version it was taken with and the test runs only on it. Lowering a count is free; after a change that
 must raise one, rewrite the golden with `PYTHONPATH=src python
 tests/test_cost.py` and say why in the change's description.
 
@@ -66,6 +68,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import accumulate
 from pathlib import Path
 
@@ -155,12 +158,14 @@ def mean_in_flight(log) -> float:
 def counts_per_packet(data: dict) -> tuple[dict, MetricsLog]:
     """Line events and calls in each of mptunnel's files while the scenario
     runs, per ingress packet, as {"lines": {file: n}, "calls": {file: n}},
+    and the builtin calls those files make as {"builtins": {name: n}},
     plus the run's calls of each entry point as {"entry_calls": {name: n}},
     and the run's log; building the Simulation is not counted."""
     sim = Simulation(parse_scenario(data))
     counts = {}  # file name -> [lines, calls]
     tracers = {}  # source path -> (its counts, its local trace function)
     entry_calls = dict.fromkeys(ENTRY_POINTS, 0)
+    builtins = Counter()
 
     def file_tracer(name):
         count = counts[name] = [0, 0]
@@ -185,15 +190,23 @@ def counts_per_packet(data: dict) -> tuple[dict, MetricsLog]:
             entry_calls[name] += 1
         return count_lines
 
-    previous = sys.gettrace()
+    def builtin_calls(frame, event, arg):
+        # A c_call event's frame is the caller's, and arg the builtin called.
+        if event == "c_call" and frame.f_code.co_filename.startswith(SOURCE_DIR):
+            builtins[arg.__qualname__] += 1
+
+    previous, previous_profile = sys.gettrace(), sys.getprofile()
     sys.settrace(in_package)
+    sys.setprofile(builtin_calls)
     try:
         log = sim.run()
     finally:
+        sys.setprofile(previous_profile)
         sys.settrace(previous)
     n = log.ingress_count
     per_packet = {kind: {name: count[i] / n for name, count in sorted(counts.items())}
                   for i, kind in enumerate(("lines", "calls"))}
+    per_packet["builtins"] = {name: count / n for name, count in sorted(builtins.items())}
     return dict(per_packet, entry_calls=entry_calls), log
 
 
@@ -319,7 +332,8 @@ def test_counts_per_packet_stay_at_golden(traced, point):
         pytest.skip(f"the golden counts are {golden['python']}'s")
     counts, _ = traced(*GOLDEN_POINTS[point])
     risen = {(kind, name): (count, golden["points"][point][kind].get(name, 0.0))
-             for kind in ("lines", "calls") for name, count in counts[kind].items()
+             for kind in ("lines", "calls", "builtins")
+             for name, count in counts[kind].items()
              if count > 1.01 * golden["points"][point][kind].get(name, 0.0)}
     assert not risen, f"counts per packet above golden at {point}: {risen}"
 
@@ -404,8 +418,8 @@ def python_version() -> str:
 def write_golden() -> None:
     points = {point: counts_per_packet(builder(arg))[0]
               for point, (builder, arg) in GOLDEN_POINTS.items()}
-    rounded = {point: {kind: {name: round(n, 6) for name, n in by_file.items()}
-                       for kind, by_file in counts.items()}
+    rounded = {point: {kind: {name: round(n, 6) for name, n in by_name.items()}
+                       for kind, by_name in counts.items()}
                for point, counts in points.items()}
     golden = {"python": python_version(), "points": rounded}
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from mptunnel.flow import (Flow, HEADER_LEN, TunnelPacket, decode_header,
+from mptunnel.flow import (Flow, HEADER_LEN, MIN_TIMEOUT_US, RTT_REPORT_MAX,
+                           TIMEOUT_RTT_MULTIPLE, TunnelPacket, decode_header,
                            encode_header)
 
 
@@ -174,6 +175,40 @@ def test_rtt_report_is_the_rounded_srtt_at_enqueue():
     feed(flow, 2)
     reports = [pkt.sender_rtt_report for pkt, _ in sent]
     assert reports == [36_000, 36_000, 36_000, 50_000, 50_000]
+
+
+# Floats become whole microseconds by round (half to even), and the RTT
+# report's cap and the timeout's floor are comparisons. Each test keeps the
+# builtin expression they replaced as the reference, at its ties and edges.
+
+
+@pytest.mark.parametrize("srtt_us, expected", [
+    (RTT_REPORT_MAX - 0.5, RTT_REPORT_MAX - 1),  # a tie, to the even neighbour
+    (float(RTT_REPORT_MAX), RTT_REPORT_MAX),
+    (RTT_REPORT_MAX + 0.5, RTT_REPORT_MAX),
+    (2.0 ** 40, RTT_REPORT_MAX),
+])
+def test_rtt_report_equals_the_builtin_expression(srtt_us, expected):
+    flow, sent = make_flow(prior_rtt_us=srtt_us)
+    feed(flow, 1)
+    report = sent[0][0].sender_rtt_report
+    assert type(report) is int
+    assert report == min(int(round(srtt_us)), RTT_REPORT_MAX) == expected
+
+
+@pytest.mark.parametrize("four_srtt_us, expected", [
+    (199_999.5, 200_000),  # rounds up to the floor
+    (200_000.0, 200_000),
+    (200_000.5, 200_000),  # a tie, to the even neighbour
+    (250_000.5, 250_000),
+])
+def test_timeout_deadline_equals_the_builtin_expression(four_srtt_us, expected):
+    flow, _ = make_flow(prior_rtt_us=four_srtt_us / 4)
+    assert TIMEOUT_RTT_MULTIPLE * flow.srtt_us == four_srtt_us
+    deadline = flow.timeout_deadline_us(1_000)
+    assert type(deadline) is int
+    assert deadline == 1_000 + max(int(round(TIMEOUT_RTT_MULTIPLE * flow.srtt_us)),
+                                   MIN_TIMEOUT_US) == 1_000 + expected
 
 
 # -- congestion control -------------------------------------------------------

@@ -68,6 +68,16 @@ def test_adaptive_threshold_cap():
     assert adaptive_threshold(stats, 4.0, MAX_HOLD) == MAX_HOLD
 
 
+@pytest.mark.parametrize("spread_us", [MAX_HOLD - 0.5, float(MAX_HOLD), MAX_HOLD + 0.5])
+def test_adaptive_threshold_cap_equals_the_builtin_expression(spread_us):
+    stats = PathStats()
+    stats.srtts.update({0: 0.0, 1: 2 * spread_us})
+    stats.rttvars.update({0: 0.0, 1: 0.0})
+    threshold = adaptive_threshold(stats, 4.0, MAX_HOLD)
+    assert type(threshold) is float
+    assert threshold == min(spread_us + 4.0 * 0.0, float(MAX_HOLD))
+
+
 def test_adaptive_threshold_converges_after_latency_step():
     # EWMA-forward oracle: after a path's RTT steps 20 ms -> 60 ms, feeding
     # 50 reports converges the threshold to skew/2 plus the decayed guard.
@@ -143,6 +153,16 @@ def test_deadline_flushes_consecutive_above_gap():
     assert seqs(out) == [6, 7]
     assert buf.expected_next == 8
     assert 9 in buf.held
+
+
+@pytest.mark.parametrize("threshold_us, expected", [
+    (24_000.5, 24_000), (24_001.5, 24_002), (0.5, 0)])  # ties, to the even neighbour
+def test_hold_deadline_equals_the_builtin_expression(threshold_us, expected):
+    buf = ReorderBuffer()
+    assert buf.on_arrival(pkt(1), 1_000, threshold_us) == []
+    deadline = buf.held[1][2]
+    assert type(deadline) is int
+    assert deadline == 1_000 + int(round(threshold_us)) == 1_000 + expected
 
 
 def test_late_packet_delivered_out_of_band():
@@ -305,6 +325,21 @@ def test_equalizer_adds_skew_on_fast_path():
     slow = lines.on_arrival(pkt(1, path_id=1, ingress=0), 50_000, stats)
     assert fast - 10_000 == pytest.approx(40_000, abs=10)
     assert slow - 50_000 == pytest.approx(0, abs=10)
+
+
+@pytest.mark.parametrize("added_us, expected", [
+    (-0.0, 0), (0.0, 0), (-0.75, 0), (2_500.5, 2_500),  # a tie, to the even neighbour
+    (10_000.0, 10_000), (10_000.5, 10_000), (10_001.5, 10_000)])
+def test_equalizer_release_equals_the_builtin_expression(added_us, expected):
+    lines = EqualizerLines(k=4.0, max_hold_us=10_000)
+    # The arriving path reports an srtt of 0, so the added delay is the target.
+    lines.target_delay_us = lambda stats: added_us
+    stats = PathStats()
+    stats.srtts[0] = 0.0
+    release = lines.on_arrival(pkt(0, ingress=5_000), 5_000, stats)
+    assert type(release) is int
+    reference = min(max(added_us - 0.0 / 2.0, 0.0), float(10_000))
+    assert release == 5_000 + int(round(reference)) == 5_000 + expected
 
 
 def test_equalizer_symmetric_paths_add_nothing():

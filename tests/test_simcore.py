@@ -1,9 +1,9 @@
 import pytest
 
-from mptunnel.scenario import problems
+from mptunnel.engine import Simulation
+from mptunnel.scenario import parse_scenario, problems
 from mptunnel.simcore import (EventQueue, LatencyStep, PastEventError,
-                              PathModel, PathState, TrafficSource,
-                              cbr_emission_us, serialization_us)
+                              PathModel, PathState, TrafficSource, serialization_us)
 
 
 def test_serialization_exact_values():
@@ -93,13 +93,16 @@ def test_path_loss_sequence_is_per_path_and_seeded():
 
 
 def test_cbr_emission_schedule_is_exact():
-    times = [cbr_emission_us(0, 1000, 1_000_000, k) for k in range(4)]
-    assert times == [0, 8000, 16000, 24000]
+    log = Simulation(parse_scenario({
+        "name": "cbr-schedule", "duration_s": 10, "seed": 1,
+        "paths": [{"path_id": 0, "one_way_latency_us": 10_000, "bandwidth_bps": 10_000_000}],
+        "traffic": {"kind": "cbr", "rate_bps": 1_000_000, "packet_size_bytes": 1000},
+        "scheduler": {"kind": "round_robin"}, "reorder": {"kind": "none"},
+    })).run()
+    times = list(log.decisions.column(0))
+    assert times[:4] == [0, 8000, 16000, 24000]
     # 1 Mbps of 1000-byte packets over 10 s emits exactly 1250 packets
-    count = 0
-    while cbr_emission_us(0, 1000, 1_000_000, count) < 10_000_000:
-        count += 1
-    assert count == 1250
+    assert len(times) == 1250
 
 
 def test_traffic_validation():
