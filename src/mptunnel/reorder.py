@@ -10,6 +10,9 @@ its receiver as RECEIVERS[kind].factory(cfg) and passes its sinks to wire();
 the on_arrival and on_deadline steps need no sinks and can be driven alone.
 """
 
+from math import inf
+from types import MappingProxyType
+
 from .flow import TunnelPacket, smooth_rtt
 from .simcore import Plugin, Record
 
@@ -37,17 +40,35 @@ class PathStats:
     variation estimate the sender does not transmit.
 
     srtts and rttvars map the path_id of every path that has reported to its
-    estimates (µs). The thresholds take only their max and min, which do not
-    depend on the order paths first reported in.
+    estimates (µs); they are read-only views, written by update alone. The
+    thresholds read only their extremes, which update keeps: srtt_max,
+    srtt_min and rttvar_max over the paths that have reported, and paired,
+    whether two or more have. A report past an extreme moves it out; only a
+    report that moves the path holding an extreme inward rescans that dict.
+    An extreme is a value, so it does not depend on the order paths first
+    reported in.
     """
 
     def __init__(self):
-        self.srtts: dict[int, float] = {}
-        self.rttvars: dict[int, float] = {}
+        self._srtts: dict[int, float] = {}
+        self._rttvars: dict[int, float] = {}
+        self.srtts, self.rttvars = MappingProxyType(self._srtts), MappingProxyType(self._rttvars)
+        self.srtt_max, self.srtt_min, self.rttvar_max = -inf, inf, -inf
+        self.paired = False
 
     def update(self, path_id: int, report_us: float) -> None:
-        self.srtts[path_id], self.rttvars[path_id] = smooth_rtt(
-            self.srtts.get(path_id), self.rttvars.get(path_id, 0.0), report_us)
+        srtts, rttvars = self._srtts, self._rttvars
+        old, old_var = srtts.get(path_id), rttvars.get(path_id, 0.0)
+        srtt, var = srtts[path_id], rttvars[path_id] = smooth_rtt(old, old_var, report_us)
+        # Past the extreme, or its holder moved inward (a tie rescans too).
+        if srtt > self.srtt_max or old == self.srtt_max != srtt:
+            self.srtt_max = srtt if srtt > self.srtt_max else max(srtts.values())
+        if srtt < self.srtt_min or old == self.srtt_min != srtt:
+            self.srtt_min = srtt if srtt < self.srtt_min else min(srtts.values())
+        if var > self.rttvar_max or old_var == self.rttvar_max != var:
+            self.rttvar_max = var if var > self.rttvar_max else max(rttvars.values())
+        if old is None:
+            self.paired = len(srtts) > 1
 
 
 def static_threshold(rtt_slower_us: float, rtt_faster_us: float) -> float:
@@ -62,11 +83,10 @@ def adaptive_threshold(stats: PathStats, k: float, max_hold_us: int) -> float:
     variation, capped at max_hold_us. Until two paths have reported, the cap
     itself is used so nothing is given up on while cold.
     """
-    srtts = stats.srtts.values()
-    if len(srtts) < 2:
+    if not stats.paired:
         return float(max_hold_us)
-    spread = (max(srtts) - min(srtts)) / 2.0
-    guard = k * max(stats.rttvars.values())
+    spread = (stats.srtt_max - stats.srtt_min) / 2.0
+    guard = k * stats.rttvar_max
     threshold, cap = spread + guard, float(max_hold_us)
     return cap if cap < threshold else threshold
 
@@ -214,8 +234,7 @@ class EqualizerLines(Receiver):
         self._release = self._release  # bound once, scheduled per packet
 
     def target_delay_us(self, stats: PathStats) -> float:
-        guard = self.k * max(stats.rttvars.values())
-        return max(stats.srtts.values()) / 2.0 + guard
+        return stats.srtt_max / 2.0 + self.k * stats.rttvar_max
 
     def on_arrival(self, pkt: TunnelPacket, now: int, stats: PathStats) -> int:
         """Return the scheduled release time, or EqualizerLines.DISCARD."""

@@ -19,7 +19,8 @@ any keeps etas, its estimate per path_id, and the engine records etas[i]
 for each i in moved.
 """
 
-from collections.abc import Callable, Collection, Sequence
+from collections.abc import Callable, Collection, Iterator, Sequence
+from itertools import cycle
 from math import ceil
 from operator import add, attrgetter
 
@@ -68,6 +69,16 @@ class FixedRatio:
     served, paying back the weight total. Over any sum(weights) consecutive
     picks each path is chosen exactly its weight's worth, and every prefix
     stays within one packet of the configured ratio.
+
+    The picks repeat with period sum(weights), because every credit is 0
+    again after that many picks. Credits always sum to 0, since a pick pays
+    back exactly what all paths earned. A credit falls only when it is
+    served, and the served credit is the highest of credits that then sum
+    to sum(weights) > 0, so positive: no credit falls to -sum(weights).
+    After a period each credit is sum(weights) times (weight - times
+    served), a multiple of sum(weights) above -sum(weights), so at least 0,
+    and credits at least 0 that sum to 0 are all 0. So each period position
+    is computed once by the credit rule and then replayed.
     """
 
     moved = ()
@@ -75,15 +86,21 @@ class FixedRatio:
     def __init__(self, weights: Sequence[int]):
         if not weights or any(w < 0 for w in weights) or not any(weights):
             raise ValueError("weights must be non-negative and not all zero")
-        self._weights = list(weights)
-        self._credits = [0] * len(weights)
-        self._total = sum(weights)
+        # cycle keeps the picks one period has made so far, then replays them.
+        self._picks = cycle(_smooth_period(list(weights)))
 
     def pick(self, views: Sequence[Flow], now: int, changed: Changed = None) -> int:
-        credits = self._credits = list(map(add, self._credits, self._weights))
+        return next(self._picks)
+
+
+def _smooth_period(weights: list[int]) -> Iterator[int]:
+    """One period of FixedRatio's picks, each by the credit rule."""
+    credits, total = [0] * len(weights), sum(weights)
+    for _ in range(total):
+        credits = list(map(add, credits, weights))
         best = credits.index(max(credits))
-        credits[best] -= self._total
-        return best
+        credits[best] -= total
+        yield best
 
 
 class LowestWithRoom:

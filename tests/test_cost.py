@@ -20,7 +20,8 @@ packet, may rise more than 1% above tests/golden/cost.json. Those counts
 depend on the CPython version that compiled the code, so the golden names
 the version it was taken with and the test runs only on it. Lowering a count is free; after a change that
 must raise one, rewrite the golden with `PYTHONPATH=src python
-tests/test_cost.py` and say why in the change's description.
+tests/test_cost.py --diff`, which also prints every entry it changed as
+old -> new, and say why in the change's description.
 
 The golden also holds, at each of those points, how often a run calls each
 entry point that perfbench/spans.py wraps (ENTRY_POINTS), and those counts
@@ -415,7 +416,8 @@ def python_version() -> str:
     return f"{platform.python_implementation()} {sys.version_info[0]}.{sys.version_info[1]}"
 
 
-def write_golden() -> None:
+def write_golden() -> dict:
+    """Rewrite the golden from this tree's counts; return the new golden."""
     points = {point: counts_per_packet(builder(arg))[0]
               for point, (builder, arg) in GOLDEN_POINTS.items()}
     rounded = {point: {kind: {name: round(n, 6) for name, n in by_name.items()}
@@ -423,7 +425,27 @@ def write_golden() -> None:
                for point, counts in points.items()}
     golden = {"python": python_version(), "points": rounded}
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    return golden
+
+
+def golden_changes(old: dict, new: dict) -> list[str]:
+    """One "point kind name: old -> new" line per golden entry whose value
+    changed, "-" standing for an entry one side lacks."""
+    changes = [f"python: {old.get('python')} -> {new['python']}"
+               ] if old.get("python") != new["python"] else []
+    for point in sorted(old.get("points", {}).keys() | new["points"].keys()):
+        before, after = old.get("points", {}).get(point, {}), new["points"].get(point, {})
+        for kind in sorted(before.keys() | after.keys()):
+            was, now = before.get(kind, {}), after.get(kind, {})
+            changes += [f"{point} {kind} {name}: {was.get(name, '-')} -> {now.get(name, '-')}"
+                        for name in sorted(was.keys() | now.keys())
+                        if was.get(name) != now.get(name)]
+    return changes
 
 
 if __name__ == "__main__":
-    write_golden()
+    # --diff also prints each entry the rewrite changed, as old -> new.
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    new = write_golden()
+    if "--diff" in sys.argv[1:]:
+        print("\n".join(golden_changes(old, new)) or "no golden entry changed")

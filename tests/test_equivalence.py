@@ -166,6 +166,12 @@ class PathStatsOracle:
         guard = k * max(self.stats[p][1] for p in paths)
         return min(spread + guard, float(max_hold_us))
 
+    def extremes(self):
+        """The largest and smallest srtt and the largest rttvar."""
+        paths = sorted(self.stats)
+        srtts = [self.stats[p][0] for p in paths]
+        return max(srtts), min(srtts), max(self.stats[p][1] for p in paths)
+
     def target_delay_us(self, k):
         paths = sorted(self.stats)
         srtts = [self.stats[p][0] for p in paths]
@@ -192,6 +198,8 @@ def test_thresholds_match_rebuilding_oracle(reports, k, max_hold_us):
         assert (adaptive_threshold(stats, k, max_hold_us).hex()
                 == oracle.adaptive_threshold(k, max_hold_us).hex())
         assert lines.target_delay_us(stats).hex() == oracle.target_delay_us(k).hex()
+        kept = stats.srtt_max, stats.srtt_min, stats.rttvar_max
+        assert [x.hex() for x in kept] == [x.hex() for x in oracle.extremes()]
         for p, (srtt, rttvar) in oracle.stats.items():
             assert stats.srtts[p].hex() == srtt.hex()
             assert stats.rttvars[p].hex() == rttvar.hex()

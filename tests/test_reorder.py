@@ -40,12 +40,12 @@ def warmed_stats(values):
 
 def test_adaptive_threshold_formula():
     stats = PathStats()
-    # construct exact srtt/rttvar states via direct sampling
+    # First reports: srtt is the report and rttvar half of it.
     stats.update(0, 20_000)
     stats.update(1, 60_000)
-    # force rttvar to 1 ms on both paths, srtt stays at the report values
-    stats.rttvars.update({0: 1000.0, 1: 1000.0})
-    assert adaptive_threshold(stats, 4.0, MAX_HOLD) == pytest.approx(24_000)
+    # Half the 40 ms spread, plus k times the larger rttvar (30 ms).
+    assert adaptive_threshold(stats, 0.0, MAX_HOLD) == 20_000
+    assert adaptive_threshold(stats, 4.0, MAX_HOLD) == 140_000
 
 
 def test_adaptive_threshold_identical_paths_is_zero():
@@ -71,11 +71,34 @@ def test_adaptive_threshold_cap():
 @pytest.mark.parametrize("spread_us", [MAX_HOLD - 0.5, float(MAX_HOLD), MAX_HOLD + 0.5])
 def test_adaptive_threshold_cap_equals_the_builtin_expression(spread_us):
     stats = PathStats()
-    stats.srtts.update({0: 0.0, 1: 2 * spread_us})
-    stats.rttvars.update({0: 0.0, 1: 0.0})
-    threshold = adaptive_threshold(stats, 4.0, MAX_HOLD)
+    # First reports: rttvar is half the report, and k = 0.0 drops the guard.
+    stats.update(0, 0)
+    stats.update(1, 2 * spread_us)
+    threshold = adaptive_threshold(stats, 0.0, MAX_HOLD)
     assert type(threshold) is float
-    assert threshold == min(spread_us + 4.0 * 0.0, float(MAX_HOLD))
+    assert threshold == min(spread_us + 0.0 * spread_us, float(MAX_HOLD))
+
+
+def kept_extremes(stats):
+    return stats.srtt_max, stats.srtt_min, stats.rttvar_max
+
+
+def test_kept_extremes_follow_a_tied_holder_moving_inward():
+    stats = PathStats()
+    stats.update(0, 40_000)
+    stats.update(1, 40_000)
+    assert kept_extremes(stats) == (40_000, 40_000, 20_000)
+    # Path 0 keeps its srtt, and its rttvar falls from the shared maximum.
+    stats.update(0, 40_000)
+    assert kept_extremes(stats) == (40_000, 40_000, 20_000)
+    # Path 0 falls from the shared srtt maximum to 37.5 ms: path 1 holds it.
+    stats.update(0, 20_000)
+    assert kept_extremes(stats) == (40_000, 37_500, 20_000)
+    # Path 1, alone at the maximum, falls below path 0.
+    stats.update(1, 10_000)
+    assert kept_extremes(stats) == (37_500, 36_250, 22_500)
+    assert kept_extremes(stats) == (max(stats.srtts.values()), min(stats.srtts.values()),
+                                    max(stats.rttvars.values()))
 
 
 def test_adaptive_threshold_converges_after_latency_step():
@@ -335,7 +358,7 @@ def test_equalizer_release_equals_the_builtin_expression(added_us, expected):
     # The arriving path reports an srtt of 0, so the added delay is the target.
     lines.target_delay_us = lambda stats: added_us
     stats = PathStats()
-    stats.srtts[0] = 0.0
+    stats.update(0, 0)  # a first report: srtt 0.0
     release = lines.on_arrival(pkt(0, ingress=5_000), 5_000, stats)
     assert type(release) is int
     reference = min(max(added_us - 0.0 / 2.0, 0.0), float(10_000))

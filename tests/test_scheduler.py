@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,27 @@ TIED_WEIGHTS = st.lists(st.integers(0, 3), min_size=1, max_size=5).map(
 def test_fixed_ratio_matches_keyed_pick(weights, n):
     vs = [view(i) for i in range(len(weights))]
     assert picks(FixedRatio(weights), vs, n) == picks(KeyedFixedRatio(weights), vs, n)
+
+
+@pytest.mark.parametrize("weights", [[9, 1], [3, 0, 2], [5, 7, 11]])
+def test_fixed_ratio_repeats_every_weight_total(weights):
+    total, vs = sum(weights), [view(i) for i in range(len(weights))]
+    keyed, defined = KeyedFixedRatio(weights), []
+    for _ in range(3):
+        defined += picks(keyed, vs, total)
+        assert keyed.credits == [0] * len(weights)
+    assert defined[total:] == defined[:-total]
+    assert picks(FixedRatio(weights), vs, 3 * total) == defined
+
+
+def test_fixed_ratio_keeps_only_the_picks_made():
+    tracemalloc.start()
+    try:
+        picks(FixedRatio([10**12, 1]), [view(0), view(1)], 1_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, f"1,000 picks peak at {peak} bytes"
 
 
 def test_fixed_ratio_rejects_all_zero():
