@@ -44,7 +44,7 @@ class Simulation:
             Flow(m.path_id, 2.0 * m.one_way_latency_us, self._transmit, m.cost)
             for m in models
         ]
-        self.scheduler = SCHEDULERS[cfg.scheduler.kind].factory(cfg.scheduler)
+        self.scheduler = SCHEDULERS[cfg.scheduler.kind].factory(cfg)
         self.receiver = RECEIVERS[cfg.reorder.kind].factory(cfg).wire(
             self._deliver, self.queue.schedule, self._discard)
 

@@ -11,11 +11,11 @@ never scans; a disposition is packed as its index in DISPOSITIONS. Read
 back, a stream is a read-only sequence of exact tuples of plain values. A
 decision's per-path ETAs are not in its row: the etas stream holds one row
 per path whose ETA changed value at a decision (every path at the first),
-and the decisions export replays it as it writes. compute_pdv reads
-columns, not rows, and lays the times out over the run's own packet
-numbers, 0 .. ingress_count - 1, into a 1-byte mask of the sampled numbers
-and a list of the values. Every tabular export is a Table: its header, each
-column's %-format, stated, and its rows, streamed.
+and the decisions export replays it as it writes. compute_pdv reads columns,
+not rows, and lays the times out over the run's packet numbers,
+0 .. ingress_count - 1, into a 1-byte mask of the sampled numbers and a list
+of their float samples. Every tabular export is a Table, as every stream is:
+its header, each column's %-format, stated, and its rows, streamed.
 
 Export schema version 1. Column layouts are fixed; see the README for the
 full schema reference.
@@ -59,15 +59,18 @@ FlowSample = namedtuple("FlowSample", STREAMS["flow_rows"][0])
 CHUNK_ROWS = 1024
 DISPOSITIONS = (DISPOSITION_INORDER, DISPOSITION_LATE, DISPOSITION_TIMEOUT)
 DISPOSITION_CODES = {d: i for i, d in enumerate(DISPOSITIONS)}
-# One packed row per stream, shared by every log.
+# Each stream's packed row and field formats, shared by every log.
 _ROW_STRUCTS = {name: struct.Struct("=" + kinds.replace("c", "q"))
                 for name, (_, kinds) in STREAMS.items()}
+_SPECS = {name: tuple("%.3f" if kind == "d" else "%s" for kind in kinds)
+          for name, (_, kinds) in STREAMS.items()}
 _ZERO_PLANE = bytes(CHUNK_ROWS)
 
 
 class Stream(Sequence):
     """One record stream, a read-only sequence of exact tuples in the field
-    order STREAMS names, stored packed.
+    order STREAMS names, stored packed. It serves as its own export Table:
+    header is its field names, specs each field's %-format, rows() its rows.
 
     A row is written with no call: tail += struct.pack(*row), a disposition
     given as its DISPOSITION_CODES code. seal() moves each whole CHUNK_ROWS
@@ -84,11 +87,12 @@ class Stream(Sequence):
     so it can always grow.
     """
 
-    __slots__ = ("name", "kinds", "struct", "full", "tail", "_chunks")
+    __slots__ = ("name", "header", "kinds", "specs", "struct", "full", "tail", "_chunks")
 
     def __init__(self, name: str):
         self.name = name
-        self.kinds = STREAMS[name][1]
+        self.header, self.kinds = STREAMS[name]
+        self.specs = _SPECS[name]
         self.struct = _ROW_STRUCTS[name]
         self.full = CHUNK_ROWS * self.struct.size
         self.tail = bytearray()
@@ -114,11 +118,6 @@ class Stream(Sequence):
             keep = list(map(ne, planes, repeat(_ZERO_PLANE)))
             self._chunks.append(bytes(keep) + b"".join(compress(planes, keep)))
             del tail[:full]
-
-    @property
-    def specs(self) -> tuple[str, ...]:
-        """The %-format of each field as an export column."""
-        return tuple("%.3f" if kind == "d" else "%s" for kind in self.kinds)
 
     def column(self, i: int):
         """Field i of every row in row order, read without building rows."""
@@ -154,6 +153,8 @@ class Stream(Sequence):
 
     def __iter__(self):
         return chain.from_iterable(map(self._rows, self._blocks()))
+
+    rows = __iter__
 
     def __getitem__(self, i: int) -> tuple:
         c, r = divmod(range(len(self))[i], CHUNK_ROWS)
@@ -230,9 +231,9 @@ def compute_pdv(log: MetricsLog, nominal_interval_us: float,
                 stream: str = "deliveries") -> PdvResult:
     """Delay variation between consecutive sequence numbers.
 
-    pdv(n) = (t(n) - t(n-1)) - nominal interval, using application-visible
-    times of the chosen stream, deliveries or arrivals; negative when a
-    packet landed before the one preceding it in sequence. Sequence numbers
+    pdv(n) = (t(n) - t(n-1)) - nominal interval, a float, using the
+    application-visible times of the chosen stream, deliveries or arrivals;
+    negative when a packet landed before its predecessor. Sequence numbers
     whose predecessor never landed are skipped and counted; sequence number
     0 has no predecessor and is neither sampled nor counted. Pure function
     of the (seq, time) pairs, so log record order does not matter; a
@@ -249,9 +250,7 @@ def compute_pdv(log: MetricsLog, nominal_interval_us: float,
     if stream not in ("deliveries", "arrivals"):
         raise ValueError(f"unknown stream {stream!r}")
     rows = getattr(log, stream)
-    # The interval's type is part of the key: 8000 == 8000.0, but the
-    # samples' type, and so their export format, follows the interval's.
-    key = (stream, type(nominal_interval_us), nominal_interval_us, len(rows))
+    key = (stream, nominal_interval_us, len(rows))
     if log._pdv is not None and log._pdv[0] == key:
         return log._pdv[1]
     _check_numbers(log, stream, 1)
@@ -267,7 +266,7 @@ def compute_pdv(log: MetricsLog, nominal_interval_us: float,
     both = int.from_bytes(landed, "little")
     sampled = ((both >> 8) & both).to_bytes(n, "little")[:-1]
     values = list(compress(
-        map(sub, map(sub, times[1:], times), repeat(nominal_interval_us)), sampled))
+        map(sub, map(sub, times[1:], times), repeat(float(nominal_interval_us))), sampled))
     # Every number after 0 that landed unsampled is skipped.
     result = PdvResult(sampled, values, landed.count(1, 1) - len(values))
     log._pdv = (key, result)
@@ -276,7 +275,8 @@ def compute_pdv(log: MetricsLog, nominal_interval_us: float,
 
 class Table:
     """A tabular export: its header, each column's %-format, in CSV and JSON
-    alike, and rows(), which like iter() returns a fresh iterator of tuples."""
+    alike, and rows(), which like iter() returns a fresh iterator of tuples.
+    A Stream serves as one as it stands."""
 
     def __init__(self, header: tuple[str, ...], specs: tuple[str, ...], rows):
         self.header, self.specs, self.rows = header, specs, rows
@@ -412,10 +412,6 @@ def write_json(path, payload) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _stream(stream: Stream, header: tuple[str, ...] | None = None) -> Table:
-    return Table(header or STREAMS[stream.name][0], stream.specs, stream.__iter__)
-
-
 def _deliveries(log: MetricsLog, pdv) -> Table:
     # Every packet the receiver disposed of, discards included, in sorted
     # order: both time-ordered streams merged by time and sorted 128 rows at
@@ -441,9 +437,9 @@ def _decisions(log: MetricsLog, pdv) -> Table:
     # Each row ends with every path's ETA as of its pick: the etas rows up to
     # its overall_seq, replayed as both streams are read in sequence order.
     if not log.etas:
-        return _stream(log.decisions)
+        return log.decisions
     n_paths = max(log.etas.column(1)) + 1
-    header = STREAMS["decisions"][0] + tuple(f"eta_{i}_us" for i in range(n_paths))
+    header = log.decisions.header + tuple(f"eta_{i}_us" for i in range(n_paths))
     return Table(header, log.decisions.specs + ("%.3f",) * n_paths,
                  lambda: _with_etas(log, n_paths))
 
@@ -462,10 +458,8 @@ def _with_etas(log: MetricsLog, n_paths: int):
 
 
 def _pdv(log: MetricsLog, pdv) -> Table:
-    # The samples take the interval's type, which compute_pdv's key records.
     result = pdv()
-    spec = "%.3f" if issubclass(log._pdv[0][1], float) else "%s"
-    return Table(("overall_seq", "pdv_us"), ("%s", spec),
+    return Table(("overall_seq", "pdv_us"), ("%s", "%.3f"),
                  lambda: zip(compress(count(1), result.sampled), result.values))
 
 
@@ -480,18 +474,18 @@ def _headers(log: MetricsLog, pdv) -> Table:
 # Every exportable metric: fn(log, pdv) -> Table, pdv() giving the run's
 # PdvResult; a fn returning a dict is a JSON document whatever the format.
 METRICS = {
-    "arrivals": lambda log, pdv: _stream(log.arrivals, (
-        "arrival_time_us", "overall_seq", "path_id", "ingress_time_us")),
+    "arrivals": lambda log, pdv: Table(("arrival_time_us",) + log.arrivals.header[1:],
+                                       log.arrivals.specs, log.arrivals.rows),
     "decisions": _decisions,
     "deliveries": _deliveries,
-    "discards": lambda log, pdv: _stream(log.discards),
-    "drops": lambda log, pdv: _stream(log.drops),
-    "flows": lambda log, pdv: _stream(log.flow_rows),
+    "discards": lambda log, pdv: log.discards,
+    "drops": lambda log, pdv: log.drops,
+    "flows": lambda log, pdv: log.flow_rows,
     "headers": _headers,
     "pdv": _pdv,
     "pdv_histogram": lambda log, pdv: pdv_histogram(pdv().values),
     "scatter": lambda log, pdv: arrival_order_scatter(log),
-    "srtt": lambda log, pdv: Table(STREAMS["flow_rows"][0][:3], log.flow_rows.specs[:3],
+    "srtt": lambda log, pdv: Table(log.flow_rows.header[:3], log.flow_rows.specs[:3],
                                    lambda: zip(*map(log.flow_rows.column, range(3)))),
     "throughput": lambda log, pdv: throughput_series(log, THROUGHPUT_BIN_US),
 }

@@ -1,5 +1,6 @@
-"""Sender-side packet schedulers: round robin, fixed ratio, cheapest pipe
-first, lowest smoothed RTT, and queue-aware earliest-arrival (otias).
+"""Sender-side packet schedulers: fixed ratio (round robin is its unit
+weights), cheapest pipe first, lowest smoothed RTT, and queue-aware
+earliest-arrival (otias).
 
 Every scheduler decides from its internal counters and the path views
 handed to it, ties always break toward the lower path_id, so the decision
@@ -49,19 +50,6 @@ def otias_eta(view: Flow) -> float:
     return ceil(backlog / view.cwnd) * srtt + srtt / 2.0
 
 
-class RoundRobin:
-    """Cycle through paths in path_id order."""
-
-    moved = ()
-
-    def __init__(self):
-        self._last = -1
-
-    def pick(self, views: Sequence[Flow], now: int, changed: Changed = None) -> int:
-        self._last = (self._last + 1) % len(views)
-        return self._last
-
-
 class FixedRatio:
     """Deterministic weighted round robin (smooth interleaving).
 
@@ -78,7 +66,8 @@ class FixedRatio:
     After a period each credit is sum(weights) times (weight - times
     served), a multiple of sum(weights) above -sum(weights), so at least 0,
     and credits at least 0 that sum to 0 are all 0. So each period position
-    is computed once by the credit rule and then replayed.
+    is computed once by the credit rule and then replayed. Unit weights
+    pick 0, 1, ..., n - 1 over and over: round robin in path_id order.
     """
 
     moved = ()
@@ -157,24 +146,24 @@ class Otias:
         return self._picked
 
 
-# Every scheduler kind, built from its SchedulerConfig. The run log records
-# the ETAs each pick moved (see the module docstring).
+# Every scheduler kind, by the factory that builds it from the run's
+# ScenarioConfig. The run log records the ETAs each pick moved.
 SCHEDULERS = {
     "cheapest_pipe_first": Plugin(
-        lambda config: LowestWithRoom(attrgetter("cost", "path_id")),
+        lambda cfg: LowestWithRoom(attrgetter("cost", "path_id")),
         "cost (per path, default 0)",
         "prefer the lowest-cost path while its window has room"),
     "fixed_ratio": Plugin(
-        lambda config: FixedRatio(config.weights),
+        lambda cfg: FixedRatio(cfg.scheduler.weights),
         "weights (one non-negative integer per path, by path_id, not all zero)",
         "deterministic weighted round robin"),
     "otias": Plugin(
-        lambda config: Otias(), "",
+        lambda cfg: Otias(), "",
         "earliest estimated arrival using queue backlog and smoothed RTT"),
     "round_robin": Plugin(
-        lambda config: RoundRobin(), "",
+        lambda cfg: FixedRatio([1] * len(cfg.paths)), "",
         "cycle through paths in path_id order"),
     "srtt": Plugin(
-        lambda config: LowestWithRoom(attrgetter("srtt_us", "path_id")), "",
+        lambda cfg: LowestWithRoom(attrgetter("srtt_us", "path_id")), "",
         "lowest smoothed RTT among paths with window room"),
 }

@@ -26,8 +26,8 @@ class PastEventError(Exception):
 
 
 class Plugin(namedtuple("Plugin", "factory params doc")):
-    """One entry of a plugin registry: how to build it (factory), the scenario
-    keys it reads (params, "" for none) and what it does (doc)."""
+    """One registry entry: factory(cfg) builds it from the run's ScenarioConfig,
+    params are the scenario keys it reads ("" for none), doc what it does."""
 
     __slots__ = ()
 

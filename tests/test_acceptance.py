@@ -12,8 +12,6 @@ import json
 import statistics
 from pathlib import Path
 
-import pytest
-
 from mptunnel.cli import main as cli_main
 from mptunnel.engine import Simulation
 from mptunnel.flow import Flow, TunnelPacket
@@ -26,19 +24,6 @@ from test_reorder import drive_buffer, reference_reorder
 # sha256 of every file of the default-seed paper-suite tree; any change to
 # the simulator's outputs must regenerate it and say why.
 GOLDEN = Path(__file__).parent / "golden" / "paper-suite.sha256"
-
-
-@pytest.fixture(scope="module")
-def runs():
-    cache = {}
-
-    def get(name):
-        if name not in cache:
-            cfg = load_canned(name)
-            cache[name] = (cfg, Simulation(cfg).run())
-        return cache[name]
-
-    return get
 
 
 def report(criterion, ok, detail):

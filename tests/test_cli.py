@@ -299,13 +299,34 @@ def test_list_plugins_text(capsys):
         assert name in text
 
 
+# Every plugin as list-plugins --json lists it, in order: type, name, doc.
+PLUGINS = [
+    ("scheduler", "cheapest_pipe_first", "prefer the lowest-cost path while its window "
+     "has room; params: cost (per path, default 0)"),
+    ("scheduler", "fixed_ratio", "deterministic weighted round robin; params: weights "
+     "(one non-negative integer per path, by path_id, not all zero)"),
+    ("scheduler", "otias",
+     "earliest estimated arrival using queue backlog and smoothed RTT; no params"),
+    ("scheduler", "round_robin", "cycle through paths in path_id order; no params"),
+    ("scheduler", "srtt", "lowest smoothed RTT among paths with window room; no params"),
+    ("reorder", "adaptive", "resequencing with a threshold recomputed from measured "
+     "RTTs; params: adaptive_k, max_hold_us"),
+    ("reorder", "delay_equalize", "per-flow delay lines equalizing end-to-end latency, "
+     "late packets discarded; params: adaptive_k, max_hold_us"),
+    ("reorder", "none", "no receiver processing, packets delivered on arrival; no params"),
+    ("reorder", "static", "resequencing with a fixed threshold; params: "
+     "static_threshold_us (defaults to the configured RTT gap), max_hold_us"),
+]
+
+
 def test_list_plugins_json_is_sorted_array(capsys):
     assert main(["list-plugins", "--json"]) == 0
     entries = json.loads(capsys.readouterr().out)
     assert isinstance(entries, list)
     names = [e["name"] for e in entries if e["type"] == "scheduler"]
     assert names == sorted(names)
-    assert "otias" in names
+    assert all(sorted(entry) == ["doc", "name", "type"] for entry in entries)
+    assert [(e["type"], e["name"], e["doc"]) for e in entries] == PLUGINS
 
 
 def test_same_scenario_and_seed_byte_identical(tmp_path):

@@ -63,7 +63,7 @@ def reference_pdv(log, nominal_interval_us, stream="deliveries") -> ReferencePdv
             skipped += 1
             continue
         seqs.append(seq)
-        values.append((times[seq] - prev) - nominal_interval_us)
+        values.append((times[seq] - prev) - float(nominal_interval_us))
     return ReferencePdv(seqs, values, skipped)
 
 

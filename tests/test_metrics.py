@@ -60,10 +60,10 @@ def test_pdv_second_call_returns_the_kept_result():
     log = log_with_deliveries([(10_000 + 8_000 * k, k) for k in range(10)])
     first = compute_pdv(log, 8_000)
     assert compute_pdv(log, 8_000) is first
-    # An equal interval of another type gives samples of another type.
-    floats = compute_pdv(log, 8_000.0)
-    assert floats is not first
-    assert {type(v) for v in floats.values} == {float}
+    # Samples are floats whatever the interval's type, so an equal interval
+    # of another type asks for the same result.
+    assert compute_pdv(log, 8_000.0) is first
+    assert {type(v) for v in first.values} == {float}
 
 
 def test_pdv_after_a_row_is_appended_is_computed_again():

@@ -10,8 +10,7 @@ from mptunnel.engine import Simulation
 from mptunnel.flow import Flow, TunnelPacket
 from mptunnel.reorder import RECEIVERS
 from mptunnel.scenario import parse_scenario, problems
-from mptunnel.scheduler import (SCHEDULERS, FixedRatio, Otias, RoundRobin,
-                                SchedulerConfig, otias_eta)
+from mptunnel.scheduler import SCHEDULERS, FixedRatio, Otias, SchedulerConfig, otias_eta
 
 
 def view(path_id=0, srtt=20_000.0, rttvar=0.0, cwnd=10.0, in_flight=0,
@@ -29,24 +28,37 @@ def picks(sched, views, n):
     return [sched.pick(views, i) for i in range(n)]
 
 
+def registered(kind, n_paths=2, weights=None):
+    """The scheduler a run of this kind over n_paths paths picks with, built
+    from the run's ScenarioConfig."""
+    scheduler = {"kind": kind} if weights is None else {"kind": kind, "weights": weights}
+    return SCHEDULERS[kind].factory(parse_scenario({
+        "duration_s": 1, "seed": 2,
+        "paths": [{"path_id": i, "one_way_latency_us": 10_000, "bandwidth_bps": 10_000_000}
+                  for i in range(n_paths)],
+        "traffic": {"kind": "cbr", "rate_bps": 1_000_000, "packet_size_bytes": 1000},
+        "scheduler": scheduler, "reorder": {"kind": "none"}}))
+
+
 # -- round robin ---------------------------------------------------------------
 
 
 def test_round_robin_two_paths():
-    assert picks(RoundRobin(), [view(0), view(1)], 4) == [0, 1, 0, 1]
+    assert picks(registered("round_robin", 2), [view(0), view(1)], 4) == [0, 1, 0, 1]
 
 
 def test_round_robin_single_path():
-    assert picks(RoundRobin(), [view(0)], 5) == [0] * 5
+    assert picks(registered("round_robin", 1), [view(0)], 5) == [0] * 5
 
 
 def test_round_robin_three_paths():
-    assert picks(RoundRobin(), [view(0), view(1), view(2)], 7) == [0, 1, 2, 0, 1, 2, 0]
+    vs = [view(0), view(1), view(2)]
+    assert picks(registered("round_robin", 3), vs, 7) == [0, 1, 2, 0, 1, 2, 0]
 
 
 def test_round_robin_exact_share_property():
     vs = [view(i) for i in range(4)]
-    seq = picks(RoundRobin(), vs, 4 * 13)
+    seq = picks(registered("round_robin", 4), vs, 4 * 13)
     for p in range(4):
         assert seq.count(p) == 13
 
@@ -148,11 +160,6 @@ def test_fixed_ratio_config_validation_names_weights():
 
 
 # -- cheapest pipe first and srtt ---------------------------------------------------
-
-
-def registered(kind):
-    """The scheduler a run of this kind picks with."""
-    return SCHEDULERS[kind].factory(SchedulerConfig(kind))
 
 
 def test_cheapest_prefers_low_cost_with_room():
@@ -327,7 +334,7 @@ def test_every_registered_plugin_runs():
 def test_schedulers_are_deterministic_given_same_state():
     vs = [view(0, srtt=30_000, queue=2), view(1, srtt=40_000)]
     for kind in sorted(SCHEDULERS):
-        config = SchedulerConfig(kind, weights=[2, 1])
-        a = picks(SCHEDULERS[kind].factory(config), vs, 12)
-        b = picks(SCHEDULERS[kind].factory(config), vs, 12)
+        weights = [2, 1] if kind == "fixed_ratio" else None
+        a = picks(registered(kind, weights=weights), vs, 12)
+        b = picks(registered(kind, weights=weights), vs, 12)
         assert a == b, kind

@@ -1,7 +1,7 @@
-"""Whole runs against closed forms: what the path model and the resequencer
-promise, derived from their definitions rather than fitted to a run. Each
-test first checks that its run meets the premises of its closed form, and
-that the property has something to show."""
+"""Whole runs against closed forms: what the path model, the resequencer
+and the fixed-ratio schedulers promise, derived from their definitions
+rather than fitted to a run. Each test first checks that its run meets the
+premises of its closed form, and that the property has something to show."""
 
 import pytest
 
@@ -83,3 +83,37 @@ def test_static_threshold_below_the_skew_gives_up_gaps():
     log = static_run(SKEW_US // 5)
     assert log.timeout_gaps > 0
     assert {"timeout", "late"} <= set(log.deliveries.column(5))
+
+
+# Three lossy paths of unequal latency: the fixed-ratio schedulers never
+# read the network, so their shares hold whatever it does.
+LOSSY_PATHS = [{"one_way_latency_us": 5_000 + 20_000 * i, "bandwidth_bps": 10_000_000,
+                "loss_rate": 0.05} for i in range(3)]
+
+
+def windows(log, size: int) -> list[list[int]]:
+    """The run's picks in aligned windows of size, the last one full."""
+    picks = list(log.decisions.column(2))
+    return [picks[k:k + size] for k in range(0, len(picks) - size + 1, size)]
+
+
+@pytest.mark.parametrize("weights", [[3, 1], [4, 1], [5, 0, 2]])
+def test_fixed_ratio_gives_each_path_its_weight_in_every_window(weights):
+    total = sum(weights)
+    log = run(LOSSY_PATHS[:len(weights)], 640_000,
+              {"kind": "fixed_ratio", "weights": weights}, {"kind": "none"})
+    # Premises: one pick per ingress packet, in ingress order, over many
+    # windows, on a network that lost packets.
+    assert list(log.decisions.column(1)) == list(range(log.ingress_count))
+    assert len(windows(log, total)) >= 20 and log.drops
+    for window in windows(log, total):
+        assert [window.count(p) for p in range(len(weights))] == weights
+
+
+@pytest.mark.parametrize("n_paths", [1, 2, 3])
+def test_round_robin_picks_every_path_once_in_every_window(n_paths):
+    log = run(LOSSY_PATHS[:n_paths], 640_000, {"kind": "round_robin"}, {"kind": "none"})
+    assert list(log.decisions.column(1)) == list(range(log.ingress_count))
+    assert len(windows(log, n_paths)) >= 20
+    for window in windows(log, n_paths):
+        assert sorted(window) == list(range(n_paths))
