@@ -357,17 +357,18 @@ def percentile(sorted_values: list[float], q: float) -> float:
 
 
 def pdv_histogram(values: list[float], bin_width_us: float = 1000.0) -> dict:
-    """Histogram of pdv values as bin edges plus counts."""
+    """Histogram of pdv values as bin edges plus counts: a value v is counted
+    in bin (v - lo) // bin_width_us, lo the lowest value floored to a bin edge."""
     if not values:
         return {"bin_edges_us": [], "counts": []}
     values = sorted(values)
     lo = float(values[0] // bin_width_us * bin_width_us)
-    n_bins = int((values[-1] - lo) // bin_width_us) + 1
-    counts = [0] * n_bins
-    for v in values:
-        counts[min(int((v - lo) // bin_width_us), n_bins - 1)] += 1
+    # Sorted values have sorted bins, so bisect finds where each bin starts.
+    bins = list(map(floordiv, map(sub, values, repeat(lo)), repeat(bin_width_us)))
+    n_bins = int(bins[-1]) + 1
+    starts = list(map(bisect_left, repeat(bins), range(n_bins))) + [len(bins)]
     edges = [round(lo + i * bin_width_us, 3) for i in range(n_bins + 1)]
-    return {"bin_edges_us": edges, "counts": counts}
+    return {"bin_edges_us": edges, "counts": list(map(sub, starts[1:], starts[:-1]))}
 
 
 def summarize(log: MetricsLog, nominal_interval_us: float,

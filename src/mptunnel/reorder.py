@@ -14,7 +14,7 @@ from math import inf
 from types import MappingProxyType
 
 from .flow import TunnelPacket, smooth_rtt
-from .simcore import Plugin, Record
+from .simcore import Plugin
 
 DEFAULT_ADAPTIVE_K = 4.0
 DEFAULT_MAX_HOLD_US = 500_000
@@ -22,14 +22,6 @@ DEFAULT_MAX_HOLD_US = 500_000
 DISPOSITION_INORDER = "inorder"
 DISPOSITION_TIMEOUT = "timeout"
 DISPOSITION_LATE = "late"
-
-
-class ReorderConfig(Record):
-    def __init__(self, kind: str = "none", static_threshold_us: int | None = None,
-                 adaptive_k: float = DEFAULT_ADAPTIVE_K,
-                 max_hold_us: int = DEFAULT_MAX_HOLD_US):
-        super().__init__(kind=kind, static_threshold_us=static_threshold_us,
-                         adaptive_k=adaptive_k, max_hold_us=max_hold_us)
 
 
 class PathStats:
@@ -279,17 +271,17 @@ RECEIVERS = {
     "adaptive": Plugin(
         lambda cfg: ReorderBuffer(adaptive_k=cfg.reorder.adaptive_k,
                                   max_hold_us=cfg.reorder.max_hold_us),
-        "adaptive_k, max_hold_us",
+        (("adaptive_k", ""), ("max_hold_us", "")),
         "resequencing with a threshold recomputed from measured RTTs"),
     "delay_equalize": Plugin(
         lambda cfg: EqualizerLines(cfg.reorder.adaptive_k, cfg.reorder.max_hold_us),
-        "adaptive_k, max_hold_us",
+        (("adaptive_k", ""), ("max_hold_us", "")),
         "per-flow delay lines equalizing end-to-end latency, late packets discarded"),
     "none": Plugin(
-        lambda cfg: Receiver(), "",
+        lambda cfg: Receiver(), (),
         "no receiver processing, packets delivered on arrival"),
     "static": Plugin(
         _static_resequencer,
-        "static_threshold_us (defaults to the configured RTT gap), max_hold_us",
+        (("static_threshold_us", "defaults to the configured RTT gap"), ("max_hold_us", "")),
         "resequencing with a fixed threshold"),
 }

@@ -1,15 +1,17 @@
-"""Scenario configuration: a strict JSON schema declared as one field table
-(SCHEMA) with full error collection, and the canned scenario suite shipped
-with the package."""
+"""Scenario configuration: one record class per JSON object of a scenario,
+built and checked from its own table (FIELDS and RULES) with full error
+collection, and the canned scenario suite shipped with the package."""
 
+import copyreg
 import json
 import sys
 from collections import namedtuple
+from types import SimpleNamespace
 
 from .metrics import METRICS
-from .reorder import RECEIVERS, ReorderConfig
-from .scheduler import SCHEDULERS, SchedulerConfig
-from .simcore import LatencyStep, PathModel, Record, TrafficSource, US_PER_SECOND
+from .reorder import DEFAULT_ADAPTIVE_K, DEFAULT_MAX_HOLD_US, RECEIVERS
+from .scheduler import SCHEDULERS
+from .simcore import US_PER_SECOND
 
 
 # Upper bound on duration_s (about 31.7 years of simulated time). It keeps
@@ -20,6 +22,8 @@ MAX_DURATION_S = 1_000_000_000
 # The largest IP datagram; far larger sizes overflow a sends row's 64-bit int.
 MAX_PACKET_BYTES = 65_535
 
+REQUIRED = object()  # the default of a key that has none
+
 
 class ScenarioError(Exception):
     """Carries every validation problem found, not just the first."""
@@ -29,22 +33,188 @@ class ScenarioError(Exception):
         self.errors = errors
 
 
+class Field(namedtuple("Field", "key type default of gt ge le choices",
+                       defaults=(REQUIRED, None, None, None, None, None))):
+    """One key of a record: its JSON type, default, range and choices.
+
+    type is integer, number (finite), string, array or the Record class of
+    a nested object; of is the item type of an array. The range (gt, ge, le)
+    and choices apply to the value, or to each item of an array. A key with
+    no default is required. An absent key takes its default, and a callable
+    default (a class, say) is called once per record. A key whose default is
+    None also accepts null for it.
+    """
+
+    __slots__ = ()
+
+
+class Record(SimpleNamespace):
+    """A mutable config record whose fields are its attributes, declared by
+    its class: FIELDS, a tuple of Field in order, and RULES, the checks that
+    relate several keys, each under the keys it reads: check(record, where)
+    -> problems. A rule runs whenever every key it reads is well typed, so
+    one mistyped key hides no problem among the others.
+
+    A record takes its fields by position or keyword, and a field left out
+    its default. vars() lists the fields, == and repr go field by field and
+    a copy is rebuilt from them.
+    """
+
+    FIELDS: tuple = ()
+    RULES: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        fields, values = self.FIELDS, self.__dict__
+        for f, value in zip(fields, args):
+            values[f.key] = value
+        taken = len(args)
+        for f in fields[taken:]:
+            if f.key in kwargs:
+                values[f.key] = kwargs[f.key]
+                taken += 1
+            elif f.default is REQUIRED:
+                raise TypeError(f"{type(self).__name__} needs {f.key!r}")
+            else:
+                values[f.key] = f.default() if callable(f.default) else f.default
+        if len(args) > len(fields) or taken != len(args) + len(kwargs):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields, "
+                            f"each once: {', '.join(f.key for f in fields)}")
+
+    def __reduce__(self):
+        # A bare instance, then its fields: __init__ is not called, and
+        # copyreg.__newobj__ is found by name at every pickle protocol.
+        return copyreg.__newobj__, (type(self),), vars(self)
+
+
+def _unread(plugins: dict):
+    """The rule that rejects a key, set away from its default, that the
+    chosen kind of plugins does not read (its Plugin.params)."""
+    def check(record: Record, where: str) -> list[str]:
+        plugin = plugins.get(record.kind)
+        if plugin is None:  # an unknown kind is reported by its choices
+            return []
+        reads = {"kind", *(key for key, _ in plugin.params)}
+        return [f"{where}.{f.key} is not read by kind {record.kind!r}; leave it "
+                f"out or give its default, {json.dumps(f.default)}"
+                for f in record.FIELDS
+                if f.key not in reads and getattr(record, f.key) != f.default]
+    return check
+
+
+class LatencyStep(Record):
+    """Scheduled change of a path's one-way latency."""
+
+    FIELDS = (Field("at_us", "integer", ge=0), Field("latency_us", "integer", ge=0))
+
+
+class PathModel(Record):
+    """Static description of one simulated link."""
+
+    FIELDS = (
+        Field("path_id", "integer", ge=0, le=255),
+        Field("one_way_latency_us", "integer", ge=0, le=MAX_DURATION_S * US_PER_SECOND),
+        Field("bandwidth_bps", "integer", gt=0),
+        Field("loss_rate", "number", 0.0, ge=0, le=1),
+        Field("cost", "number", 0.0, ge=0),
+        Field("latency_steps", "array", list, of=LatencyStep),
+    )
+
+    def _step_rules(self, where: str) -> list[str]:
+        at = [step.at_us for step in self.latency_steps]
+        if any(later <= earlier for earlier, later in zip(at, at[1:])):
+            return [f"{where}.latency_steps must be strictly increasing in time"]
+        return []
+
+    RULES = {("latency_steps",): _step_rules}
+
+
+class TrafficSource(Record):
+    """Constant bit rate or greedy (always backlogged) packet source."""
+
+    FIELDS = (
+        Field("kind", "string", choices=("cbr", "greedy")),
+        Field("packet_size_bytes", "integer", gt=0, le=MAX_PACKET_BYTES),
+        Field("rate_bps", "integer", 0),
+        Field("start_us", "integer", 0, ge=0),
+        Field("stop_us", "integer", None),
+    )
+
+    def _rate_rules(self, where: str) -> list[str]:
+        if self.kind != "cbr":
+            return []
+        if self.rate_bps <= 0:
+            return [f"{where}: cbr requires rate_bps > 0"]
+        # Emission times are floored to whole µs, so past one packet per µs
+        # simulated time can stop advancing.
+        if self.rate_bps > self.packet_size_bytes * 8 * US_PER_SECOND:
+            return [f"{where}.rate_bps must be <= packet_size_bytes * 8 * 10^6 "
+                    f"(at most one cbr packet per microsecond)"]
+        return []
+
+    def _stop_rules(self, where: str) -> list[str]:
+        if self.stop_us is not None and self.stop_us <= self.start_us:
+            return [f"{where}.stop_us must be > start_us"]
+        return []
+
+    RULES = {("kind", "rate_bps", "packet_size_bytes"): _rate_rules,
+             ("start_us", "stop_us"): _stop_rules}
+
+
+class SchedulerConfig(Record):
+    FIELDS = (
+        Field("kind", "string", choices=SCHEDULERS),
+        Field("weights", "array", None, of="integer", ge=0),
+    )
+
+    def _fixed_ratio_rules(self, where: str) -> list[str]:
+        if self.kind == "fixed_ratio" and not self.weights:
+            return [f"{where}: fixed_ratio requires weights"]
+        if self.kind == "fixed_ratio" and not any(self.weights):
+            return [f"{where}.weights must not be all zero"]
+        return []
+
+    RULES = {("kind", "weights"): _fixed_ratio_rules, ("kind",): _unread(SCHEDULERS)}
+
+
+class ReorderConfig(Record):
+    FIELDS = (
+        Field("kind", "string", choices=RECEIVERS),
+        Field("static_threshold_us", "integer", None, ge=0,
+              le=MAX_DURATION_S * US_PER_SECOND),
+        Field("adaptive_k", "number", DEFAULT_ADAPTIVE_K, gt=0),
+        Field("max_hold_us", "integer", DEFAULT_MAX_HOLD_US, ge=0,
+              le=MAX_DURATION_S * US_PER_SECOND),
+    )
+    RULES = {("kind",): _unread(RECEIVERS)}
+
+
 class OutputSpec(Record):
-    def __init__(self, metric: str, format: str, path: str):
-        super().__init__(metric=metric, format=format, path=path)
+    FIELDS = (
+        Field("metric", "string", choices=METRICS),
+        Field("format", "string", choices=("csv", "json")),
+        Field("path", "string"),
+    )
+
+    def _name_rules(self, where: str) -> list[str]:
+        if not self.path or "/" in self.path or self.path.startswith("."):
+            return [f"{where}.path must be a bare file name, got {self.path!r}"]
+        return []
+
+    RULES = {("path",): _name_rules}
 
 
 class ScenarioConfig(Record):
-    def __init__(self, duration_s: float, seed: int, paths: list[PathModel],
-                 traffic: TrafficSource, scheduler: SchedulerConfig,
-                 reorder: ReorderConfig | None = None,
-                 outputs: list[OutputSpec] | None = None,
-                 name: str = "scenario", pdv_stream: str = "deliveries"):
-        super().__init__(
-            duration_s=duration_s, seed=seed, paths=paths, traffic=traffic,
-            scheduler=scheduler,
-            reorder=ReorderConfig() if reorder is None else reorder,
-            outputs=[] if outputs is None else outputs, name=name, pdv_stream=pdv_stream)
+    FIELDS = (
+        Field("duration_s", "number", gt=0, le=MAX_DURATION_S),
+        Field("seed", "integer"),
+        Field("paths", "array", of=PathModel),
+        Field("traffic", TrafficSource),
+        Field("scheduler", SchedulerConfig),
+        Field("reorder", ReorderConfig, lambda: ReorderConfig("none")),
+        Field("outputs", "array", list, of=OutputSpec),
+        Field("name", "string", "scenario"),
+        Field("pdv_stream", "string", "deliveries", choices=("arrivals", "deliveries")),
+    )
 
     @property
     def duration_us(self) -> int:
@@ -56,169 +226,47 @@ class ScenarioConfig(Record):
             return 0.0
         return self.traffic.packet_size_bytes * 8 * US_PER_SECOND / self.traffic.rate_bps
 
+    def _path_id_rules(self, where: str) -> list[str]:
+        found = []
+        ids = [p.path_id for p in self.paths]
+        if not ids:
+            found.append("paths must list at least one path")
+        seen = set()
+        for pid in ids:
+            if pid in seen:
+                found.append(f"duplicate path_id {pid}")
+            seen.add(pid)
+        if ids and sorted(seen) != list(range(len(ids))):
+            found.append("path_id values must be 0..n-1")
+        return found
 
-# -- schema ------------------------------------------------------------------
-
-class Field(namedtuple("Field", "key type required nullable of gt ge le choices",
-                       defaults=(False, False, None, None, None, None, None))):
-    """One key of a schema section.
-
-    type is integer, number (finite), string, array or the name of another
-    section for a nested object; of is the item type of an array. The range
-    (gt, ge, le) and choices apply to the value, or to each item of an array.
-    An absent optional key takes the default of the record field of the
-    same name; a nullable key also accepts null for that default.
-    """
-
-    __slots__ = ()
-
-
-class Section(namedtuple("Section", "cls fields rules")):
-    """The record a JSON object builds (cls), its keys (fields, a tuple of
-    Field), and the rules that relate several keys (rules, a dict), each
-    under the keys it reads: check(instance, where) -> problems. A rule runs
-    whenever every key it reads is well typed, so one mistyped key hides no
-    problem among the others."""
-
-    __slots__ = ()
-
-
-def _path_id_rules(cfg: ScenarioConfig, where: str) -> list[str]:
-    found = []
-    ids = [p.path_id for p in cfg.paths]
-    if not ids:
-        found.append("paths must list at least one path")
-    seen = set()
-    for pid in ids:
-        if pid in seen:
-            found.append(f"duplicate path_id {pid}")
-        seen.add(pid)
-    if ids and sorted(seen) != list(range(len(ids))):
-        found.append("path_id values must be 0..n-1")
-    return found
-
-
-def _weights_rules(cfg: ScenarioConfig, where: str) -> list[str]:
-    sched, n = cfg.scheduler, len(cfg.paths)
-    if sched.kind == "fixed_ratio" and sched.weights and len(sched.weights) != n:
-        return [f"scheduler.weights must list one entry per path ({n})"]
-    return []
-
-
-def _greedy_weights_rules(cfg: ScenarioConfig, where: str) -> list[str]:
-    # The greedy source offers packets while some flow is idle, and fixed_ratio
-    # never picks a path of weight 0, so that path would stay idle for ever.
-    sched = cfg.scheduler
-    if (cfg.traffic.kind == "greedy" and sched.kind == "fixed_ratio"
-            and 0 in (sched.weights or ())):
-        return ["scheduler.weights must all be > 0 for greedy traffic"]
-    return []
-
-
-def _output_name_rules(cfg: ScenarioConfig, where: str) -> list[str]:
-    names = [out.path for out in cfg.outputs] + ["summary.json"]
-    clashes = sorted({name for name in names if names.count(name) > 1})
-    if clashes:
-        return [f"outputs[].path must be distinct and not summary.json; "
-                f"clashing: {', '.join(clashes)}"]
-    return []
-
-
-def _path_rules(path: PathModel, where: str) -> list[str]:
-    at = [step.at_us for step in path.latency_steps]
-    if any(later <= earlier for earlier, later in zip(at, at[1:])):
-        return [f"{where}.latency_steps must be strictly increasing in time"]
-    return []
-
-
-def _rate_rules(traffic: TrafficSource, where: str) -> list[str]:
-    if traffic.kind != "cbr":
+    def _weights_rules(self, where: str) -> list[str]:
+        sched, n = self.scheduler, len(self.paths)
+        if sched.kind == "fixed_ratio" and sched.weights and len(sched.weights) != n:
+            return [f"scheduler.weights must list one entry per path ({n})"]
         return []
-    if traffic.rate_bps <= 0:
-        return [f"{where}: cbr requires rate_bps > 0"]
-    # Emission times are floored to whole µs, so past one packet per µs
-    # simulated time can stop advancing.
-    if traffic.rate_bps > traffic.packet_size_bytes * 8 * US_PER_SECOND:
-        return [f"{where}.rate_bps must be <= packet_size_bytes * 8 * 10^6 "
-                f"(at most one cbr packet per microsecond)"]
-    return []
 
+    def _greedy_weights_rules(self, where: str) -> list[str]:
+        # The greedy source offers packets while some flow is idle, and
+        # fixed_ratio never picks a path of weight 0, so that path would stay
+        # idle for ever.
+        sched = self.scheduler
+        if (self.traffic.kind == "greedy" and sched.kind == "fixed_ratio"
+                and 0 in (sched.weights or ())):
+            return ["scheduler.weights must all be > 0 for greedy traffic"]
+        return []
 
-def _stop_rules(traffic: TrafficSource, where: str) -> list[str]:
-    if traffic.stop_us is not None and traffic.stop_us <= traffic.start_us:
-        return [f"{where}.stop_us must be > start_us"]
-    return []
+    def _output_name_rules(self, where: str) -> list[str]:
+        names = [out.path for out in self.outputs] + ["summary.json"]
+        clashes = sorted({name for name in names if names.count(name) > 1})
+        if clashes:
+            return [f"outputs[].path must be distinct and not summary.json; "
+                    f"clashing: {', '.join(clashes)}"]
+        return []
 
-
-def _scheduler_rules(sched: SchedulerConfig, where: str) -> list[str]:
-    if sched.kind == "fixed_ratio" and not sched.weights:
-        return [f"{where}: fixed_ratio requires weights"]
-    if sched.kind == "fixed_ratio" and not any(sched.weights):
-        return [f"{where}.weights must not be all zero"]
-    return []
-
-
-def _output_rules(out: OutputSpec, where: str) -> list[str]:
-    if not out.path or "/" in out.path or out.path.startswith("."):
-        return [f"{where}.path must be a bare file name, got {out.path!r}"]
-    return []
-
-
-SCHEMA = {
-    "scenario": Section(ScenarioConfig, (
-        Field("duration_s", "number", required=True, gt=0, le=MAX_DURATION_S),
-        Field("seed", "integer", required=True),
-        Field("paths", "array", required=True, of="path"),
-        Field("traffic", "traffic", required=True),
-        Field("scheduler", "scheduler", required=True),
-        Field("reorder", "reorder"),
-        Field("outputs", "array", of="output"),
-        Field("name", "string"),
-        Field("pdv_stream", "string", choices=("arrivals", "deliveries")),
-    ), {("paths",): _path_id_rules, ("paths", "scheduler"): _weights_rules,
-        ("scheduler", "traffic"): _greedy_weights_rules,
-        ("outputs",): _output_name_rules}),
-    "path": Section(PathModel, (
-        Field("path_id", "integer", required=True, ge=0, le=255),
-        Field("one_way_latency_us", "integer", required=True, ge=0,
-              le=MAX_DURATION_S * US_PER_SECOND),
-        Field("bandwidth_bps", "integer", required=True, gt=0),
-        Field("loss_rate", "number", ge=0, le=1),
-        Field("cost", "number", ge=0),
-        Field("latency_steps", "array", of="latency_step"),
-    ), {("latency_steps",): _path_rules}),
-    "latency_step": Section(LatencyStep, (
-        Field("at_us", "integer", required=True, ge=0),
-        Field("latency_us", "integer", required=True, ge=0),
-    ), {}),
-    "traffic": Section(TrafficSource, (
-        Field("kind", "string", required=True, choices=("cbr", "greedy")),
-        Field("packet_size_bytes", "integer", required=True, gt=0,
-              le=MAX_PACKET_BYTES),
-        Field("rate_bps", "integer"),
-        Field("start_us", "integer", ge=0),
-        Field("stop_us", "integer", nullable=True),
-    ), {("kind", "rate_bps", "packet_size_bytes"): _rate_rules,
-        ("start_us", "stop_us"): _stop_rules}),
-    "scheduler": Section(SchedulerConfig, (
-        Field("kind", "string", required=True, choices=SCHEDULERS),
-        Field("weights", "array", nullable=True, of="integer", ge=0),
-    ), {("kind", "weights"): _scheduler_rules}),
-    "reorder": Section(ReorderConfig, (
-        Field("kind", "string", required=True, choices=RECEIVERS),
-        Field("static_threshold_us", "integer", nullable=True, ge=0,
-              le=MAX_DURATION_S * US_PER_SECOND),
-        Field("adaptive_k", "number", gt=0),
-        Field("max_hold_us", "integer", ge=0, le=MAX_DURATION_S * US_PER_SECOND),
-    ), {}),
-    "output": Section(OutputSpec, (
-        Field("metric", "string", required=True, choices=METRICS),
-        Field("format", "string", required=True, choices=("csv", "json")),
-        Field("path", "string", required=True),
-    ), {("path",): _output_rules}),
-}
-
-_SECTION_OF = {section.cls: name for name, section in SCHEMA.items()}
+    RULES = {("paths",): _path_id_rules, ("paths", "scheduler"): _weights_rules,
+             ("scheduler", "traffic"): _greedy_weights_rules,
+             ("outputs",): _output_name_rules}
 
 
 def _is_number(value) -> bool:
@@ -236,14 +284,14 @@ _SCALARS = {
 _BAD = object()  # stands in for a value of the wrong type or shape
 
 
-def _value(f: Field, kind: str, value, name: str, errors: list[str]):
+def _value(f: Field, kind, value, name: str, errors: list[str]):
     """Check one value of key f, of type kind (f.type, or f.of for an item);
     return it converted, or _BAD when its type or shape is wrong.
 
     A value out of range or choices is reported but still returned, so the
     rules that read it still run.
     """
-    if kind in SCHEMA:
+    if isinstance(kind, type):
         return _section(kind, value, name, errors)
     if kind == "array":
         if not isinstance(value, list):
@@ -267,51 +315,53 @@ def _value(f: Field, kind: str, value, name: str, errors: list[str]):
     return float(value) if kind == "number" else value
 
 
-def _section(section: str, obj, where: str, errors: list[str]):
-    """Check obj against SCHEMA[section], then against each of the section's
-    rules whose keys are well typed.
+def _section(cls: type, obj, where: str, errors: list[str]):
+    """Check obj against cls.FIELDS, then against each of cls.RULES whose
+    keys are well typed.
 
-    obj is parsed JSON, built into the section's record, or an instance of
-    that record, checked as the JSON object of its fields. Returns the
-    instance, or _BAD when a key is missing or has the wrong type.
+    obj is parsed JSON, built into a cls record, or a cls record, checked as
+    the JSON object of its fields and returned as it is. Returns the record,
+    or _BAD when a key is missing or has the wrong type.
     """
-    cls, fields, rules = SCHEMA[section]
     label = where or "scenario"
-    if isinstance(obj, cls):
-        obj = vars(obj)
+    record = obj if isinstance(obj, cls) else None
+    if record is not None:
+        obj = vars(record)
     if not isinstance(obj, dict):
         errors.append(f"{label} must be an object")
         return _BAD
-    known = [f.key for f in fields]
+    known = [f.key for f in cls.FIELDS]
     errors.extend(f"{label}: unknown key {key!r}" for key in obj if key not in known)
     values = {}
-    for f in fields:
+    for f in cls.FIELDS:
         if f.key not in obj:
-            if f.required:
+            # A record has every field, unless one was deleted.
+            if f.default is REQUIRED or record is not None:
                 errors.append(f"{label}: missing required key {f.key!r}")
                 values[f.key] = _BAD
             continue
         value = obj[f.key]
-        if value is not None or not f.nullable:
+        if value is not None or f.default is not None:
             name = f"{where}.{f.key}" if where else f.key
             values[f.key] = _value(f, f.type, value, name, errors)
-    obj = cls(**values)
-    for reads, check in rules.items():
+    if record is None:
+        record = cls(**values)
+    for reads, check in cls.RULES.items():
         if all(values.get(key) is not _BAD for key in reads):
-            errors.extend(check(obj, where))
-    return _BAD if any(v is _BAD for v in values.values()) else obj
+            errors.extend(check(record, where))
+    return _BAD if any(v is _BAD for v in values.values()) else record
 
 
 def problems(obj) -> list[str]:
     """Every schema problem of a config built in code: a ScenarioConfig or one
-    of the records a SCHEMA section builds. Anything else, such as the
-    JSON a config is parsed from, raises TypeError."""
-    section = _SECTION_OF.get(type(obj))
-    if section is None:
-        raise TypeError(f"expected a ScenarioConfig or one of its section "
-                        f"records, not {type(obj).__name__}")
+    of the records it holds. Anything else, such as the JSON a config is
+    parsed from, raises TypeError."""
+    if not isinstance(obj, Record):
+        raise TypeError(f"expected a ScenarioConfig or one of its records, "
+                        f"not {type(obj).__name__}")
     errors: list[str] = []
-    _section(section, obj, "" if section == "scenario" else section, errors)
+    where = "" if isinstance(obj, ScenarioConfig) else type(obj).__name__
+    _section(type(obj), obj, where, errors)
     return errors
 
 
@@ -319,7 +369,7 @@ def parse_scenario(data) -> ScenarioConfig:
     """Build a ScenarioConfig from parsed JSON, raising ScenarioError with the
     complete list of schema and semantic problems."""
     errors: list[str] = []
-    cfg = _section("scenario", data, "", errors)
+    cfg = _section(ScenarioConfig, data, "", errors)
     if errors:
         raise ScenarioError(errors)
     return cfg

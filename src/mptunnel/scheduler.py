@@ -26,14 +26,9 @@ from math import ceil
 from operator import add, attrgetter
 
 from .flow import Flow
-from .simcore import Plugin, Record
+from .simcore import Plugin
 
 Changed = Collection[int] | None  # pick's changed, see the module docstring
-
-
-class SchedulerConfig(Record):
-    def __init__(self, kind: str, weights: list[int] | None = None):
-        super().__init__(kind=kind, weights=weights)
 
 
 def otias_eta(view: Flow) -> float:
@@ -151,19 +146,19 @@ class Otias:
 SCHEDULERS = {
     "cheapest_pipe_first": Plugin(
         lambda cfg: LowestWithRoom(attrgetter("cost", "path_id")),
-        "cost (per path, default 0)",
+        (("cost", "per path, default 0"),),
         "prefer the lowest-cost path while its window has room"),
     "fixed_ratio": Plugin(
         lambda cfg: FixedRatio(cfg.scheduler.weights),
-        "weights (one non-negative integer per path, by path_id, not all zero)",
+        (("weights", "one non-negative integer per path, by path_id, not all zero"),),
         "deterministic weighted round robin"),
     "otias": Plugin(
-        lambda cfg: Otias(), "",
+        lambda cfg: Otias(), (),
         "earliest estimated arrival using queue backlog and smoothed RTT"),
     "round_robin": Plugin(
-        lambda cfg: FixedRatio([1] * len(cfg.paths)), "",
+        lambda cfg: FixedRatio([1] * len(cfg.paths)), (),
         "cycle through paths in path_id order"),
     "srtt": Plugin(
-        lambda cfg: LowestWithRoom(attrgetter("srtt_us", "path_id")), "",
+        lambda cfg: LowestWithRoom(attrgetter("srtt_us", "path_id")), (),
         "lowest smoothed RTT among paths with window room"),
 }

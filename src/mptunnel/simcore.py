@@ -1,5 +1,5 @@
-"""Discrete-event core: simulated clock, event queue, path models and traffic
-sources.
+"""Discrete-event core: simulated clock, event queue, path state and the
+plugin registry entry.
 
 Time is integer microseconds everywhere. The only randomness in a run is the
 per-path loss draw, taken from one seeded generator per path, so adding or
@@ -7,12 +7,10 @@ reconfiguring one path never perturbs another path's loss sequence and runs
 are bit-reproducible for a fixed (scenario, seed).
 """
 
-import copyreg
 import random
 from collections import namedtuple
 from collections.abc import Callable
 from heapq import heappop, heappush
-from types import SimpleNamespace
 
 US_PER_SECOND = 1_000_000
 
@@ -27,58 +25,21 @@ class PastEventError(Exception):
 
 class Plugin(namedtuple("Plugin", "factory params doc")):
     """One registry entry: factory(cfg) builds it from the run's ScenarioConfig,
-    params are the scenario keys it reads ("" for none), doc what it does."""
+    params are the scenario keys it reads as (key, note) pairs, note "" for
+    none, and doc says what it does. A key of its own section that it does
+    not read must keep its default (scenario.py)."""
 
     __slots__ = ()
 
     def describe(self) -> str:
-        params = f"params: {self.params}" if self.params else "no params"
-        return f"{self.doc}; {params}"
+        params = ", ".join(f"{key} ({note})" if note else key for key, note in self.params)
+        return f"{self.doc}; params: {params}" if params else f"{self.doc}; no params"
 
 
 def serialization_us(size_bytes: int, bandwidth_bps: int) -> int:
     """Link serialization delay for a packet, rounded up to whole microseconds."""
     bits = size_bytes * 8
     return -(-bits * US_PER_SECOND // bandwidth_bps)
-
-
-class Record(SimpleNamespace):
-    """A mutable config record whose fields are its attributes: vars() lists
-    them, == and repr go field by field and a copy is rebuilt from them. A
-    field defaulting to a new list or record takes None for that default."""
-
-    def __reduce__(self):
-        # A bare instance, then its fields: __init__ is not called, and
-        # copyreg.__newobj__ is found by name at every pickle protocol.
-        return copyreg.__newobj__, (type(self),), vars(self)
-
-
-class LatencyStep(Record):
-    """Scheduled change of a path's one-way latency."""
-
-    def __init__(self, at_us: int, latency_us: int):
-        super().__init__(at_us=at_us, latency_us=latency_us)
-
-
-class PathModel(Record):
-    """Static description of one simulated link."""
-
-    def __init__(self, path_id: int, one_way_latency_us: int, bandwidth_bps: int,
-                 loss_rate: float = 0.0, cost: float = 0.0,
-                 latency_steps: list[LatencyStep] | None = None):
-        super().__init__(
-            path_id=path_id, one_way_latency_us=one_way_latency_us,
-            bandwidth_bps=bandwidth_bps, loss_rate=loss_rate, cost=cost,
-            latency_steps=[] if latency_steps is None else latency_steps)
-
-
-class TrafficSource(Record):
-    """Constant bit rate or greedy (always backlogged) packet source."""
-
-    def __init__(self, kind: str, packet_size_bytes: int, rate_bps: int = 0,
-                 start_us: int = 0, stop_us: int | None = None):
-        super().__init__(kind=kind, packet_size_bytes=packet_size_bytes,
-                         rate_bps=rate_bps, start_us=start_us, stop_us=stop_us)
 
 
 class EventQueue:
@@ -130,7 +91,7 @@ class PathState:
     __slots__ = ("model", "current_latency_us", "busy_until_us", "_rng",
                  "_loss_rate", "_size_bytes", "_tx_us")
 
-    def __init__(self, model: PathModel, seed: int):
+    def __init__(self, model: "PathModel", seed: int):
         self.model = model
         self.current_latency_us = model.one_way_latency_us
         self.busy_until_us = 0

@@ -85,11 +85,20 @@ def test_greedy_zero_weight_is_validation_error(tmp_path, capsys, monkeypatch):
     ({"scheduler": {"kind": "fixed_ratio", "weights": [1, 2, 3]}},
      "scheduler.weights must list one entry per path (2)"),
     ({"scheduler": {"kind": "fixed_ratio"}}, "scheduler: fixed_ratio requires weights"),
+    ({"scheduler": {"kind": "round_robin", "weights": [9, 1]}},
+     "scheduler.weights is not read by kind 'round_robin'; leave it out or give its "
+     "default, null"),
+] + [
+    ({"reorder": {"kind": kind, "static_threshold_us": 20_000}},
+     f"reorder.static_threshold_us is not read by kind {kind!r}; leave it out or give "
+     f"its default, null")
+    for kind in ("adaptive", "none")
 ] + [
     ({"outputs": [{"metric": "drops", "format": "csv", "path": name}]},
      f"outputs[0].path must be a bare file name, got {name!r}")
     for name in ("../x.csv", ".hidden", "")
-], ids=["no-paths", "three-weights", "no-weights", "parent-dir", "hidden", "empty-name"])
+], ids=["no-paths", "three-weights", "no-weights", "unread-weights", "unread-threshold-adaptive",
+        "unread-threshold-none", "parent-dir", "hidden", "empty-name"])
 def test_rule_violation_exits_1_naming_the_problem(tmp_path, capsys, change, problem):
     scenario = write_scenario(tmp_path, dict(SCENARIO, **change))
     out = tmp_path / "o"

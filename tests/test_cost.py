@@ -15,8 +15,9 @@ against 25) and window (a mean in flight several times larger). Each pair of
 points first shows that it reaches those depths.
 
 A rise of the same size at every point passes those ratios, so at three of
-the points no file's lines or calls per packet, and no builtin's calls per
-packet, may rise more than 1% above tests/golden/cost.json. Those counts
+the points, and at one whose ack-silence timers fire, no file's lines or
+calls per packet, and no builtin's calls per packet, may rise more than 1%
+above tests/golden/cost.json. Those counts
 depend on the CPython version that compiled the code, so the golden names
 the version it was taken with and the test runs only on it. Lowering a count is free; after a change that
 must raise one, rewrite the golden with `PYTHONPATH=src python
@@ -143,6 +144,15 @@ def hold(depth: int) -> dict:
     }
 
 
+def latency_jump(latency_ms: int) -> dict:
+    """0.6 s of greedy otias over 2 paths, path 1 stepping from 40 ms to
+    latency_ms one way at 200 ms: the acks it then returns come late, so
+    its ack-silence timer fires (Flow.on_timeout)."""
+    data = greedy_otias(2, duration_s=0.6)
+    data["paths"][1]["latency_steps"] = [{"at_us": 200_000, "latency_us": latency_ms * 1000}]
+    return data
+
+
 def peak_held(log) -> int:
     """Most packets the resequencer held at once: each delivery with a
     residency r was held over [time - r, time)."""
@@ -213,7 +223,7 @@ def counts_per_packet(data: dict) -> tuple[dict, MetricsLog]:
 
 # The points tests/golden/cost.json holds, by the name it gives them.
 GOLDEN_POINTS = {"greedy_otias(2)": (greedy_otias, 2), "hold(400)": (hold, 400),
-                 "window(128)": (window, 128)}
+                 "window(128)": (window, 128), "latency_jump(400)": (latency_jump, 400)}
 
 
 @pytest.fixture(scope="module")
@@ -346,6 +356,12 @@ def test_entry_point_calls_equal_golden(traced, point):
     counts, _ = traced(*GOLDEN_POINTS[point])
     assert counts["entry_calls"] == golden, (
         f"entry-point calls at {point}: {counts['entry_calls']}, golden {golden}")
+
+
+def test_a_golden_point_fires_timeouts(traced):
+    # So the golden pins what Flow.on_timeout costs, which no other point runs.
+    counts, log = traced(latency_jump, 400)
+    assert counts["entry_calls"]["Flow.on_timeout"] > 0 and log.ingress_count > 1000
 
 
 def test_retained_bytes_per_packet_do_not_grow_with_path_count():

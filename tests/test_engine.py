@@ -15,10 +15,10 @@ from mptunnel.cli import run_scenario
 from mptunnel.engine import Simulation
 from mptunnel.flow import Flow, TunnelPacket
 from mptunnel.reorder import RECEIVERS
-from mptunnel.scenario import (ScenarioError, canned_scenario_names, load_canned,
-                                parse_scenario)
+from mptunnel.scenario import (LatencyStep, ScenarioError, canned_scenario_names,
+                               load_canned, parse_scenario)
 from mptunnel.scheduler import SCHEDULERS, Otias, otias_eta
-from mptunnel.simcore import EventQueue, LatencyStep
+from mptunnel.simcore import EventQueue
 
 
 def scenario(**overrides):
@@ -643,6 +643,13 @@ def test_simulation_runs_once_and_keeps_its_flows():
     assert log.drops and sum(f.packets_lost for f in sim.flows) > 0
 
 
+def reorder_section(kind: str, **keys) -> dict:
+    """A reorder section of the kind, with those of keys that the kind reads:
+    a key it does not read must keep its default."""
+    reads = {key for key, _ in RECEIVERS[kind].params}
+    return {"kind": kind, **{key: v for key, v in keys.items() if key in reads}}
+
+
 @pytest.mark.parametrize("traffic", [
     {"kind": "cbr", "rate_bps": 1_000_000, "packet_size_bytes": 1000},
     {"kind": "greedy", "packet_size_bytes": 1000}], ids=["cbr", "greedy"])
@@ -659,7 +666,7 @@ def test_event_handlers_are_bound_once_per_run(monkeypatch, kind, traffic):
 
     monkeypatch.setattr(engine.EventQueue, "schedule", recording)
     cfg = scenario(duration_s=2, traffic=traffic, scheduler={"kind": "otias"},
-                   reorder={"kind": kind, "max_hold_us": 50_000})
+                   reorder=reorder_section(kind, max_hold_us=50_000))
     cfg.paths[1].latency_steps = [LatencyStep(at_us=1_000_000, latency_us=60_000)]
     for p in cfg.paths:
         p.loss_rate = 0.05
@@ -720,8 +727,8 @@ def cbr_scenarios(draw):
         "traffic": {"kind": "cbr", "rate_bps": draw(st.integers(200_000, 3_000_000)),
                     "packet_size_bytes": draw(st.sampled_from([500, 1000]))},
         "scheduler": sched,
-        "reorder": {"kind": draw(st.sampled_from(sorted(RECEIVERS))),
-                    "max_hold_us": draw(st.sampled_from([50_000, 500_000]))},
+        "reorder": reorder_section(draw(st.sampled_from(sorted(RECEIVERS))),
+                                   max_hold_us=draw(st.sampled_from([50_000, 500_000]))),
         "outputs": ALL_OUTPUTS,
     }
     return data, draw(st.permutations(range(len(paths))))

@@ -159,6 +159,30 @@ def test_pdv_histogram_counts():
     assert len(hist["bin_edges_us"]) == len(hist["counts"]) + 1
 
 
+def reference_histogram(values, bin_width_us):
+    """pdv_histogram's bins, counted one value at a time."""
+    if not values:
+        return {"bin_edges_us": [], "counts": []}
+    lo = float(min(values) // bin_width_us * bin_width_us)
+    n_bins = int((max(values) - lo) // bin_width_us) + 1
+    counts = [0] * n_bins
+    for v in values:
+        counts[int((v - lo) // bin_width_us)] += 1
+    return {"bin_edges_us": [round(lo + i * bin_width_us, 3) for i in range(n_bins + 1)],
+            "counts": counts}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-20_000, 20_000), max_size=100) | st.lists(
+    st.integers(-50, 50).map(lambda k: k * 1000 / 7), max_size=100),
+    st.floats(3, 1_000_000))
+@example([-1000.0, 0.0, 999.9999, 1000.0, 1000.0], 1000.0)
+def test_pdv_histogram_matches_a_count_per_value(values, bin_width_us):
+    hist = pdv_histogram(values, bin_width_us)
+    assert hist == reference_histogram(values, bin_width_us)
+    assert sum(hist["counts"]) == len(values)
+
+
 def test_summary_totals(tmp_path):
     log = log_with_deliveries([(8_000 * k, k) for k in range(10)])
     log.ingress_count = 12

@@ -1,15 +1,19 @@
 import copy
 import json
 import pickle
+from pathlib import Path
 
 import pytest
 
 from mptunnel import scenario
 from mptunnel.engine import Simulation
-from mptunnel.reorder import ReorderConfig
-from mptunnel.scenario import (ScenarioError, canned_scenario_names,
+from mptunnel.metrics import METRICS
+from mptunnel.reorder import RECEIVERS
+from mptunnel.scenario import (REQUIRED, LatencyStep, OutputSpec, PathModel, Record,
+                               ReorderConfig, ScenarioConfig, ScenarioError,
+                               SchedulerConfig, TrafficSource, canned_scenario_names,
                                load_canned, load_scenario, parse_scenario)
-from mptunnel.simcore import Record
+from mptunnel.scheduler import SCHEDULERS
 
 MINIMAL = {
     "duration_s": 1,
@@ -185,6 +189,40 @@ def test_reorder_params_validated():
     assert any("adaptive_k" in p for p in problems)
 
 
+# A valid value other than its default for each scheduler and reorder key.
+NOT_DEFAULT = {"weights": [2], "static_threshold_us": 1_000, "adaptive_k": 2.0,
+               "max_hold_us": 100_000}
+
+
+@pytest.mark.parametrize("section, kind", [("scheduler", kind) for kind in sorted(SCHEDULERS)]
+                         + [("reorder", kind) for kind in sorted(RECEIVERS)])
+def test_a_kind_takes_the_keys_it_reads_and_rejects_the_others(section, kind):
+    # A key the kind does not read would be silently ignored; at its default
+    # it changes nothing, so it passes.
+    plugin = (SCHEDULERS if section == "scheduler" else RECEIVERS)[kind]
+    reads = {key for key, _ in plugin.params}
+    for f in RECORDS[section].FIELDS[1:]:
+        data = variant(**{section: {"kind": kind, f.key: NOT_DEFAULT[f.key]}})
+        if f.key in reads:
+            parse_scenario(data)
+        else:
+            parse_scenario(variant(**{section: {"kind": kind, f.key: f.default}}))
+            assert errors_of(data) == [
+                f"{section}.{f.key} is not read by kind {kind!r}; leave it out or "
+                f"give its default, {json.dumps(f.default)}"]
+
+
+def test_a_record_built_in_code_is_checked_for_unread_keys():
+    assert scenario.problems(SchedulerConfig("round_robin", [9, 1])) == [
+        "SchedulerConfig.weights is not read by kind 'round_robin'; leave it out or "
+        "give its default, null"]
+    cfg = parse_scenario(variant(reorder={"kind": "static", "static_threshold_us": 5}))
+    cfg.reorder.kind = "adaptive"
+    assert scenario.problems(cfg) == [
+        "reorder.static_threshold_us is not read by kind 'adaptive'; leave it out or "
+        "give its default, null"]
+
+
 def test_packet_size_capped_at_largest_ip_datagram():
     traffic = dict(MINIMAL["traffic"], packet_size_bytes=10**22)
     assert errors_of(variant(traffic=traffic)) == ["traffic.packet_size_bytes must be <= 65535"]
@@ -219,9 +257,14 @@ def test_unknown_canned_name_lists_alternatives():
     assert "srtt-handover" in err.value.errors[0]
 
 
-# The value every optional key of a SCHEMA section takes when left out.
+# Each config record class, by the JSON object it is parsed from.
+RECORDS = {"scenario": ScenarioConfig, "path": PathModel, "latency_step": LatencyStep,
+           "traffic": TrafficSource, "scheduler": SchedulerConfig,
+           "reorder": ReorderConfig, "output": OutputSpec}
+
+# The value every optional key of a record takes when left out.
 DEFAULTS = {
-    "scenario": {"reorder": ReorderConfig(), "outputs": [], "name": "scenario",
+    "scenario": {"reorder": ReorderConfig("none"), "outputs": [], "name": "scenario",
                  "pdv_stream": "deliveries"},
     "path": {"loss_rate": 0.0, "cost": 0.0, "latency_steps": []},
     "latency_step": {},
@@ -233,8 +276,8 @@ DEFAULTS = {
 
 
 def required_only(section: str) -> dict:
-    """The required keys of a SCHEMA section, valued as in a parsed scenario
-    that has one record of every section."""
+    """The required keys of a record, valued as in a parsed scenario that
+    has one record of every class."""
     data = variant(outputs=[{"metric": "drops", "format": "csv", "path": "d.csv"}])
     data["paths"][0]["latency_steps"] = [{"at_us": 5, "latency_us": 7}]
     cfg = parse_scenario(data)
@@ -243,23 +286,29 @@ def required_only(section: str) -> dict:
               "traffic": cfg.traffic, "scheduler": cfg.scheduler,
               "reorder": cfg.reorder, "output": cfg.outputs[0]}[section]
     return {f.key: getattr(record, f.key)
-            for f in scenario.SCHEMA[section].fields if f.required}
+            for f in RECORDS[section].FIELDS if f.default is REQUIRED}
 
 
 def test_schema_builds_every_config_record():
-    # So test_record_semantics, one case per section, covers every record
-    # class mptunnel defines (tests may derive their own).
+    # So test_record_semantics, one case per record, covers every record
+    # class mptunnel defines (tests may derive their own), each reached
+    # from ScenarioConfig's fields.
     def subclasses(cls):
         return {sub for c in cls.__subclasses__() if c.__module__.startswith("mptunnel.")
                 for sub in {c} | subclasses(c)}
 
-    assert {s.cls for s in scenario.SCHEMA.values()} == subclasses(Record)
+    def nested(cls):
+        return {cls}.union(*(nested(t) for f in cls.FIELDS for t in (f.type, f.of)
+                             if isinstance(t, type)))
+
+    assert nested(ScenarioConfig) == set(RECORDS.values()) == subclasses(Record)
 
 
-@pytest.mark.parametrize("section", sorted(scenario.SCHEMA))
+@pytest.mark.parametrize("section", sorted(RECORDS))
 def test_record_semantics(section):
-    cls, fields, _ = scenario.SCHEMA[section]
-    assert set(DEFAULTS[section]) == {f.key for f in fields if not f.required}
+    cls = RECORDS[section]
+    fields = cls.FIELDS
+    assert set(DEFAULTS[section]) == {f.key for f in fields if f.default is not REQUIRED}
     required = required_only(section)
     record, twin = cls(**required), cls(**required)
     # Every optional key takes its default, a list or record a new one.
@@ -267,6 +316,16 @@ def test_record_semantics(section):
     for key in DEFAULTS[section]:
         if isinstance(getattr(record, key), (list, ReorderConfig)):
             assert getattr(record, key) is not getattr(twin, key), key
+    # Fields are taken by position too, and listed in FIELDS order.
+    assert cls(*(getattr(record, f.key) for f in fields)) == record
+    assert list(vars(record)) == [f.key for f in fields]
+    # An unknown field, a required one left out, one given twice, too many.
+    first = fields[0].key
+    for args, kwargs in (((), dict(required, bogus=1)),
+                         ((), {k: v for k, v in required.items() if k != first}),
+                         ((required[first],), required), (range(len(fields) + 1), {})):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
     # == compares field by field; repr names the class and every field.
     assert record == twin
     text = repr(record)
@@ -278,3 +337,13 @@ def test_record_semantics(section):
         assert type(back) is cls and back == record, protocol
     setattr(twin, fields[-1].key, "changed")
     assert record != twin
+
+
+def test_readme_names_every_kind_key_and_metric():
+    # Each name appears backticked, or quoted as in the README's JSON example.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    names = {*SCHEDULERS, *RECEIVERS, *METRICS,
+             *(f.key for cls in RECORDS.values() for f in cls.FIELDS)}
+    missing = sorted(name for name in names
+                     if f"`{name}`" not in readme and f'"{name}"' not in readme)
+    assert not missing, f"README.md does not name {missing}"

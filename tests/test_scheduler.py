@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from mptunnel.engine import Simulation
 from mptunnel.flow import Flow, TunnelPacket
 from mptunnel.reorder import RECEIVERS
-from mptunnel.scenario import parse_scenario, problems
-from mptunnel.scheduler import SCHEDULERS, FixedRatio, Otias, SchedulerConfig, otias_eta
+from mptunnel.scenario import SchedulerConfig, parse_scenario, problems
+from mptunnel.scheduler import SCHEDULERS, FixedRatio, Otias, otias_eta
 
 
 def view(path_id=0, srtt=20_000.0, rttvar=0.0, cwnd=10.0, in_flight=0,

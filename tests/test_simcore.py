@@ -1,9 +1,9 @@
 import pytest
 
 from mptunnel.engine import Simulation
-from mptunnel.scenario import parse_scenario, problems
-from mptunnel.simcore import (EventQueue, LatencyStep, PastEventError,
-                              PathModel, PathState, TrafficSource, serialization_us)
+from mptunnel.scenario import (LatencyStep, PathModel, TrafficSource, parse_scenario,
+                               problems)
+from mptunnel.simcore import EventQueue, PastEventError, PathState, serialization_us
 
 
 def test_serialization_exact_values():

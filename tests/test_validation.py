@@ -1,5 +1,5 @@
-"""Whole runs against closed forms: what the path model, the resequencer
-and the fixed-ratio schedulers promise, derived from their definitions
+"""Whole runs against closed forms: what the path model, a greedy flow, the
+resequencer and the fixed-ratio schedulers promise, derived from their definitions
 rather than fitted to a run. Each test first checks that its run meets the
 premises of its closed form, and that the property has something to show."""
 
@@ -46,6 +46,30 @@ def test_cbr_below_capacity_arrives_after_serialization_plus_latency(
     assert set(log.flow_rows.column(5)) == {0}
     assert [t for t, *_ in log.sends] == list(log.arrivals.column(3))
     assert {t - ingress for t, _, _, ingress in log.arrivals} == {tx_us + latency_us}
+
+
+def test_greedy_path_keeps_its_link_busy_once_the_window_exceeds_the_bdp():
+    # One loss-free greedy path: once the window holds more packets than one
+    # round trip of the link carries (the bandwidth-delay product), the link
+    # never idles, so packets arrive exactly one serialization delay apart:
+    # 8 ms for 1,000 B at 1 Mbps, 125 per second.
+    latency_us, tx_us = 20_000, serialization_us(1000, 1_000_000)
+    cfg = parse_scenario({
+        "name": "validation", "duration_s": 4, "seed": 3,
+        "paths": [{"path_id": 0, "one_way_latency_us": latency_us,
+                   "bandwidth_bps": 1_000_000}],
+        "traffic": {"kind": "greedy", "packet_size_bytes": 1000},
+        "scheduler": {"kind": "round_robin"},
+    })
+    sim = Simulation(cfg)
+    log = sim.run()
+    assert tx_us == 8_000 and not log.drops and sim.flows[0].packets_lost == 0
+    bdp = (tx_us + 2 * latency_us) / tx_us
+    full = next(t for t, _, _, cwnd, _, _ in log.flow_rows if cwnd > bdp)
+    times = [t for t, _, _, ingress in log.arrivals if ingress >= full]
+    assert full < 1_000_000 and len(times) > 375
+    assert {later - earlier for earlier, later in zip(times, times[1:])} == {tx_us}
+    assert sum(1_000_000 <= t < 4_000_000 for t in log.arrivals.column(0)) == 375
 
 
 # Fast path 5 ms, slow path 30 ms one way, so the skew is 25 ms. At a CBR
