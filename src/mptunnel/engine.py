@@ -11,7 +11,8 @@ from .metrics import CHUNK_ROWS, DISPOSITION_CODES
 from .reorder import RECEIVERS
 from .scenario import ScenarioConfig, ScenarioError, problems
 from .scheduler import SCHEDULERS
-from .simcore import EventQueue, PathState, US_PER_SECOND
+from .simcore import (ACK, ARRIVAL, LATENCY_STEP, SOURCE, TIMER, EventQueue, PathState,
+                      US_PER_SECOND)
 
 # Slack past the configured duration for queues, acks and holds to drain.
 DRAIN_SLACK_US = 60 * US_PER_SECOND
@@ -111,7 +112,7 @@ class Simulation:
             rows = self.log.drops
             rows.tail += rows.struct.pack(now, path_id, pkt.overall_seq)
         else:
-            self.queue.schedule(delivery, self._arrive, pkt)
+            self.queue.schedule(delivery, ARRIVAL, self._arrive, pkt)
         if self._timers[path_id] is None:
             self._arm_timer(path_id, now)
 
@@ -120,7 +121,7 @@ class Simulation:
         rows.tail += rows.struct.pack(now, pkt.overall_seq, pkt.path_id, pkt.ingress_time)
         # The ack returns over the same path, not bandwidth-limited.
         ack_at = now + self.paths[pkt.path_id].current_latency_us
-        self.queue.schedule(ack_at, self._ack, pkt)
+        self.queue.schedule(ack_at, ACK, self._ack, pkt)
         self.receiver.on_packet(pkt, now)
 
     def _ack(self, pkt: TunnelPacket, now: int) -> None:
@@ -158,7 +159,7 @@ class Simulation:
 
     def _arm_timer(self, i: int, now: int) -> None:
         timer = self._timers[i] = (i, now)
-        self.queue.schedule(self.flows[i].timeout_deadline_us(now),
+        self.queue.schedule(self.flows[i].timeout_deadline_us(now), TIMER,
                             self._timer_fire, timer)
 
     def _timer_fire(self, timer: tuple[int, int], now: int) -> None:
@@ -181,7 +182,7 @@ class Simulation:
         self._ingress(now)
         next_at = self._cbr_start + (k + 1) * self._cbr_bit_us // self._cbr_rate
         if next_at < self._traffic_stop_us:
-            self.queue.schedule(next_at, self._emit_cbr, k + 1)
+            self.queue.schedule(next_at, SOURCE, self._emit_cbr, k + 1)
 
     def _start_greedy(self, _, now: int) -> None:
         self._pump_greedy(now, *range(len(self.flows)))
@@ -222,20 +223,20 @@ class Simulation:
         for state in self.paths:
             for step in state.model.latency_steps:
                 if step.at_us <= hard_stop:
-                    self.queue.schedule(step.at_us, self._apply_latency_step,
+                    self.queue.schedule(step.at_us, LATENCY_STEP, self._apply_latency_step,
                                         (state, step.latency_us))
         # Either source starts at start_us (CBR's emission 0), and only
         # before traffic stops.
         if cfg.traffic.start_us < self._traffic_stop_us:
             start = self._start_greedy if self._greedy else self._emit_cbr
-            self.queue.schedule(cfg.traffic.start_us, start, 0)
+            self.queue.schedule(cfg.traffic.start_us, SOURCE, start, 0)
 
         pop = self.queue.pop
         while True:
             item = pop()
             if item is None:
                 break
-            at, _, fn, arg = item
+            at, _, _, fn, arg = item
             if at > hard_stop:
                 self.log.drained = False
                 break

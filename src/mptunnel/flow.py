@@ -250,11 +250,9 @@ class Flow:
         timeout = round(TIMEOUT_RTT_MULTIPLE * self.srtt_us)
         return now + (MIN_TIMEOUT_US if MIN_TIMEOUT_US > timeout else timeout)
 
-    def on_timeout(self, now: int) -> int:
+    def on_timeout(self, now: int) -> None:
         """Ack-silence timeout: everything outstanding is presumed lost."""
-        stale = list(self._outstanding)
-        for seq in stale:
+        for seq in list(self._outstanding):
             self.declare_lost(seq)
         self._send_order.clear()
         self.pump(now)
-        return len(stale)

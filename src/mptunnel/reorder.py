@@ -14,7 +14,7 @@ from math import inf
 from types import MappingProxyType
 
 from .flow import TunnelPacket, smooth_rtt
-from .simcore import Plugin
+from .simcore import RECEIVER, Plugin
 
 DEFAULT_ADAPTIVE_K = 4.0
 DEFAULT_MAX_HOLD_US = 500_000
@@ -88,9 +88,10 @@ class Receiver:
     the given-up-gap count (0 unless the kind resequences).
 
     wire() sets the sinks: deliver(pkt, time_us, residency_us, disposition),
-    schedule(at_us, fn, arg) on the run's event queue, which later calls
-    fn(arg, at_us), and discard(pkt, time_us) for packets dropped at the
-    receiver. on_packet(pkt, time_us) is called on each arrival; this one
+    schedule(at_us, rank, fn, arg) on the run's event queue (a receiver's
+    events take rank simcore.RECEIVER), which later calls fn(arg, at_us),
+    and discard(pkt, time_us) for packets dropped at the receiver.
+    on_packet(pkt, time_us) is called on each arrival; this one
     delivers the packet at once.
     """
 
@@ -193,7 +194,7 @@ class ReorderBuffer(Receiver):
             # Packet was held; arm its expiry. Events for holds that get
             # released early fire as no-ops.
             seq = pkt.overall_seq
-            self._schedule(self.held[seq][2], self._expire, seq)
+            self._schedule(self.held[seq][2], RECEIVER, self._expire, seq)
 
     def _expire(self, seq: int, now: int) -> None:
         out = self.on_deadline(seq, now)
@@ -249,7 +250,7 @@ class EqualizerLines(Receiver):
         if release == self.DISCARD:
             self._discard(pkt, now)
             return
-        self._schedule(release, self._release, (pkt, release - now))
+        self._schedule(release, RECEIVER, self._release, (pkt, release - now))
 
     def _release(self, item: tuple[TunnelPacket, int], now: int) -> None:
         pkt, residency = item

@@ -19,6 +19,12 @@ US_PER_SECOND = 1_000_000
 EventFn = Callable[[object, int], None]
 
 
+# The same-µs order, stated once: each event's rank by what it is. The
+# receiver's event is a hold deadline or an equalizer release, the source's
+# a CBR emission or the greedy start; a run has only one of each pair.
+LATENCY_STEP, ACK, ARRIVAL, TIMER, RECEIVER, SOURCE = range(6)
+
+
 class PastEventError(Exception):
     """Scheduling an event before the current clock is a programming error."""
 
@@ -43,11 +49,13 @@ def serialization_us(size_bytes: int, bandwidth_bps: int) -> int:
 
 
 class EventQueue:
-    """Time-ordered event queue with FIFO tie-break.
+    """Event queue ordered by (time, rank, insertion order).
 
-    Entries are (time, id, fn, arg) tuples and an event runs as fn(arg, time).
-    Pop order is (time, insertion order), which makes simultaneous events
-    deterministic. Scheduling before the current clock raises PastEventError.
+    Entries are (time, rank, id, fn, arg) tuples and an event runs as
+    fn(arg, time). Events at the same µs run by rank, lowest first, then in
+    the order they were scheduled; so an event scheduled at the current µs
+    with a lower rank than the running one runs next. Scheduling before the
+    current clock raises PastEventError, whatever the rank.
     """
 
     def __init__(self):
@@ -58,16 +66,16 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, at_us: int, fn: EventFn, arg: object = None) -> None:
+    def schedule(self, at_us: int, rank: int, fn: EventFn, arg: object = None) -> None:
         if at_us < self.now:
             raise PastEventError(
                 f"cannot schedule event at {at_us} us, clock is at {self.now} us"
             )
-        heappush(self._heap, (at_us, self._next_id, fn, arg))
+        heappush(self._heap, (at_us, rank, self._next_id, fn, arg))
         self._next_id += 1
 
-    def pop(self) -> tuple[int, int, EventFn, object] | None:
-        """Remove and return the earliest (time, id, fn, arg) entry, or None."""
+    def pop(self) -> tuple[int, int, int, EventFn, object] | None:
+        """Remove and return the earliest (time, rank, id, fn, arg) entry, or None."""
         if not self._heap:
             return None
         entry = heappop(self._heap)

@@ -18,7 +18,7 @@ from mptunnel.reorder import RECEIVERS
 from mptunnel.scenario import (LatencyStep, ScenarioError, canned_scenario_names,
                                load_canned, parse_scenario)
 from mptunnel.scheduler import SCHEDULERS, Otias, otias_eta
-from mptunnel.simcore import EventQueue
+from mptunnel.simcore import ARRIVAL, EventQueue
 
 
 def scenario(**overrides):
@@ -198,6 +198,48 @@ def test_latency_step_after_the_hard_stop_leaves_the_run_drained():
     assert plain.drained and stepped.drained
     assert len(plain.deliveries) == len(stepped.deliveries) == stepped.ingress_count == 125
     assert stepped.deliveries == plain.deliveries
+
+
+def test_an_ack_at_its_timers_deadline_is_not_a_loss():
+    # One 1,000 B packet over 8 Mbps (1,000 µs to serialize) on a path that
+    # steps to 99,500 µs one way at 0: it arrives at 100,500 and its ack
+    # lands at 200,000, the µs its timer's 200 ms floor expires. The ack
+    # ranks before the timer, so the packet is acked, not lost.
+    cfg = scenario(duration_s=1, traffic={"kind": "cbr", "rate_bps": 8_000,
+                                          "packet_size_bytes": 1000, "stop_us": 1},
+                   paths=[{"path_id": 0, "one_way_latency_us": 10_000,
+                           "bandwidth_bps": 8_000_000,
+                           "latency_steps": [{"at_us": 0, "latency_us": 99_500}]}])
+    sim = Simulation(cfg)
+    flow = sim.flows[0]
+    assert flow.timeout_deadline_us(0) == 200_000
+    log = sim.run()
+    assert [t for t, *_ in log.arrivals] == [100_500]
+    assert flow.packets_lost == 0 and flow.in_flight == 0
+    assert flow.srtt_us == 200_000
+    # One flow row at ingress and one at the ack; no timeout row.
+    assert [(t, srtt) for t, _, srtt, *_ in log.flow_rows] == [(0, 20_000), (200_000, 200_000)]
+
+
+def test_an_arrival_at_its_gaps_deadline_fills_the_gap():
+    # Three packets 8,000 µs apart, round robin over 10 and 30 ms paths
+    # (800 µs to serialize): seq 2 arrives at 26,800 and is held for 12,000
+    # µs, to 38,800, the µs seq 1 arrives. The arrival ranks before the
+    # receiver's deadline, so seq 1 fills the gap and nothing times out.
+    cfg = scenario(duration_s=1,
+                   traffic={"kind": "cbr", "rate_bps": 1_000_000,
+                            "packet_size_bytes": 1000, "stop_us": 16_001},
+                   paths=[{"path_id": 0, "one_way_latency_us": 10_000,
+                           "bandwidth_bps": 10_000_000},
+                          {"path_id": 1, "one_way_latency_us": 30_000,
+                           "bandwidth_bps": 10_000_000}],
+                   reorder={"kind": "static", "static_threshold_us": 12_000})
+    log = Simulation(cfg).run()
+    assert [(t, seq) for t, seq, *_ in log.arrivals] == [(10_800, 0), (26_800, 2), (38_800, 1)]
+    assert [(t, seq, residency_us, disposition)
+            for t, seq, _, _, residency_us, disposition in log.deliveries] == [
+        (10_800, 0, 0, "inorder"), (38_800, 1, 0, "inorder"), (38_800, 2, 12_000, "inorder")]
+    assert log.timeout_gaps == 0
 
 
 @pytest.mark.parametrize("traffic", [
@@ -481,9 +523,8 @@ def test_receiver_kind_changes_nothing_the_sender_sees(name):
 
 def replay(cfg, log, kind):
     """The deliveries and discards of a fresh receiver of this kind fed the
-    run's arrivals on its own event queue, every arrival queued before any
-    hold. Each packet is rebuilt with the flow_seq and RTT report it was
-    sent with."""
+    run's arrivals, at the arrival rank, on its own event queue. Each packet
+    is rebuilt with the flow_seq and RTT report it was sent with."""
     sent = {seq: (flow_seq, rtt_us) for _, _, seq, flow_seq, _, rtt_us in log.sends}
     deliveries, discards = [], []
     queue = EventQueue()
@@ -494,11 +535,11 @@ def replay(cfg, log, kind):
         lambda pkt, now: discards.append((now, pkt.path_id, pkt.overall_seq)))
     for now, seq, path_id, ingress_us in log.arrivals:
         flow_seq, rtt_us = sent[seq]
-        queue.schedule(now, receiver.on_packet,
+        queue.schedule(now, ARRIVAL, receiver.on_packet,
                        TunnelPacket(seq, cfg.traffic.packet_size_bytes, ingress_us,
                                     path_id, flow_seq, rtt_us))
     while (item := queue.pop()) is not None:
-        at, _, fn, arg = item
+        at, _, _, fn, arg = item
         fn(arg, at)
     return deliveries, discards
 
@@ -513,25 +554,14 @@ def receiver_run(runs, name, kind):
     return cfg, log
 
 
-@pytest.mark.parametrize("name, kind", [
-    (name, load_canned(name).reorder.kind) for name in canned_scenario_names()
-] + [("adaptive-jump", "static")])
+@pytest.mark.parametrize("kind", sorted(RECEIVERS))
+@pytest.mark.parametrize("name", canned_scenario_names())
 def test_receiver_replays_the_arrival_trace(runs, name, kind):
     cfg, log = receiver_run(runs, name, kind)
     assert log.drained and log.arrivals
     deliveries, discards = replay(cfg, log, kind)
     assert log.deliveries == deliveries
     assert log.discards == discards
-
-
-def test_static_replay_differs_where_arrivals_tie_with_deadlines(runs):
-    # In a run an arrival and a hold deadline at the same µs go in insertion
-    # order; the replay runs every arrival first. On this scenario the two
-    # orders give different deliveries, until that order is a stated rule
-    # (ROADMAP item 19).
-    cfg, log = receiver_run(runs, "delay-equalize", "static")
-    deliveries, discards = replay(cfg, log, "static")
-    assert (log.deliveries, log.discards) != (deliveries, discards)
 
 
 # -- record form and log lifetime ----------------------------------------------
@@ -660,9 +690,9 @@ def test_event_handlers_are_bound_once_per_run(monkeypatch, kind, traffic):
     scheduled = []
     schedule = engine.EventQueue.schedule
 
-    def recording(queue, at_us, fn, arg=None):
+    def recording(queue, at_us, rank, fn, arg=None):
         scheduled.append(fn)
-        schedule(queue, at_us, fn, arg)
+        schedule(queue, at_us, rank, fn, arg)
 
     monkeypatch.setattr(engine.EventQueue, "schedule", recording)
     cfg = scenario(duration_s=2, traffic=traffic, scheduler={"kind": "otias"},

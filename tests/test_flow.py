@@ -304,8 +304,8 @@ def test_timeout_declares_all_outstanding_lost():
     flow, _ = make_flow()
     flow.cwnd = 8.0
     feed(flow, 4)
-    lost = flow.on_timeout(500_000)
-    assert lost == 4
+    assert flow.on_timeout(500_000) is None
+    assert flow.packets_lost == 4
     assert flow.in_flight == 0
     assert flow.cwnd == 4.0  # single halving
 

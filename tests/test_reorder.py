@@ -239,7 +239,8 @@ def reference_reorder(arrivals, threshold):
 
     arrivals is a list of (time, seq); threshold is a number or a list with
     one per arrival. Returns (time, seq, disposition) tuples. Deadlines
-    strictly before or at an arrival fire first.
+    strictly before an arrival fire first; one at an arrival's time fires
+    after it, as the engine ranks arrivals before receiver events.
     """
     held = {}
     expected = 0
@@ -248,7 +249,7 @@ def reference_reorder(arrivals, threshold):
     def fire_deadlines(up_to):
         nonlocal expected
         while True:
-            expired = sorted((d, s) for s, (a, d) in held.items() if d <= up_to)
+            expired = sorted((d, s) for s, (a, d) in held.items() if d < up_to)
             if not expired:
                 return
             fire_at = expired[0][0]
@@ -282,14 +283,14 @@ def reference_reorder(arrivals, threshold):
 def drive_buffer(arrivals, threshold, buf=None):
     """Feed arrivals to a ReorderBuffer as the engine does: arm one deadline
     per hold on an event heap of (deadline, arm order, seq), and fire each at
-    its time, whether or not the packet is still held, before any arrival at
-    that time. Same arguments and result shape as reference_reorder."""
+    its time, whether or not the packet is still held, after every arrival
+    at that time. Same arguments and result shape as reference_reorder."""
     buf = ReorderBuffer() if buf is None else buf
     out = []
     events = []
 
     def fire(up_to):
-        while events and events[0][0] <= up_to:
+        while events and events[0][0] < up_to:
             at, _, seq = heapq.heappop(events)
             out.extend((at, p.overall_seq, d) for p, _, d in buf.on_deadline(seq, at))
 

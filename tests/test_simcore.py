@@ -3,7 +3,8 @@ import pytest
 from mptunnel.engine import Simulation
 from mptunnel.scenario import (LatencyStep, PathModel, TrafficSource, parse_scenario,
                                problems)
-from mptunnel.simcore import EventQueue, PastEventError, PathState, serialization_us
+from mptunnel.simcore import (ACK, ARRIVAL, LATENCY_STEP, RECEIVER, SOURCE, TIMER, EventQueue,
+                              PastEventError, PathState, serialization_us)
 
 
 def test_serialization_exact_values():
@@ -12,11 +13,18 @@ def test_serialization_exact_values():
     assert serialization_us(1000, 10_000_000) == 800
 
 
+def run_queue(q: EventQueue) -> None:
+    while (item := q.pop()) is not None:
+        at, _, _, fn, arg = item
+        fn(arg, at)
+
+
 def test_queue_single_element_pops():
     q = EventQueue()
     fired = []
-    q.schedule(0, lambda arg, t: fired.append((arg, t)), "x")
-    at, _, fn, arg = q.pop()
+    q.schedule(0, SOURCE, lambda arg, t: fired.append((arg, t)), "x")
+    at, rank, _, fn, arg = q.pop()
+    assert rank == SOURCE
     fn(arg, at)
     assert fired == [("x", 0)]
     assert q.pop() is None
@@ -26,25 +34,57 @@ def test_queue_fifo_tie_break():
     q = EventQueue()
     fired = []
     record = lambda arg, t: fired.append(arg)  # noqa: E731
-    q.schedule(5, record, "a")
-    q.schedule(5, record, "b")
-    q.schedule(4, record, "c")
-    while True:
-        item = q.pop()
-        if item is None:
-            break
-        at, _, fn, arg = item
-        fn(arg, at)
+    q.schedule(5, ACK, record, "a")
+    q.schedule(5, ACK, record, "b")
+    q.schedule(4, ACK, record, "c")
+    run_queue(q)
     assert fired == ["c", "a", "b"]
+
+
+def test_queue_same_time_events_pop_by_rank_whatever_their_insertion_order():
+    ranks = (LATENCY_STEP, ACK, ARRIVAL, TIMER, RECEIVER, SOURCE)
+    assert sorted(ranks) == list(ranks) == list(range(6))
+    fired = []
+    record = lambda arg, t: fired.append(arg)  # noqa: E731
+    for order in (ranks, ranks[::-1], ranks[2:] + ranks[:2]):
+        q = EventQueue()
+        fired.clear()
+        for rank in order:
+            q.schedule(7, rank, record, (rank, 0))
+            q.schedule(7, rank, record, (rank, 1))
+        q.schedule(6, SOURCE, record, "earlier")
+        run_queue(q)
+        assert fired == ["earlier"] + [(rank, i) for rank in ranks for i in (0, 1)]
+
+
+def test_queue_runs_a_lower_rank_scheduled_at_the_current_time_next():
+    # On a zero-latency path an arrival schedules its ack at its own µs:
+    # the ack ranks lower than the arrival still queued there, so it runs
+    # before it, and scheduling at the current µs is not in the past.
+    q, fired = EventQueue(), []
+    record = lambda arg, t: fired.append(arg)  # noqa: E731
+
+    def arrive(name, t):
+        fired.append(name)
+        q.schedule(t, ACK, record, "ack " + name)
+
+    q.schedule(3, ARRIVAL, arrive, "p0")
+    q.schedule(3, ARRIVAL, arrive, "p1")
+    q.schedule(3, TIMER, record, "timer")
+    run_queue(q)
+    assert fired == ["p0", "ack p0", "p1", "ack p1", "timer"]
+    assert q.now == 3
 
 
 def test_queue_rejects_past_events():
     q = EventQueue()
-    q.schedule(4, print)
+    q.schedule(4, SOURCE, print)
     q.pop()
     assert q.now == 4
-    with pytest.raises(PastEventError):
-        q.schedule(3, print)
+    q.schedule(4, LATENCY_STEP, print)  # the current µs is not the past
+    for rank in (LATENCY_STEP, SOURCE):
+        with pytest.raises(PastEventError):
+            q.schedule(3, rank, print)
 
 
 def test_path_transmit_delivery_time():
