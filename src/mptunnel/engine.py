@@ -34,13 +34,15 @@ class Simulation:
             raise ScenarioError(errors)
         self.cfg = cfg
         self.queue = EventQueue()
-        self.log = metrics.MetricsLog()
+        # A run sends packets of one size: the log and each path state it once.
+        size = cfg.traffic.packet_size_bytes
+        self.log = metrics.MetricsLog(packet_size_bytes=size)
 
         # Every per-path list is indexed by path_id, whatever order the
         # scenario lists its paths in. The flows double as the scheduler's
         # views of their paths.
         models = sorted(cfg.paths, key=lambda m: m.path_id)
-        self.paths = [PathState(m, cfg.seed) for m in models]
+        self.paths = [PathState(m, cfg.seed, size) for m in models]
         self.flows = [
             Flow(m.path_id, 2.0 * m.one_way_latency_us, self._transmit, m.cost)
             for m in models
@@ -64,11 +66,10 @@ class Simulation:
             cfg.duration_us,
             traffic.stop_us if traffic.stop_us is not None else cfg.duration_us,
         )
-        self._packet_size = traffic.packet_size_bytes
         self._greedy = traffic.kind == "greedy"
         # Emission k is due at start + k * bit_us // rate: drift-free integers.
         self._cbr_start, self._cbr_rate = traffic.start_us, traffic.rate_bps
-        self._cbr_bit_us = traffic.packet_size_bytes * 8 * US_PER_SECOND
+        self._cbr_bit_us = size * 8 * US_PER_SECOND
 
     # -- event handlers ------------------------------------------------------
 
@@ -78,9 +79,9 @@ class Simulation:
 
     def _ingress(self, now: int) -> None:
         log = self.log
-        pkt = TunnelPacket(log.ingress_count, self._packet_size, now)
+        pkt = TunnelPacket(log.ingress_count, now)
         log.ingress_count += 1
-        picked = self.scheduler.pick(self.flows, now, self._changed)
+        picked = self.scheduler.pick(self.flows, self._changed)
         rows = log.decisions
         rows.tail += rows.struct.pack(now, pkt.overall_seq, picked)
         # One etas row per path whose ETA the pick moved (see scheduler.py).
@@ -106,8 +107,8 @@ class Simulation:
             self.log.window_violations += 1
         rows = self.log.sends
         rows.tail += rows.struct.pack(now, path_id, pkt.overall_seq, pkt.flow_seq,
-                                      pkt.payload_len, pkt.sender_rtt_report)
-        delivery = self.paths[path_id].transmit(pkt.payload_len, now)
+                                      pkt.sender_rtt_report)
+        delivery = self.paths[path_id].transmit(now)
         if delivery is None:
             rows = self.log.drops
             rows.tail += rows.struct.pack(now, path_id, pkt.overall_seq)
@@ -142,8 +143,8 @@ class Simulation:
     def _deliver(self, pkt: TunnelPacket, now: int, residency_us: int,
                  disposition: str) -> None:
         rows = self.log.deliveries
-        rows.tail += rows.struct.pack(now, pkt.overall_seq, pkt.path_id, pkt.ingress_time,
-                                      residency_us, DISPOSITION_CODES[disposition])
+        rows.tail += rows.struct.pack(now, pkt.overall_seq, pkt.path_id, residency_us,
+                                      DISPOSITION_CODES[disposition])
 
     def _discard(self, pkt: TunnelPacket, now: int) -> None:
         rows = self.log.discards

@@ -10,7 +10,7 @@ three or from an ack-silence timeout; there are no retransmissions, the
 tunnel carries unreliable traffic.
 """
 
-from collections import deque, namedtuple
+from collections import deque
 from collections.abc import Callable
 from heapq import heapreplace
 
@@ -47,21 +47,17 @@ class TunnelPacket:
     overall_seq is the tunnel-wide sequence stamped at ingress; flow_seq,
     path_id and sender_rtt_report are stamped by the flow that carries it.
     Both sequence numbers are unbounded ints; only encode_header cuts them
-    to their wire widths.
+    to their wire widths. A run's packets are all of its one packet size, so
+    a packet does not carry it.
     """
 
-    __slots__ = ("overall_seq", "payload_len", "ingress_time", "path_id",
-                 "flow_seq", "sender_rtt_report")
+    __slots__ = ("overall_seq", "ingress_time", "path_id", "flow_seq",
+                 "sender_rtt_report")
 
-    def __init__(self, overall_seq: int, payload_len: int, ingress_time: int,
-                 path_id: int = 0, flow_seq: int = 0, sender_rtt_report: int = 0):
-        self.overall_seq, self.payload_len = overall_seq, payload_len
-        self.ingress_time, self.path_id = ingress_time, path_id
+    def __init__(self, overall_seq: int, ingress_time: int, path_id: int = 0,
+                 flow_seq: int = 0, sender_rtt_report: int = 0):
+        self.overall_seq, self.ingress_time, self.path_id = overall_seq, ingress_time, path_id
         self.flow_seq, self.sender_rtt_report = flow_seq, sender_rtt_report
-
-
-HeaderFields = namedtuple(
-    "HeaderFields", "version path_id overall_seq sender_rtt_report flow_seq_low32")
 
 
 def encode_header(pkt: TunnelPacket) -> bytes:
@@ -77,18 +73,6 @@ def encode_header(pkt: TunnelPacket) -> bytes:
         + (pkt.overall_seq & ((1 << 48) - 1)).to_bytes(6, "big")
         + report.to_bytes(4, "big")
         + (pkt.flow_seq & 0xFFFFFFFF).to_bytes(4, "big")
-    )
-
-
-def decode_header(buf: bytes) -> HeaderFields:
-    if len(buf) < HEADER_LEN:
-        raise ValueError(f"header needs {HEADER_LEN} bytes, got {len(buf)}")
-    return HeaderFields(
-        version=buf[0],
-        path_id=buf[1],
-        overall_seq=int.from_bytes(buf[2:8], "big"),
-        sender_rtt_report=int.from_bytes(buf[8:12], "big"),
-        flow_seq_low32=int.from_bytes(buf[12:16], "big"),
     )
 
 

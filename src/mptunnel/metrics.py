@@ -3,8 +3,9 @@
 delay variation) and deterministic CSV/JSON export.
 
 STREAMS names every record stream once: its field names, in the order its
-rows keep, which are the export columns wherever the two agree, and the
-packed form of each field. A Stream packs each row, 8 bytes per field, onto
+rows keep, which every export of its rows takes as its columns, and the
+packed form of each field. The run's one packet size is in no row: it is a
+field of the log's Totals. A Stream packs each row, 8 bytes per field, onto
 one open tail and seals each CHUNK_ROWS rows of it into a chunk that keeps
 only the byte planes non-zero in some row, all bytes the cyclic collector
 never scans; a disposition is packed as its index in DISPOSITIONS. Read
@@ -41,11 +42,10 @@ THROUGHPUT_BIN_US = 100_000
 # Every record stream of a MetricsLog: its field names, in row order, and
 # one kind per field: q an int of 64 bits, d a float and c a disposition.
 STREAMS = {
-    "sends": (("time_us", "path_id", "overall_seq", "flow_seq", "size_bytes",
-               "rtt_report_us"), "qqqqqq"),
-    "arrivals": (("time_us", "overall_seq", "path_id", "ingress_time_us"), "qqqq"),
-    "deliveries": (("time_us", "overall_seq", "path_id", "ingress_time_us",
-                    "residency_us", "disposition"), "qqqqqc"),
+    "sends": (("time_us", "path_id", "overall_seq", "flow_seq", "rtt_report_us"), "qqqqq"),
+    "arrivals": (("arrival_time_us", "overall_seq", "path_id", "ingress_time_us"), "qqqq"),
+    "deliveries": (("delivery_time_us", "overall_seq", "path_id", "buffer_residency_us",
+                    "disposition"), "qqqqc"),
     "drops": (("time_us", "path_id", "overall_seq"), "qqq"),
     "discards": (("time_us", "path_id", "overall_seq"), "qqq"),
     "decisions": (("time_us", "overall_seq", "path_id"), "qqq"),
@@ -177,9 +177,10 @@ class PdvResult(namedtuple("PdvResult", "sampled values skipped")):
     __slots__ = ()
 
 
-class Totals(namedtuple("Totals", "ingress_count timeout_gaps window_violations drained",
-                        defaults=(0, 0, 0, True))):
-    """A MetricsLog's run totals and their starting values."""
+class Totals(namedtuple("Totals", "ingress_count timeout_gaps window_violations drained "
+                        "packet_size_bytes", defaults=(0, 0, 0, True, 0))):
+    """A MetricsLog's run totals and their starting values, and the run's one
+    packet size, which the engine sets when it builds the log."""
     __slots__ = ()
 
 
@@ -323,24 +324,22 @@ def throughput_series(log: MetricsLog, bin_us: int) -> Table:
     Rows of (bin_start_us, path_id, bits_per_second) for every bin up to the
     last delivery's and every path that delivered, zero where a path had no
     traffic. The time-ordered deliveries are read once, a bin's rows emitted
-    when the next bin starts; sizes are laid out by sequence number.
+    when the next bin starts; every packet is the run's packet_size_bytes.
     """
     if bin_us <= 0:
         raise ValueError("bin_us must be > 0")
     _check_numbers(log, "deliveries", 1)
-    _check_numbers(log, "sends", 2)
-    sizes = memoryview(bytearray(8 * log.ingress_count)).cast("q")
-    deque(map(setitem, repeat(sizes), log.sends.column(2), log.sends.column(4)), maxlen=0)
     paths = sorted(set(log.deliveries.column(2)))
+    bits_per_packet = log.packet_size_bytes * 8
 
     def rows():
-        times, seqs, path_ids = map(log.deliveries.column, (0, 1, 2))
-        bins = zip(map(floordiv, times, repeat(bin_us)), seqs, path_ids)
+        bins = zip(map(floordiv, log.deliveries.column(0), repeat(bin_us)),
+                   log.deliveries.column(2))
         start = 0
         for last, group in groupby(bins, itemgetter(0)):
             bits = dict.fromkeys(paths, 0)
-            for _, seq, path_id in group:
-                bits[path_id] += sizes[seq] * 8
+            for _, path_id in group:
+                bits[path_id] += bits_per_packet
             yield from ((b * bin_us, p, 0.0) for b in range(start, last) for p in paths)
             yield from ((last * bin_us, p, bits[p] * 1_000_000 / bin_us) for p in paths)
             start = last + 1
@@ -384,7 +383,7 @@ def summarize(log: MetricsLog, nominal_interval_us: float,
         "delivered": len(log.deliveries),
         "dropped": len(log.drops),
         "discarded": len(log.discards),
-        "late": countOf(log.deliveries.column(5), DISPOSITION_LATE),
+        "late": countOf(log.deliveries.column(4), DISPOSITION_LATE),
         "timeout_gaps": log.timeout_gaps,
         "window_violations": log.window_violations,
         "drained": log.drained,
@@ -418,8 +417,8 @@ def _deliveries(log: MetricsLog, pdv) -> Table:
     # order: both time-ordered streams merged by time and sorted 128 rows at
     # a time, the rows of a block's last time held back, as more may follow.
     def blocks():
-        kept, gone = log.deliveries.column, log.discards.column
-        rows = merge(zip(kept(0), kept(1), kept(2), kept(4), kept(5)),
+        gone = log.discards.column
+        rows = merge(log.deliveries,
                      zip(gone(0), gone(2), gone(1), repeat(0), repeat("discarded")),
                      key=itemgetter(0))
         block = []
@@ -430,8 +429,8 @@ def _deliveries(log: MetricsLog, pdv) -> Table:
             block = block[cut:]
         yield block
 
-    return Table(("delivery_time_us", "overall_seq", "path_id", "buffer_residency_us",
-                  "disposition"), ("%s",) * 5, lambda: chain.from_iterable(blocks()))
+    return Table(log.deliveries.header, log.deliveries.specs,
+                 lambda: chain.from_iterable(blocks()))
 
 
 def _decisions(log: MetricsLog, pdv) -> Table:
@@ -467,16 +466,15 @@ def _pdv(log: MetricsLog, pdv) -> Table:
 def _headers(log: MetricsLog, pdv) -> Table:
     # Bit-exact encapsulation headers of every transmitted packet.
     return Table(("time_us", "header_hex"), ("%s", "%s"), lambda: (
-        (t, encode_header(TunnelPacket(seq, size, 0, path_id=path_id, flow_seq=flow_seq,
+        (t, encode_header(TunnelPacket(seq, 0, path_id=path_id, flow_seq=flow_seq,
                                        sender_rtt_report=rtt_us)).hex())
-        for t, path_id, seq, flow_seq, size, rtt_us in log.sends))
+        for t, path_id, seq, flow_seq, rtt_us in log.sends))
 
 
 # Every exportable metric: fn(log, pdv) -> Table, pdv() giving the run's
 # PdvResult; a fn returning a dict is a JSON document whatever the format.
 METRICS = {
-    "arrivals": lambda log, pdv: Table(("arrival_time_us",) + log.arrivals.header[1:],
-                                       log.arrivals.specs, log.arrivals.rows),
+    "arrivals": lambda log, pdv: log.arrivals,
     "decisions": _decisions,
     "deliveries": _deliveries,
     "discards": lambda log, pdv: log.discards,

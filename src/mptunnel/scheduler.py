@@ -8,7 +8,7 @@ sequence is deterministic for a fixed scenario. The views are the engine's
 flows themselves (mptunnel.flow.Flow), read live at decision time, in
 path_id order: a view's index is its path_id.
 
-pick(views, now, changed) also names the path_ids whose view may have changed
+pick(views, changed) also names the path_ids whose view may have changed
 since the previous pick; changed=None, the default and the engine's value
 at its first pick, means any of them may have. Views not named must read as
 they did at the previous pick. Only otias uses it, to keep each path's ETA
@@ -73,7 +73,7 @@ class FixedRatio:
         # cycle keeps the picks one period has made so far, then replays them.
         self._picks = cycle(_smooth_period(list(weights)))
 
-    def pick(self, views: Sequence[Flow], now: int, changed: Changed = None) -> int:
+    def pick(self, views: Sequence[Flow], changed: Changed = None) -> int:
         return next(self._picks)
 
 
@@ -100,7 +100,7 @@ class LowestWithRoom:
     def __init__(self, key: Callable[[Flow], tuple]):
         self._key = key
 
-    def pick(self, views: Sequence[Flow], now: int, changed: Changed = None) -> int:
+    def pick(self, views: Sequence[Flow], changed: Changed = None) -> int:
         available = [v for v in views if v.has_window_room]
         return min(available or views, key=self._key).path_id
 
@@ -122,7 +122,7 @@ class Otias:
         self.moved: list[int] = []
         self._picked = 0
 
-    def pick(self, views: Sequence[Flow], now: int, changed: Changed = None) -> int:
+    def pick(self, views: Sequence[Flow], changed: Changed = None) -> int:
         etas, moved = self.etas, self.moved
         moved.clear()
         if changed is None:

@@ -92,30 +92,26 @@ class PathState:
     per transmitted packet from the path's own generator; a lost packet still
     occupies the link (it is dropped downstream).
 
-    The model is read when the state is built, and its bandwidth again only
-    when the packet size changes, so a run reads no config per packet.
+    A run sends packets of one size, so the serialization delay is computed
+    when the state is built, and a run reads no config per packet.
     """
 
     __slots__ = ("model", "current_latency_us", "busy_until_us", "_rng",
-                 "_loss_rate", "_size_bytes", "_tx_us")
+                 "_loss_rate", "_tx_us")
 
-    def __init__(self, model: "PathModel", seed: int):
+    def __init__(self, model: "PathModel", seed: int, size_bytes: int):
         self.model = model
         self.current_latency_us = model.one_way_latency_us
         self.busy_until_us = 0
         self._rng = random.Random(f"{seed}/{model.path_id}")
         self._loss_rate = model.loss_rate
-        # Serialization delay of the last packet size sent.
-        self._size_bytes = self._tx_us = None
+        self._tx_us = serialization_us(size_bytes, model.bandwidth_bps)
 
-    def transmit(self, size_bytes: int, now: int) -> int | None:
+    def transmit(self, now: int) -> int | None:
         """Accept a packet for transmission, returning its delivery time.
 
         Returns None when the loss draw discards the packet.
         """
-        if size_bytes != self._size_bytes:
-            self._size_bytes = size_bytes
-            self._tx_us = serialization_us(size_bytes, self.model.bandwidth_bps)
         start = self.busy_until_us
         if now > start:
             start = now

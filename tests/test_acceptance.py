@@ -185,7 +185,7 @@ def unflagged_reversals(log):
     order (the log is time-ordered) shows a reversal.
     """
     return len(out_of_order_positions(
-        [seq for _, seq, _, _, _, disposition in log.deliveries
+        [seq for _, seq, _, _, disposition in log.deliveries
          if disposition != DISPOSITION_LATE]))
 
 
@@ -209,7 +209,7 @@ def test_criterion_5_pdv_concentration(runs):
     adaptive_cfg, adaptive_log = runs("pdv-adaptive")
     _, within_adaptive, _, _ = pdv_stats(adaptive_cfg, adaptive_log)
     adaptive_reversals = unflagged_reversals(adaptive_log)
-    adaptive_late = list(adaptive_log.deliveries.column(5)).count(DISPOSITION_LATE)
+    adaptive_late = list(adaptive_log.deliveries.column(4)).count(DISPOSITION_LATE)
     default_reversals = unflagged_reversals(default_log)
 
     default_ok = out5 >= 0.10 and pos and neg
@@ -235,14 +235,14 @@ def test_criterion_5_pdv_concentration(runs):
 
 def test_criterion_6_delay_equalization(runs):
     cfg, log = runs("delay-equalize")
-    # Delivery rows: (time_us, overall_seq, path_id, ingress_time_us,
-    # residency_us, disposition).
+    # Delivery rows: (delivery_time_us, overall_seq, path_id,
+    # buffer_residency_us, disposition).
     warm = [d for d in log.deliveries if d[0] >= 5_000_000]
     times = sorted(d[0] for d in warm)
     gaps = [b - a for a, b in zip(times, times[1:])]
     interval = cfg.nominal_interval_us()
     spread = statistics.pstdev(gaps)
-    added = statistics.mean(d[4] for d in warm if d[2] == 0)
+    added = statistics.mean(d[3] for d in warm if d[2] == 0)
     skew = 40_000  # one-way latency gap of the configured paths
     ok = report(
         6,
@@ -296,7 +296,7 @@ def test_criterion_8_congestion_control_properties(runs):
     seq, now = 0, 0
     for ev in events:
         now += 1000
-        flow.enqueue(TunnelPacket(seq, 1000, now), now)
+        flow.enqueue(TunnelPacket(seq, now), now)
         if ev == "ack":
             flow.ack_received(seq, now + 1)
         else:

@@ -35,8 +35,8 @@ CPython that names a code object's co_qualname (3.11 and later).
 The same holds for memory: tracemalloc counts the bytes a finished run's log
 keeps per ingress packet, and those may grow by at most 8% from 2 paths to
 16. At 2 paths they are at most 160: the log seals its rows into chunks that
-keep only their non-zero byte planes, about 130 bytes per packet, where
-8 bytes per field would take about 265. summarize, run on a finished log,
+keep only their non-zero byte planes, about 121 bytes per packet, where
+8 bytes per field would take about 248. summarize, run on a finished log,
 may add at most 64 bytes per ingress packet at its peak: 32 kept per
 delay-variation sample (a value pointer and the float itself), 1 per
 ingress packet for the mask of sampled numbers, 9 per ingress packet while

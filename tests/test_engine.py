@@ -169,7 +169,7 @@ def test_passthrough_delivers_at_arrival_times():
     cfg = scenario(duration_s=3)
     log = Simulation(cfg).run()
     arr = {seq: t for t, seq, _, _ in log.arrivals}
-    for t, seq, _, _, residency_us, _ in log.deliveries:
+    for t, seq, _, residency_us, _ in log.deliveries:
         assert t == arr[seq]
         assert residency_us == 0
 
@@ -237,7 +237,7 @@ def test_an_arrival_at_its_gaps_deadline_fills_the_gap():
     log = Simulation(cfg).run()
     assert [(t, seq) for t, seq, *_ in log.arrivals] == [(10_800, 0), (26_800, 2), (38_800, 1)]
     assert [(t, seq, residency_us, disposition)
-            for t, seq, _, _, residency_us, disposition in log.deliveries] == [
+            for t, seq, _, residency_us, disposition in log.deliveries] == [
         (10_800, 0, 0, "inorder"), (38_800, 1, 0, "inorder"), (38_800, 2, 12_000, "inorder")]
     assert log.timeout_gaps == 0
 
@@ -378,7 +378,7 @@ def test_static_threshold_is_capped_at_max_hold():
     sim = Simulation(cfg)
     assert sim.receiver.static_threshold_us == 5_000
     log = sim.run()
-    residencies = [row[4] for row in log.deliveries]
+    residencies = [row[3] for row in log.deliveries]
     assert len(residencies) == log.ingress_count
     assert 0 < max(residencies) <= 5_000
 
@@ -525,19 +525,18 @@ def replay(cfg, log, kind):
     """The deliveries and discards of a fresh receiver of this kind fed the
     run's arrivals, at the arrival rank, on its own event queue. Each packet
     is rebuilt with the flow_seq and RTT report it was sent with."""
-    sent = {seq: (flow_seq, rtt_us) for _, _, seq, flow_seq, _, rtt_us in log.sends}
+    sent = {seq: (flow_seq, rtt_us) for _, _, seq, flow_seq, rtt_us in log.sends}
     deliveries, discards = [], []
     queue = EventQueue()
     receiver = RECEIVERS[kind].factory(cfg).wire(
         lambda pkt, now, residency_us, disposition: deliveries.append(
-            (now, pkt.overall_seq, pkt.path_id, pkt.ingress_time, residency_us, disposition)),
+            (now, pkt.overall_seq, pkt.path_id, residency_us, disposition)),
         queue.schedule,
         lambda pkt, now: discards.append((now, pkt.path_id, pkt.overall_seq)))
     for now, seq, path_id, ingress_us in log.arrivals:
         flow_seq, rtt_us = sent[seq]
         queue.schedule(now, ARRIVAL, receiver.on_packet,
-                       TunnelPacket(seq, cfg.traffic.packet_size_bytes, ingress_us,
-                                    path_id, flow_seq, rtt_us))
+                       TunnelPacket(seq, ingress_us, path_id, flow_seq, rtt_us))
     while (item := queue.pop()) is not None:
         at, _, _, fn, arg = item
         fn(arg, at)
@@ -829,18 +828,19 @@ class ChangedOracle(Otias):
         self.inputs = None
         self.history = []
 
-    def pick(self, views, now, changed=None):
+    def pick(self, views, changed=None):
+        at = len(self.history)  # this pick's index, named by each failure
         inputs = [(v.srtt_us, v.cwnd, len(v.send_queue) + v.in_flight) for v in views]
-        assert (changed is None) == (self.inputs is None), now
+        assert (changed is None) == (self.inputs is None), at
         if changed is not None:
             moved = {i for i, (a, b) in enumerate(zip(self.inputs, inputs)) if a != b}
-            assert moved <= set(changed), (now, moved, changed)
+            assert moved <= set(changed), (at, moved, changed)
         self.inputs = inputs
         before = list(self.etas)
-        picked = super().pick(views, now, changed)
-        assert self.etas == list(map(otias_eta, views)), now
+        picked = super().pick(views, changed)
+        assert self.etas == list(map(otias_eta, views)), at
         assert sorted(self.moved) == [i for i, eta in enumerate(self.etas)
-                                      if changed is None or eta != before[i]], now
+                                      if changed is None or eta != before[i]], at
         self.history.append(tuple(self.etas))
         return picked
 

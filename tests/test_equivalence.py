@@ -104,7 +104,7 @@ def test_loss_detection_matches_counting_oracle(cwnd, ssthresh, steps):
     for kind, pick, advance in steps:
         now += advance
         if kind == "send":
-            flow.enqueue(TunnelPacket(oracle.next_seq, 1000, now), now)
+            flow.enqueue(TunnelPacket(oracle.next_seq, now), now)
             oracle.enqueue(now)
         elif kind == "timeout":
             flow.on_timeout(now)
@@ -232,7 +232,7 @@ def test_otias_cache_matches_recomputed_etas(steps):
         now += 1_000
         flow = flows[i]
         if kind == "enqueue":
-            flow.enqueue(TunnelPacket(seq, 1000, now), now)
+            flow.enqueue(TunnelPacket(seq, now), now)
             seq += 1
         elif kind == "ack":
             flow.ack_received(choice % max(1, flow.next_flow_seq), now)
@@ -247,7 +247,7 @@ def test_otias_cache_matches_recomputed_etas(steps):
         else:
             changed = [i] if i < n and kind != "none" else []
         n_before = n
-        picked = otias.pick(views, now, changed)
+        picked = otias.pick(views, changed)
         expected = tuple(map(otias_eta, views))
         assert len(otias.etas) == len(expected)
         for got, want in zip(otias.etas, expected):
@@ -265,5 +265,5 @@ def test_otias_cache_matches_recomputed_etas(steps):
                 assert picked == picked_before
         previous = expected, picked
         # With nothing named, nothing moves and the pick stands.
-        assert otias.pick(views, now, ()) == picked
+        assert otias.pick(views, ()) == picked
         assert otias.moved == []

@@ -5,8 +5,9 @@ streamed exports read the log as they write; each must give exactly what
 the per-value writer, the per-sequence loop over a seq -> time dict and
 the list-built tables they replaced gave, which are kept here as the
 references. Every tabular metric states one spec per header column, an
-unknown format is refused before anything is built, and compute_pdv
-refuses a log recording a number outside that range."""
+unknown format is refused before anything is built, compute_pdv refuses a
+log recording a number outside that range, and every field of every record
+stream reaches some export or the summary."""
 
 import json
 import math
@@ -23,8 +24,9 @@ from hypothesis import strategies as st
 
 from mptunnel.engine import Simulation
 from mptunnel.flow import TunnelPacket, encode_header
-from mptunnel.metrics import (DISPOSITIONS, METRICS, THROUGHPUT_BIN_US, MetricsLog, Table,
-                              compute_pdv, export_metric, summarize, write_csv, write_json)
+from mptunnel.metrics import (DISPOSITIONS, METRICS, STREAMS, THROUGHPUT_BIN_US, MetricsLog,
+                              Stream, Table, Totals, compute_pdv, export_metric, summarize,
+                              write_csv, write_json)
 from mptunnel.scenario import parse_scenario
 
 
@@ -71,13 +73,12 @@ def reference_throughput(log, bin_us):
     # One dict pass over every delivery, then every (bin, path) pair in order.
     if not log.deliveries:
         return []
-    size_by_seq = {seq: size for _, _, seq, _, size, _ in log.sends}
     last_bin = max(t for t, *_ in log.deliveries) // bin_us
     paths = sorted({path_id for _, _, path_id, *_ in log.deliveries})
     bits = {}
-    for time_us, seq, path_id, _, _, _ in log.deliveries:
+    for time_us, _, path_id, _, _ in log.deliveries:
         key = (time_us // bin_us, path_id)
-        bits[key] = bits.get(key, 0) + size_by_seq.get(seq, 0) * 8
+        bits[key] = bits.get(key, 0) + log.packet_size_bytes * 8
     return [(b * bin_us, p, bits.get((b, p), 0) * 1_000_000 / bin_us)
             for b in range(last_bin + 1) for p in paths]
 
@@ -90,14 +91,13 @@ REFERENCE_TABLES = {
         ["delivery_time_us", "overall_seq", "path_id", "buffer_residency_us",
          "disposition"],
         sorted([(t, seq, path_id, residency_us, disposition)
-                for t, seq, path_id, _, residency_us, disposition in log.deliveries]
+                for t, seq, path_id, residency_us, disposition in log.deliveries]
                + [(t, seq, path_id, 0, "discarded") for t, path_id, seq in log.discards])),
     "headers": lambda log, pdv: (
         ["time_us", "header_hex"],
-        [(t, encode_header(TunnelPacket(seq, size_bytes, 0, path_id=path_id,
-                                        flow_seq=flow_seq,
+        [(t, encode_header(TunnelPacket(seq, 0, path_id=path_id, flow_seq=flow_seq,
                                         sender_rtt_report=rtt_report_us)).hex())
-         for t, path_id, seq, flow_seq, size_bytes, rtt_report_us in log.sends]),
+         for t, path_id, seq, flow_seq, rtt_report_us in log.sends]),
     "pdv": lambda log, pdv: (["overall_seq", "pdv_us"], list(zip(*pdv()[:2]))),
     "scatter": lambda log, pdv: (
         ["arrival_index", "overall_seq"],
@@ -196,8 +196,8 @@ def test_deliveries_export_sorts_runs_of_equal_times(seed, tmp_path):
             if seqs and rng.random() < 0.2:
                 log.discards.append((t, rng.randrange(2), seqs.pop()))
             elif seqs:
-                log.deliveries.append((t, seqs.pop(), rng.randrange(2), 0,
-                                       rng.randrange(3), rng.choice(DISPOSITIONS)))
+                log.deliveries.append((t, seqs.pop(), rng.randrange(2), rng.randrange(3),
+                                       rng.choice(DISPOSITIONS)))
     for fmt in ("csv", "json"):
         got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
         export_metric(log, "deliveries", fmt, got, 0.0)
@@ -221,7 +221,7 @@ def test_compute_pdv_matches_per_sequence_loop(records, nominal, stream):
     # log counts as many ingress packets as its largest number needs.
     log = MetricsLog(max((seq for seq, _ in records), default=-1) + 1)
     for seq, t in records:
-        log.deliveries.append((t, seq, 0, 0, 0, "inorder"))
+        log.deliveries.append((t, seq, 0, 0, "inorder"))
         log.arrivals.append((t, seq, 0, 0))
     got = compute_pdv(log, nominal, stream)
     want = reference_pdv(log, nominal, stream)
@@ -237,7 +237,7 @@ def test_compute_pdv_refuses_a_number_outside_the_run(seqs):
     # would take 18 EiB.
     log = MetricsLog(2)
     for t, seq in enumerate(seqs):
-        log.deliveries.append((8_000 * t, seq, 0, 0, 0, "inorder"))
+        log.deliveries.append((8_000 * t, seq, 0, 0, "inorder"))
     tracemalloc.start()
     try:
         with pytest.raises(ValueError):
@@ -348,8 +348,8 @@ def test_every_table_states_one_spec_per_column(run_logs):
 
 def test_unknown_format_is_refused_before_anything_is_built(tmp_path):
     log = MetricsLog(2)
-    log.deliveries.append((0, 0, 0, 0, 0, "inorder"))
-    log.deliveries.append((8_000, 1, 0, 0, 0, "inorder"))
+    log.deliveries.append((0, 0, 0, 0, "inorder"))
+    log.deliveries.append((8_000, 1, 0, 0, "inorder"))
     for metric in METRICS:
         path = tmp_path / f"{metric}.xml"
         with pytest.raises(ValueError, match="format"):
@@ -357,6 +357,81 @@ def test_unknown_format_is_refused_before_anything_is_built(tmp_path):
         assert not path.exists(), metric
     # Not even the delay variation was computed.
     assert log._pdv is None
+
+
+# -- every recorded field reaches an output ----------------------------------
+
+# One-second short_runs that record rows of every stream between them.
+FIELD_RUNS = (
+    # otias moves ETAs; the adaptive resequencer gives up gaps.
+    {"duration_s": 1, "scheduler": {"kind": "otias"},
+     "reorder": {"kind": "adaptive", "max_hold_us": 20_000}},
+    # Round robin over the 30 ms skew: gaps given up and packets late.
+    {"duration_s": 1, "reorder": {"kind": "adaptive", "max_hold_us": 20_000}},
+    # Round robin into the equalizer, which discards what arrives past its hold.
+    {"duration_s": 1},
+)
+
+
+def bumped(value, kind: str):
+    """An int plus 1, a float plus 0.5, a disposition swapped for the next."""
+    if kind == "c":
+        return DISPOSITIONS[(DISPOSITIONS.index(value) + 1) % len(DISPOSITIONS)]
+    return value + (0.5 if kind == "d" else 1)
+
+
+def with_field_bumped(log, name: str, i: int):
+    """A copy of log with field i of stream name bumped in every row, that
+    stream rebuilt through Stream.append and every other one shared."""
+    copy = MetricsLog(**{total: getattr(log, total) for total in Totals._fields})
+    for other in STREAMS:
+        setattr(copy, other, getattr(log, other))
+    stream, kind = Stream(name), STREAMS[name][1][i]
+    for row in getattr(log, name):
+        stream.append(row[:i] + (bumped(row[i], kind),) + row[i + 1:])
+    setattr(copy, name, stream)
+    return copy
+
+
+# What an output that cannot be made of a log raises: ValueError where the
+# log is refused, TypeError where the decisions export meets a path with no
+# ETA yet (etas rows that miss the first decision or a path).
+REFUSALS = (ValueError, TypeError)
+
+
+def outputs(cfg, log, tmp_path) -> dict:
+    """Every METRICS export's CSV bytes and summarize's dict, each the
+    exception's type where it cannot be made of the log."""
+    nominal, got = cfg.nominal_interval_us(), {}
+    for metric in METRICS:
+        path = tmp_path / metric
+        try:
+            export_metric(log, metric, "csv", path, nominal, pdv_stream=cfg.pdv_stream)
+            got[metric] = path.read_bytes()
+        except REFUSALS as exc:
+            got[metric] = type(exc)
+    try:
+        got["summary.json"] = summarize(log, nominal, cfg.pdv_stream)
+    except REFUSALS as exc:
+        got["summary.json"] = type(exc)
+    return got
+
+
+def test_every_recorded_field_reaches_an_output(tmp_path):
+    # A field that no export or summary reads is a fact the log need not
+    # keep: changing it in every row of every run must change some output.
+    runs = [short_run(**overrides) for overrides in FIELD_RUNS]
+    for name in STREAMS:
+        assert any(getattr(log, name) for _, log in runs), name
+    disposition = STREAMS["deliveries"][0].index("disposition")
+    assert {"timeout", "late"} <= {row[disposition] for _, log in runs
+                                   for row in log.deliveries}
+    before = [outputs(cfg, log, tmp_path) for cfg, log in runs]
+    unread = [f"{name}.{field}" for name, (fields, _) in STREAMS.items()
+              for i, field in enumerate(fields)
+              if all(outputs(cfg, with_field_bumped(log, name, i), tmp_path) == out
+                     for (cfg, log), out in zip(runs, before))]
+    assert unread == []
 
 
 # -- the README's export schemas ---------------------------------------------

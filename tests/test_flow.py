@@ -1,10 +1,28 @@
 import random
+from collections import namedtuple
 
 import pytest
 
 from mptunnel.flow import (Flow, HEADER_LEN, MIN_TIMEOUT_US, RTT_REPORT_MAX,
-                           TIMEOUT_RTT_MULTIPLE, TunnelPacket, decode_header,
-                           encode_header)
+                           TIMEOUT_RTT_MULTIPLE, TunnelPacket, encode_header)
+
+HeaderFields = namedtuple(
+    "HeaderFields", "version path_id overall_seq sender_rtt_report flow_seq_low32")
+
+
+def decode_header(buf: bytes) -> HeaderFields:
+    """The header codec's oracle: the fields of a 16-byte header, read by
+    the README's layout, version(1) | path_id(1) | overall_seq(6) |
+    rtt_report_us(4) | flow_seq_low32(4), network byte order."""
+    if len(buf) < HEADER_LEN:
+        raise ValueError(f"header needs {HEADER_LEN} bytes, got {len(buf)}")
+    return HeaderFields(
+        version=buf[0],
+        path_id=buf[1],
+        overall_seq=int.from_bytes(buf[2:8], "big"),
+        sender_rtt_report=int.from_bytes(buf[8:12], "big"),
+        flow_seq_low32=int.from_bytes(buf[12:16], "big"),
+    )
 
 
 def make_flow(prior_rtt_us=20_000.0):
@@ -15,36 +33,36 @@ def make_flow(prior_rtt_us=20_000.0):
 
 def feed(flow, n, now=0):
     for i in range(n):
-        flow.enqueue(TunnelPacket(i, 1000, now), now)
+        flow.enqueue(TunnelPacket(i, now), now)
 
 
 # -- header codec -------------------------------------------------------------
 
 
 def test_header_zero_packet_bytes():
-    pkt = TunnelPacket(0, 0, 0, path_id=0, flow_seq=0, sender_rtt_report=0)
+    pkt = TunnelPacket(0, 0, path_id=0, flow_seq=0, sender_rtt_report=0)
     assert encode_header(pkt) == bytes.fromhex("01" + "00" * 15)
     assert len(encode_header(pkt)) == HEADER_LEN
 
 
 def test_header_overall_seq_wraps():
-    pkt = TunnelPacket((1 << 48) - 1, 0, 0)
+    pkt = TunnelPacket((1 << 48) - 1, 0)
     fields = decode_header(encode_header(pkt))
     assert fields.overall_seq == (1 << 48) - 1
-    pkt2 = TunnelPacket((1 << 48), 0, 0)
+    pkt2 = TunnelPacket((1 << 48), 0)
     assert decode_header(encode_header(pkt2)).overall_seq == 0
 
 
 def test_header_cuts_sequence_numbers_to_their_wire_widths():
     # The simulator's sequence numbers are unbounded; the header alone
     # carries the low 48 bits of overall_seq and the low 32 of flow_seq.
-    pkt = TunnelPacket((1 << 48) + 3, 0, 0, flow_seq=(1 << 32) + 7)
+    pkt = TunnelPacket((1 << 48) + 3, 0, flow_seq=(1 << 32) + 7)
     fields = decode_header(encode_header(pkt))
     assert (fields.overall_seq, fields.flow_seq_low32) == (3, 7)
 
 
 def test_header_rtt_report_saturates():
-    pkt = TunnelPacket(0, 0, 0, sender_rtt_report=(1 << 33))
+    pkt = TunnelPacket(0, 0, sender_rtt_report=(1 << 33))
     assert decode_header(encode_header(pkt)).sender_rtt_report == (1 << 32) - 1
 
 
@@ -53,7 +71,6 @@ def test_header_round_trip_randomized():
     for _ in range(300):
         pkt = TunnelPacket(
             overall_seq=rng.randrange(1 << 48),
-            payload_len=rng.randrange(1 << 16),
             ingress_time=0,
             path_id=rng.randrange(256),
             flow_seq=rng.randrange(1 << 48),
@@ -327,7 +344,7 @@ def test_window_never_exceeded_at_transmission():
     for _ in range(400):
         now += rng.randrange(1, 5000)
         if rng.random() < 0.6:
-            flow.enqueue(TunnelPacket(seq, 1000, now), now)
+            flow.enqueue(TunnelPacket(seq, now), now)
             seq += 1
         elif flow.in_flight:
             flow.ack_received(list(flow._outstanding)[0], now)
@@ -367,11 +384,11 @@ def test_aimd_trajectory_matches_scripted_oracle():
     for ev in events:
         now += 1000
         if ev == "ack":
-            flow.enqueue(TunnelPacket(next_seq, 1000, now), now)
+            flow.enqueue(TunnelPacket(next_seq, now), now)
             flow.ack_received(next_seq, now + 1)
             next_seq += 1
         else:
-            flow.enqueue(TunnelPacket(next_seq, 1000, now), now)
+            flow.enqueue(TunnelPacket(next_seq, now), now)
             flow.declare_lost(next_seq)
             next_seq += 1
         trace.append(flow.cwnd)

@@ -17,7 +17,7 @@ def log_with_deliveries(rows):
     # A run numbers its packets 0 .. ingress_count - 1.
     log = MetricsLog(max((seq for _, seq in rows), default=-1) + 1)
     for t, seq in rows:
-        log.deliveries.append((t, seq, 0, 0, 0, "inorder"))
+        log.deliveries.append((t, seq, 0, 0, "inorder"))
     return log
 
 
@@ -69,7 +69,7 @@ def test_pdv_second_call_returns_the_kept_result():
 def test_pdv_after_a_row_is_appended_is_computed_again():
     log = log_with_deliveries([(10_000 + 8_000 * k, k) for k in range(10)])
     first = compute_pdv(log, 8_000)
-    log.deliveries.append((95_000, 10, 0, 0, 0, "inorder"))
+    log.deliveries.append((95_000, 10, 0, 0, "inorder"))
     log.ingress_count = 11
     again = compute_pdv(log, 8_000)
     assert again is not first
@@ -111,11 +111,10 @@ def test_reordering_extent_single_swap():
 
 
 def test_throughput_series_values_and_conservation():
-    log = MetricsLog(125)
+    log = MetricsLog(125, packet_size_bytes=1000)
     # 1000-byte packets every 8 ms on path 0 for one second: 1 Mbps
     for k in range(125):
-        log.sends.append((8_000 * k, 0, k, k, 1000, 20_000))
-        log.deliveries.append((8_000 * k + 11_200, k, 0, 8_000 * k, 0, "inorder"))
+        log.deliveries.append((8_000 * k + 11_200, k, 0, 0, "inorder"))
     rows = list(throughput_series(log, bin_us=100_000))
     total_bits = sum(bps * 0.1 for _, _, bps in rows)
     assert total_bits == pytest.approx(125 * 8000)
@@ -128,11 +127,10 @@ def test_throughput_empty_log_is_empty():
     assert list(throughput_series(MetricsLog(), bin_us=100_000)) == []
 
 
-@pytest.mark.parametrize("stream, row", [("sends", (0, 0, 2, 0, 1000, 0)),
-                                         ("deliveries", (0, 2, 0, 0, 0, "inorder"))],
-                         ids=["sends", "deliveries"])
+@pytest.mark.parametrize("stream, row", [("deliveries", (0, 2, 0, 0, "inorder"))],
+                         ids=["deliveries"])
 def test_throughput_refuses_a_number_outside_the_run(stream, row):
-    # Sizes are laid out by sequence number over the run's 0 .. ingress_count - 1.
+    # A run numbers its packets 0 .. ingress_count - 1.
     log = MetricsLog(2)
     getattr(log, stream).append(row)
     with pytest.raises(ValueError, match=stream):
@@ -195,17 +193,17 @@ def test_summary_totals(tmp_path):
 
 
 def test_header_trace_export_is_bit_exact(tmp_path):
-    from mptunnel.flow import decode_header
     from mptunnel.metrics import export_metric
+    from test_flow import decode_header
 
     log = MetricsLog()
     for k in range(5):
-        log.sends.append((1000 * k, k % 2, k, k // 2, 1000, 20_800 + k))
+        log.sends.append((1000 * k, k % 2, k, k // 2, 20_800 + k))
     out = tmp_path / "headers.csv"
     export_metric(log, "headers", "csv", out, 0.0)
     lines = out.read_text().splitlines()
     assert lines[0] == "time_us,header_hex"
-    for line, (_, path_id, seq, flow_seq, _, rtt_report_us) in zip(lines[1:], log.sends):
+    for line, (_, path_id, seq, flow_seq, rtt_report_us) in zip(lines[1:], log.sends):
         fields = decode_header(bytes.fromhex(line.split(",")[1]))
         assert fields.version == 1
         assert fields.path_id == path_id
@@ -288,8 +286,8 @@ def test_stream_round_trip(name, data):
 LONE = 300
 SPECIAL_FLOATS = (-0.0, math.nan, math.inf, -math.inf, 0.0, 1e-300)
 EDGE_ROWS = {
-    "deliveries": lambda i: (i * 7919, 0, 5 if i == LONE else 0, -i,
-                             -(2**63 - 1) if i % 2 else 0, DISPOSITIONS[i % 3]),
+    "deliveries": lambda i: (i * 7919, 0, 5 if i == LONE else 0,
+                             -(2**63 - 1) if i % 2 else -i, DISPOSITIONS[i % 3]),
     "flow_rows": lambda i: (-i, 0, SPECIAL_FLOATS[i % 6], 2.5 if i == LONE else 0.0,
                             -1, 0),
 }

@@ -11,7 +11,7 @@ MAX_HOLD = 500_000
 
 
 def pkt(seq, path_id=0, ingress=0, report=0):
-    return TunnelPacket(seq, 1000, ingress, path_id=path_id,
+    return TunnelPacket(seq, ingress, path_id=path_id,
                         sender_rtt_report=report)
 
 

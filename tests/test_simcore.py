@@ -89,46 +89,45 @@ def test_queue_rejects_past_events():
 
 def test_path_transmit_delivery_time():
     # 1500 bytes at 10 Mbps is 1.2 ms serialization plus 10 ms latency.
-    p = PathState(PathModel(0, 10_000, 10_000_000), seed=1)
-    assert p.transmit(1500, 0) == 11_200
+    p = PathState(PathModel(0, 10_000, 10_000_000), seed=1, size_bytes=1500)
+    assert p.transmit(0) == 11_200
 
 
 def test_path_transmit_certain_loss():
-    p = PathState(PathModel(0, 10_000, 10_000_000, loss_rate=1.0), seed=1)
-    assert p.transmit(1500, 0) is None
+    p = PathState(PathModel(0, 10_000, 10_000_000, loss_rate=1.0), seed=1, size_bytes=1500)
+    assert p.transmit(0) is None
     # the lost packet still occupied the link
     assert p.busy_until_us == 1200
 
 
 def test_path_back_to_back_serialization_spacing():
-    p = PathState(PathModel(0, 10_000, 10_000_000), seed=1)
-    first = p.transmit(1500, 0)
-    second = p.transmit(1500, 0)
+    p = PathState(PathModel(0, 10_000, 10_000_000), seed=1, size_bytes=1500)
+    first = p.transmit(0)
+    second = p.transmit(0)
     assert second - first == 1200
 
 
 def test_path_latency_step_spares_in_flight():
-    p = PathState(PathModel(0, 0, 10_000_000), seed=1)
-    in_flight = p.transmit(1500, 0)
+    p = PathState(PathModel(0, 0, 10_000_000), seed=1, size_bytes=1500)
+    in_flight = p.transmit(0)
     p.current_latency_us = 40_000
-    later = p.transmit(1500, 2000)
+    later = p.transmit(2000)
     assert in_flight == 1200          # kept its old zero-latency delivery
     assert later == 2000 + 1200 + 40_000
 
 
 def test_path_latency_step_to_same_value_is_identity():
-    p = PathState(PathModel(0, 10_000, 10_000_000), seed=1)
-    before = p.transmit(1000, 0)
+    p = PathState(PathModel(0, 10_000, 10_000_000), seed=1, size_bytes=1000)
+    before = p.transmit(0)
     p.current_latency_us = 10_000
-    after = p.transmit(1000, 100_000)
+    after = p.transmit(100_000)
     assert after - 100_000 == before  # identical delay profile
 
 
 def test_path_loss_sequence_is_per_path_and_seeded():
-    draws_a = [PathState(PathModel(0, 0, 1_000_000, loss_rate=0.5), seed=9).transmit(100, i * 1000)
-               for i in range(50)]
-    draws_b = [PathState(PathModel(0, 0, 1_000_000, loss_rate=0.5), seed=9).transmit(100, i * 1000)
-               for i in range(50)]
+    model = PathModel(0, 0, 1_000_000, loss_rate=0.5)
+    draws_a = [PathState(model, seed=9, size_bytes=100).transmit(i * 1000) for i in range(50)]
+    draws_b = [PathState(model, seed=9, size_bytes=100).transmit(i * 1000) for i in range(50)]
     assert [d is None for d in draws_a] == [d is None for d in draws_b]
 
 
