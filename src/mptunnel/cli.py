@@ -33,8 +33,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path) -> dict:
         metrics.export_metric(log, out.metric, out.format, out_dir / out.path,
                               interval, pdv_stream=cfg.pdv_stream)
     summary = metrics.summarize(log, interval, cfg.pdv_stream)
-    summary["scenario"] = cfg.name
-    summary["seed"] = cfg.seed
+    summary.update(scenario=cfg.name, seed=cfg.seed)
     metrics.write_json(out_dir / "summary.json", summary)
     return summary
 

@@ -131,16 +131,6 @@ class Flow:
     def has_window_room(self) -> bool:
         return self.in_flight + len(self.send_queue) < self.cwnd
 
-    # -- RTT estimation ----------------------------------------------------
-
-    def update_rtt(self, sample_us: float) -> None:
-        """Feed one round-trip sample into the smoothed estimators."""
-        if sample_us <= 0:
-            raise ValueError(f"RTT sample must be positive, got {sample_us}")
-        self.srtt_us, self.rttvar_us = smooth_rtt(
-            self.srtt_us if self._rtt_sampled else None, self.rttvar_us, sample_us)
-        self._rtt_sampled = True
-
     # -- send path ----------------------------------------------------------
 
     def enqueue(self, pkt: TunnelPacket, now: int) -> None:
@@ -166,7 +156,7 @@ class Flow:
     # -- ack / loss handling -------------------------------------------------
 
     def ack_received(self, flow_seq: int, now: int) -> None:
-        """Apply one acknowledgment: release window, sample RTT, grow cwnd.
+        """Apply one acknowledgment: release window, smooth the RTT sample, grow cwnd.
 
         Duplicate or unknown acks are ignored. Window growth is slow start
         (one packet per ack) below ssthresh, else congestion avoidance via
@@ -176,7 +166,9 @@ class Flow:
         if sent is None:
             return
         self.in_flight -= 1
-        self.update_rtt(now - sent)
+        self.srtt_us, self.rttvar_us = smooth_rtt(
+            self.srtt_us if self._rtt_sampled else None, self.rttvar_us, now - sent)
+        self._rtt_sampled = True
 
         if self.cwnd < self.ssthresh:
             self.cwnd += 1.0

@@ -439,13 +439,15 @@ def _decisions(log: MetricsLog, pdv) -> Table:
     if not log.etas:
         return log.decisions
     n_paths = max(log.etas.column(1)) + 1
+    if None in next(_with_etas(log, n_paths), ()):  # the first pick's row, if any
+        raise ValueError("etas stream gives some path no ETA by the first pick")
     header = log.decisions.header + tuple(f"eta_{i}_us" for i in range(n_paths))
     return Table(header, log.decisions.specs + ("%.3f",) * n_paths,
                  lambda: _with_etas(log, n_paths))
 
 
 def _with_etas(log: MetricsLog, n_paths: int):
-    etas, current = [None] * n_paths, ()
+    etas, current = [None] * n_paths, (None,) * n_paths
     changes = groupby(log.etas, itemgetter(0))
     seq, group = next(changes, (math.inf, ()))
     for row in log.decisions:

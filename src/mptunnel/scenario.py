@@ -4,6 +4,7 @@ collection, and the canned scenario suite shipped with the package."""
 
 import copyreg
 import json
+import os
 import sys
 from collections import namedtuple
 from types import SimpleNamespace
@@ -387,28 +388,14 @@ def load_scenario(path) -> ScenarioConfig:
 
 # -- canned scenario suite -------------------------------------------------------
 
-def _suite():
-    """The directory of the canned suite. importlib.resources loads pathlib,
-    tempfile and zipfile, so only reading the suite imports it."""
-    from importlib import resources
-
-    return resources.files(__package__).joinpath("scenarios")
+SUITE_DIR = os.path.join(os.path.dirname(__file__), "scenarios")
 
 
 def canned_scenario_names() -> list[str]:
-    return sorted(
-        f.name.removesuffix(".json")
-        for f in _suite().iterdir()
-        if f.name.endswith(".json")
-    )
+    return sorted(f.removesuffix(".json") for f in os.listdir(SUITE_DIR) if f.endswith(".json"))
 
 
 def load_canned(name: str) -> ScenarioConfig:
-    ref = _suite().joinpath(f"{name}.json")
-    try:
-        text = ref.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ScenarioError(
-            [f"no canned scenario {name!r}; known: {', '.join(canned_scenario_names())}"]
-        ) from None
-    return parse_scenario(json.loads(text))
+    if name not in (names := canned_scenario_names()):
+        raise ScenarioError([f"no canned scenario {name!r}; known: {', '.join(names)}"])
+    return load_scenario(os.path.join(SUITE_DIR, f"{name}.json"))

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -16,7 +15,7 @@ import mptunnel
 from mptunnel import cli
 from mptunnel.cli import main
 from mptunnel.engine import Simulation
-from mptunnel.scenario import ScenarioError, canned_scenario_names, parse_scenario
+from mptunnel.scenario import SUITE_DIR, ScenarioError, canned_scenario_names, parse_scenario
 
 SCENARIO = {
     "name": "cli-smoke",
@@ -138,6 +137,17 @@ def test_paper_suite_with_an_invalid_canned_scenario_exits_1(tmp_path, capsys,
     assert captured.err == "invalid scenario:\n  - paths must list at least one path\n"
 
 
+def test_paper_suite_with_a_malformed_canned_file_exits_1(tmp_path, capsys, monkeypatch):
+    # A canned file is loaded as any scenario file is, bad JSON included.
+    (tmp_path / "broken.json").write_text("{", encoding="utf-8")
+    monkeypatch.setattr("mptunnel.scenario.SUITE_DIR", str(tmp_path))
+    rc = main(["paper-suite", "--out", str(tmp_path / "suite")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid scenario:\n  - not valid JSON: ")
+
+
 def test_shell_sees_the_exit_code(tmp_path):
     bad = dict(SCENARIO, scheduler={"kind": "fixed_ratio"})
     scenario = write_scenario(tmp_path, bad)
@@ -194,9 +204,8 @@ def test_unexpected_exception_is_runtime_error(tmp_path, capsys, monkeypatch):
     assert main(["paper-suite", "--out", str(tmp_path / "suite")]) == 2
 
 
-CANNED = {name: json.loads(resources.files("mptunnel").joinpath(
-    "scenarios", f"{name}.json").read_text(encoding="utf-8"))
-    for name in canned_scenario_names()}
+CANNED = {name: json.loads(Path(SUITE_DIR, f"{name}.json").read_text(encoding="utf-8"))
+          for name in canned_scenario_names()}
 
 # Values of the wrong type, out of range, not finite or not representable,
 # and nested junk.

@@ -393,10 +393,10 @@ def with_field_bumped(log, name: str, i: int):
     return copy
 
 
-# What an output that cannot be made of a log raises: ValueError where the
-# log is refused, TypeError where the decisions export meets a path with no
-# ETA yet (etas rows that miss the first decision or a path).
-REFUSALS = (ValueError, TypeError)
+# What an output that cannot be made of a log raises, before it writes a
+# byte: the decisions export refuses etas rows that miss the first decision
+# or a path as every export refuses a log it cannot be made of.
+REFUSALS = ValueError
 
 
 def outputs(cfg, log, tmp_path) -> dict:

@@ -4,7 +4,7 @@ from collections import namedtuple
 import pytest
 
 from mptunnel.flow import (Flow, HEADER_LEN, MIN_TIMEOUT_US, RTT_REPORT_MAX,
-                           TIMEOUT_RTT_MULTIPLE, TunnelPacket, encode_header)
+                           TIMEOUT_RTT_MULTIPLE, TunnelPacket, encode_header, smooth_rtt)
 
 HeaderFields = namedtuple(
     "HeaderFields", "version path_id overall_seq sender_rtt_report flow_seq_low32")
@@ -93,49 +93,51 @@ def test_header_rejects_short_buffer():
 
 
 def test_rtt_first_sample_initializes():
-    flow, _ = make_flow()
-    flow.update_rtt(20_000)
-    assert flow.srtt_us == 20_000
-    assert flow.rttvar_us == 10_000
+    assert smooth_rtt(None, 0.0, 20_000) == (20_000, 10_000)
 
 
 def test_rtt_ewma_step():
-    flow, _ = make_flow()
-    flow.update_rtt(80_000)
-    flow.update_rtt(160_000)
-    assert flow.srtt_us == pytest.approx(90_000)
+    srtt, rttvar = smooth_rtt(None, 0.0, 80_000)
+    srtt, rttvar = smooth_rtt(srtt, rttvar, 160_000)
+    assert srtt == pytest.approx(90_000)
 
 
 def test_rtt_fixed_point_and_var_decay():
-    flow, _ = make_flow()
+    srtt, rttvar = None, 0.0
     for _ in range(60):
-        flow.update_rtt(50_000)
-    assert flow.srtt_us == pytest.approx(50_000)
-    assert flow.rttvar_us < 1.0
-
-
-def test_rtt_rejects_non_positive():
-    flow, _ = make_flow()
-    with pytest.raises(ValueError):
-        flow.update_rtt(0)
-    with pytest.raises(ValueError):
-        flow.update_rtt(-5)
+        srtt, rttvar = smooth_rtt(srtt, rttvar, 50_000)
+    assert srtt == pytest.approx(50_000)
+    assert rttvar < 1.0
 
 
 def test_srtt_converges_within_one_percent_in_50_samples():
-    flow, _ = make_flow()
-    flow.update_rtt(200_000)  # start far away from the true value
+    srtt, rttvar = smooth_rtt(None, 0.0, 200_000)  # start far away from the true value
     true_rtt = 30_000
     for _ in range(50):
-        flow.update_rtt(true_rtt)
-    assert abs(flow.srtt_us - true_rtt) < 0.01 * true_rtt
+        srtt, rttvar = smooth_rtt(srtt, rttvar, true_rtt)
+    assert abs(srtt - true_rtt) < 0.01 * true_rtt
 
 
 def test_prior_rtt_used_until_first_sample():
     flow, _ = make_flow(prior_rtt_us=44_000)
-    assert flow.srtt_us == 44_000
-    flow.update_rtt(10_000)
-    assert flow.srtt_us == 10_000
+    feed(flow, 1)
+    assert (flow.srtt_us, flow.rttvar_us) == (44_000, 0.0)
+    flow.ack_received(0, 10_000)
+    assert (flow.srtt_us, flow.rttvar_us) == (10_000, 5_000)
+
+
+def test_ack_smooths_its_sample_with_smooth_rtt():
+    # The flow smooths each ack's sample, now minus its send time, as the
+    # receiver smooths a report: by smooth_rtt, from the first sample on.
+    flow, sent = make_flow()
+    flow.cwnd = 64.0
+    feed(flow, 20)
+    expected = (None, 0.0)
+    for pkt, sent_at in sent:
+        now = 10_000 * (pkt.flow_seq + 1) + 997 * (pkt.flow_seq % 5)
+        flow.ack_received(pkt.flow_seq, now)
+        expected = smooth_rtt(*expected, now - sent_at)
+        assert (flow.srtt_us, flow.rttvar_us) == expected
 
 
 # -- window discipline --------------------------------------------------------
@@ -185,8 +187,8 @@ def test_rtt_report_is_the_rounded_srtt_at_enqueue():
     flow, sent = make_flow(prior_rtt_us=36_000)
     flow.cwnd = 8.0
     feed(flow, 2)
-    flow.update_rtt(36_000)
-    flow.update_rtt(36_003)  # srtt 36_000.375 rounds to the same report
+    flow.ack_received(0, 36_000)
+    flow.ack_received(1, 36_003)  # srtt 36_000.375 rounds to the same report
     feed(flow, 1)
     flow.srtt_us = 50_000.4  # set from outside, read at stamp time
     feed(flow, 2)
@@ -287,7 +289,7 @@ def test_loss_floor_at_two():
 def test_two_losses_in_one_round_trip_halve_once():
     # Scripted trace: packets 0..9 outstanding, losses reported for two of
     # them back to back; only the first may halve.
-    flow, _ = make_flow()
+    flow, sent = make_flow()
     flow.cwnd = 16.0
     feed(flow, 10)
     flow.declare_lost(2)
@@ -298,8 +300,10 @@ def test_two_losses_in_one_round_trip_halve_once():
     flow.ack_received(0, 20_000)
     flow.ack_received(1, 21_000)
     feed(flow, 2)                    # flow_seq 10, 11 go straight out
-    assert 10 in flow._outstanding
+    assert [pkt.flow_seq for pkt, _ in sent[10:]] == [10, 11]
+    assert (flow.in_flight, flow.packets_lost) == (8, 2)
     flow.declare_lost(10)
+    assert (flow.in_flight, flow.packets_lost) == (7, 3)  # 10 was outstanding
     assert flow.cwnd == 4.0
 
 
@@ -314,7 +318,12 @@ def test_gap_of_three_acks_declares_loss():
     flow.ack_received(3, 23_000)   # third ack above seq 0
     assert flow.packets_lost == 1
     assert flow.cwnd < before
-    assert 0 not in flow._outstanding
+    # 0 is no longer outstanding: 6 sent, 3 acked and 0 lost leave 2 in
+    # flight, and 0 can be neither lost nor acked again.
+    assert flow.in_flight == 2
+    flow.declare_lost(0)
+    flow.ack_received(0, 24_000)
+    assert (flow.in_flight, flow.packets_lost) == (2, 1)
 
 
 def test_timeout_declares_all_outstanding_lost():
@@ -330,25 +339,30 @@ def test_timeout_declares_all_outstanding_lost():
 def test_window_never_exceeded_at_transmission():
     # A send may start only while in_flight < cwnd; the flow has already
     # counted the packet in flight when the transmit callback runs.
-    violations = []
+    violations, sent = [], []
 
     def transmit(pkt, now):
         if flow.in_flight - 1 >= flow.cwnd:
             violations.append(pkt.flow_seq)
+        sent.append(pkt.flow_seq)
 
     flow = Flow(0, 20_000.0, transmit)
     flow.cwnd = 3.0
     rng = random.Random(7)
     now = 0
     seq = 0
+    acked = 0  # acks go oldest first, so sent[acked] is the oldest outstanding
     for _ in range(400):
         now += rng.randrange(1, 5000)
         if rng.random() < 0.6:
             flow.enqueue(TunnelPacket(seq, now), now)
             seq += 1
         elif flow.in_flight:
-            flow.ack_received(list(flow._outstanding)[0], now)
+            flow.ack_received(sent[acked], now)
+            acked += 1
+        assert flow.in_flight == len(sent) - acked
     assert seq > 200
+    assert flow.packets_lost == 0
     assert violations == []
 
 

@@ -227,6 +227,25 @@ def test_decisions_export_replays_the_eta_changes():
     assert list(table) == [(0, 0, 1, 2.5, 1.5), (5, 1, 0, 2.5, 1.5), (9, 2, 0, 2.5, 4.0)]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("etas", [
+    [(0, 0, 2.5), (1, 1, 4.0)],  # path 1's first ETA comes after the first pick
+    [(1, 0, 2.5), (1, 1, 4.0)],  # no path has an ETA at the first pick
+])
+def test_decisions_export_refuses_a_path_with_no_eta_by_the_first_pick(tmp_path, etas, fmt):
+    from mptunnel.metrics import export_metric
+
+    log = MetricsLog(ingress_count=2)
+    for row in [(0, 0, 0), (5, 1, 0)]:
+        log.decisions.append(row)
+    for row in etas:
+        log.etas.append(row)
+    out = tmp_path / f"decisions.{fmt}"
+    with pytest.raises(ValueError, match="etas stream gives some path no ETA by the first pick"):
+        export_metric(log, "decisions", fmt, out, 0.0)
+    assert not out.exists()
+
+
 # -- packed record streams ----------------------------------------------------
 
 INT64 = st.integers(-(2**63 - 1), 2**63 - 1)

@@ -257,6 +257,30 @@ def test_unknown_canned_name_lists_alternatives():
     assert "srtt-handover" in err.value.errors[0]
 
 
+def test_a_malformed_canned_file_is_the_error_of_a_scenario_file(tmp_path, monkeypatch):
+    (tmp_path / "broken.json").write_text('{"name": ', encoding="utf-8")
+    monkeypatch.setattr(scenario, "SUITE_DIR", str(tmp_path))
+    assert canned_scenario_names() == ["broken"]
+    with pytest.raises(ScenarioError) as err:
+        load_canned("broken")
+    assert len(err.value.errors) == 1
+    assert err.value.errors[0].startswith("not valid JSON: ")
+
+
+def test_a_name_outside_the_suite_is_no_canned_scenario(tmp_path, monkeypatch):
+    with pytest.raises(ScenarioError, match="no canned scenario '../pdv-default'"):
+        load_canned("../pdv-default")
+    # Not even where the file the name points at exists.
+    text = Path(scenario.SUITE_DIR, "pdv-default.json").read_text(encoding="utf-8")
+    (tmp_path / "suite").mkdir()
+    for path in (tmp_path / "suite" / "pdv-default.json", tmp_path / "outside.json"):
+        path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(scenario, "SUITE_DIR", str(tmp_path / "suite"))
+    assert load_canned("pdv-default") == parse_scenario(json.loads(text))
+    with pytest.raises(ScenarioError, match="no canned scenario '../outside'; known: pdv-default"):
+        load_canned("../outside")
+
+
 # Each config record class, by the JSON object it is parsed from.
 RECORDS = {"scenario": ScenarioConfig, "path": PathModel, "latency_step": LatencyStep,
            "traffic": TrafficSource, "scheduler": SchedulerConfig,

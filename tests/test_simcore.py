@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mptunnel.engine import Simulation
@@ -125,10 +127,16 @@ def test_path_latency_step_to_same_value_is_identity():
 
 
 def test_path_loss_sequence_is_per_path_and_seeded():
-    model = PathModel(0, 0, 1_000_000, loss_rate=0.5)
-    draws_a = [PathState(model, seed=9, size_bytes=100).transmit(i * 1000) for i in range(50)]
-    draws_b = [PathState(model, seed=9, size_bytes=100).transmit(i * 1000) for i in range(50)]
-    assert [d is None for d in draws_a] == [d is None for d in draws_b]
+    # One state per path draws its whole sequence from a generator seeded by
+    # the run's seed and its path_id.
+    def losses(path_id):
+        state = PathState(PathModel(path_id, 0, 1_000_000, loss_rate=0.5), seed=9,
+                          size_bytes=100)
+        return [state.transmit(i * 1000) is None for i in range(50)]
+
+    rng = random.Random("9/0")
+    assert losses(0) == [rng.random() < 0.5 for _ in range(50)]
+    assert losses(1) != losses(0)
 
 
 def test_cbr_emission_schedule_is_exact():
