@@ -7,7 +7,7 @@ for the gaps to fill; the equalizer instead delays each flow so all paths
 present the same end-to-end latency, never consulting the overall
 sequencing, and discards packets that show up hopelessly late. A run builds
 its receiver as RECEIVERS[kind].factory(cfg) and passes its sinks to wire();
-the on_arrival and on_deadline steps need no sinks and can be driven alone.
+every packet leaves a receiver through those sinks.
 """
 
 from math import inf
@@ -111,16 +111,14 @@ class Receiver:
 class ReorderBuffer(Receiver):
     """Holds out-of-order packets until their gap fills or a deadline expires.
 
-    Deliveries are returned as (packet, delivery_residency_us, disposition)
-    in strictly increasing overall_seq order per call. A packet below
-    expected_next (its gap was already given up) is delivered immediately out
-    of band and flagged late.
+    Packets are delivered in strictly increasing overall_seq order. A packet
+    below expected_next (its gap was already given up) is delivered at once
+    out of band and flagged late.
 
     held maps each held seq to (pkt, arrival_us, deadline_us). The buffer
-    keeps no deadline order of its own: for every hold the caller arms one
-    deadline, at held[seq][2], and calls on_deadline(seq, now) when it comes
-    up. Deadlines of holds released early, or re-held by a duplicate, come
-    up as no-ops.
+    keeps no deadline order of its own: each hold schedules one event at
+    held[seq][2] that calls on_deadline(seq, now). Deadlines of holds
+    released early, or re-held by a duplicate, come up as no-ops.
 
     As a receiver it holds each packet for the static threshold, capped at
     max_hold_us, if one is given, else for the adaptive one, and only the
@@ -138,72 +136,61 @@ class ReorderBuffer(Receiver):
         self.max_hold_us = max_hold_us
         self.static_threshold_us = (None if static_threshold_us is None else
                                     min(float(static_threshold_us), float(max_hold_us)))
-        self._expire = self._expire  # bound once, scheduled per hold
+        self.on_deadline = self.on_deadline  # bound once, scheduled per hold
 
-    def on_arrival(self, pkt: TunnelPacket, now: int,
-                   threshold_us: float) -> list[tuple[TunnelPacket, int, str]]:
+    def on_arrival(self, pkt: TunnelPacket, now: int, threshold_us: float) -> bool:
+        """Deliver pkt and whatever it unblocks, or deliver it late; or hold
+        it, schedule its deadline and return True."""
         seq = pkt.overall_seq
         if seq == self.expected_next:
-            out = [(pkt, 0, DISPOSITION_INORDER)]
+            self._deliver(pkt, now, 0, DISPOSITION_INORDER)
             self.expected_next += 1
-            out.extend(self._flush_consecutive(now, DISPOSITION_INORDER))
-            return out
+            self._flush_consecutive(now, DISPOSITION_INORDER)
+            return False
         if seq > self.expected_next:
-            self.held[seq] = (pkt, now, now + round(threshold_us))
-            return []
-        return [(pkt, 0, DISPOSITION_LATE)]
+            deadline = now + round(threshold_us)
+            self.held[seq] = (pkt, now, deadline)
+            self._schedule(deadline, RECEIVER, self.on_deadline, seq)
+            return True
+        self._deliver(pkt, now, 0, DISPOSITION_LATE)
+        return False
 
-    def on_deadline(self, seq: int, now: int) -> list[tuple[TunnelPacket, int, str]]:
+    def on_deadline(self, seq: int, now: int) -> int:
         """Give up every gap below seq + 1 if the hold of seq has expired:
         release the holds below it, then anything stuck behind the gaps.
+        Return how many packets were released.
 
         A no-op if seq was already released or its hold's deadline is later
         (a duplicate re-held it).
         """
         # Every held seq is above expected_next, so seq below it is released.
         if seq < self.expected_next or self.held[seq][2] > now:
-            return []
-        out = []
+            return 0
+        released = 0
         for s in range(self.expected_next, seq + 1):
             held = self.held.pop(s, None)
             if held is None:
                 self.gap_count += 1
             else:
-                out.append((held[0], now - held[1], DISPOSITION_TIMEOUT))
+                self._deliver(held[0], now, now - held[1], DISPOSITION_TIMEOUT)
+                released += 1
         self.expected_next = seq + 1
-        out.extend(self._flush_consecutive(now, DISPOSITION_TIMEOUT))
-        return out
+        return released + self._flush_consecutive(now, DISPOSITION_TIMEOUT)
 
-    def _flush_consecutive(self, now: int, disposition: str):
-        out = []
+    def _flush_consecutive(self, now: int, disposition: str) -> int:
+        first = self.expected_next
         while self.expected_next in self.held:
             pkt, arrival_us, _ = self.held.pop(self.expected_next)
-            out.append((pkt, now - arrival_us, disposition))
+            self._deliver(pkt, now, now - arrival_us, disposition)
             self.expected_next += 1
-        return out
+        return self.expected_next - first
 
     def on_packet(self, pkt: TunnelPacket, now: int) -> None:
         threshold = self.static_threshold_us
         if threshold is None:  # a static threshold reads no stats
             self.stats.update(pkt.path_id, pkt.sender_rtt_report)
             threshold = adaptive_threshold(self.stats, self.adaptive_k, self.max_hold_us)
-        out = self.on_arrival(pkt, now, threshold)
-        if out:
-            self._emit(out, now)
-        else:
-            # Packet was held; arm its expiry. Events for holds that get
-            # released early fire as no-ops.
-            seq = pkt.overall_seq
-            self._schedule(self.held[seq][2], RECEIVER, self._expire, seq)
-
-    def _expire(self, seq: int, now: int) -> None:
-        out = self.on_deadline(seq, now)
-        if out:  # most deadlines find their gap already filled
-            self._emit(out, now)
-
-    def _emit(self, out, now: int) -> None:
-        for pkt, residency, disposition in out:
-            self._deliver(pkt, now, residency, disposition)
+        self.on_arrival(pkt, now, threshold)
 
 
 class EqualizerLines(Receiver):
@@ -217,8 +204,6 @@ class EqualizerLines(Receiver):
     As a receiver it schedules one release event per packet it keeps.
     """
 
-    DISCARD = -1
-
     def __init__(self, k: float, max_hold_us: int):
         super().__init__()
         self.k = k
@@ -229,11 +214,13 @@ class EqualizerLines(Receiver):
     def target_delay_us(self, stats: PathStats) -> float:
         return stats.srtt_max / 2.0 + self.k * stats.rttvar_max
 
-    def on_arrival(self, pkt: TunnelPacket, now: int, stats: PathStats) -> int:
-        """Return the scheduled release time, or EqualizerLines.DISCARD."""
+    def on_arrival(self, pkt: TunnelPacket, now: int) -> None:
+        """Discard pkt if hopelessly late, else schedule its release."""
+        stats = self.stats
         target = self.target_delay_us(stats)
         if now - pkt.ingress_time > target + self.max_hold_us:
-            return self.DISCARD
+            self._discard(pkt, now)
+            return
         added = target - stats.srtts[pkt.path_id] / 2.0
         added = 0.0 if 0.0 > added else added
         cap = float(self.max_hold_us)
@@ -242,15 +229,11 @@ class EqualizerLines(Receiver):
         if floor is not None and release < floor:
             release = floor
         self._last_release[pkt.path_id] = release
-        return release
+        self._schedule(release, RECEIVER, self._release, (pkt, release - now))
 
     def on_packet(self, pkt: TunnelPacket, now: int) -> None:
         self.stats.update(pkt.path_id, pkt.sender_rtt_report)
-        release = self.on_arrival(pkt, now, self.stats)
-        if release == self.DISCARD:
-            self._discard(pkt, now)
-            return
-        self._schedule(release, RECEIVER, self._release, (pkt, release - now))
+        self.on_arrival(pkt, now)
 
     def _release(self, item: tuple[TunnelPacket, int], now: int) -> None:
         pkt, residency = item

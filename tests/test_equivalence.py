@@ -12,6 +12,7 @@ from mptunnel.flow import (DUP_ACK_THRESHOLD, MIN_SSTHRESH, RTTVAR_GAIN, SRTT_GA
 from mptunnel.reorder import (EqualizerLines, PathStats, ReorderBuffer,
                               adaptive_threshold)
 from mptunnel.scheduler import Otias, otias_eta
+from mptunnel.simcore import ARRIVAL, RECEIVER, EventQueue
 from test_reorder import drive_buffer, per_arrival, pkt, reference_reorder
 
 class CountingLossOracle:
@@ -23,6 +24,7 @@ class CountingLossOracle:
         self.cwnd, self.ssthresh, self.credit = cwnd, ssthresh, 0.0
         self.in_flight = self.lost = self.recover = self.next_seq = 0
         self.queue = deque()
+        self.sent, self.lost_seqs = [], []
         self.outstanding = OrderedDict()  # flow_seq -> [send_time, acks_seen_above]
 
     def enqueue(self, now):
@@ -33,7 +35,9 @@ class CountingLossOracle:
     def pump(self, now):
         while self.queue and self.in_flight < self.cwnd:
             self.in_flight += 1
-            self.outstanding[self.queue.popleft()] = [now, 0]
+            seq = self.queue.popleft()
+            self.sent.append(seq)
+            self.outstanding[seq] = [now, 0]
 
     def ack(self, seq, now):
         if self.outstanding.pop(seq, None) is None:
@@ -60,6 +64,7 @@ class CountingLossOracle:
         del self.outstanding[seq]
         self.in_flight -= 1
         self.lost += 1
+        self.lost_seqs.append(seq)
         if seq >= self.recover:
             self.ssthresh = max(self.cwnd / 2.0, MIN_SSTHRESH)
             self.cwnd = self.ssthresh
@@ -72,14 +77,35 @@ class CountingLossOracle:
         self.pump(now)
 
 
+class LossRecordingFlow(Flow):
+    """A Flow that records each flow_seq it transmits and, in order, each
+    one it gives up on (a declare_lost call that raised packets_lost)."""
+
+    __slots__ = ("sent", "lost_seqs")
+
+    def __init__(self, cwnd, ssthresh):
+        super().__init__(0, 20_000.0, lambda pkt, now: self.sent.append(pkt.flow_seq))
+        self.cwnd, self.ssthresh = cwnd, ssthresh
+        self.sent, self.lost_seqs = [], []
+
+    def declare_lost(self, flow_seq):
+        lost = self.packets_lost
+        super().declare_lost(flow_seq)
+        if self.packets_lost > lost:
+            self.lost_seqs.append(flow_seq)
+
+
+# Equal sends and equal losses, in order, after every step pin the set of
+# outstanding packets as well: it is what was sent and neither acked nor lost,
+# and an ack counts (moves cwnd and in_flight) only for an outstanding packet.
 def state(flow):
-    return (flow.cwnd, flow.ssthresh, flow.in_flight, flow.packets_lost,
-            list(flow._outstanding))
+    return (flow.cwnd, flow.ssthresh, flow.in_flight, flow.packets_lost, flow.sent,
+            flow.lost_seqs)
 
 
 def oracle_state(oracle):
-    return (oracle.cwnd, oracle.ssthresh, oracle.in_flight, oracle.lost,
-            list(oracle.outstanding))
+    return (oracle.cwnd, oracle.ssthresh, oracle.in_flight, oracle.lost, oracle.sent,
+            oracle.lost_seqs)
 
 
 # One step: (kind, pick, time advance). "ack" acknowledges the pick-th
@@ -97,8 +123,7 @@ STEP = st.tuples(st.sampled_from(["send", "send", "ack", "ack", "newest", "stale
        ssthresh=st.sampled_from([2.0, 5.0, 16.0, 64.0]),
        steps=st.lists(STEP, min_size=10, max_size=150))
 def test_loss_detection_matches_counting_oracle(cwnd, ssthresh, steps):
-    flow = Flow(0, 20_000.0, lambda pkt, now: None)
-    flow.cwnd, flow.ssthresh = cwnd, ssthresh
+    flow = LossRecordingFlow(cwnd, ssthresh)
     oracle = CountingLossOracle(cwnd, ssthresh)
     now = 0
     for kind, pick, advance in steps:
@@ -122,17 +147,22 @@ def test_loss_detection_matches_counting_oracle(cwnd, ssthresh, steps):
         assert state(flow) == oracle_state(oracle)
 
 
-@settings(max_examples=300)
-@given(st.data())
-def test_heap_resequencer_matches_reference_with_per_arrival_thresholds(data):
-    # Arbitrary seqs (gaps, reordering, duplicates) with a threshold per
-    # arrival, so deadlines are not monotone in arrival order.
+def draw_arrivals(data):
+    """Arbitrary seqs (gaps, reordering, duplicates) at non-decreasing times,
+    with a threshold per arrival, so deadlines are not monotone in arrival
+    order: (arrivals as (time, seq), thresholds)."""
     seqs = data.draw(st.lists(st.integers(0, 24), max_size=40))
     gaps = data.draw(st.lists(st.integers(0, 40), min_size=len(seqs), max_size=len(seqs)))
     thresholds = data.draw(st.lists(st.integers(0, 120), min_size=len(seqs),
                                     max_size=len(seqs)))
     times = [sum(gaps[:i + 1]) for i in range(len(seqs))]
-    arrivals = list(zip(times, seqs))
+    return list(zip(times, seqs)), thresholds
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_heap_resequencer_matches_reference_with_per_arrival_thresholds(data):
+    arrivals, thresholds = draw_arrivals(data)
     expected = reference_reorder(arrivals, thresholds)
     buf = ReorderBuffer()
     got = drive_buffer(arrivals, thresholds, buf)
@@ -140,6 +170,45 @@ def test_heap_resequencer_matches_reference_with_per_arrival_thresholds(data):
     assert not buf.held
     released = {s for _, s, d in got if d != "late"}
     assert buf.gap_count == buf.expected_next - len(released)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_step_results_state_what_the_buffer_handed_its_sinks(data):
+    # The benchmark's hooks read these results: on_arrival is True exactly
+    # when it scheduled a deadline, and on_deadline counts the packets it
+    # delivered, 0 for a released seq or a re-held duplicate.
+    arrivals, thresholds = draw_arrivals(data)
+    buf = ReorderBuffer()
+    queue = EventQueue()
+    delivered, scheduled = [], []
+
+    def schedule(at_us, rank, fn, arg):
+        scheduled.append((at_us, rank, fn, arg))
+        queue.schedule(at_us, rank, fn, arg)
+
+    def arrive(item, now):
+        seq, threshold_us = item
+        armed = len(scheduled)
+        held = buf.on_arrival(pkt(seq), now, threshold_us)
+        assert held is (len(scheduled) > armed)
+        if held:
+            assert scheduled[armed:] == [(buf.held[seq][2], RECEIVER, buf.on_deadline, seq)]
+
+    buf.wire(lambda p, now, residency_us, d: delivered.append(p), schedule, None)
+    for (t, s), th in zip(arrivals, thresholds):
+        queue.schedule(t, ARRIVAL, arrive, (s, th))
+    while (item := queue.pop()) is not None:
+        at, _, _, fn, arg = item
+        if fn is arrive:
+            fn(arg, at)
+            continue
+        before, armed = len(delivered), len(scheduled)
+        own_deadline = arg in buf.held and buf.held[arg][2] == at
+        released = fn(arg, at)
+        assert released == len(delivered) - before
+        assert (released > 0) is own_deadline
+        assert len(scheduled) == armed
 
 
 class PathStatsOracle:

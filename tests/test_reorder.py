@@ -1,4 +1,3 @@
-import heapq
 import itertools
 
 import pytest
@@ -6,6 +5,7 @@ import pytest
 from mptunnel.flow import TunnelPacket
 from mptunnel.reorder import (EqualizerLines, PathStats, ReorderBuffer,
                               adaptive_threshold, static_threshold)
+from mptunnel.simcore import ARRIVAL, RECEIVER, EventQueue
 
 MAX_HOLD = 500_000
 
@@ -122,13 +122,33 @@ def test_adaptive_threshold_converges_after_latency_step():
 # -- resequencing buffer ---------------------------------------------------------
 
 
+class Sinks:
+    """The sinks a receiver is wired with, recording what it hands them:
+    delivered (pkt, residency_us, disposition), discarded packets and
+    scheduled (at_us, rank, fn, arg) events, each in call order."""
+
+    def __init__(self, receiver):
+        self.delivered, self.discarded, self.scheduled = [], [], []
+        receiver.wire(
+            lambda p, now, residency_us, d: self.delivered.append((p, residency_us, d)),
+            lambda at_us, rank, fn, arg: self.scheduled.append((at_us, rank, fn, arg)),
+            lambda p, now: self.discarded.append(p))
+
+    def take(self):
+        """The deliveries since the last take."""
+        out, self.delivered = self.delivered, []
+        return out
+
+
 def test_gap_fill_delivers_in_order():
     buf = ReorderBuffer(expected_next=5)
-    out1 = buf.on_arrival(pkt(5), 100, 10_000)
-    out2 = buf.on_arrival(pkt(7), 200, 10_000)
-    out3 = buf.on_arrival(pkt(6), 300, 10_000)
-    assert seqs(out1) == [5]
-    assert seqs(out2) == []
+    sinks = Sinks(buf)
+    buf.on_arrival(pkt(5), 100, 10_000)
+    assert seqs(sinks.take()) == [5]
+    buf.on_arrival(pkt(7), 200, 10_000)
+    assert sinks.take() == []
+    buf.on_arrival(pkt(6), 300, 10_000)
+    out3 = sinks.take()
     assert seqs(out3) == [6, 7]
     assert [d for _, _, d in out3] == ["inorder", "inorder"]
     assert out3[1][1] == 100  # packet 7 was held from t=200 to t=300
@@ -136,16 +156,23 @@ def test_gap_fill_delivers_in_order():
 
 def test_in_order_fast_path_zero_residency():
     buf = ReorderBuffer(expected_next=5)
-    out = buf.on_arrival(pkt(5), 1234, 10_000)
-    assert out == [(out[0][0], 0, "inorder")]
+    sinks = Sinks(buf)
+    p = pkt(5)
+    assert buf.on_arrival(p, 1234, 10_000) is False
+    assert sinks.take() == [(p, 0, "inorder")]
+    assert sinks.scheduled == []
 
 
 def test_timeout_gives_up_gap():
     buf = ReorderBuffer(expected_next=5)
+    sinks = Sinks(buf)
     buf.on_arrival(pkt(6), 100, 10_000)
     buf.on_arrival(pkt(7), 200, 10_000)
     assert buf.held[6][2] == 10_100  # (pkt, arrival_us, deadline_us)
-    out = buf.on_deadline(6, 10_100)
+    assert sinks.scheduled == [(10_100, RECEIVER, buf.on_deadline, 6),
+                               (10_200, RECEIVER, buf.on_deadline, 7)]
+    assert buf.on_deadline(6, 10_100) == 2
+    out = sinks.take()
     assert seqs(out) == [6, 7]
     assert all(d == "timeout" for _, _, d in out)
     assert buf.expected_next == 8
@@ -154,26 +181,29 @@ def test_timeout_gives_up_gap():
 
 def test_deadline_releases_only_expired_and_below():
     buf = ReorderBuffer(expected_next=6)
+    sinks = Sinks(buf)
     buf.on_arrival(pkt(7), 100, 5_000)     # deadline 5100
     buf.on_arrival(pkt(9), 4000, 50_000)   # deadline 54000
-    out = buf.on_deadline(7, 5_100)
-    assert seqs(out) == [7]
+    buf.on_deadline(7, 5_100)
+    assert seqs(sinks.take()) == [7]
     assert buf.expected_next == 8
     assert 9 in buf.held
-    assert buf.on_deadline(9, 5_200) == []   # 9 is held until 54000
-    assert buf.on_deadline(7, 5_200) == []   # 7 was already released
-    out2 = buf.on_deadline(9, 54_000)
-    assert seqs(out2) == [9]
+    assert buf.on_deadline(9, 5_200) == 0   # 9 is held until 54000
+    assert buf.on_deadline(7, 5_200) == 0   # 7 was already released
+    assert sinks.take() == []
+    buf.on_deadline(9, 54_000)
+    assert seqs(sinks.take()) == [9]
 
 
 def test_deadline_flushes_consecutive_above_gap():
     buf = ReorderBuffer(expected_next=5)
+    sinks = Sinks(buf)
     buf.on_arrival(pkt(6), 100, 3_000)      # deadline 3100
     buf.on_arrival(pkt(7), 200, 50_000)
     buf.on_arrival(pkt(9), 300, 50_000)
-    out = buf.on_deadline(6, 3_100)
+    buf.on_deadline(6, 3_100)
     # 6 expired; 7 is consecutive behind it, 9 still waits for 8
-    assert seqs(out) == [6, 7]
+    assert seqs(sinks.take()) == [6, 7]
     assert buf.expected_next == 8
     assert 9 in buf.held
 
@@ -182,42 +212,54 @@ def test_deadline_flushes_consecutive_above_gap():
     (24_000.5, 24_000), (24_001.5, 24_002), (0.5, 0)])  # ties, to the even neighbour
 def test_hold_deadline_equals_the_builtin_expression(threshold_us, expected):
     buf = ReorderBuffer()
-    assert buf.on_arrival(pkt(1), 1_000, threshold_us) == []
+    sinks = Sinks(buf)
+    assert buf.on_arrival(pkt(1), 1_000, threshold_us) is True
+    assert sinks.take() == []
     deadline = buf.held[1][2]
     assert type(deadline) is int
     assert deadline == 1_000 + int(round(threshold_us)) == 1_000 + expected
+    assert sinks.scheduled == [(deadline, RECEIVER, buf.on_deadline, 1)]
 
 
 def test_late_packet_delivered_out_of_band():
     buf = ReorderBuffer(expected_next=5)
+    sinks = Sinks(buf)
     buf.on_arrival(pkt(6), 100, 1_000)
     buf.on_deadline(6, 1_100)
-    out = buf.on_arrival(pkt(5), 2_000, 1_000)
+    sinks.take()
+    assert buf.on_arrival(pkt(5), 2_000, 1_000) is False
+    out = sinks.take()
     assert [(s, d) for s, d in zip(seqs(out), [o[2] for o in out])] == [(5, "late")]
     assert buf.expected_next == 7
 
 
 def test_no_expired_deadline_returns_empty():
     buf = ReorderBuffer(expected_next=0)
+    sinks = Sinks(buf)
     buf.on_arrival(pkt(1), 100, 10_000)
-    assert buf.on_deadline(1, 5_000) == []
+    assert buf.on_deadline(1, 5_000) == 0
+    assert sinks.take() == []
 
 
 def test_deadline_of_a_re_held_duplicate_is_a_no_op():
     buf = ReorderBuffer(expected_next=0)
+    sinks = Sinks(buf)
     buf.on_arrival(pkt(2), 100, 1_000)     # deadline 1100
     buf.on_arrival(pkt(2), 600, 1_000)     # the duplicate re-holds it until 1600
-    assert buf.on_deadline(2, 1_100) == []
-    assert seqs(buf.on_deadline(2, 1_600)) == [2]
+    assert [at for at, *_ in sinks.scheduled] == [1_100, 1_600]
+    assert buf.on_deadline(2, 1_100) == 0
+    assert sinks.take() == []
+    assert buf.on_deadline(2, 1_600) == 1
+    assert seqs(sinks.take()) == [2]
 
 
 def test_never_delivers_a_seq_twice_in_order():
     buf = ReorderBuffer()
-    delivered = []
+    sinks = Sinks(buf)
     stream = [(0, 0), (2, 10), (1, 20), (3, 30), (5, 40), (4, 45), (6, 50)]
     for seq, t in stream:
-        for p, _, d in buf.on_arrival(pkt(seq), t, 100):
-            delivered.append((p.overall_seq, d))
+        buf.on_arrival(pkt(seq), t, 100)
+    delivered = [(p.overall_seq, d) for p, _, d in sinks.take()]
     in_order = [s for s, d in delivered if d != "late"]
     assert in_order == sorted(in_order)
     assert len(set(in_order)) == len(in_order)
@@ -281,27 +323,25 @@ def reference_reorder(arrivals, threshold):
 
 
 def drive_buffer(arrivals, threshold, buf=None):
-    """Feed arrivals to a ReorderBuffer as the engine does: arm one deadline
-    per hold on an event heap of (deadline, arm order, seq), and fire each at
-    its time, whether or not the packet is still held, after every arrival
-    at that time. Same arguments and result shape as reference_reorder."""
+    """Feed arrivals to a ReorderBuffer as the engine does: each arrival is
+    an event of rank ARRIVAL on an EventQueue the buffer is wired to, so the
+    buffer schedules its own deadlines there, and one at an arrival's time
+    fires after it. Same arguments and result shape as reference_reorder."""
     buf = ReorderBuffer() if buf is None else buf
     out = []
-    events = []
+    queue = EventQueue()
+    buf.wire(lambda p, now, residency_us, d: out.append((now, p.overall_seq, d)),
+             queue.schedule, None)
 
-    def fire(up_to):
-        while events and events[0][0] < up_to:
-            at, _, seq = heapq.heappop(events)
-            out.extend((at, p.overall_seq, d) for p, _, d in buf.on_deadline(seq, at))
+    def arrive(item, now):
+        seq, threshold_us = item
+        buf.on_arrival(pkt(seq), now, threshold_us)
 
-    for i, (t, s, th) in enumerate(per_arrival(arrivals, threshold)):
-        fire(t)
-        released = buf.on_arrival(pkt(s), t, th)
-        if released:
-            out.extend((t, p.overall_seq, d) for p, _, d in released)
-        else:
-            heapq.heappush(events, (buf.held[s][2], i, s))
-    fire(float("inf"))
+    for t, s, th in per_arrival(arrivals, threshold):
+        queue.schedule(t, ARRIVAL, arrive, (s, th))
+    while (item := queue.pop()) is not None:
+        at, _, _, fn, arg = item
+        fn(arg, at)
     return out
 
 
@@ -342,11 +382,19 @@ def test_bounded_holding_never_exceeds_threshold():
 # -- delay equalization ------------------------------------------------------------
 
 
+def equalizer(stats, max_hold_us=MAX_HOLD):
+    """EqualizerLines reading stats, wired to recording Sinks."""
+    lines = EqualizerLines(k=4.0, max_hold_us=max_hold_us)
+    lines.stats = stats
+    return lines, Sinks(lines)
+
+
 def test_equalizer_adds_skew_on_fast_path():
     stats = warmed_stats({0: 20_000, 1: 100_000})  # one-way 10 ms and 50 ms
-    lines = EqualizerLines(k=4.0, max_hold_us=MAX_HOLD)
-    fast = lines.on_arrival(pkt(0, path_id=0, ingress=0), 10_000, stats)
-    slow = lines.on_arrival(pkt(1, path_id=1, ingress=0), 50_000, stats)
+    lines, sinks = equalizer(stats)
+    lines.on_arrival(pkt(0, path_id=0, ingress=0), 10_000)
+    lines.on_arrival(pkt(1, path_id=1, ingress=0), 50_000)
+    (fast, *_), (slow, *_) = sinks.scheduled
     assert fast - 10_000 == pytest.approx(40_000, abs=10)
     assert slow - 50_000 == pytest.approx(0, abs=10)
 
@@ -355,54 +403,61 @@ def test_equalizer_adds_skew_on_fast_path():
     (-0.0, 0), (0.0, 0), (-0.75, 0), (2_500.5, 2_500),  # a tie, to the even neighbour
     (10_000.0, 10_000), (10_000.5, 10_000), (10_001.5, 10_000)])
 def test_equalizer_release_equals_the_builtin_expression(added_us, expected):
-    lines = EqualizerLines(k=4.0, max_hold_us=10_000)
-    # The arriving path reports an srtt of 0, so the added delay is the target.
-    lines.target_delay_us = lambda stats: added_us
     stats = PathStats()
     stats.update(0, 0)  # a first report: srtt 0.0
-    release = lines.on_arrival(pkt(0, ingress=5_000), 5_000, stats)
+    lines, sinks = equalizer(stats, max_hold_us=10_000)
+    # The arriving path reports an srtt of 0, so the added delay is the target.
+    lines.target_delay_us = lambda stats: added_us
+    p = pkt(0, ingress=5_000)
+    lines.on_arrival(p, 5_000)
+    [(release, rank, fn, arg)] = sinks.scheduled
     assert type(release) is int
     reference = min(max(added_us - 0.0 / 2.0, 0.0), float(10_000))
     assert release == 5_000 + int(round(reference)) == 5_000 + expected
+    assert rank == RECEIVER
+    fn(arg, release)
+    assert sinks.delivered == [(p, release - 5_000, "inorder")]
 
 
 def test_equalizer_symmetric_paths_add_nothing():
-    stats = warmed_stats({0: 40_000, 1: 40_000})
-    lines = EqualizerLines(k=4.0, max_hold_us=MAX_HOLD)
-    t = lines.on_arrival(pkt(0, path_id=0, ingress=0), 20_000, stats)
+    lines, sinks = equalizer(warmed_stats({0: 40_000, 1: 40_000}))
+    lines.on_arrival(pkt(0, path_id=0, ingress=0), 20_000)
+    [(t, *_)] = sinks.scheduled
     assert t == pytest.approx(20_000, abs=10)
 
 
 def test_equalizer_releases_stay_fifo_per_flow():
     stats = warmed_stats({0: 20_000, 1: 100_000})
-    lines = EqualizerLines(k=4.0, max_hold_us=MAX_HOLD)
-    first = lines.on_arrival(pkt(0, path_id=0, ingress=0), 10_000, stats)
+    lines, sinks = equalizer(stats)
+    lines.on_arrival(pkt(0, path_id=0, ingress=0), 10_000)
     # the target shrinks sharply before the next packet shows up
     for _ in range(300):
         stats.update(1, 20_000)
-    second = lines.on_arrival(pkt(1, path_id=0, ingress=1_000), 11_000, stats)
+    lines.on_arrival(pkt(1, path_id=0, ingress=1_000), 11_000)
+    (first, *_), (second, *_) = sinks.scheduled
     assert second >= first
 
 
 def test_equalizer_discards_hopelessly_late_packet():
-    stats = warmed_stats({0: 20_000, 1: 100_000})
-    lines = EqualizerLines(k=4.0, max_hold_us=10_000)
+    lines, sinks = equalizer(warmed_stats({0: 20_000, 1: 100_000}), max_hold_us=10_000)
     # end-to-end delay 300 ms against a 50 ms target and 10 ms slack
-    verdict = lines.on_arrival(pkt(0, path_id=1, ingress=0), 300_000, stats)
-    assert verdict == EqualizerLines.DISCARD
+    p = pkt(0, path_id=1, ingress=0)
+    lines.on_arrival(p, 300_000)
+    assert sinks.discarded == [p]
+    assert sinks.scheduled == []
 
 
 def test_equalizer_conservation_released_plus_discarded():
-    stats = warmed_stats({0: 20_000, 1: 100_000})
-    lines = EqualizerLines(k=4.0, max_hold_us=10_000)
-    outcomes = []
+    lines, sinks = equalizer(warmed_stats({0: 20_000, 1: 100_000}), max_hold_us=10_000)
+    arrived = []
     for i in range(40):
         ingress = i * 8_000
         late = i % 7 == 3
         at = ingress + (400_000 if late else 12_000)
-        release = lines.on_arrival(pkt(i, path_id=0, ingress=ingress), at, stats)
-        outcomes.append((release, at))
-    discarded = sum(1 for release, _ in outcomes if release == EqualizerLines.DISCARD)
-    released = sum(1 for release, at in outcomes if release >= at)
+        lines.on_arrival(pkt(i, path_id=0, ingress=ingress), at)
+        arrived.append(at)
+    discarded = len(sinks.discarded)
+    released = sum(1 for release, _, _, (p, _) in sinks.scheduled
+                   if release >= arrived[p.overall_seq])
     assert released + discarded == 40
     assert discarded > 0
