@@ -57,8 +57,8 @@ class Simulation:
         self._timer_fire, self._emit_cbr = self._timer_fire, self._emit_cbr
 
         # path_ids whose flow got a flow row, and so may have changed, since
-        # the last pick; None before the first pick, meaning every path.
-        self._changed = None
+        # the last pick; every path before the first pick.
+        self._changed = range(len(self.flows))
         self._timers = [None] * len(self.flows)
         # The traffic source is read here, once, not per packet.
         traffic = cfg.traffic
@@ -186,13 +186,14 @@ class Simulation:
             self.queue.schedule(next_at, SOURCE, self._emit_cbr, k + 1)
 
     def _start_greedy(self, _, now: int) -> None:
-        self._pump_greedy(now, *range(len(self.flows)))
+        for path_id in range(len(self.flows)):
+            self._pump_greedy(now, path_id)
 
     def _apply_latency_step(self, step: tuple[PathState, int], now: int) -> None:
         state, latency_us = step
         state.current_latency_us = latency_us
 
-    def _pump_greedy(self, now: int, *path_ids: int) -> None:
+    def _pump_greedy(self, now: int, path_id: int) -> None:
         """Work-conserving greedy source.
 
         A backlogged sender offers the scheduler another packet whenever some
@@ -203,15 +204,14 @@ class Simulation:
         So inside the traffic window no flow is idle between events. Only an
         ack or timeout can make its flow idle; a packet handed to a flow that
         is not idle leaves it not idle. Each call therefore checks only the
-        flows named in path_ids: the one the event changed, or at the start
-        of traffic every flow.
+        flow of path_id: the one the event changed, or at the start of
+        traffic each flow in turn.
         """
         if now >= self._traffic_stop_us:
             return
-        for path_id in path_ids:
-            flow = self.flows[path_id]
-            while flow.has_window_room:
-                self._ingress(now)
+        flow = self.flows[path_id]
+        while flow.has_window_room:
+            self._ingress(now)
 
     # -- main loop ----------------------------------------------------------------
 

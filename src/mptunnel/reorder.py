@@ -131,7 +131,6 @@ class ReorderBuffer(Receiver):
         super().__init__()
         self.expected_next = expected_next
         self.held: dict[int, tuple[TunnelPacket, int, int]] = {}
-        self.gap_count = 0
         self.adaptive_k = adaptive_k
         self.max_hold_us = max_hold_us
         self.static_threshold_us = (None if static_threshold_us is None else
@@ -211,13 +210,13 @@ class EqualizerLines(Receiver):
         self._last_release: dict[int, int] = {}
         self._release = self._release  # bound once, scheduled per packet
 
-    def target_delay_us(self, stats: PathStats) -> float:
-        return stats.srtt_max / 2.0 + self.k * stats.rttvar_max
+    def target_delay_us(self) -> float:
+        return self.stats.srtt_max / 2.0 + self.k * self.stats.rttvar_max
 
     def on_arrival(self, pkt: TunnelPacket, now: int) -> None:
         """Discard pkt if hopelessly late, else schedule its release."""
         stats = self.stats
-        target = self.target_delay_us(stats)
+        target = self.target_delay_us()
         if now - pkt.ingress_time > target + self.max_hold_us:
             self._discard(pkt, now)
             return

@@ -9,10 +9,10 @@ flows themselves (mptunnel.flow.Flow), read live at decision time, in
 path_id order: a view's index is its path_id.
 
 pick(views, changed) also names the path_ids whose view may have changed
-since the previous pick; changed=None, the default and the engine's value
-at its first pick, means any of them may have. Views not named must read as
-they did at the previous pick. Only otias uses it, to keep each path's ETA
-until the path is named; the other schedulers ignore it.
+since the previous pick; the engine's first pick names every path. Views
+not named must read as they did at the previous pick. Only otias uses it,
+to keep each path's ETA until the path is named; the other schedulers
+ignore it.
 
 Every scheduler has moved: the path_ids whose estimate its latest pick
 changed in value, () on a scheduler that makes no estimates. One that lists
@@ -22,13 +22,11 @@ for each i in moved.
 
 from collections.abc import Callable, Collection, Iterator, Sequence
 from itertools import cycle
-from math import ceil
+from math import ceil, nan
 from operator import add, attrgetter
 
 from .flow import Flow
 from .simcore import Plugin
-
-Changed = Collection[int] | None  # pick's changed, see the module docstring
 
 
 def otias_eta(view: Flow) -> float:
@@ -73,7 +71,7 @@ class FixedRatio:
         # cycle keeps the picks one period has made so far, then replays them.
         self._picks = cycle(_smooth_period(list(weights)))
 
-    def pick(self, views: Sequence[Flow], changed: Changed = None) -> int:
+    def pick(self, views: Sequence[Flow], changed: Collection[int]) -> int:
         return next(self._picks)
 
 
@@ -100,7 +98,7 @@ class LowestWithRoom:
     def __init__(self, key: Callable[[Flow], tuple]):
         self._key = key
 
-    def pick(self, views: Sequence[Flow], changed: Changed = None) -> int:
+    def pick(self, views: Sequence[Flow], changed: Collection[int]) -> int:
         available = [v for v in views if v.has_window_room]
         return min(available or views, key=self._key).path_id
 
@@ -111,32 +109,29 @@ class Otias:
     The chosen flow's send queue may exceed its congestion window; queueing on
     the fast path is the mechanism that lines packets up to arrive in order.
 
-    Each path's ETA is kept until the engine names the path in changed and
-    its value differs; changed=None recomputes every path. moved lists the
-    paths whose ETA changed value, every path at a full recompute. While no
-    ETA changes value the previous pick stands.
+    Built for n paths, it keeps each path's ETA until the engine names the
+    path in changed and its value differs. Every ETA starts as NaN, which no
+    ETA equals, so the first pick, which names every path, moves every
+    path. moved lists the paths whose ETA changed value. While no ETA
+    changes value the previous pick stands.
     """
 
-    def __init__(self):
-        self.etas: list[float] = []  # per path_id
+    def __init__(self, n: int):
+        self.etas = [nan] * n  # per path_id
         self.moved: list[int] = []
         self._picked = 0
 
-    def pick(self, views: Sequence[Flow], changed: Changed = None) -> int:
+    def pick(self, views: Sequence[Flow], changed: Collection[int]) -> int:
         etas, moved = self.etas, self.moved
         moved.clear()
-        if changed is None:
-            etas[:] = map(otias_eta, views)
-            moved.extend(range(len(views)))
-        else:
-            for i in changed:
-                # ETAs are positive finite floats: equal means bit-identical.
-                eta = otias_eta(views[i])
-                if eta != etas[i]:
-                    etas[i] = eta
-                    moved.append(i)
-            if not moved:
-                return self._picked
+        for i in changed:
+            # ETAs are positive finite floats: equal means bit-identical.
+            eta = otias_eta(views[i])
+            if eta != etas[i]:
+                etas[i] = eta
+                moved.append(i)
+        if not moved:
+            return self._picked
         self._picked = etas.index(min(etas))
         return self._picked
 
@@ -153,7 +148,7 @@ SCHEDULERS = {
         (("weights", "one non-negative integer per path, by path_id, not all zero"),),
         "deterministic weighted round robin"),
     "otias": Plugin(
-        lambda cfg: Otias(), (),
+        lambda cfg: Otias(len(cfg.paths)), (),
         "earliest estimated arrival using queue backlog and smoothed RTT"),
     "round_robin": Plugin(
         lambda cfg: FixedRatio([1] * len(cfg.paths)), (),

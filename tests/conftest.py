@@ -1,7 +1,8 @@
 """Tier-1's one hypothesis profile: deterministic example generation, no
 example database on disk and no per-example deadline, so the suite stays
 reproducible run to run and a slow shared host fails no property. Each
-property test states only its max_examples.
+property test states only its max_examples, and the loss-detection property
+its phases too, to skip shrinking.
 
 The runs fixture runs each canned scenario at most once per session and
 hands every test that asks for it the same (cfg, log); tests only read

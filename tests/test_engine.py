@@ -816,23 +816,24 @@ def test_greedy_paths_listed_in_reverse_give_the_same_bytes():
 
 
 class ChangedOracle(Otias):
-    """otias that checks the engine's changed argument at every pick: only
-    the first pick passes None, every view whose ETA inputs (srtt, cwnd,
-    backlog) moved since the previous pick is named, every ETA kept equals
-    one computed afresh, and moved lists exactly the paths whose ETA changed
-    value (every path at the first pick). history keeps the ETAs as of every
-    pick."""
+    """otias that checks the engine's changed argument at every pick: the
+    first pick names every path in path_id order, every view whose ETA
+    inputs (srtt, cwnd, backlog) moved since the previous pick is named,
+    every ETA kept equals one computed afresh, and moved lists exactly the
+    paths whose ETA changed value (every path at the first pick). history
+    keeps the ETAs as of every pick."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, n):
+        super().__init__(n)
         self.inputs = None
         self.history = []
 
-    def pick(self, views, changed=None):
+    def pick(self, views, changed):
         at = len(self.history)  # this pick's index, named by each failure
         inputs = [(v.srtt_us, v.cwnd, len(v.send_queue) + v.in_flight) for v in views]
-        assert (changed is None) == (self.inputs is None), at
-        if changed is not None:
+        if self.inputs is None:
+            assert list(changed) == list(range(len(views))), (at, changed)
+        else:
             moved = {i for i, (a, b) in enumerate(zip(self.inputs, inputs)) if a != b}
             assert moved <= set(changed), (at, moved, changed)
         self.inputs = inputs
@@ -840,7 +841,7 @@ class ChangedOracle(Otias):
         picked = super().pick(views, changed)
         assert self.etas == list(map(otias_eta, views)), at
         assert sorted(self.moved) == [i for i, eta in enumerate(self.etas)
-                                      if changed is None or eta != before[i]], at
+                                      if eta != before[i]], at
         self.history.append(tuple(self.etas))
         return picked
 
@@ -848,25 +849,29 @@ class ChangedOracle(Otias):
 @pytest.fixture
 def checked(monkeypatch):
     """Counts of greedy pumps inside the traffic window and of ack-silence
-    timeouts; each such pump must leave no flow idle (window room and an
-    empty send queue)."""
+    timeouts. Each such pump must leave no flow idle (window room and an
+    empty send queue), except that the start of traffic pumps the flows one
+    by one in path_id order, so there only flows not yet pumped may be."""
     counts = {"pumps": 0, "timeouts": 0}
-    pump, on_timeout = Simulation._pump_greedy, Flow.on_timeout
+    pump = Simulation._pump_greedy
 
-    def checked_pump(sim, now, *path_ids):
-        pump(sim, now, *path_ids)
+    def checked_pump(sim, now, path_id):
+        pump(sim, now, path_id)
         traffic = sim.cfg.traffic
         if traffic.kind == "greedy" and traffic.start_us <= now < sim._traffic_stop_us:
             counts["pumps"] += 1
             idle = [f.path_id for f in sim.flows if f.in_flight < f.cwnd and not f.send_queue]
-            assert not idle, (now, idle)
+            assert not idle or (now == traffic.start_us and min(idle) > path_id), (now, idle)
 
-    def counted_timeout(flow, now):
-        counts["timeouts"] += 1
-        return on_timeout(flow, now)
+    class TimeoutCountingFlow(Flow):
+        __slots__ = ()
+
+        def on_timeout(self, now):
+            counts["timeouts"] += 1
+            return super().on_timeout(now)
 
     monkeypatch.setattr(Simulation, "_pump_greedy", checked_pump)
-    monkeypatch.setattr(Flow, "on_timeout", counted_timeout)
+    monkeypatch.setattr(engine, "Flow", TimeoutCountingFlow)
     return counts
 
 
@@ -874,7 +879,7 @@ def run_with_oracle(cfg):
     """Run cfg under the ChangedOracle, and check that the decisions export
     replays the recorded ETA changes into exactly the ETAs of every pick."""
     sim = Simulation(cfg)
-    oracle = sim.scheduler = ChangedOracle()
+    oracle = sim.scheduler = ChangedOracle(len(cfg.paths))
     log = sim.run()
     table = metrics.METRICS["decisions"](log, None)
     assert len(table.header) == 3 + len(cfg.paths)
@@ -915,3 +920,18 @@ def test_lossy_runs_name_every_changed_flow(checked, kind, n_paths):
     assert checked["timeouts"] > 0
     assert (checked["pumps"] > 0) == (kind == "greedy")
     assert log.window_violations == 0
+
+
+def test_first_decision_records_every_paths_eta_in_path_id_order():
+    # 16 greedy otias paths of 50 Mbps, one-way latencies spread over 5-40 ms.
+    # At the first pick every flow is idle with cwnd 2 and srtt twice its
+    # latency, so each ETA is srtt / 2: the configured one-way latency.
+    latencies = [int(round(1000 * (5 + 35 * i / 15))) for i in range(16)]
+    paths = [{"path_id": i, "one_way_latency_us": us, "bandwidth_bps": 50_000_000,
+              "loss_rate": 0.001} for i, us in enumerate(latencies)]
+    cfg = scenario(duration_s=0.05, seed=0, paths=paths,
+                   traffic={"kind": "greedy", "packet_size_bytes": 1000},
+                   scheduler={"kind": "otias"})
+    log = Simulation(cfg).run()
+    first = [row for row in log.etas if row[0] == 0]
+    assert first == [(0, i, float(us)) for i, us in enumerate(latencies)]

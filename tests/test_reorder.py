@@ -407,7 +407,7 @@ def test_equalizer_release_equals_the_builtin_expression(added_us, expected):
     stats.update(0, 0)  # a first report: srtt 0.0
     lines, sinks = equalizer(stats, max_hold_us=10_000)
     # The arriving path reports an srtt of 0, so the added delay is the target.
-    lines.target_delay_us = lambda stats: added_us
+    lines.target_delay_us = lambda: added_us
     p = pkt(0, ingress=5_000)
     lines.on_arrival(p, 5_000)
     [(release, rank, fn, arg)] = sinks.scheduled

@@ -24,8 +24,13 @@ def view(path_id=0, srtt=20_000.0, rttvar=0.0, cwnd=10.0, in_flight=0,
     return flow
 
 
+def every(views):
+    """pick's changed naming every path, as at a run's first pick."""
+    return range(len(views))
+
+
 def picks(sched, views, n):
-    return [sched.pick(views) for _ in range(n)]
+    return [sched.pick(views, every(views)) for _ in range(n)]
 
 
 def registered(kind, n_paths=2, weights=None):
@@ -108,7 +113,7 @@ class KeyedFixedRatio:
     def __init__(self, weights):
         self.weights, self.credits = weights, [0] * len(weights)
 
-    def pick(self, views):
+    def pick(self, views, changed):
         for i, w in enumerate(self.weights):
             self.credits[i] += w
         best = max(range(len(self.credits)), key=lambda i: (self.credits[i], -i))
@@ -164,38 +169,38 @@ def test_fixed_ratio_config_validation_names_weights():
 
 def test_cheapest_prefers_low_cost_with_room():
     vs = [view(0, cost=1.0), view(1, cost=10.0)]
-    assert registered("cheapest_pipe_first").pick(vs) == 0
+    assert registered("cheapest_pipe_first").pick(vs, every(vs)) == 0
 
 
 def test_cheapest_spills_when_cheap_window_full():
     vs = [view(0, cost=1.0, cwnd=4.0, in_flight=4), view(1, cost=10.0)]
-    assert registered("cheapest_pipe_first").pick(vs) == 1
+    assert registered("cheapest_pipe_first").pick(vs, every(vs)) == 1
 
 
 def test_cheapest_tie_breaks_on_path_id():
     vs = [view(0, cost=3.0), view(1, cost=3.0)]
-    assert registered("cheapest_pipe_first").pick(vs) == 0
+    assert registered("cheapest_pipe_first").pick(vs, every(vs)) == 0
 
 
 def test_cheapest_falls_back_to_cheapest_when_all_full():
     vs = [view(0, cost=5.0, cwnd=2.0, in_flight=2),
           view(1, cost=1.0, cwnd=2.0, queue=3)]
-    assert registered("cheapest_pipe_first").pick(vs) == 1
+    assert registered("cheapest_pipe_first").pick(vs, every(vs)) == 1
 
 
 def test_srtt_prefers_lower_rtt():
     vs = [view(0, srtt=10_000), view(1, srtt=20_000)]
-    assert registered("srtt").pick(vs) == 0
+    assert registered("srtt").pick(vs, every(vs)) == 0
 
 
 def test_srtt_switches_after_latency_event():
     vs = [view(0, srtt=100_000), view(1, srtt=20_000)]
-    assert registered("srtt").pick(vs) == 1
+    assert registered("srtt").pick(vs, every(vs)) == 1
 
 
 def test_srtt_respects_window_availability():
     vs = [view(0, srtt=10_000, cwnd=2.0, in_flight=2), view(1, srtt=20_000)]
-    assert registered("srtt").pick(vs) == 1
+    assert registered("srtt").pick(vs, every(vs)) == 1
 
 
 @pytest.mark.parametrize("kind, key", [
@@ -212,7 +217,7 @@ def test_argmin_with_room_over_random_snapshots(kind, key):
                    queue=rng.randrange(0, 4),
                    cost=float(rng.randrange(0, 4)))
               for i in range(rng.randrange(1, 5))]
-        got = sched.pick(vs)
+        got = sched.pick(vs, every(vs))
         available = [v for v in vs if v.in_flight + len(v.send_queue) < v.cwnd]
         pool = available if available else vs
         assert got == min(pool, key=key).path_id
@@ -263,7 +268,7 @@ def test_otias_eta_matches_drain_oracle_on_grid():
 
 def test_otias_picks_lower_latency_when_idle():
     vs = [view(0, srtt=10_000), view(1, srtt=50_000)]
-    assert Otias().pick(vs) == 0
+    assert Otias(2).pick(vs, every(vs)) == 0
 
 
 def test_otias_switches_when_queue_grows():
@@ -271,18 +276,18 @@ def test_otias_switches_when_queue_grows():
     vs = [view(0, srtt=10_000, cwnd=2.0, in_flight=2, queue=6),
           view(1, srtt=50_000)]
     assert otias_eta(vs[0]) > otias_eta(vs[1])
-    assert Otias().pick(vs) == 1
+    assert Otias(2).pick(vs, every(vs)) == 1
 
 
 def test_otias_tie_breaks_on_path_id():
     vs = [view(0, srtt=30_000), view(1, srtt=30_000)]
-    assert Otias().pick(vs) == 0
+    assert Otias(2).pick(vs, every(vs)) == 0
 
 
 def test_otias_lists_the_etas_each_pick_moved():
-    sched = Otias()
+    sched = Otias(2)
     vs = [view(0, srtt=10_000), view(1, srtt=50_000)]
-    sched.pick(vs)
+    sched.pick(vs, {0, 1})
     assert (sched.etas, sched.moved) == ([5_000, 25_000], [0, 1])
     vs[1].srtt_us = 30_000
     sched.pick(vs, {0, 1})
@@ -291,14 +296,16 @@ def test_otias_lists_the_etas_each_pick_moved():
 
 def test_otias_pick_is_argmin_over_random_snapshots():
     rng = random.Random(11)
-    sched = Otias()
+    sched = Otias(0)
     for _ in range(300):
         vs = [view(i, srtt=rng.randrange(1, 300_000),
                    cwnd=float(rng.randrange(1, 20)),
                    in_flight=rng.randrange(0, 20),
                    queue=rng.randrange(0, 60))
               for i in range(rng.randrange(1, 5))]
-        got = sched.pick(vs)
+        if len(vs) != len(sched.etas):
+            sched = Otias(len(vs))
+        got = sched.pick(vs, every(vs))
         etas = [otias_eta(v) for v in vs]
         best = min(range(len(vs)), key=lambda i: (etas[i], vs[i].path_id))
         assert got == vs[best].path_id
