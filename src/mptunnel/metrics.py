@@ -9,14 +9,15 @@ field of the log's Totals. A Stream packs each row, 8 bytes per field, onto
 one open tail and seals each CHUNK_ROWS rows of it into a chunk that keeps
 only the byte planes non-zero in some row, all bytes the cyclic collector
 never scans; a disposition is packed as its index in DISPOSITIONS. Read
-back, a stream is a read-only sequence of exact tuples of plain values. A
-decision's per-path ETAs are not in its row: the etas stream holds one row
-per path whose ETA changed value at a decision (every path at the first),
-and the decisions export replays it as it writes. compute_pdv reads columns,
-not rows, and lays the times out over the run's packet numbers,
-0 .. ingress_count - 1, into a 1-byte mask of the sampled numbers and a list
-of their float samples. Every tabular export is a Table, as every stream is:
-its header, each column's %-format, stated, and its rows, streamed.
+back, a stream gives its rows as exact tuples of plain values, or one field
+as a column. A decision's per-path ETAs are not in its row: the etas stream
+holds one row per path whose ETA changed value at a decision (every path at
+the first), and the decisions export replays it as it writes. compute_pdv
+reads columns, not rows, and lays the times out over the run's packet
+numbers, 0 .. ingress_count - 1, into a 1-byte mask of the sampled numbers
+and a list of their float samples. Every tabular export is a Table, as
+every stream is: its header, each column's %-format, stated, and its rows,
+streamed.
 
 Export schema version 1. Column layouts are fixed; see the README for the
 full schema reference.
@@ -27,10 +28,9 @@ import math
 import struct
 from bisect import bisect_left
 from collections import deque, namedtuple
-from collections.abc import Sequence
 from heapq import merge
 from itertools import accumulate, chain, compress, count, groupby, islice, repeat
-from operator import countOf, eq, floordiv, itemgetter, ne, setitem, sub
+from operator import countOf, floordiv, itemgetter, ne, setitem, sub
 
 from .flow import TunnelPacket, encode_header
 from .reorder import DISPOSITION_INORDER, DISPOSITION_LATE, DISPOSITION_TIMEOUT
@@ -67,9 +67,10 @@ _SPECS = {name: tuple("%.3f" if kind == "d" else "%s" for kind in kinds)
 _ZERO_PLANE = bytes(CHUNK_ROWS)
 
 
-class Stream(Sequence):
-    """One record stream, a read-only sequence of exact tuples in the field
-    order STREAMS names, stored packed. It serves as its own export Table:
+class Stream:
+    """One record stream, stored packed: len() counts its rows, iteration
+    and rows() give them as exact tuples in the field order STREAMS names,
+    and column(i) gives field i alone. It serves as its own export Table:
     header is its field names, specs each field's %-format, rows() its rows.
 
     A row is written with no call: tail += struct.pack(*row), a disposition
@@ -79,12 +80,11 @@ class Stream(Sequence):
     keep-byte per plane, then the kept planes in order. MetricsLog.seal runs
     it for every stream. The chunk list is made at the first seal, so a
     stream that never fills a chunk keeps no object the cyclic collector
-    tracks. append(row) is the same write for a row from anywhere else,
-    validated and sealed at once. Reads seal first, and every block, each
-    sealed chunk and then the tail, restores only the fields read, plane by
-    plane: a chunk's kept planes are runs of its bytes, and the tail's plane
-    o is tail[o::size]. No read copies the whole tail or keeps a view of it,
-    so it can always grow.
+    tracks. Reads seal first, and every block, each sealed chunk and then
+    the tail, restores only the fields read, plane by plane: a chunk's kept
+    planes are runs of its bytes, and the tail's plane o is tail[o::size].
+    No read copies the whole tail or keeps a view of it, so it can always
+    grow.
     """
 
     __slots__ = ("name", "header", "kinds", "specs", "struct", "full", "tail", "_chunks")
@@ -96,18 +96,7 @@ class Stream(Sequence):
         self.struct = _ROW_STRUCTS[name]
         self.full = CHUNK_ROWS * self.struct.size
         self.tail = bytearray()
-        self._chunks: Sequence[bytes] = ()
-
-    def append(self, row: Sequence) -> None:
-        """Pack one row. An int field takes an int of 64 bits; a float field
-        a float (an int there reads back as a float)."""
-        try:
-            values = [DISPOSITION_CODES[v] if kind == "c" else v
-                      for kind, v in zip(self.kinds, row, strict=True)]
-            self.tail += self.struct.pack(*values)
-        except (KeyError, ValueError, struct.error) as exc:
-            raise ValueError(f"{self.name} row {tuple(row)!r}: {exc}") from None
-        self.seal()
+        self._chunks: tuple | list[bytes] = ()
 
     def seal(self) -> None:
         size, full, tail = self.struct.size, self.full, self.tail
@@ -156,18 +145,6 @@ class Stream(Sequence):
 
     rows = __iter__
 
-    def __getitem__(self, i: int) -> tuple:
-        c, r = divmod(range(len(self))[i], CHUNK_ROWS)
-        block = next(islice(self._blocks(), c, None))
-        return next(islice(self._rows(block), r, None))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    __hash__ = None
-
 
 class PdvResult(namedtuple("PdvResult", "sampled values skipped")):
     """Delay-variation samples in sequence order. sampled[i] is 1 if number
@@ -187,24 +164,17 @@ class Totals(namedtuple("Totals", "ingress_count timeout_gaps window_violations 
 class MetricsLog:
     """Everything a run records: one Stream per STREAMS entry, an attribute
     of the same name, each append-only and time-ordered, plus the Totals
-    fields, which the constructor takes as Totals does. == compares both.
+    fields, which the constructor takes as Totals does.
 
     flow_samples is a read-only view of flow_rows as FlowSample instances,
     built anew on each read. compute_pdv keeps its last result here.
     """
-
-    __hash__ = None
 
     def __init__(self, *totals, **named):
         vars(self).update(Totals(*totals, **named)._asdict())
         self._pdv: tuple | None = None  # compute_pdv's last (key, PdvResult)
         for name in STREAMS:
             setattr(self, name, Stream(name))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MetricsLog):
-            return NotImplemented
-        return all(getattr(self, n) == getattr(other, n) for n in _COMPARED)
 
     def seal(self) -> None:
         """Seal each stream's whole chunks (see Stream)."""
@@ -214,9 +184,6 @@ class MetricsLog:
     @property
     def flow_samples(self) -> tuple[FlowSample, ...]:
         return tuple(map(FlowSample._make, self.flow_rows))
-
-
-_COMPARED = Totals._fields + tuple(STREAMS)
 
 
 def _check_numbers(log: MetricsLog, stream: str, i: int) -> None:

@@ -76,6 +76,20 @@ MUTANTS = (
            ("tests/test_engine.py::"
             "test_first_decision_records_every_paths_eta_in_path_id_order",
             "tests/test_engine.py::test_canned_runs_name_every_changed_flow")),
+    # The paper suite runs none of the code the next three change, so only
+    # the coverage corpus's digests catch them.
+    Mutant("static-threshold-uncapped", "src/mptunnel/reorder.py",
+           "min(float(static_threshold_us), float(max_hold_us))",
+           "float(static_threshold_us)",
+           ("tests/test_corpus.py::test_corpus_outputs_equal_golden",)),
+    Mutant("equalizer-discard-twice-the-hold", "src/mptunnel/reorder.py",
+           "if now - pkt.ingress_time > target + self.max_hold_us:",
+           "if now - pkt.ingress_time > target + 2 * self.max_hold_us:",
+           ("tests/test_corpus.py::test_corpus_outputs_equal_golden",)),
+    Mutant("headers-swap-sequence-fields", "src/mptunnel/metrics.py",
+           "TunnelPacket(seq, 0, path_id=path_id, flow_seq=flow_seq,",
+           "TunnelPacket(flow_seq, 0, path_id=path_id, flow_seq=seq,",
+           ("tests/test_corpus.py::test_corpus_outputs_equal_golden",)),
 )
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import first_difference, write_rows
 from mptunnel import engine, metrics
 from mptunnel.cli import run_scenario
 from mptunnel.engine import Simulation
@@ -43,7 +44,7 @@ def test_empty_scenario_produces_empty_log():
     cfg.traffic.start_us = cfg.duration_us   # traffic never starts
     log = Simulation(cfg).run()
     assert log.ingress_count == 0
-    assert log.deliveries == []
+    assert list(log.deliveries) == []
 
 
 def test_cbr_emits_exact_packet_count():
@@ -140,7 +141,7 @@ def test_identical_runs_are_bit_identical():
         p.loss_rate = 0.1
     log_a = Simulation(cfg_a).run()
     log_b = Simulation(cfg_b).run()
-    assert log_a == log_b
+    assert first_difference(log_a, log_b) is None
 
 
 def test_adding_a_path_does_not_perturb_existing_loss_sequence():
@@ -197,7 +198,7 @@ def test_latency_step_after_the_hard_stop_leaves_the_run_drained():
     stepped = Simulation(scenario(duration_s=1, paths=paths)).run()
     assert plain.drained and stepped.drained
     assert len(plain.deliveries) == len(stepped.deliveries) == stepped.ingress_count == 125
-    assert stepped.deliveries == plain.deliveries
+    assert list(stepped.deliveries) == list(plain.deliveries)
 
 
 def test_an_ack_at_its_timers_deadline_is_not_a_loss():
@@ -402,7 +403,7 @@ def test_static_kind_keeps_no_path_stats():
         on_packet(pkt, now)
 
     receiver.on_packet = updating_on_packet
-    assert updating.run().deliveries == log.deliveries
+    assert list(updating.run().deliveries) == list(log.deliveries)
     assert set(receiver.stats.srtts) == {0, 1}
 
 
@@ -503,36 +504,46 @@ def test_otias_scrambles_strictly_less_than_rr_when_saturated():
 SENDER_STREAMS = ("sends", "arrivals", "drops", "decisions", "etas", "flow_rows")
 
 
+def sender_log(log) -> metrics.MetricsLog:
+    """A log of the run's sender streams alone, every total at its start."""
+    view = metrics.MetricsLog()
+    for stream in SENDER_STREAMS:
+        setattr(view, stream, getattr(log, stream))
+    return view
+
+
 @pytest.mark.parametrize("name", ["rr-saturated", "adaptive-jump"])
 def test_receiver_kind_changes_nothing_the_sender_sees(name):
     # Acks leave at arrival, so the receiver never feeds back into the
     # sender: every receiver kind sees the same network run.
-    streams = {}
+    logs = {}
     for kind in RECEIVERS:
         cfg = load_canned(name)
         cfg.reorder.kind = kind
-        log = Simulation(cfg).run()
-        streams[kind] = [getattr(log, stream) for stream in SENDER_STREAMS]
-    assert streams["none"][0]
-    for kind, got in streams.items():
-        for stream, want, have in zip(SENDER_STREAMS, streams["none"], got):
-            assert have == want, f"{stream} differs under the {kind} receiver"
+        logs[kind] = sender_log(Simulation(cfg).run())
+    assert logs["none"].sends
+    for kind, log in logs.items():
+        assert first_difference(log, logs["none"]) is None, kind
 
 
 # -- the receiver as a function of the arrival trace ------------------------------
 
-def replay(cfg, log, kind):
-    """The deliveries and discards of a fresh receiver of this kind fed the
-    run's arrivals, at the arrival rank, on its own event queue. Each packet
-    is rebuilt with the flow_seq and RTT report it was sent with."""
+def replay(cfg, log, kind) -> metrics.MetricsLog:
+    """The run's log as a fresh receiver of this kind rebuilds it, fed the
+    run's arrivals at the arrival rank on its own event queue, each packet
+    rebuilt with the flow_seq and RTT report it was sent with: the
+    receiver's deliveries, discards and given-up gaps, and every other
+    stream and total the run's."""
     sent = {seq: (flow_seq, rtt_us) for _, _, seq, flow_seq, rtt_us in log.sends}
-    deliveries, discards = [], []
+    replayed = sender_log(log)
+    for total in metrics.Totals._fields:
+        setattr(replayed, total, getattr(log, total))
     queue = EventQueue()
     receiver = RECEIVERS[kind].factory(cfg).wire(
-        lambda pkt, now, residency_us, disposition: deliveries.append(
-            (now, pkt.overall_seq, pkt.path_id, residency_us, disposition)),
+        lambda pkt, now, residency_us, disposition: write_rows(replayed.deliveries, [
+            (now, pkt.overall_seq, pkt.path_id, residency_us, disposition)]),
         queue.schedule,
-        lambda pkt, now: discards.append((now, pkt.path_id, pkt.overall_seq)))
+        lambda pkt, now: write_rows(replayed.discards, [(now, pkt.path_id, pkt.overall_seq)]))
     for now, seq, path_id, ingress_us in log.arrivals:
         flow_seq, rtt_us = sent[seq]
         queue.schedule(now, ARRIVAL, receiver.on_packet,
@@ -540,7 +551,8 @@ def replay(cfg, log, kind):
     while (item := queue.pop()) is not None:
         at, _, _, fn, arg = item
         fn(arg, at)
-    return deliveries, discards
+    replayed.timeout_gaps = receiver.gap_count
+    return replayed
 
 
 def receiver_run(runs, name, kind):
@@ -558,9 +570,7 @@ def receiver_run(runs, name, kind):
 def test_receiver_replays_the_arrival_trace(runs, name, kind):
     cfg, log = receiver_run(runs, name, kind)
     assert log.drained and log.arrivals
-    deliveries, discards = replay(cfg, log, kind)
-    assert log.deliveries == deliveries
-    assert log.discards == discards
+    assert first_difference(replay(cfg, log, kind), log) is None
 
 
 # -- record form and log lifetime ----------------------------------------------
@@ -634,7 +644,7 @@ def test_flow_samples_view_matches_flow_rows(guard_logs):
         assert {type(s) for s in view} == {metrics.FlowSample}
         assert view == tuple(metrics.FlowSample._make(r) for r in log.flow_rows)
     log = metrics.MetricsLog()
-    log.flow_rows.append((5, 1, 20_000.0, 2.0, 1, 0))
+    write_rows(log.flow_rows, [(5, 1, 20_000.0, 2.0, 1, 0)])
     assert log.flow_samples == (metrics.FlowSample(5, 1, 20_000.0, 2.0, 1, 0),)
 
 

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import write_rows
 from mptunnel.engine import Simulation
 from mptunnel.flow import TunnelPacket, encode_header
 from mptunnel.metrics import (DISPOSITIONS, METRICS, STREAMS, THROUGHPUT_BIN_US, MetricsLog,
@@ -194,10 +195,10 @@ def test_deliveries_export_sorts_runs_of_equal_times(seed, tmp_path):
         t += rng.randrange(1, 50)
         for _ in range(rng.choice([1, 2, 7, 300])):
             if seqs and rng.random() < 0.2:
-                log.discards.append((t, rng.randrange(2), seqs.pop()))
+                write_rows(log.discards, [(t, rng.randrange(2), seqs.pop())])
             elif seqs:
-                log.deliveries.append((t, seqs.pop(), rng.randrange(2), rng.randrange(3),
-                                       rng.choice(DISPOSITIONS)))
+                write_rows(log.deliveries, [(t, seqs.pop(), rng.randrange(2),
+                                             rng.randrange(3), rng.choice(DISPOSITIONS))])
     for fmt in ("csv", "json"):
         got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
         export_metric(log, "deliveries", fmt, got, 0.0)
@@ -220,9 +221,8 @@ def test_compute_pdv_matches_per_sequence_loop(records, nominal, stream):
     # present or absent all come from the generated (seq, time) pairs; the
     # log counts as many ingress packets as its largest number needs.
     log = MetricsLog(max((seq for seq, _ in records), default=-1) + 1)
-    for seq, t in records:
-        log.deliveries.append((t, seq, 0, 0, "inorder"))
-        log.arrivals.append((t, seq, 0, 0))
+    write_rows(log.deliveries, [(t, seq, 0, 0, "inorder") for seq, t in records])
+    write_rows(log.arrivals, [(t, seq, 0, 0) for seq, t in records])
     got = compute_pdv(log, nominal, stream)
     want = reference_pdv(log, nominal, stream)
     assert got.skipped == want.skipped
@@ -236,8 +236,7 @@ def test_compute_pdv_refuses_a_number_outside_the_run(seqs):
     # min/max pass, before the times are laid out: 2**61 numbers laid out
     # would take 18 EiB.
     log = MetricsLog(2)
-    for t, seq in enumerate(seqs):
-        log.deliveries.append((8_000 * t, seq, 0, 0, "inorder"))
+    write_rows(log.deliveries, [(8_000 * t, seq, 0, 0, "inorder") for t, seq in enumerate(seqs)])
     tracemalloc.start()
     try:
         with pytest.raises(ValueError):
@@ -348,8 +347,7 @@ def test_every_table_states_one_spec_per_column(run_logs):
 
 def test_unknown_format_is_refused_before_anything_is_built(tmp_path):
     log = MetricsLog(2)
-    log.deliveries.append((0, 0, 0, 0, "inorder"))
-    log.deliveries.append((8_000, 1, 0, 0, "inorder"))
+    write_rows(log.deliveries, [(0, 0, 0, 0, "inorder"), (8_000, 1, 0, 0, "inorder")])
     for metric in METRICS:
         path = tmp_path / f"{metric}.xml"
         with pytest.raises(ValueError, match="format"):
@@ -382,13 +380,13 @@ def bumped(value, kind: str):
 
 def with_field_bumped(log, name: str, i: int):
     """A copy of log with field i of stream name bumped in every row, that
-    stream rebuilt through Stream.append and every other one shared."""
+    stream rebuilt through write_rows and every other one shared."""
     copy = MetricsLog(**{total: getattr(log, total) for total in Totals._fields})
     for other in STREAMS:
         setattr(copy, other, getattr(log, other))
     stream, kind = Stream(name), STREAMS[name][1][i]
-    for row in getattr(log, name):
-        stream.append(row[:i] + (bumped(row[i], kind),) + row[i + 1:])
+    write_rows(stream, [row[:i] + (bumped(row[i], kind),) + row[i + 1:]
+                        for row in getattr(log, name)])
     setattr(copy, name, stream)
     return copy
 
