@@ -202,9 +202,11 @@ class Flow:
             self.pump(now)
 
     def declare_lost(self, flow_seq: int) -> None:
-        """Give up on an unacknowledged packet and react to the loss."""
-        if self._outstanding.pop(flow_seq, None) is None:
-            return
+        """Give up on an unacknowledged packet and react to the loss.
+        flow_seq must be outstanding: sent, and neither acked nor declared
+        lost since; both callers, the dup-ack scan and the ack-silence
+        timeout, pass only such a flow_seq."""
+        del self._outstanding[flow_seq]
         self.in_flight -= 1
         self.packets_lost += 1
         self.on_loss(flow_seq)

@@ -15,9 +15,10 @@ holds one row per path whose ETA changed value at a decision (every path at
 the first), and the decisions export replays it as it writes. compute_pdv
 reads columns, not rows, and lays the times out over the run's packet
 numbers, 0 .. ingress_count - 1, into a 1-byte mask of the sampled numbers
-and a list of their float samples. Every tabular export is a Table, as
-every stream is: its header, each column's %-format, stated, and its rows,
-streamed.
+and an array of their float samples, 8 bytes each; summarize and
+pdv_histogram count the samples by value, and the distinct values are
+few. Every tabular export is a Table, as every stream is: its header, each
+column's %-format, stated, and its rows, streamed.
 
 Export schema version 1. Column layouts are fixed; see the README for the
 full schema reference.
@@ -26,8 +27,8 @@ full schema reference.
 import json
 import math
 import struct
-from bisect import bisect_left
-from collections import deque, namedtuple
+from bisect import bisect_left, bisect_right
+from collections import Counter, deque, namedtuple
 from heapq import merge
 from itertools import accumulate, chain, compress, count, groupby, islice, repeat
 from operator import countOf, floordiv, itemgetter, ne, setitem, sub
@@ -149,8 +150,9 @@ class Stream:
 class PdvResult(namedtuple("PdvResult", "sampled values skipped")):
     """Delay-variation samples in sequence order. sampled[i] is 1 if number
     i + 1 has a sample and 0 if not, so compress(count(1), sampled) gives
-    the sampled numbers; values holds their samples in sequence order.
-    skipped counts sequence numbers whose predecessor never landed."""
+    the sampled numbers; values, an array("d"), holds their samples in
+    sequence order. skipped counts sequence numbers whose predecessor never
+    landed."""
     __slots__ = ()
 
 
@@ -233,7 +235,10 @@ def compute_pdv(log: MetricsLog, nominal_interval_us: float,
     # a byte ands every adjacent pair.
     both = int.from_bytes(landed, "little")
     sampled = ((both >> 8) & both).to_bytes(n, "little")[:-1]
-    values = list(compress(
+    # array is a shared library, loaded on the first delay variation
+    # computed rather than with the package.
+    from array import array
+    values = array("d", compress(
         map(sub, map(sub, times[1:], times), repeat(float(nominal_interval_us))), sampled))
     # Every number after 0 that landed unsampled is skipped.
     result = PdvResult(sampled, values, landed.count(1, 1) - len(values))
@@ -314,35 +319,51 @@ def throughput_series(log: MetricsLog, bin_us: int) -> Table:
     return Table(("bin_start_us", "path_id", "throughput_bps"), ("%s", "%s", "%.3f"), rows)
 
 
-def percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an already sorted list."""
-    if not sorted_values:
+def percentile(keys: list[float], ends: list[int], q: float) -> float:
+    """Nearest-rank percentile of a sorted multiset: keys its distinct
+    values ascending, and ends[i] the number of its values up to and
+    including keys[i]."""
+    if not keys:
         return 0.0
-    rank = math.ceil(q * len(sorted_values))
-    return sorted_values[max(0, min(len(sorted_values) - 1, rank - 1))]
+    n = ends[-1]
+    position = max(0, min(n - 1, math.ceil(q * n) - 1))
+    return keys[bisect_right(ends, position)]
 
 
-def pdv_histogram(values: list[float], bin_width_us: float = 1000.0) -> dict:
+def pdv_histogram(values, bin_width_us: float = 1000.0) -> dict:
     """Histogram of pdv values as bin edges plus counts: a value v is counted
-    in bin (v - lo) // bin_width_us, lo the lowest value floored to a bin edge."""
+    in bin (v - lo) // bin_width_us, lo the lowest value floored to a bin
+    edge. Each distinct value adds its count to its bin."""
     if not values:
         return {"bin_edges_us": [], "counts": []}
-    values = sorted(values)
-    lo = float(values[0] // bin_width_us * bin_width_us)
-    # Sorted values have sorted bins, so bisect finds where each bin starts.
-    bins = list(map(floordiv, map(sub, values, repeat(lo)), repeat(bin_width_us)))
-    n_bins = int(bins[-1]) + 1
-    starts = list(map(bisect_left, repeat(bins), range(n_bins))) + [len(bins)]
-    edges = [round(lo + i * bin_width_us, 3) for i in range(n_bins + 1)]
-    return {"bin_edges_us": edges, "counts": list(map(sub, starts[1:], starts[:-1]))}
+    value_counts = Counter(values)
+    lo = float(min(value_counts) // bin_width_us * bin_width_us)
+    counts = [0] * (int((max(value_counts) - lo) // bin_width_us) + 1)
+    for v, n in value_counts.items():
+        counts[int((v - lo) // bin_width_us)] += n
+    edges = [round(lo + i * bin_width_us, 3) for i in range(len(counts) + 1)]
+    return {"bin_edges_us": edges, "counts": counts}
 
 
 def summarize(log: MetricsLog, nominal_interval_us: float,
               pdv_stream: str = "deliveries") -> dict:
-    """Run totals plus the delay-variation distribution summary."""
+    """Run totals plus the delay-variation distribution summary.
+
+    The samples are read as a multiset: their distinct values ascending,
+    keys, and how often each occurs, counts. Equal floats are
+    interchangeable in a sort, so repeating each key its count times gives
+    sorted(values) exactly, for finite values other than -0.0; a
+    delay-variation sample, a difference of finite values, is never -0.0 or
+    NaN. The mean makes the additions of sum(sorted(values)), in its order,
+    so its bits are that sum's on every CPython.
+    """
     pdv = compute_pdv(log, nominal_interval_us, pdv_stream)
-    values = sorted(pdv.values)
-    mean = sum(values) / len(values) if values else 0.0
+    value_counts = Counter(pdv.values)
+    keys = sorted(value_counts)
+    counts = list(map(value_counts.__getitem__, keys))
+    n = len(pdv.values)
+    mean = sum(chain.from_iterable(map(repeat, keys, counts))) / n if n else 0.0
+    ends = list(accumulate(counts))
     return {
         "schema_version": SCHEMA_VERSION,
         "sent": log.ingress_count,
@@ -355,12 +376,12 @@ def summarize(log: MetricsLog, nominal_interval_us: float,
         "window_violations": log.window_violations,
         "drained": log.drained,
         "pdv": {
-            "count": len(values),
+            "count": n,
             "skipped": pdv.skipped,
             "mean_us": round(mean, 3),
-            "p50_us": round(percentile(values, 0.50), 3),
-            "p95_us": round(percentile(values, 0.95), 3),
-            "p99_us": round(percentile(values, 0.99), 3),
+            "p50_us": round(percentile(keys, ends, 0.50), 3),
+            "p95_us": round(percentile(keys, ends, 0.95), 3),
+            "p99_us": round(percentile(keys, ends, 0.99), 3),
         },
     }
 

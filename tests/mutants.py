@@ -76,6 +76,14 @@ MUTANTS = (
            ("tests/test_engine.py::"
             "test_first_decision_records_every_paths_eta_in_path_id_order",
             "tests/test_engine.py::test_canned_runs_name_every_changed_flow")),
+    Mutant("pdv-mean-in-sequence-order", "src/mptunnel/metrics.py",
+           "sum(chain.from_iterable(map(repeat, keys, counts)))",
+           "sum(pdv.values)",
+           ("tests/test_metrics.py::test_pdv_summary_and_histogram_match_the_sorted_list",)),
+    Mutant("percentile-rank-bisect-left", "src/mptunnel/metrics.py",
+           "return keys[bisect_right(ends, position)]",
+           "return keys[bisect_left(ends, position)]",
+           ("tests/test_metrics.py::test_pdv_summary_and_histogram_match_the_sorted_list",)),
     # The paper suite runs none of the code the next three change, so only
     # the coverage corpus's digests catch them.
     Mutant("static-threshold-uncapped", "src/mptunnel/reorder.py",

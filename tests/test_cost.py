@@ -37,16 +37,17 @@ keeps per ingress packet, and those may grow by at most 8% from 2 paths to
 16. At 2 paths they are at most 160: the log seals its rows into chunks that
 keep only their non-zero byte planes, about 121 bytes per packet, where
 8 bytes per field would take about 248. summarize, run on a finished log,
-may add at most 64 bytes per ingress packet at its peak: 32 kept per
-delay-variation sample (a value pointer and the float itself), 1 per
-ingress packet for the mask of sampled numbers, 9 per ingress packet while
-the times are laid out by sequence number, and 8 for the sorted copy of the
-values, with room for sort buffers. Every tabular export streams its rows,
-so written as CSV, with the run's delay variation computed first, each adds
-at most 16 bytes per ingress packet at its peak on a run of about 10,000
-packets, where a list of the rows took 100 to 270: each column read of the
-log restores one field of one block at a time, so a read that copied the
-whole open tail (up to 1,023 rows) per column would exceed that bound.
+may add at most 40 bytes per ingress packet at its peak: 8 kept per
+delay-variation sample (an array of doubles), 1 per ingress packet for the
+mask of sampled numbers, 9 per ingress packet while the times are laid out
+by sequence number, and the multiset of the samples, a value, a count and a
+few pointers per distinct value, which are few. Every tabular export
+streams its rows, so written as CSV, with the run's delay variation
+computed first, each adds at most 16 bytes per ingress packet at its peak
+on a run of about 10,000 packets, where a list of the rows took 100 to
+270: each column read of the log restores one field of one block at a
+time, so a read that copied the whole open tail (up to 1,023 rows) per
+column would exceed that bound.
 
 And for the cyclic collector: a finished log keeps at most 0.01 objects the
 collector tracks per ingress packet, counted with the collector paused
@@ -386,7 +387,7 @@ def test_log_keeps_no_tracked_object_per_packet(data):
                          ids=lambda data: data["name"])
 def test_summarize_peak_bytes_per_packet(data):
     peak = summarize_peak_bytes_per_packet(data)
-    assert peak <= 64, f"summarize peaks at {peak:.1f} bytes per packet"
+    assert peak <= 40, f"summarize peaks at {peak:.1f} bytes per packet"
 
 
 @pytest.fixture(scope="module")

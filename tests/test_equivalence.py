@@ -78,7 +78,7 @@ class CountingLossOracle:
 
 class LossRecordingFlow(Flow):
     """A Flow that records each flow_seq it transmits and, in order, each
-    one it gives up on (a declare_lost call that raised packets_lost)."""
+    one it gives up on (each declare_lost call)."""
 
     __slots__ = ("sent", "lost_seqs")
 
@@ -88,10 +88,8 @@ class LossRecordingFlow(Flow):
         self.sent, self.lost_seqs = [], []
 
     def declare_lost(self, flow_seq):
-        lost = self.packets_lost
         super().declare_lost(flow_seq)
-        if self.packets_lost > lost:
-            self.lost_seqs.append(flow_seq)
+        self.lost_seqs.append(flow_seq)
 
 
 # Equal sends and equal losses, in order, after every step pin the set of

@@ -319,9 +319,11 @@ def test_gap_of_three_acks_declares_loss():
     assert flow.packets_lost == 1
     assert flow.cwnd < before
     # 0 is no longer outstanding: 6 sent, 3 acked and 0 lost leave 2 in
-    # flight, and 0 can be neither lost nor acked again.
+    # flight, and 0 can be neither lost nor acked again; declare_lost takes
+    # only an outstanding flow_seq.
     assert flow.in_flight == 2
-    flow.declare_lost(0)
+    with pytest.raises(KeyError):
+        flow.declare_lost(0)
     flow.ack_received(0, 24_000)
     assert (flow.in_flight, flow.packets_lost) == (2, 1)
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from array import array
 from collections import namedtuple
 from itertools import compress, count
 
@@ -9,9 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import first_difference, write_rows
+from mptunnel import metrics
 from mptunnel.metrics import (CHUNK_ROWS, DISPOSITIONS, METRICS, STREAMS, MetricsLog,
-                              Totals, arrival_order_scatter, compute_pdv, pdv_histogram,
-                              percentile, reordering_extent, summarize, throughput_series)
+                              PdvResult, Totals, arrival_order_scatter, compute_pdv,
+                              pdv_histogram, percentile, reordering_extent, summarize,
+                              throughput_series)
 
 
 def log_with_deliveries(rows):
@@ -37,7 +40,7 @@ def test_pdv_sign_convention():
     # packet n lands 2 ms before its predecessor: negative variation
     log = log_with_deliveries([(100_000, 7), (98_000, 8)])
     result = compute_pdv(log, 8_000)
-    assert (sampled_seqs(result), result.values) == ([8], [-10_000])
+    assert (sampled_seqs(result), list(result.values)) == ([8], [-10_000])
 
 
 def test_pdv_missing_predecessor_skipped_and_counted():
@@ -74,7 +77,7 @@ def test_pdv_after_a_row_is_appended_is_computed_again():
     again = compute_pdv(log, 8_000)
     assert again is not first
     assert sampled_seqs(again) == sampled_seqs(first) + [10]
-    assert again.values == first.values + [5_000]
+    assert list(again.values) == list(first.values) + [5_000]
 
 
 def test_scatter_identity_for_in_order_run():
@@ -138,10 +141,13 @@ def test_throughput_rejects_bad_bin():
 
 
 def test_percentile_nearest_rank():
-    values = [1.0, 2.0, 3.0, 4.0]
-    assert percentile(values, 0.50) == 2.0
-    assert percentile(values, 0.95) == 4.0
-    assert percentile([], 0.5) == 0.0
+    # 1.0 once, 2.0 twice, 4.0 once: ends are the running counts.
+    keys, ends = [1.0, 2.0, 4.0], [1, 3, 4]
+    assert percentile(keys, ends, 0.25) == 1.0
+    assert percentile(keys, ends, 0.50) == 2.0
+    assert percentile(keys, ends, 0.75) == 2.0
+    assert percentile(keys, ends, 0.95) == 4.0
+    assert percentile([], [], 0.5) == 0.0
 
 
 def test_pdv_histogram_counts():
@@ -174,6 +180,52 @@ def test_pdv_histogram_matches_a_count_per_value(values, bin_width_us):
     hist = pdv_histogram(values, bin_width_us)
     assert hist == reference_histogram(values, bin_width_us)
     assert sum(hist["counts"]) == len(values)
+
+
+def reference_pdv_block(values) -> dict:
+    """summarize's pdv block for the samples values, computed one float per
+    sample: the sorted list, its sum and its nearest ranks."""
+    ordered = sorted(list(values))
+
+    def nearest_rank(q):
+        if not ordered:
+            return 0.0
+        return ordered[max(0, min(len(ordered) - 1, math.ceil(q * len(ordered)) - 1))]
+
+    return {"count": len(ordered), "skipped": 0,
+            "mean_us": round(sum(ordered) / len(ordered) if ordered else 0.0, 3),
+            "p50_us": round(nearest_rank(0.50), 3), "p95_us": round(nearest_rank(0.95), 3),
+            "p99_us": round(nearest_rank(0.99), 3)}
+
+
+# Finite samples, never -0.0 (adding 0.0 turns it into 0.0), as every
+# delay-variation sample is; within 1e18 of 0, so a histogram of them has a
+# bounded number of bins at a bin width of a hundredth of their range.
+SAMPLE = st.floats(-1e18, 1e18).map(lambda v: v + 0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(SAMPLE, max_size=60) | st.lists(SAMPLE, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=60)))
+@example([])
+@example([-12.5])
+@example([1.0, 2.0])                      # p95 and p99 at a rank boundary
+@example([3.0, -1.0, 3.0, 2.0, 3.0, -1.0])
+@example([1.0, 1e16, 1.0])                # the sum depends on the order of addition
+@example([1e16, 0.5, -1e16, 0.5, 1.0, 3.0])
+@example([1e32, 1.0, -2.0**53])           # ... even under 3.12's compensated sum
+def test_pdv_summary_and_histogram_match_the_sorted_list(values):
+    # summarize and pdv_histogram read the samples as a multiset of their
+    # distinct values; the statistics must be those of the sorted list.
+    samples = array("d", values)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "compute_pdv",
+                      lambda *args: PdvResult(b"", samples, 0))
+        block = summarize(MetricsLog(), 8_000)["pdv"]
+    assert repr(block) == repr(reference_pdv_block(values))
+    bin_width_us = max(1000.0, (max(values) - min(values)) / 100) if values else 1000.0
+    assert repr(pdv_histogram(samples, bin_width_us)) == repr(
+        reference_histogram(values, bin_width_us))
 
 
 def test_summary_totals(tmp_path):
